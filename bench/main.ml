@@ -83,9 +83,13 @@ let cholesky10 = lazy (fixture E.Case.Cholesky 10 3 1.01)
 let random30 = lazy (fixture E.Case.Random_graph 30 8 1.01)
 let gauss103 = lazy (fixture E.Case.Gauss_elim 103 16 1.1)
 
+(* a fresh engine per call: the cold, single-schedule cost *)
+let fresh_engine ?model inst =
+  Makespan.Engine.create ~graph:inst.E.Case.graph ~platform:inst.E.Case.platform
+    ~model:(Option.value model ~default:inst.E.Case.model)
+
 let metric_vector (inst, sched) =
-  Metrics.Robustness.to_array
-    (Metrics.Robustness.of_schedule sched inst.E.Case.platform inst.E.Case.model)
+  Metrics.Robustness.to_array (Metrics.Robustness.of_engine (fresh_engine inst) sched)
 
 let precomputed_rows =
   lazy
@@ -94,18 +98,17 @@ let precomputed_rows =
      let scheds =
        Sched.Random_sched.generate_many ~rng ~graph:inst.E.Case.graph ~n_procs:3 ~count:64
      in
+     let engine = fresh_engine inst in
      Array.of_list
        (List.map
-          (fun s ->
-            Metrics.Robustness.to_array
-              (Metrics.Robustness.of_schedule s inst.E.Case.platform inst.E.Case.model))
+          (fun s -> Metrics.Robustness.to_array (Metrics.Robustness.of_engine engine s))
           scheds))
 
 let special = lazy (Distribution.Family.special ())
 
-(* engine-vs-legacy fixtures: a batch of schedules of ONE case, the
-   usage pattern of the experiment sweeps (the engine is created once per
-   case and amortizes its distribution caches across the batch) *)
+(* engine batch fixtures: a batch of schedules of ONE case, the usage
+   pattern of the experiment sweeps (the engine is created once per case
+   and amortizes its distribution caches across the batch) *)
 let batch_size = 8
 
 let sched_batch =
@@ -141,10 +144,13 @@ let reeval_fixture =
      ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_);
      (session, moved, to_))
 
+(* one domain: the Monte-Carlo kernels run inline on the caller *)
+let serial_pool = Parallel.Pool.create ~domains:1 ()
+
 let mc_batch fx count =
   let inst, sched = fx in
-  Makespan.Montecarlo.realizations ~domains:1 ~rng:(Prng.Xoshiro.create 7L) ~count sched
-    inst.E.Case.platform inst.E.Case.model
+  Makespan.Montecarlo.realizations ~pool:serial_pool ~rng:(Prng.Xoshiro.create 7L) ~count
+    sched inst.E.Case.platform inst.E.Case.model
 
 (* one Test.make per table/figure *)
 let figure_tests =
@@ -152,7 +158,7 @@ let figure_tests =
     Test.make ~name:"fig1:classical-vs-mc-ks"
       (Staged.stage (fun () ->
            let inst, sched = Lazy.force cholesky10 in
-           let d = Makespan.Classic.run sched inst.E.Case.platform model in
+           let d = Makespan.Engine.eval (fresh_engine ~model inst) sched in
            let samples = mc_batch (Lazy.force cholesky10) 500 in
            ignore
              (Stats.Distance.ks (Analytic d)
@@ -193,9 +199,8 @@ let figure_tests =
            ignore (Stats.Correlation.pearson xs ys)));
   ]
 
-(* engine vs legacy: same work — full metric vectors for a batch of
-   schedules of one case — through the shared engine vs the uncached
-   per-schedule path *)
+(* full metric vectors and classical distributions for a batch of
+   schedules of one case through the shared engine *)
 let engine_tests =
   [
     Test.make ~name:"engine:metrics-batch8"
@@ -207,28 +212,11 @@ let engine_tests =
                ignore
                  (Metrics.Robustness.to_array (Metrics.Robustness.of_engine engine s)))
              scheds));
-    Test.make ~name:"legacy:metrics-batch8"
-      (Staged.stage (fun () ->
-           let inst, scheds = Lazy.force sched_batch in
-           Array.iter
-             (fun s ->
-               ignore
-                 (Metrics.Robustness.to_array
-                    (Metrics.Robustness.of_schedule s inst.E.Case.platform
-                       inst.E.Case.model)))
-             scheds));
     Test.make ~name:"engine:classical-batch8"
       (Staged.stage (fun () ->
            let _, scheds = Lazy.force sched_batch in
            let engine = Lazy.force shared_engine in
            Array.iter (fun s -> ignore (Makespan.Engine.eval engine s)) scheds));
-    Test.make ~name:"legacy:classical-batch8"
-      (Staged.stage (fun () ->
-           let inst, scheds = Lazy.force sched_batch in
-           Array.iter
-             (fun s ->
-               ignore (Makespan.Classic.run s inst.E.Case.platform inst.E.Case.model))
-             scheds));
   ]
 
 (* telemetry overhead: the identical warm-cache engine eval with sinks
@@ -305,126 +293,17 @@ let substrate_tests =
     Test.make ~name:"substrate:dodin-reduce"
       (Staged.stage (fun () ->
            let inst, sched = Lazy.force cholesky10 in
-           ignore (Makespan.Dodin.run sched inst.E.Case.platform model)));
+           ignore
+             (Makespan.Engine.eval ~backend:Makespan.Engine.Dodin
+                (fresh_engine ~model inst)
+                sched)));
     Test.make ~name:"substrate:slack"
       (Staged.stage (fun () ->
            let inst, sched = Lazy.force gauss103 in
            ignore (Sched.Slack.compute sched inst.E.Case.platform inst.E.Case.model)));
   ]
 
-(* Scheduler-framework overhead: the pre-refactor monolithic HEFT,
-   inlined verbatim from the seed tree, raced against the parameterized
-   Components/List_scheduler recomposition (plus one kernel per registry
-   entry). The acceptance bound on the refactor is framework-HEFT within
-   5% of this baseline; BENCH_sched.json records the comparison. *)
-module Legacy_heft = struct
-  let average_weights graph platform =
-    let mean_tau = Platform.mean_tau platform in
-    let mean_latency = Platform.mean_latency platform in
-    let m = Platform.n_procs platform in
-    let collapse v =
-      let row = Array.init m (fun p -> Platform.etc platform ~task:v ~proc:p) in
-      Array.fold_left ( +. ) 0. row /. float_of_int m
-    in
-    let edge u v =
-      match Dag.Graph.volume graph ~src:u ~dst:v with
-      | Some volume -> mean_latency +. (volume *. mean_tau)
-      | None -> 0.
-    in
-    { Dag.Levels.task = collapse; edge }
-
-  let rank_order graph platform =
-    let ranks = Dag.Levels.bottom_levels graph (average_weights graph platform) in
-    let tasks = Array.init (Dag.Graph.n_tasks graph) (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        match Float.compare ranks.(b) ranks.(a) with 0 -> Int.compare a b | c -> c)
-      tasks;
-    tasks
-
-  type slot = { s_start : float; s_finish : float; s_task : int }
-
-  type t = {
-    graph : Dag.Graph.t;
-    platform : Platform.t;
-    mutable slots : slot list array;
-    placed_proc : int array;
-    placed_finish : float array;
-  }
-
-  let create graph platform =
-    let n = Dag.Graph.n_tasks graph in
-    {
-      graph;
-      platform;
-      slots = Array.make (Platform.n_procs platform) [];
-      placed_proc = Array.make n (-1);
-      placed_finish = Array.make n 0.;
-    }
-
-  let ready_time t ~task ~proc =
-    let acc = ref 0. in
-    Array.iter
-      (fun (p, volume) ->
-        let arrival =
-          t.placed_finish.(p)
-          +. Platform.comm_time t.platform ~src:t.placed_proc.(p) ~dst:proc ~volume
-        in
-        if arrival > !acc then acc := arrival)
-      (Dag.Graph.preds t.graph task);
-    !acc
-
-  let find_slot slots ~ready ~dur =
-    let rec scan candidate = function
-      | [] -> candidate
-      | { s_start; s_finish; _ } :: rest ->
-        if candidate +. dur <= s_start then candidate
-        else scan (Float.max candidate s_finish) rest
-    in
-    scan ready slots
-
-  let eft t ~task ~proc =
-    let ready = ready_time t ~task ~proc in
-    let dur = Platform.etc t.platform ~task ~proc in
-    let start = find_slot t.slots.(proc) ~ready ~dur in
-    (start, start +. dur)
-
-  let place t ~task ~proc =
-    let start, finish = eft t ~task ~proc in
-    t.placed_proc.(task) <- proc;
-    t.placed_finish.(task) <- finish;
-    let rec insert = function
-      | [] -> [ { s_start = start; s_finish = finish; s_task = task } ]
-      | slot :: rest when slot.s_start < start -> slot :: insert rest
-      | slots -> { s_start = start; s_finish = finish; s_task = task } :: slots
-    in
-    t.slots.(proc) <- insert t.slots.(proc)
-
-  let to_schedule t =
-    let order =
-      Array.map (fun slots -> Array.of_list (List.map (fun s -> s.s_task) slots)) t.slots
-    in
-    Sched.Schedule.make ~graph:t.graph ~n_procs:(Platform.n_procs t.platform)
-      ~proc_of:(Array.copy t.placed_proc) ~order
-
-  let schedule graph platform =
-    let state = create graph platform in
-    let m = Platform.n_procs platform in
-    Array.iter
-      (fun task ->
-        let best_proc = ref 0 and best_finish = ref infinity in
-        for proc = 0 to m - 1 do
-          let _, finish = eft state ~task ~proc in
-          if finish < !best_finish then begin
-            best_finish := finish;
-            best_proc := proc
-          end
-        done;
-        place state ~task ~proc:!best_proc)
-      (rank_order graph platform);
-    to_schedule state
-end
-
+(* one kernel per scheduler registry entry *)
 let sched_tests =
   let on_random30 name run =
     Test.make ~name
@@ -432,10 +311,9 @@ let sched_tests =
            let inst, _ = Lazy.force random30 in
            ignore (run inst.E.Case.graph inst.E.Case.platform)))
   in
-  on_random30 "sched:heft-legacy" Legacy_heft.schedule
-  :: List.map
-       (fun e -> on_random30 ("sched:" ^ e.Sched.Registry.name) e.Sched.Registry.run)
-       Sched.Registry.entries
+  List.map
+    (fun e -> on_random30 ("sched:" ^ e.Sched.Registry.name) e.Sched.Registry.run)
+    Sched.Registry.entries
 
 (* distribution/convolution/pool kernels: the zero-allocation hot layer.
    These run both in the full bench and in `--perf-smoke` (the CI step
@@ -606,10 +484,6 @@ let pool_tests =
       (Staged.stage (fun () ->
            Parallel.Pool.run ~pool:(Lazy.force bench_pool) ~chunks:32 (fun c ->
                ignore (Sys.opaque_identity (c * c)))));
-    Test.make ~name:"pool:oneshot-run32"
-      (Staged.stage (fun () ->
-           Parallel.Pool.run ~domains:2 ~chunks:32 (fun c ->
-               ignore (Sys.opaque_identity (c * c)))));
   ]
 
 let pretty_ns ns =
@@ -658,81 +532,76 @@ let run_benchmarks () =
   in
   figures @ obs
 
-(* BENCH_engine.json: the engine-vs-legacy record asked for by CI/review.
-   Hand-rolled JSON — the project deliberately has no JSON dependency. *)
-let write_bench_json results =
-  let json_field (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns\": %s }" name
-      (if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns)
-  in
-  let speedup =
-    match
-      ( List.assoc_opt "engine:metrics-batch8" results,
-        List.assoc_opt "legacy:metrics-batch8" results )
-    with
-    | Some e, Some l when e > 0. && Float.is_finite e && Float.is_finite l ->
-      Printf.sprintf "%.3f" (l /. e)
-    | _ -> "null"
-  in
-  let oc = open_out "BENCH_engine.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scale\": %S,\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"engine_speedup_metrics_batch8\": %s,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    scale.E.Scale.name speedup
-    (String.concat ",\n" (List.map json_field results));
+(* BENCH files: kernel results are (name, ns/run) pairs, a NaN estimate
+   meaning Bechamel could not fit one. Every file is one Experiments.Json
+   document. *)
+module J = E.Json
+
+let ns_of results name =
+  match List.assoc_opt name results with
+  | Some ns when Float.is_finite ns && ns > 0. -> Some ns
+  | _ -> None
+
+let fixed digits x = J.Num (Printf.sprintf "%.*f" digits x)
+let opt_fixed digits = function Some x -> fixed digits x | None -> J.Null
+
+let kernel_records results =
+  J.Arr
+    (List.map
+       (fun (name, ns) ->
+         J.Obj
+           [ ("name", J.Str name); ("ns", if Float.is_finite ns then fixed 3 ns else J.Null) ])
+       results)
+
+let with_prefixes prefixes results =
+  List.filter
+    (fun (name, _) -> List.exists (fun prefix -> String.starts_with ~prefix name) prefixes)
+    results
+
+let write_json file fields =
+  let oc = open_out file in
+  output_string oc (J.to_string (J.Obj fields));
+  output_char oc '\n';
   close_out oc;
-  Printf.printf "\n[wrote BENCH_engine.json]\n%!"
+  Printf.printf "[wrote %s]\n%!" file
+
+(* BENCH_engine.json: every kernel of the full run. *)
+let write_bench_json results =
+  write_json "BENCH_engine.json"
+    [
+      ("scale", J.Str scale.E.Scale.name);
+      ("unit", J.Str "ns/run");
+      ("kernels", kernel_records results);
+    ]
 
 (* BENCH_obs.json: telemetry overhead record. "overhead_sinks_off_pct"
    compares flag-toggling-off against the untouched baseline eval and is
    the figure the < 2% acceptance bound applies to; the *_on columns are
    relative to sinks-off. *)
 let write_obs_json results =
-  let get name =
-    match List.assoc_opt name results with
-    | Some ns when Float.is_finite ns && ns > 0. -> Some ns
-    | _ -> None
-  in
-  let ns_field name =
-    match get name with Some ns -> Printf.sprintf "%.3f" ns | None -> "null"
-  in
+  let ns = ns_of results in
   let pct_vs base name =
-    match (get base, get name) with
-    | Some b, Some a -> Printf.sprintf "%.2f" ((a -. b) /. b *. 100.)
-    | _ -> "null"
+    match (ns base, ns name) with
+    | Some b, Some a -> fixed 2 ((a -. b) /. b *. 100.)
+    | _ -> J.Null
   in
   (* the spans/counters accumulated while benching are scratch: clear
      them, and exercise the per-engine reset while we are at it *)
   Makespan.Engine.reset_stats (Lazy.force shared_engine);
   Obs.Metrics.reset ();
   Obs.Span.reset ();
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"scale\": %S,\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"eval_baseline_ns\": %s,\n\
-    \  \"eval_sinks_off_ns\": %s,\n\
-    \  \"eval_metrics_on_ns\": %s,\n\
-    \  \"eval_trace_on_ns\": %s,\n\
-    \  \"overhead_sinks_off_pct\": %s,\n\
-    \  \"overhead_metrics_on_pct\": %s,\n\
-    \  \"overhead_trace_on_pct\": %s\n\
-     }\n"
-    scale.E.Scale.name
-    (ns_field "obs:eval-baseline")
-    (ns_field "obs:eval-sinks-off")
-    (ns_field "obs:eval-metrics-on")
-    (ns_field "obs:eval-trace-on")
-    (pct_vs "obs:eval-baseline" "obs:eval-sinks-off")
-    (pct_vs "obs:eval-sinks-off" "obs:eval-metrics-on")
-    (pct_vs "obs:eval-sinks-off" "obs:eval-trace-on");
-  close_out oc;
-  Printf.printf "[wrote BENCH_obs.json]\n%!"
+  write_json "BENCH_obs.json"
+    [
+      ("scale", J.Str scale.E.Scale.name);
+      ("unit", J.Str "ns/run");
+      ("eval_baseline_ns", opt_fixed 3 (ns "obs:eval-baseline"));
+      ("eval_sinks_off_ns", opt_fixed 3 (ns "obs:eval-sinks-off"));
+      ("eval_metrics_on_ns", opt_fixed 3 (ns "obs:eval-metrics-on"));
+      ("eval_trace_on_ns", opt_fixed 3 (ns "obs:eval-trace-on"));
+      ("overhead_sinks_off_pct", pct_vs "obs:eval-baseline" "obs:eval-sinks-off");
+      ("overhead_metrics_on_pct", pct_vs "obs:eval-sinks-off" "obs:eval-metrics-on");
+      ("overhead_trace_on_pct", pct_vs "obs:eval-sinks-off" "obs:eval-trace-on");
+    ]
 
 (* BENCH_dist.json: the before/after record of the zero-allocation kernel
    layer. The headline speedup is the committed interleaved A/B probe
@@ -783,97 +652,46 @@ let measure_live_reeval () =
   let per = float_of_int iters in
   (dt *. 1e9 /. per, dw /. per)
 
-let write_dist_json kernels =
-  let kernels =
-    List.filter
-      (fun (name, _) ->
-        List.exists
-          (fun p -> String.length name >= String.length p
-                    && String.sub name 0 (String.length p) = p)
-          [ "dist:"; "conv:"; "pool:"; "engine:" ])
-      kernels
-  in
+let write_dist_json results =
   let live_ns, live_words = measure_live_eval () in
   let reeval_ns, reeval_words = measure_live_reeval () in
-  let json_field (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns\": %s }" name
-      (if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns)
-  in
-  let oc = open_out "BENCH_dist.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"unit\": \"ns\",\n\
-    \  \"protocol\": \"interleaved A/B probe vs seed 839f515, random30/p8 case, 8-schedule batch, 40 warm iterations\",\n\
-    \  \"baseline_classical_eval_ns_per_schedule\": %.0f,\n\
-    \  \"baseline_classical_eval_minor_words_per_schedule\": %.0f,\n\
-    \  \"after_classical_eval_ns_per_schedule\": %.0f,\n\
-    \  \"after_classical_eval_minor_words_per_schedule\": %.0f,\n\
-    \  \"speedup_classical_eval\": %.3f,\n\
-    \  \"minor_alloc_drop_pct\": %.1f,\n\
-    \  \"live_classical_eval_ns_per_schedule\": %.0f,\n\
-    \  \"live_classical_eval_minor_words_per_schedule\": %.0f,\n\
-    \  \"reeval_1move_ns_per_schedule\": %.0f,\n\
-    \  \"reeval_1move_minor_words_per_schedule\": %.0f,\n\
-    \  \"reeval_speedup_vs_full_eval\": %.2f,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    seed_baseline_ns_per_schedule seed_baseline_minor_words_per_schedule
-    after_probe_ns_per_schedule live_words
-    (seed_baseline_ns_per_schedule /. after_probe_ns_per_schedule)
-    ((seed_baseline_minor_words_per_schedule -. live_words)
-    /. seed_baseline_minor_words_per_schedule *. 100.)
-    live_ns live_words reeval_ns reeval_words
-    (if reeval_ns > 0. then live_ns /. reeval_ns else 0.)
-    (String.concat ",\n" (List.map json_field kernels));
-  close_out oc;
-  Printf.printf "[wrote BENCH_dist.json]\n%!"
+  write_json "BENCH_dist.json"
+    [
+      ("unit", J.Str "ns");
+      ( "protocol",
+        J.Str
+          "interleaved A/B probe vs seed 839f515, random30/p8 case, 8-schedule batch, 40 \
+           warm iterations" );
+      ("baseline_classical_eval_ns_per_schedule", fixed 0 seed_baseline_ns_per_schedule);
+      ( "baseline_classical_eval_minor_words_per_schedule",
+        fixed 0 seed_baseline_minor_words_per_schedule );
+      ("after_classical_eval_ns_per_schedule", fixed 0 after_probe_ns_per_schedule);
+      ("after_classical_eval_minor_words_per_schedule", fixed 0 live_words);
+      ( "speedup_classical_eval",
+        fixed 3 (seed_baseline_ns_per_schedule /. after_probe_ns_per_schedule) );
+      ( "minor_alloc_drop_pct",
+        fixed 1
+          ((seed_baseline_minor_words_per_schedule -. live_words)
+          /. seed_baseline_minor_words_per_schedule *. 100.) );
+      ("live_classical_eval_ns_per_schedule", fixed 0 live_ns);
+      ("live_classical_eval_minor_words_per_schedule", fixed 0 live_words);
+      ("reeval_1move_ns_per_schedule", fixed 0 reeval_ns);
+      ("reeval_1move_minor_words_per_schedule", fixed 0 reeval_words);
+      ( "reeval_speedup_vs_full_eval",
+        fixed 2 (if reeval_ns > 0. then live_ns /. reeval_ns else 0.) );
+      ( "kernels",
+        kernel_records (with_prefixes [ "dist:"; "conv:"; "pool:"; "engine:" ] results) );
+    ]
 
-(* BENCH_sched.json: the list-scheduler framework overhead record. The
-   headline is framework HEFT (Components + List_scheduler recomposition)
-   vs the inlined pre-refactor monolith on the identical random30 case —
-   the ≤ 5% acceptance bound applies to "overhead_framework_heft_pct".
-   Every other registry entry's time rides along for context. *)
+(* BENCH_sched.json: per-scheduler times on the random30 case. *)
 let write_sched_json results =
-  let prefix = "sched:" in
-  let kernels =
-    List.filter
-      (fun (name, _) ->
-        String.length name >= String.length prefix
-        && String.sub name 0 (String.length prefix) = prefix)
-      results
-  in
-  let get name =
-    match List.assoc_opt name results with
-    | Some ns when Float.is_finite ns && ns > 0. -> Some ns
-    | _ -> None
-  in
-  let ns_field name =
-    match get name with Some ns -> Printf.sprintf "%.3f" ns | None -> "null"
-  in
-  let overhead =
-    match (get "sched:heft-legacy", get "sched:HEFT") with
-    | Some l, Some f -> Printf.sprintf "%.2f" ((f -. l) /. l *. 100.)
-    | _ -> "null"
-  in
-  let json_field (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns\": %s }" name
-      (if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns)
-  in
-  let oc = open_out "BENCH_sched.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"case\": \"random30/p8\",\n\
-    \  \"legacy_heft_ns\": %s,\n\
-    \  \"framework_heft_ns\": %s,\n\
-    \  \"overhead_framework_heft_pct\": %s,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    (ns_field "sched:heft-legacy")
-    (ns_field "sched:HEFT") overhead
-    (String.concat ",\n" (List.map json_field kernels));
-  close_out oc;
-  Printf.printf "[wrote BENCH_sched.json]\n%!"
+  write_json "BENCH_sched.json"
+    [
+      ("unit", J.Str "ns/run");
+      ("case", J.Str "random30/p8");
+      ("framework_heft_ns", opt_fixed 3 (ns_of results "sched:HEFT"));
+      ("kernels", kernel_records (with_prefixes [ "sched:" ] results));
+    ]
 
 (* BENCH_search.json: the stochastic-optimizer throughput record. The
    headline is moves/sec through the full annealing loop (probes, commit
@@ -882,69 +700,39 @@ let write_sched_json results =
    deterministic 256-step run — the ≥ 80% acceptance bound applies to
    it. *)
 let write_search_json results =
-  let prefix = "search:" in
-  let kernels =
-    List.filter
-      (fun (name, _) ->
-        String.length name >= String.length prefix
-        && String.sub name 0 (String.length prefix) = prefix)
-      results
-  in
-  let get name =
-    match List.assoc_opt name results with
-    | Some ns when Float.is_finite ns && ns > 0. -> Some ns
-    | _ -> None
-  in
-  let ns_field name =
-    match get name with Some ns -> Printf.sprintf "%.3f" ns | None -> "null"
-  in
-  let moves_per_sec =
-    match get "search:anneal-32step" with
-    | Some ns -> Printf.sprintf "%.1f" (float_of_int search_steps_per_run /. (ns *. 1e-9))
-    | None -> "null"
-  in
+  let ns = ns_of results in
   let inst, _ = Lazy.force random30 in
   let outcome =
     Search.Anneal.run ~engine:(Lazy.force search_engine) ~init:(heft_init inst)
       { Search.Anneal.default with steps = 256 }
   in
   let stats = outcome.Search.Anneal.stats in
-  let json_field (name, ns) =
-    Printf.sprintf "    { \"name\": %S, \"ns\": %s }" name
-      (if Float.is_nan ns then "null" else Printf.sprintf "%.3f" ns)
-  in
-  let oc = open_out "BENCH_search.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"unit\": \"ns/run\",\n\
-    \  \"case\": \"random30/p8\",\n\
-    \  \"objective\": %S,\n\
-    \  \"steps_per_run\": %d,\n\
-    \  \"anneal_run_ns\": %s,\n\
-    \  \"moves_per_sec\": %s,\n\
-    \  \"probe_swap_ns\": %s,\n\
-    \  \"probe_reassign_ns\": %s,\n\
-    \  \"ref_steps\": %d,\n\
-    \  \"incremental_pct\": %.2f,\n\
-    \  \"objective_improvement_pct\": %.2f,\n\
-    \  \"frontier_size\": %d,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    (Search.Objective.name Search.Anneal.default.Search.Anneal.objective)
-    search_steps_per_run
-    (ns_field "search:anneal-32step")
-    moves_per_sec
-    (ns_field "search:probe-swap")
-    (ns_field "engine:reeval-1move")
-    stats.Search.Anneal.steps_done
-    (100. *. Search.Anneal.incremental_fraction stats)
-    (100.
-    *. (outcome.Search.Anneal.init_objective -. outcome.Search.Anneal.best_objective)
-    /. Float.max 1e-12 (Float.abs outcome.Search.Anneal.init_objective))
-    (Search.Archive.size outcome.Search.Anneal.frontier)
-    (String.concat ",\n" (List.map json_field kernels));
-  close_out oc;
-  Printf.printf "[wrote BENCH_search.json]\n%!"
+  write_json "BENCH_search.json"
+    [
+      ("unit", J.Str "ns/run");
+      ("case", J.Str "random30/p8");
+      ( "objective",
+        J.Str (Search.Objective.name Search.Anneal.default.Search.Anneal.objective) );
+      ("steps_per_run", J.Num (string_of_int search_steps_per_run));
+      ("anneal_run_ns", opt_fixed 3 (ns "search:anneal-32step"));
+      ( "moves_per_sec",
+        opt_fixed 1
+          (Option.map
+             (fun ns -> float_of_int search_steps_per_run /. (ns *. 1e-9))
+             (ns "search:anneal-32step")) );
+      ("probe_swap_ns", opt_fixed 3 (ns "search:probe-swap"));
+      ("probe_reassign_ns", opt_fixed 3 (ns "engine:reeval-1move"));
+      ("ref_steps", J.Num (string_of_int stats.Search.Anneal.steps_done));
+      ("incremental_pct", fixed 2 (100. *. Search.Anneal.incremental_fraction stats));
+      ( "objective_improvement_pct",
+        fixed 2
+          (100.
+          *. (outcome.Search.Anneal.init_objective -. outcome.Search.Anneal.best_objective)
+          /. Float.max 1e-12 (Float.abs outcome.Search.Anneal.init_objective)) );
+      ( "frontier_size",
+        J.Num (string_of_int (Search.Archive.size outcome.Search.Anneal.frontier)) );
+      ("kernels", kernel_records (with_prefixes [ "search:" ] results));
+    ]
 
 (* `--perf-smoke`: the CI fast path — only the dist/conv/pool/sched/search
    kernels, short quotas, no figure reproduction. Still writes
@@ -962,7 +750,8 @@ let perf_smoke () =
   write_dist_json kernels;
   write_sched_json kernels;
   write_search_json kernels;
-  Parallel.Pool.shutdown (Lazy.force bench_pool)
+  Parallel.Pool.shutdown (Lazy.force bench_pool);
+  Parallel.Pool.shutdown serial_pool
 
 let () =
   if Array.exists (fun a -> a = "--perf-smoke") Sys.argv then perf_smoke ()
@@ -974,5 +763,6 @@ let () =
     write_dist_json results;
     write_sched_json results;
     write_search_json results;
-    Parallel.Pool.shutdown (Lazy.force bench_pool)
+    Parallel.Pool.shutdown (Lazy.force bench_pool);
+    Parallel.Pool.shutdown serial_pool
   end

@@ -117,7 +117,7 @@ let setup_logging verbosity =
 
 type ctx = {
   scale : E.Scale.t;
-  domains : int option;
+  pool : Parallel.Pool.t option;
   seed : int64;
   out : string option;
   trace : string option;
@@ -132,26 +132,26 @@ let save ctx name content =
     Printf.printf "[wrote %s]\n" path
 
 let run_fig1 ctx =
-  let t = E.Fig1.run ?domains:ctx.domains ~scale:ctx.scale ~seed:(Int64.add 11L ctx.seed) () in
+  let t = E.Fig1.run ?pool:ctx.pool ~scale:ctx.scale ~seed:(Int64.add 11L ctx.seed) () in
   print_string (E.Fig1.render t);
   save ctx "fig1.csv" (E.Export.fig1_csv t);
   save ctx "fig1.gp" (E.Export.gnuplot_fig1 ~data:"fig1.csv")
 
 let run_fig2 ctx =
-  let t = E.Fig2.run ?domains:ctx.domains ~scale:ctx.scale ~seed:(Int64.add 21L ctx.seed) () in
+  let t = E.Fig2.run ?pool:ctx.pool ~scale:ctx.scale ~seed:(Int64.add 21L ctx.seed) () in
   print_string (E.Fig2.render t);
   save ctx "fig2.csv" (E.Export.fig2_csv t);
   save ctx "fig2.gp"
     (E.Export.gnuplot_density ~data:"fig2.csv" ~title:"calculated vs experimental density")
 
 let run_fig_corr spec name ctx =
-  let t = E.Fig_corr.run ?domains:ctx.domains ~scale:ctx.scale spec in
+  let t = E.Fig_corr.run ?pool:ctx.pool ~scale:ctx.scale spec in
   print_string (E.Fig_corr.render t);
   save ctx (name ^ "-matrix.csv") (E.Export.fig_corr_csv t);
   save ctx (name ^ "-schedules.csv") (E.Export.schedules_csv t.E.Fig_corr.result)
 
 let run_fig6 ctx =
-  let t = E.Fig6.run ?domains:ctx.domains ~scale:ctx.scale () in
+  let t = E.Fig6.run ?pool:ctx.pool ~scale:ctx.scale () in
   print_string (E.Fig6.render t);
   print_newline ();
   print_string (E.Intext.render_rel_prob (E.Intext.rel_prob_vs_std t.E.Fig6.results));
@@ -177,17 +177,17 @@ let run_fig9 ctx =
 
 let run_methods ctx =
   print_string
-    (E.Intext.render_methods (E.Intext.methods_vs_mc ?domains:ctx.domains ~scale:ctx.scale ()))
+    (E.Intext.render_methods (E.Intext.methods_vs_mc ?pool:ctx.pool ~scale:ctx.scale ()))
 
 let run_ablation ctx =
   print_string
     (E.Ablation.render_correlation
-       (E.Ablation.correlation_under_variable_ul ?domains:ctx.domains ~scale:ctx.scale
+       (E.Ablation.correlation_under_variable_ul ?pool:ctx.pool ~scale:ctx.scale
           ~seed:(Int64.add 51L ctx.seed) ()));
   print_newline ();
   print_string
     (E.Ablation.render_shapes
-       (E.Ablation.cluster_under_shapes ?domains:ctx.domains ~scale:ctx.scale
+       (E.Ablation.cluster_under_shapes ?pool:ctx.pool ~scale:ctx.scale
           ~seed:(Int64.add 61L ctx.seed) ()));
   print_newline ();
   print_string
@@ -196,7 +196,7 @@ let run_ablation ctx =
   print_newline ();
   print_string
     (E.Ablation.render_pareto
-       (E.Ablation.pareto_front_study ?domains:ctx.domains ~scale:ctx.scale
+       (E.Ablation.pareto_front_study ?pool:ctx.pool ~scale:ctx.scale
           ~seed:(Int64.add 71L ctx.seed) ()))
 
 (* --- schedule inspection commands --- *)
@@ -510,14 +510,6 @@ let serve_cmd =
              cache and slice of the evaluation pool; jobs are consistent-hashed \
              to shards by batch key.")
   in
-  let admit_on_conn_arg =
-    Arg.(
-      value & flag
-      & info [ "admit-on-conn" ]
-          ~doc:
-            "Build job contexts on the connection domains (the pre-fix admission \
-             placement). Only for A/B benchmarks of the contention it causes.")
-  in
   let grace_arg =
     Arg.(
       value & opt float 5.0
@@ -541,7 +533,7 @@ let serve_cmd =
           /debug/requests (flight recorder). Same-case jobs are batched onto \
           shared engines. SIGINT/SIGTERM drains gracefully.")
     Term.(
-      const (fun host port queue conns workers admit_on_conn grace slow_ms ->
+      const (fun host port queue conns workers grace slow_ms ->
           Service.Server.serve_forever
             {
               Service.Server.default_config with
@@ -550,12 +542,11 @@ let serve_cmd =
               queue_capacity = queue;
               conn_domains = conns;
               workers;
-              conn_admit = admit_on_conn;
               drain_grace_s = grace;
               slow_ms;
             })
-      $ host_arg $ port_arg 8123 $ queue_arg $ conns_arg $ workers_arg
-      $ admit_on_conn_arg $ grace_arg $ slow_ms_arg)
+      $ host_arg $ port_arg 8123 $ queue_arg $ conns_arg $ workers_arg $ grace_arg
+      $ slow_ms_arg)
 
 let loadgen_cmd =
   let concurrency_arg =
@@ -626,8 +617,8 @@ let loadgen_cmd =
       & info [ "workers-sweep" ] ~docv:"N,N,..."
           ~doc:
             "Instead of hitting a running server, drive the whole 1→N worker \
-             scaling curve in-process: one fresh server per worker count (plus \
-             the pre-fix --admit-on-conn baseline), closed-loop load over \
+             scaling curve in-process: one fresh server per worker count, \
+             closed-loop load over \
              --keys distinct cases, admit-stage p99 from the metrics snapshot, \
              and a byte-for-byte check of every response against repro eval. \
              --concurrency and --requests apply per point; --host/--port are \
@@ -964,7 +955,7 @@ let run_campaign limit schedulers ctx =
       limit
   in
   match
-    E.Campaign.run ?domains:ctx.domains ~scale:ctx.scale ?schedulers ~dir ?cases ()
+    E.Campaign.run ?pool:ctx.pool ~scale:ctx.scale ?schedulers ~dir ?cases ()
   with
   | exception E.Campaign.Interrupted ->
     prerr_endline
@@ -1024,7 +1015,15 @@ let ctx_term =
         if progress then Obs.Progress.set_enabled true;
         Option.iter (fun spec -> Fault.configure ~spec) fault;
         setup_chain_mode ~exact ~moment_depth;
-        { scale; domains; seed; out; trace; metrics })
+        let pool =
+          Option.map
+            (fun domains ->
+              let pool = Parallel.Pool.create ~domains () in
+              at_exit (fun () -> Parallel.Pool.shutdown pool);
+              pool)
+            domains
+        in
+        { scale; pool; seed; out; trace; metrics })
     $ scale_arg $ domains_arg $ seed_arg $ out_arg $ verbose_arg $ trace_arg
     $ metrics_arg $ progress_arg $ fault_arg $ moment_depth_arg $ exact_arg)
 

@@ -22,14 +22,14 @@ let () =
       let emp = Core.Montecarlo.run ~rng ~count:20000 sched platform model in
       let engine = Core.Engine.create ~graph ~platform ~model in
       List.iter
-        (fun m ->
-          let d = Core.Engine.eval ~backend:(Core.Engine.backend_of_method m) engine sched in
+        (fun backend ->
+          let d = Core.Engine.eval ~backend engine sched in
           let ks = Core.Distance.ks (Analytic d) (Sampled emp) in
           let cm = Core.Distance.cm_area (Analytic d) (Sampled emp) in
           Printf.printf "%-6.2f  %-10s  %10.5f  %10.5f  %12.3f  %12.4f\n" ul
-            (Core.Makespan_eval.method_name m)
+            (Core.Engine.backend_name backend)
             ks cm (Core.Dist.mean d) (Core.Dist.std d))
-        Core.Makespan_eval.all_methods;
+        Core.Engine.analytic_backends;
       Printf.printf "%-6.2f  %-10s  %10s  %10s  %12.3f  %12.4f\n" ul "montecarlo" "-" "-"
         (Core.Empirical.mean emp) (Core.Empirical.std emp);
       print_newline ())

@@ -17,7 +17,8 @@ let () =
   List.iter
     (fun (name, shape) ->
       let model = Core.Uncertainty.make_shaped ~shape ~ul:1.3 () in
-      let d = Core.Makespan_eval.distribution sched platform model in
+      let engine = Core.Engine.create ~graph ~platform ~model in
+      let d = Core.Engine.eval engine sched in
       Printf.printf "   %-16s  E(M) %8.2f   σ(M) %7.3f   skew %+.3f\n" name
         (Core.Dist.mean d) (Core.Dist.std d) (Core.Dist.skewness d))
     [ ("beta(2,5)", Core.Uncertainty.Beta { alpha = 2.; beta = 5. });
@@ -40,10 +41,11 @@ let () =
 
   (* 3. Bootstrap CI of a Pearson coefficient over random schedules. *)
   let schedules = Core.Random_sched.generate_many ~rng ~graph ~n_procs:4 ~count:100 in
+  let engine = Core.Engine.create ~graph ~platform ~model in
   let pairs =
     List.map
       (fun s ->
-        let d = Core.Makespan_eval.distribution s platform model in
+        let d = Core.Engine.eval engine s in
         (Core.Dist.mean d, Core.Dist.std d))
       schedules
   in

@@ -35,7 +35,6 @@ module Simulator = Sched.Simulator
 module Slack = Sched.Slack
 module Disjunctive = Sched.Disjunctive
 module Random_sched = Sched.Random_sched
-module Makespan_eval = Makespan.Eval
 module Engine = Makespan.Engine
 module Montecarlo = Makespan.Montecarlo
 module Makespan_bounds = Makespan.Bounds
@@ -115,19 +114,18 @@ type analysis = {
     by default), slack summary, and the eight §IV metrics. For sweeps
     over many schedules of one case, create the engine once with
     {!Engine.create} and call {!analyze_with} instead. *)
-let analyze_with ?delta ?gamma ?(method_ = Makespan.Eval.Classical) engine schedule =
+let analyze_with ?delta ?gamma ?backend engine schedule =
   let { Makespan.Engine.makespan = makespan_dist; slack } =
-    Makespan.Engine.analyze ~backend:(Makespan.Engine.backend_of_method method_) engine
-      schedule
+    Makespan.Engine.analyze ?backend engine schedule
   in
   let metrics = Robustness.compute ?delta ?gamma ~makespan_dist ~slack () in
   { schedule; makespan_dist; slack; metrics }
 
-let analyze ?delta ?gamma ?method_ schedule platform model =
+let analyze ?delta ?gamma ?backend schedule platform model =
   let engine =
     Makespan.Engine.create ~graph:schedule.Sched.Schedule.graph ~platform ~model
   in
-  analyze_with ?delta ?gamma ?method_ engine schedule
+  analyze_with ?delta ?gamma ?backend engine schedule
 
 (** [validate_against_montecarlo ~rng ~count analysis platform model] is
     the (KS, CM) distance between the analytic makespan distribution and

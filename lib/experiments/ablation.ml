@@ -7,7 +7,7 @@ type correlation_shift = {
 
 let variable_task_ul task = if task mod 3 = 0 then 1.9 else 1.02
 
-let sweep_correlations ?domains ~scale ~rng graph platform model =
+let sweep_correlations ?pool ~scale ~rng graph platform model =
   let n_procs = Platform.n_procs platform in
   let count = Scale.schedules scale 2000 in
   let scheds =
@@ -15,7 +15,7 @@ let sweep_correlations ?domains ~scale ~rng graph platform model =
   in
   let engine = Makespan.Engine.create ~graph ~platform ~model in
   let rows =
-    Parallel.Par_array.init ?domains ~chunk_size:16 (Array.length scheds) (fun i ->
+    Parallel.Par_array.init ?pool ~chunk_size:16 (Array.length scheds) (fun i ->
         let d = Makespan.Engine.eval engine scheds.(i) in
         let mu = Distribution.Dist.mean d in
         ( mu,
@@ -28,7 +28,7 @@ let sweep_correlations ?domains ~scale ~rng graph platform model =
   let late = col (fun (_, _, l) -> l) in
   (Stats.Correlation.pearson mk sd, Stats.Correlation.pearson sd late)
 
-let correlation_under_variable_ul ?domains ?(scale = Scale.of_env ()) ?(seed = 51L) () =
+let correlation_under_variable_ul ?pool ?(scale = Scale.of_env ()) ?(seed = 51L) () =
   Obs.Progress.phase "ablation:variable-ul" @@ fun () ->
   let rng = Prng.Xoshiro.create seed in
   let graph = Workloads.Random_dag.generate ~rng ~n:30 () in
@@ -41,10 +41,10 @@ let correlation_under_variable_ul ?domains ?(scale = Scale.of_env ()) ?(seed = 5
     Workloads.Stochastify.make_variable ~base_ul:1.05 ~task_ul:variable_task_ul ()
   in
   let fixed_mk_vs_std, fixed_cluster =
-    sweep_correlations ?domains ~scale ~rng:(Prng.Xoshiro.split rng) graph platform fixed
+    sweep_correlations ?pool ~scale ~rng:(Prng.Xoshiro.split rng) graph platform fixed
   in
   let variable_mk_vs_std, variable_cluster =
-    sweep_correlations ?domains ~scale ~rng:(Prng.Xoshiro.split rng) graph platform
+    sweep_correlations ?pool ~scale ~rng:(Prng.Xoshiro.split rng) graph platform
       variable
   in
   { fixed_mk_vs_std; variable_mk_vs_std; fixed_cluster; variable_cluster }
@@ -70,7 +70,7 @@ type shape_row = {
   cluster : float;
 }
 
-let cluster_under_shapes ?domains ?(scale = Scale.of_env ()) ?(seed = 61L) () =
+let cluster_under_shapes ?pool ?(scale = Scale.of_env ()) ?(seed = 61L) () =
   Obs.Progress.phase "ablation:shapes" @@ fun () ->
   let rng = Prng.Xoshiro.create seed in
   let graph = Workloads.Random_dag.generate ~rng ~n:25 () in
@@ -82,7 +82,7 @@ let cluster_under_shapes ?domains ?(scale = Scale.of_env ()) ?(seed = 61L) () =
     (fun (shape_name, shape) ->
       let model = Workloads.Stochastify.make_shaped ~shape ~ul:1.2 () in
       let mk_vs_std, cluster =
-        sweep_correlations ?domains ~scale ~rng:(Prng.Xoshiro.split rng) graph platform
+        sweep_correlations ?pool ~scale ~rng:(Prng.Xoshiro.split rng) graph platform
           model
       in
       { shape_name; mk_vs_std; cluster })
@@ -122,7 +122,7 @@ let pareto_front points =
            points))
     points
 
-let pareto_front_study ?domains ?(scale = Scale.of_env ()) ?(seed = 71L) () =
+let pareto_front_study ?pool ?(scale = Scale.of_env ()) ?(seed = 71L) () =
   Obs.Progress.phase "ablation:pareto" @@ fun () ->
   let rng = Prng.Xoshiro.create seed in
   let graph = Workloads.Random_dag.generate ~rng ~n:30 () in
@@ -147,7 +147,7 @@ let pareto_front_study ?domains ?(scale = Scale.of_env ()) ?(seed = 71L) () =
   in
   let engine = Makespan.Engine.create ~graph ~platform ~model in
   let points =
-    Parallel.Par_array.init ?domains ~chunk_size:16 (Array.length scheds) (fun i ->
+    Parallel.Par_array.init ?pool ~chunk_size:16 (Array.length scheds) (fun i ->
         let d = Makespan.Engine.eval engine scheds.(i) in
         (Distribution.Dist.mean d, Distribution.Dist.std d))
   in

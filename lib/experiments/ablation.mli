@@ -19,7 +19,7 @@ type correlation_shift = {
 }
 
 val correlation_under_variable_ul :
-  ?domains:int -> ?scale:Scale.t -> ?seed:int64 -> unit -> correlation_shift
+  ?pool:Parallel.Pool.t -> ?scale:Scale.t -> ?seed:int64 -> unit -> correlation_shift
 (** Random 30-task case; constant UL 1.2 vs per-task UL alternating
     between 1.02 and 1.9 (same mean level of uncertainty). *)
 
@@ -32,7 +32,7 @@ type shape_row = {
 }
 
 val cluster_under_shapes :
-  ?domains:int -> ?scale:Scale.t -> ?seed:int64 -> unit -> shape_row list
+  ?pool:Parallel.Pool.t -> ?scale:Scale.t -> ?seed:int64 -> unit -> shape_row list
 (** Third §VIII probe (“non-standard probability distributions (with some
     oscillations)”): rerun one case's random-schedule sweep with the
     perturbation following each available shape. The CLT argument
@@ -51,7 +51,7 @@ type pareto = {
 }
 
 val pareto_front_study :
-  ?domains:int -> ?scale:Scale.t -> ?seed:int64 -> unit -> pareto
+  ?pool:Parallel.Pool.t -> ?scale:Scale.t -> ?seed:int64 -> unit -> pareto
 (** Second §VIII probe (“correlation in the extreme cases (near the
     Pareto front)”): among random schedules, the heuristics and a
     RobustHEFT κ-sweep, extract the (E(M), σ_M) Pareto front under

@@ -91,7 +91,7 @@ let transient = function
   | Fault.Injected _ | Unix.Unix_error _ | Sys_error _ -> true
   | _ -> false
 
-let run ?domains ?pool ?(scale = Scale.of_env ()) ?slack_mode ?(attempts = 3)
+let run ?pool ?(scale = Scale.of_env ()) ?slack_mode ?(attempts = 3)
     ?(backoff = 0.5) ?schedulers ~dir ?cases () =
   if attempts < 1 then invalid_arg "Campaign.run: attempts must be >= 1";
   if backoff < 0. then invalid_arg "Campaign.run: backoff must be >= 0";
@@ -196,7 +196,7 @@ let run ?domains ?pool ?(scale = Scale.of_env ()) ?slack_mode ?(attempts = 3)
                    crash-during-write recomputes, the old file survives *)
                 let rec attempt k =
                   match
-                    let r = Runner.run ?domains ?pool ~scale ?slack_mode ?heuristics case in
+                    let r = Runner.run ?pool ~scale ?slack_mode ?heuristics case in
                     ignore
                       (Export.write_file ~dir ~name:(case.Case.id ^ ".csv")
                          (Export.schedules_csv r));

@@ -64,7 +64,6 @@ val load_rows : string -> (Runner.source * float array) array
     pairs. Raises [Invalid_argument] on malformed files. *)
 
 val run :
-  ?domains:int ->
   ?pool:Parallel.Pool.t ->
   ?scale:Scale.t ->
   ?slack_mode:Sched.Slack.graph_mode ->
@@ -82,7 +81,7 @@ val run :
     the requested scale. [?attempts] bounds evaluation tries per case
     (default 3); [?backoff] is the initial retry delay in seconds,
     doubled per retry (default 0.5; pass [0.] in tests).
-    [?pool]/[?domains] select sweep workers as in {!Runner.run}; by
+    [?pool]/[?pool] select sweep workers as in {!Runner.run}; by
     default every case shares one persistent pool.
 
     [?schedulers] names the heuristic schedules swept next to the random

@@ -6,7 +6,7 @@ type point = {
 
 type t = point list
 
-let evaluate_one ?domains ~rng ~mc_count graph n_procs model =
+let evaluate_one ?pool ~rng ~mc_count graph n_procs model =
   let n_tasks = Dag.Graph.n_tasks graph in
   let platform_rng = Prng.Xoshiro.split rng in
   let platform =
@@ -16,11 +16,11 @@ let evaluate_one ?domains ~rng ~mc_count graph n_procs model =
   let sched = Sched.Random_sched.generate ~rng ~graph ~n_procs in
   let engine = Makespan.Engine.create ~graph ~platform ~model in
   let dist = Makespan.Engine.eval engine sched in
-  let emp = Makespan.Montecarlo.run ?domains ~rng ~count:mc_count sched platform model in
+  let emp = Makespan.Montecarlo.run ?pool ~rng ~count:mc_count sched platform model in
   ( Stats.Distance.ks (Analytic dist) (Sampled emp),
     Stats.Distance.cm_area (Analytic dist) (Sampled emp) )
 
-let run ?domains ?(scale = Scale.of_env ()) ?(seed = 11L) () =
+let run ?pool ?(scale = Scale.of_env ()) ?(seed = 11L) () =
   Obs.Progress.phase "fig1" @@ fun () ->
   let rng = Prng.Xoshiro.create seed in
   let model = Workloads.Stochastify.make ~ul:1.1 () in
@@ -35,7 +35,7 @@ let run ?domains ?(scale = Scale.of_env ()) ?(seed = 11L) () =
       for _ = 1 to reps do
         let max_out_degree = if n > 300 then Some 16 else None in
         let graph = Workloads.Random_dag.generate ~rng ~n ?max_out_degree () in
-        let ks, cm = evaluate_one ?domains ~rng ~mc_count graph n_procs model in
+        let ks, cm = evaluate_one ?pool ~rng ~mc_count graph n_procs model in
         ks_acc := !ks_acc +. ks;
         cm_acc := !cm_acc +. cm
       done;

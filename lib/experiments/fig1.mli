@@ -14,7 +14,7 @@ type point = {
 
 type t = point list
 
-val run : ?domains:int -> ?scale:Scale.t -> ?seed:int64 -> unit -> t
+val run : ?pool:Parallel.Pool.t -> ?scale:Scale.t -> ?seed:int64 -> unit -> t
 (** Sizes 10/30/100 (+1000 at full scale); paper-scale Monte Carlo is
     100 000 realizations per schedule. *)
 

@@ -6,7 +6,7 @@ type t = {
   experimental : float array;
 }
 
-let run ?domains ?(scale = Scale.of_env ()) ?(seed = 21L) () =
+let run ?pool ?(scale = Scale.of_env ()) ?(seed = 21L) () =
   Obs.Progress.phase "fig2" @@ fun () ->
   let rng = Prng.Xoshiro.create seed in
   let model = Workloads.Stochastify.make ~ul:1.1 () in
@@ -20,7 +20,7 @@ let run ?domains ?(scale = Scale.of_env ()) ?(seed = 21L) () =
   let engine = Makespan.Engine.create ~graph ~platform ~model in
   let dist = Makespan.Engine.eval engine sched in
   let mc_count = Scale.realizations scale 100000 in
-  let emp = Makespan.Montecarlo.run ?domains ~rng ~count:mc_count sched platform model in
+  let emp = Makespan.Montecarlo.run ?pool ~rng ~count:mc_count sched platform model in
   let ks = Stats.Distance.ks (Analytic dist) (Sampled emp) in
   let cm = Stats.Distance.cm_area (Analytic dist) (Sampled emp) in
   let emp_dist = Distribution.Empirical.to_dist emp in

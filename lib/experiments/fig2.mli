@@ -13,7 +13,7 @@ type t = {
   experimental : float array;  (** Monte-Carlo histogram density *)
 }
 
-val run : ?domains:int -> ?scale:Scale.t -> ?seed:int64 -> unit -> t
+val run : ?pool:Parallel.Pool.t -> ?scale:Scale.t -> ?seed:int64 -> unit -> t
 (** A 100-task random graph at UL = 1.1 (the regime Fig. 1 shows to be
     imprecise), one random schedule. *)
 

@@ -5,9 +5,9 @@ type t = {
   std : float array array;
 }
 
-let run ?domains ?scale ?(cases = Case.paper_cases ()) () =
+let run ?pool ?scale ?(cases = Case.paper_cases ()) () =
   if cases = [] then invalid_arg "Fig6.run: no cases";
-  let results = List.map (Runner.run ?domains ?scale) cases in
+  let results = List.map (Runner.run ?pool ?scale) cases in
   let matrices = List.map Correlate.of_result results in
   let mean, std = Correlate.mean_std matrices in
   { results; matrices; mean; std }

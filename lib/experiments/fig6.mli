@@ -12,7 +12,7 @@ type t = {
   std : float array array;
 }
 
-val run : ?domains:int -> ?scale:Scale.t -> ?cases:Case.t list -> unit -> t
+val run : ?pool:Parallel.Pool.t -> ?scale:Scale.t -> ?cases:Case.t list -> unit -> t
 (** Default cases: {!Case.paper_cases}. *)
 
 val render : t -> string

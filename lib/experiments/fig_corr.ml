@@ -33,8 +33,8 @@ type t = {
   matrix : float array array;
 }
 
-let run ?domains ?scale spec =
-  let result = Runner.run ?domains ?scale spec.case in
+let run ?pool ?scale spec =
+  let result = Runner.run ?pool ?scale spec.case in
   { spec; result; matrix = Correlate.of_result result }
 
 let heuristic_rank t ~metric name =

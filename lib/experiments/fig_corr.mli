@@ -21,7 +21,7 @@ type t = {
   matrix : float array array;  (** Pearson over inverted random-schedule metrics *)
 }
 
-val run : ?domains:int -> ?scale:Scale.t -> spec -> t
+val run : ?pool:Parallel.Pool.t -> ?scale:Scale.t -> spec -> t
 
 val render : t -> string
 (** The Pearson matrix (paper's upper triangles) plus one row per

@@ -56,7 +56,7 @@ let default_cases () =
     Case.make ~kind:Case.Random_graph ~n_target:30 ~n_procs:8 ~ul:1.1 ();
     Case.make ~kind:Case.Gauss_elim ~n_target:103 ~n_procs:16 ~ul:1.1 () ]
 
-let methods_vs_mc ?domains ?(scale = Scale.of_env ()) ?cases () =
+let methods_vs_mc ?pool ?(scale = Scale.of_env ()) ?cases () =
   Obs.Progress.phase "intext:methods" @@ fun () ->
   let cases = match cases with Some c -> c | None -> default_cases () in
   List.concat_map
@@ -66,22 +66,19 @@ let methods_vs_mc ?domains ?(scale = Scale.of_env ()) ?cases () =
       let sched = Sched.Random_sched.generate ~rng ~graph ~n_procs:case.Case.n_procs in
       let mc_count = Scale.realizations scale 100000 in
       let emp =
-        Makespan.Montecarlo.run ?domains ~rng ~count:mc_count sched platform model
+        Makespan.Montecarlo.run ?pool ~rng ~count:mc_count sched platform model
       in
       let engine = Makespan.Engine.create ~graph ~platform ~model in
       List.map
-        (fun m ->
-          let d =
-            Makespan.Engine.eval ~backend:(Makespan.Engine.backend_of_method m) engine
-              sched
-          in
+        (fun backend ->
+          let d = Makespan.Engine.eval ~backend engine sched in
           {
             case_id = case.Case.id;
-            method_name = Makespan.Eval.method_name m;
+            method_name = Makespan.Engine.backend_name backend;
             ks = Stats.Distance.ks (Analytic d) (Sampled emp);
             cm = Stats.Distance.cm_area (Analytic d) (Sampled emp);
           })
-        Makespan.Eval.all_methods)
+        Makespan.Engine.analytic_backends)
     cases
 
 let render_methods rows =

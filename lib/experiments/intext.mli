@@ -28,7 +28,7 @@ type method_row = {
 }
 
 val methods_vs_mc :
-  ?domains:int -> ?scale:Scale.t -> ?cases:Case.t list -> unit -> method_row list
+  ?pool:Parallel.Pool.t -> ?scale:Scale.t -> ?cases:Case.t list -> unit -> method_row list
 (** KS/CM of each analytic method against Monte Carlo on one random
     schedule per case (defaults to three small paper cases). *)
 

@@ -22,7 +22,37 @@ let scheduler name =
 
 let heuristics = List.map scheduler default_heuristic_names
 
-let run ?domains ?pool ?(scale = Scale.of_env ()) ?slack_mode ?count
+(* The metric-sweep policy shared by campaigns and the service: the
+   first [pilot] evaluations calibrate δ and γ (unless both are given),
+   and are kept as the rows of those schedules rather than evaluated a
+   second time. *)
+let calibrated_sweep ?pool ?delta ?gamma ~pilot ~eval ~row n =
+  let pilot_evals = Array.init (Int.min pilot n) eval in
+  let delta, gamma =
+    match (delta, gamma) with
+    | Some d, Some g -> (d, g)
+    | d_opt, g_opt ->
+      let d_cal, g_cal =
+        Metrics.Robustness.calibrate_bounds
+          (Array.to_list
+             (Array.map
+                (fun e ->
+                  let d = e.Makespan.Engine.makespan in
+                  (Distribution.Dist.mean d, Distribution.Dist.std d))
+                pilot_evals))
+      in
+      (Option.value d_opt ~default:d_cal, Option.value g_opt ~default:g_cal)
+  in
+  let rows =
+    Parallel.Par_array.init ?pool ~chunk_size:16 n (fun i ->
+        let e = if i < Array.length pilot_evals then pilot_evals.(i) else eval i in
+        row i e
+          (Metrics.Robustness.compute ~delta ~gamma ~makespan_dist:e.Makespan.Engine.makespan
+             ~slack:e.Makespan.Engine.slack ()))
+  in
+  (delta, gamma, rows)
+
+let run ?pool ?(scale = Scale.of_env ()) ?slack_mode ?count
     ?(heuristics = heuristics) case =
   (* fault-injection boundary: a campaign must survive a case whose
      evaluation raises (isolation + bounded retry live in Campaign) *)
@@ -45,33 +75,6 @@ let run ?domains ?pool ?(scale = Scale.of_env ()) ?slack_mode ?count
     List.map (fun (name, f) -> (name, f graph platform)) heuristics
   in
   let engine = Makespan.Engine.create ~graph ~platform ~model in
-  (* calibrate the probabilistic-metric bounds on a pilot batch so that A
-     and R spread over (0,1) for this case's weight scale; with no random
-     schedules the pilot falls back to the heuristic schedules. Either
-     way the pilot schedules are exactly the first entries of the sweep
-     order below, so each full evaluation is kept and its metric row
-     reused — the pilot used to be a second, thrown-away evaluation of
-     the same 20 schedules. *)
-  let pilot_scheds =
-    match Int.min 20 count with
-    | 0 -> List.map snd heuristic_scheds
-    | pilot_size -> List.init pilot_size (fun i -> random_scheds.(i))
-  in
-  let pilot_evals =
-    Array.of_list
-      (List.map (fun sched -> Makespan.Engine.analyze ?slack_mode engine sched) pilot_scheds)
-  in
-  let pilot =
-    Array.to_list
-      (Array.map
-         (fun e ->
-           let d = e.Makespan.Engine.makespan in
-           (Distribution.Dist.mean d, Distribution.Dist.std d))
-         pilot_evals)
-  in
-  let delta, gamma = Metrics.Robustness.calibrate_bounds pilot in
-  Elog.debug "case %s: calibrated bounds on %d pilot schedules (δ=%.3g, γ=%.6g)"
-    case.Case.id (List.length pilot) delta gamma;
   let all_scheds =
     Array.append random_scheds (Array.of_list (List.map snd heuristic_scheds))
   in
@@ -80,31 +83,26 @@ let run ?domains ?pool ?(scale = Scale.of_env ()) ?slack_mode ?count
         if i < count then Random i
         else Heuristic (fst (List.nth heuristic_scheds (i - count))))
   in
-  Elog.info "case %s: evaluating %d schedules (δ=%.3g, γ=%.6g)" case.Case.id
-    (Array.length all_scheds) delta gamma;
+  (* calibrate the probabilistic-metric bounds on a pilot batch so that A
+     and R spread over (0,1) for this case's weight scale; with no random
+     schedules the pilot falls back to the heuristic schedules *)
+  let pilot = if count = 0 then List.length heuristic_scheds else Int.min 20 count in
+  Elog.info "case %s: evaluating %d schedules" case.Case.id (Array.length all_scheds);
   let progress =
     Obs.Progress.create ~total:(Array.length all_scheds) ("case " ^ case.Case.id)
   in
-  let rows =
+  let delta, gamma, rows =
     Obs.Span.with_ ~name:"runner.sweep" (fun () ->
-        Parallel.Par_array.init ?domains ?pool ~chunk_size:16 (Array.length all_scheds)
-          (fun i ->
-            let row =
-              Metrics.Robustness.to_array
-                (if i < Array.length pilot_evals then
-                   (* same delta/gamma application {!Robustness.of_engine}
-                      would perform, minus the duplicate evaluation *)
-                   let { Makespan.Engine.makespan; slack } = pilot_evals.(i) in
-                   Metrics.Robustness.compute ~delta ~gamma ~makespan_dist:makespan
-                     ~slack ()
-                 else
-                   Metrics.Robustness.of_engine ~delta ~gamma ?slack_mode engine
-                     all_scheds.(i))
-            in
+        calibrated_sweep ?pool ~pilot
+          ~eval:(fun i -> Makespan.Engine.analyze ?slack_mode engine all_scheds.(i))
+          ~row:(fun _ _ m ->
             Obs.Progress.tick progress;
-            row))
+            Metrics.Robustness.to_array m)
+          (Array.length all_scheds))
   in
   Obs.Progress.finish progress;
+  Elog.debug "case %s: calibrated bounds on %d pilot schedules (δ=%.3g, γ=%.6g)"
+    case.Case.id pilot delta gamma;
   let s = Makespan.Engine.stats engine in
   Elog.debug "case %s: engine task %d/%d hit/miss, comm %d/%d hit/miss, %d evals"
     case.Case.id s.Makespan.Engine.task_hits s.Makespan.Engine.task_misses

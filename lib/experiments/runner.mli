@@ -22,8 +22,28 @@ val scheduler : string -> string * (Dag.Graph.t -> Platform.t -> Sched.Schedule.
     to its canonical name and run function.
     Raises [Invalid_argument] on unknown names. *)
 
+val calibrated_sweep :
+  ?pool:Parallel.Pool.t ->
+  ?delta:float ->
+  ?gamma:float ->
+  pilot:int ->
+  eval:(int -> Makespan.Engine.evaluation) ->
+  row:(int -> Makespan.Engine.evaluation -> Metrics.Robustness.t -> 'a) ->
+  int ->
+  float * float * 'a array
+(** [calibrated_sweep ~pilot ~eval ~row n] is the one metric-sweep
+    policy behind {!run} and the service's jobs. It evaluates schedules
+    [0 .. min pilot n − 1] in order, calibrates δ and γ on them with
+    {!Metrics.Robustness.calibrate_bounds} (a given [?delta]/[?gamma]
+    overrides its calibrated value; with both given no calibration
+    runs), then builds [row i (eval i) metrics] for every [i < n] on
+    [?pool] (default: the shared pool) in chunks of 16. Pilot
+    evaluations are reused as their rows, not evaluated twice. Returns
+    [(δ, γ, rows)]. [eval] and [row] must be safe to run concurrently
+    for distinct indices. Raises [Invalid_argument] if calibration is
+    needed and the pilot is empty. *)
+
 val run :
-  ?domains:int ->
   ?pool:Parallel.Pool.t ->
   ?scale:Scale.t ->
   ?slack_mode:Sched.Slack.graph_mode ->
@@ -32,20 +52,17 @@ val run :
   Case.t ->
   result
 (** Instantiate the case, generate random schedules + the heuristics,
-    auto-calibrate δ and γ on a pilot batch (§V picked constants manually
-    for its weight scale), then evaluate every schedule's metric vector in
-    parallel through one shared {!Makespan.Engine} (classical makespan
-    distribution + mean-weight slack, [`Disjunctive] by default). The
-    pilot schedules are the first entries of the sweep, and their pilot
-    evaluations are reused for their metric rows rather than evaluated a
-    second time.
+    then evaluate every schedule's metric vector through
+    {!calibrated_sweep} over one shared {!Makespan.Engine} (classical
+    makespan distribution + mean-weight slack, [`Disjunctive] by
+    default). δ and γ are auto-calibrated on a pilot of the first 20
+    random schedules (§V picked constants manually for its weight
+    scale).
 
     [count] overrides the number of random schedules (default
     [paper_schedules / scale]); with [~count:0] only the heuristic
-    schedules are evaluated and the calibration pilot falls back to
-    them. Worker selection follows {!Parallel.Pool.run}: explicit
-    [?pool], legacy one-shot [?domains], or the shared persistent
-    pool.
+    schedules are evaluated and the calibration pilot is all of them.
+    The sweep runs on [?pool], or the shared persistent pool.
 
     [heuristics] overrides the heuristic schedules swept next to the
     random ones (default {!heuristics}); each entry is a (name, run)

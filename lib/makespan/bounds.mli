@@ -13,7 +13,7 @@
 
 type t = {
   lower : Distribution.Dist.t;  (** comonotone maxima: M ≽ lower *)
-  upper : Distribution.Dist.t;  (** independent maxima (= {!Classic.run}): M ≼ upper *)
+  upper : Distribution.Dist.t;  (** independent maxima (= the [Classical] backend): M ≼ upper *)
 }
 
 val run : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> t

@@ -1,8 +1,6 @@
-(* The forward sweep is shared between the legacy per-call path and the
-   cached {!Engine} path: [completion_dists_with] takes the duration and
-   communication distributions as functions (plus an optional
-   caller-owned scratch array), so the same propagation serves direct
-   Stochastify lookups and an engine's memo tables. *)
+(* The forward sweep takes the duration and communication distributions
+   as functions plus a caller-owned scratch array, so {!Engine} feeds it
+   from its memo tables and reuses the array across schedules. *)
 
 let update_node ~points ~dgraph
     ~(task_dist : task:int -> proc:int -> Distribution.Dist.t)
@@ -37,15 +35,9 @@ let update_node ~points ~dgraph
   let dur = task_dist ~task:v ~proc:proc_of.(v) in
   completion.(v) <- Distribution.Dist.add ~points ready dur
 
-let completion_dists_with ~points ~dgraph ?completion
+let completion_dists_with ~points ~dgraph ~completion
     ~(task_dist : task:int -> proc:int -> Distribution.Dist.t)
     ~(comm_dist : volume:float -> src:int -> dst:int -> Distribution.Dist.t) sched =
-  let n = Dag.Graph.n_tasks dgraph in
-  let completion =
-    match completion with
-    | Some a when Array.length a >= n -> a
-    | Some _ | None -> Array.make n (Distribution.Dist.const 0.)
-  in
   Array.iter
     (update_node ~points ~dgraph ~task_dist ~comm_dist sched completion)
     (Dag.Graph.topo_order dgraph);
@@ -59,18 +51,3 @@ let makespan_of_exits ~points dgraph completion =
     acc := Distribution.Dist.max_indep ~points !acc completion.(exits.(i))
   done;
   !acc
-
-let completion_dists sched platform model =
-  let points = model.Workloads.Stochastify.points in
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  completion_dists_with ~points ~dgraph
-    ~task_dist:(fun ~task ~proc -> Workloads.Stochastify.task_dist model platform ~task ~proc)
-    ~comm_dist:(fun ~volume ~src ~dst ->
-      Workloads.Stochastify.comm_dist model platform ~volume ~src ~dst)
-    sched
-
-let run sched platform model =
-  let points = model.Workloads.Stochastify.points in
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  let completion = completion_dists sched platform model in
-  makespan_of_exits ~points dgraph completion

@@ -28,25 +28,17 @@ val update_node :
 val completion_dists_with :
   points:int ->
   dgraph:Dag.Graph.t ->
-  ?completion:Distribution.Dist.t array ->
+  completion:Distribution.Dist.t array ->
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
   Sched.Schedule.t ->
   Distribution.Dist.t array
-(** The propagation with injected duration/communication distributions —
-    the shared core behind both {!completion_dists} and the cached
-    {!Engine} path. [dgraph] must be the schedule's disjunctive graph.
-    When [?completion] is given and long enough it is used as scratch and
-    returned (entries beyond the task count are left untouched);
-    otherwise a fresh array is allocated. *)
+(** The propagation with injected duration/communication distributions,
+    as {!Engine} runs it from its caches. [dgraph] must be the schedule's
+    disjunctive graph. [completion] is caller-owned scratch with at least
+    one entry per task; it is filled and returned (entries beyond the
+    task count are left untouched). *)
 
 val makespan_of_exits :
   points:int -> Dag.Graph.t -> Distribution.Dist.t array -> Distribution.Dist.t
 (** Maximum of the exit tasks' completion distributions. *)
-
-val completion_dists :
-  Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Dist.t array
-(** Per-task completion-time distributions under independence. *)
-
-val run : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Dist.t
-(** The makespan distribution. *)

@@ -24,14 +24,3 @@ let evaluate_with ~points ~dgraph
   in
   let result = Dag.Series_parallel.reduce algebra network in
   { dist = result.Dag.Series_parallel.weight; duplications = result.Dag.Series_parallel.duplications }
-
-let evaluate sched platform model =
-  let points = model.Workloads.Stochastify.points in
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  evaluate_with ~points ~dgraph
-    ~task_dist:(fun ~task ~proc -> Workloads.Stochastify.task_dist model platform ~task ~proc)
-    ~comm_dist:(fun ~volume ~src ~dst ->
-      Workloads.Stochastify.comm_dist model platform ~volume ~src ~dst)
-    sched
-
-let run sched platform model = (evaluate sched platform model).dist

@@ -19,11 +19,6 @@ val evaluate_with :
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
   Sched.Schedule.t ->
   outcome
-(** The reduction with injected duration/communication distributions —
-    the shared core behind {!evaluate} and the cached {!Engine} path.
-    [dgraph] must be the schedule's disjunctive graph. *)
-
-val evaluate : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> outcome
-
-val run : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Dist.t
-(** [(evaluate ...).dist]. *)
+(** The reduction with injected duration/communication distributions,
+    as {!Engine} runs it from its caches. [dgraph] must be the schedule's
+    disjunctive graph. *)

@@ -25,10 +25,7 @@ type backend =
   | Spelde
   | Montecarlo of { count : int; seed : int64 }
 
-let backend_of_method = function
-  | Eval.Classical -> Classical
-  | Eval.Dodin -> Dodin
-  | Eval.Spelde -> Spelde
+let analytic_backends = [ Classical; Dodin; Spelde ]
 
 let backend_name = function
   | Classical -> "classical"

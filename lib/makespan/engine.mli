@@ -29,8 +29,9 @@ type backend =
   | Montecarlo of { count : int; seed : int64 }
       (** ground truth by simulation; deterministic given [seed] *)
 
-val backend_of_method : Eval.method_ -> backend
-(** Embedding of the analytic methods enumerated by {!Eval}. *)
+val analytic_backends : backend list
+(** [[Classical; Dodin; Spelde]]: the three analytic methods the paper
+    compares against Monte Carlo (§V), in that order. *)
 
 val backend_name : backend -> string
 

@@ -7,7 +7,7 @@ let g_rate = Obs.Metrics.gauge "montecarlo.samples_per_sec"
 let total_samples = Atomic.make 0
 let total_us = Atomic.make 0
 
-let realizations ?domains ?(chunk_size = 256) ?(antithetic = false) ~rng ~count sched
+let realizations ?pool ?(chunk_size = 256) ?(antithetic = false) ~rng ~count sched
     platform model =
   if count <= 0 then invalid_arg "Montecarlo: count must be positive";
   if chunk_size <= 0 then invalid_arg "Montecarlo: chunk_size must be positive";
@@ -29,7 +29,7 @@ let realizations ?domains ?(chunk_size = 256) ?(antithetic = false) ~rng ~count 
   let streams = Array.init chunks (fun _ -> Prng.Xoshiro.split rng) in
   let out = Array.make count 0. in
   let run_chunks () =
-    Parallel.Pool.run ?domains ~chunks (fun c ->
+    Parallel.Pool.run ?pool ~chunks (fun c ->
       let chunk_rng = streams.(c) in
       let lo = c * chunk_size in
       let hi = Int.min count (lo + chunk_size) in
@@ -113,6 +113,6 @@ let realizations ?domains ?(chunk_size = 256) ?(antithetic = false) ~rng ~count 
   end;
   out
 
-let run ?domains ?chunk_size ?antithetic ~rng ~count sched platform model =
+let run ?pool ?chunk_size ?antithetic ~rng ~count sched platform model =
   Distribution.Empirical.of_samples
-    (realizations ?domains ?chunk_size ?antithetic ~rng ~count sched platform model)
+    (realizations ?pool ?chunk_size ?antithetic ~rng ~count sched platform model)

@@ -5,10 +5,11 @@
     Every realization samples all task and communication durations from
     the uncertainty model and replays the eager execution. Realizations
     are cut into fixed chunks, each with its own split PRNG stream, so
-    the result is independent of the number of domains used. *)
+    the result is independent of the number of domains used. The chunks
+    run on [?pool], or on the shared pool (see {!Parallel.Pool.run}). *)
 
 val realizations :
-  ?domains:int ->
+  ?pool:Parallel.Pool.t ->
   ?chunk_size:int ->
   ?antithetic:bool ->
   rng:Prng.Xoshiro.t ->
@@ -27,7 +28,7 @@ val realizations :
     rounded up to even in that mode. *)
 
 val run :
-  ?domains:int ->
+  ?pool:Parallel.Pool.t ->
   ?chunk_size:int ->
   ?antithetic:bool ->
   rng:Prng.Xoshiro.t ->

@@ -1,6 +1,6 @@
 (* Like {!Classic}, the moment propagation is parameterized over the
-   duration/communication views so the {!Engine} can feed it from cached
-   tables (and reuse a scratch array across schedules of one case). *)
+   duration/communication views so the {!Engine} feeds it from cached
+   tables and reuses a scratch array across schedules of one case. *)
 
 let update_node ~dgraph
     ~(task_moments : task:int -> proc:int -> Distribution.Normal_pair.t)
@@ -28,35 +28,11 @@ let moments_of_exits ~dgraph completion =
   let exits = Dag.Graph.exits dgraph in
   Normal_pair.max_list (Array.to_list (Array.map (fun e -> completion.(e)) exits))
 
-let moments_with ~dgraph ?completion
+let moments_with ~dgraph ~completion
     ~(task_moments : task:int -> proc:int -> Distribution.Normal_pair.t)
     ~(comm_moments : volume:float -> src:int -> dst:int -> Distribution.Normal_pair.t)
     sched =
-  let open Distribution in
-  let n = Dag.Graph.n_tasks dgraph in
-  let completion =
-    match completion with
-    | Some a when Array.length a >= n -> a
-    | Some _ | None -> Array.make n (Normal_pair.const 0.)
-  in
   Array.iter
     (update_node ~dgraph ~task_moments ~comm_moments sched completion)
     (Dag.Graph.topo_order dgraph);
   moments_of_exits ~dgraph completion
-
-let moments sched platform model =
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  moments_with ~dgraph
-    ~task_moments:(fun ~task ~proc ->
-      Distribution.Normal_pair.make
-        ~mean:(Workloads.Stochastify.task_mean model platform ~task ~proc)
-        ~std:(Workloads.Stochastify.task_std model platform ~task ~proc))
-    ~comm_moments:(fun ~volume ~src ~dst ->
-      Distribution.Normal_pair.make
-        ~mean:(Workloads.Stochastify.comm_mean model platform ~volume ~src ~dst)
-        ~std:(Workloads.Stochastify.comm_std model platform ~volume ~src ~dst))
-    sched
-
-let run sched platform model =
-  Distribution.Normal_pair.to_normal ~points:model.Workloads.Stochastify.points
-    (moments sched platform model)

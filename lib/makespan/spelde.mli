@@ -22,19 +22,14 @@ val moments_of_exits :
 
 val moments_with :
   dgraph:Dag.Graph.t ->
-  ?completion:Distribution.Normal_pair.t array ->
+  completion:Distribution.Normal_pair.t array ->
   task_moments:(task:int -> proc:int -> Distribution.Normal_pair.t) ->
   comm_moments:(volume:float -> src:int -> dst:int -> Distribution.Normal_pair.t) ->
   Sched.Schedule.t ->
   Distribution.Normal_pair.t
-(** The moment propagation with injected duration/communication views —
-    the shared core behind {!moments} and the cached {!Engine} path.
-    [dgraph] must be the schedule's disjunctive graph; [?completion] is
-    optional caller-owned scratch (reused when long enough). *)
-
-val moments : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Normal_pair.t
-(** Mean and standard deviation of the makespan estimate. *)
-
-val run : Sched.Schedule.t -> Platform.t -> Workloads.Stochastify.t -> Distribution.Dist.t
-(** The matching normal as a grid distribution (for metric extraction and
-    CDF comparisons). *)
+(** Mean and standard deviation of the makespan estimate, from the
+    moment propagation with injected duration/communication views, as
+    {!Engine} runs it from its caches. [dgraph] must be the schedule's
+    disjunctive graph; [completion] is caller-owned scratch with at
+    least one entry per task. {!Engine} turns the result into the
+    matching normal grid distribution. *)

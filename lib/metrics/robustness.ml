@@ -32,23 +32,11 @@ let compute ?(delta = 0.1) ?(gamma = 1.0003) ~makespan_dist ~slack () =
     prob_relative = Dist.prob_between makespan_dist (mu /. gamma) (gamma *. mu);
   }
 
-let backend_of_variant = function
-  | `Classical -> Makespan.Engine.Classical
-  | `Dodin -> Makespan.Engine.Dodin
-  | `Spelde -> Makespan.Engine.Spelde
-
-let of_engine ?delta ?gamma ?(method_ = `Classical) ?slack_mode engine sched =
+let of_engine ?delta ?gamma ?backend ?slack_mode engine sched =
   let { Makespan.Engine.makespan; slack } =
-    Makespan.Engine.analyze ~backend:(backend_of_variant method_) ?slack_mode engine
-      sched
+    Makespan.Engine.analyze ?backend ?slack_mode engine sched
   in
   compute ?delta ?gamma ~makespan_dist:makespan ~slack ()
-
-let of_schedule ?delta ?gamma ?method_ ?slack_mode sched platform model =
-  let engine =
-    Makespan.Engine.create ~graph:sched.Sched.Schedule.graph ~platform ~model
-  in
-  of_engine ?delta ?gamma ?method_ ?slack_mode engine sched
 
 let to_array m =
   [| m.expected_makespan; m.makespan_std; m.makespan_entropy; m.avg_slack; m.slack_std;

@@ -35,29 +35,17 @@ val compute :
 val of_engine :
   ?delta:float ->
   ?gamma:float ->
-  ?method_:[ `Classical | `Dodin | `Spelde ] ->
+  ?backend:Makespan.Engine.backend ->
   ?slack_mode:Sched.Slack.graph_mode ->
   Makespan.Engine.t ->
   Sched.Schedule.t ->
   t
 (** All eight metrics from one {!Makespan.Engine.analyze} pass: the
     makespan distribution and the slack levels share the engine's cached
-    durations and a single disjunctive graph. This is the path the
-    experiment sweeps take — create the engine once per case, then call
-    [of_engine] per schedule. *)
-
-val of_schedule :
-  ?delta:float ->
-  ?gamma:float ->
-  ?method_:[ `Classical | `Dodin | `Spelde ] ->
-  ?slack_mode:Sched.Slack.graph_mode ->
-  Sched.Schedule.t ->
-  Platform.t ->
-  Workloads.Stochastify.t ->
-  t
-(** End-to-end convenience: a one-shot engine around {!of_engine}
-    (default method [`Classical], the paper's choice; default slack
-    [`Disjunctive]). *)
+    durations and a single disjunctive graph (default backend
+    [Classical], the paper's choice; default slack [`Disjunctive]). This
+    is the path the experiment sweeps take — create the engine once per
+    case, then call [of_engine] per schedule. *)
 
 val to_array : t -> float array
 (** Values in {!labels} order. *)

@@ -228,35 +228,23 @@ let chrome ?limit ?trace_id () =
     | None -> rs
     | Some id -> List.filter (fun r -> String.equal r.trace_id id) rs
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let event ~name ~ts ~dur ~tid ~args =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\n{\"name\":\"%s\",\"cat\":\"request\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{%s}}"
-         name tid ts dur args)
-  in
-  List.iter
-    (fun r ->
-      let tid = r.seq land 0x3fffffff in
-      let t_end = if r.t_end_us > 0. then r.t_end_us else Clock.now_us () in
-      event
-        ~name:(Printf.sprintf "%s %s" (esc r.meth) (esc r.path))
-        ~ts:r.t_start_us
-        ~dur:(t_end -. r.t_start_us)
-        ~tid
-        ~args:
-          (Printf.sprintf "\"trace_id\":\"%s\",\"status\":%d,\"engine_cache\":\"%s\""
-             (esc r.trace_id) r.status (cache_name r.cache));
-      List.iter
-        (fun s ->
-          event ~name:(esc s.stage) ~ts:s.t0_us
-            ~dur:(s.t1_us -. s.t0_us)
-            ~tid
-            ~args:(Printf.sprintf "\"trace_id\":\"%s\"" (esc r.trace_id)))
-        (sorted_stages r))
-    rs;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  Span.chrome_document
+    (List.concat_map
+       (fun r ->
+         let tid = r.seq land 0x3fffffff in
+         let t_end = if r.t_end_us > 0. then r.t_end_us else Clock.now_us () in
+         let trace_id = ("trace_id", Span.Str r.trace_id) in
+         let event ~name ~ts ~dur ~args =
+           { Span.name; cat = "request"; ph = `X dur; tid; ts; args }
+         in
+         event
+           ~name:(Printf.sprintf "%s %s" r.meth r.path)
+           ~ts:r.t_start_us
+           ~dur:(t_end -. r.t_start_us)
+           ~args:
+             [ trace_id; ("status", Span.Int r.status);
+               ("engine_cache", Span.Str (cache_name r.cache)) ]
+         :: List.map
+              (fun s -> event ~name:s.stage ~ts:s.t0_us ~dur:(s.t1_us -. s.t0_us) ~args:[ trace_id ])
+              (sorted_stages r))
+       rs)

@@ -126,6 +126,51 @@ let compare_events a b =
     | false, false -> Float.compare b.span_begin a.span_begin)
   | c -> c
 
+type chrome_arg =
+  | Str of string
+  | Int of int
+
+type chrome_event = {
+  name : string;
+  cat : string;
+  ph : [ `B | `E | `X of float ];
+  tid : int;
+  ts : float;
+  args : (string * chrome_arg) list;
+}
+
+let add_chrome_event buf e =
+  Printf.bprintf buf "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%.3f"
+    (json_escape e.name) e.cat
+    (match e.ph with `B -> "B" | `E -> "E" | `X _ -> "X")
+    e.tid e.ts;
+  (match e.ph with `X dur -> Printf.bprintf buf ",\"dur\":%.3f" dur | `B | `E -> ());
+  if e.args <> [] then begin
+    Buffer.add_string buf ",\"args\":{";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        match v with
+        | Str s -> Printf.bprintf buf "\"%s\":\"%s\"" k (json_escape s)
+        | Int n -> Printf.bprintf buf "\"%s\":%d" k n)
+      e.args;
+    Buffer.add_char buf '}'
+  end;
+  Buffer.add_char buf '}'
+
+let chrome_document ?dropped events =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",";
+  Option.iter (Printf.bprintf buf "\"dropped\":%d,") dropped;
+  Buffer.add_string buf "\"traceEvents\":[";
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_chrome_event buf e)
+    events;
+  Buffer.add_string buf "\n]}\n";
+  Buffer.contents buf
+
 let export_chrome () =
   let events =
     List.concat_map
@@ -137,22 +182,18 @@ let export_chrome () =
         ])
       (records ())
   in
-  let events = List.sort compare_events events in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"dropped\":";
-  Buffer.add_string buf (string_of_int (dropped ()));
-  Buffer.add_string buf ",\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n{\"name\":\"%s\",\"cat\":\"obs\",\"ph\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%.3f}"
-           (json_escape e.ev_name)
-           (if e.is_begin then "B" else "E")
-           e.ev_tid e.ts))
-    events;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  chrome_document ~dropped:(dropped ())
+    (List.map
+       (fun e ->
+         {
+           name = e.ev_name;
+           cat = "obs";
+           ph = (if e.is_begin then `B else `E);
+           tid = e.ev_tid;
+           ts = e.ts;
+           args = [];
+         })
+       (List.sort compare_events events))
 
 (* ------------------------------------------------------------------ *)
 (* Summary table                                                       *)

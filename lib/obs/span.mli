@@ -29,6 +29,25 @@ val reset : unit -> unit
 
 (** {1 Export} *)
 
+type chrome_arg =
+  | Str of string
+  | Int of int
+
+type chrome_event = {
+  name : string;  (** raw; escaped on output *)
+  cat : string;
+  ph : [ `B | `E | `X of float ];  (** begin, end, or complete with its duration (µs) *)
+  tid : int;
+  ts : float;  (** µs *)
+  args : (string * chrome_arg) list;  (** omitted from the output when empty *)
+}
+
+val chrome_document : ?dropped:int -> chrome_event list -> string
+(** The one Chrome trace-event writer behind {!export_chrome} and
+    [Flight.chrome]: a [traceEvents] document in milliseconds display
+    units, with a top-level [dropped] count when given, one event per
+    line in the given order, timestamps and durations at [%.3f]. *)
+
 val export_chrome : unit -> string
 (** All recorded spans as Chrome trace-event JSON: balanced ["B"]/["E"]
     event pairs, [tid] = domain id, timestamps in µs, sorted so that

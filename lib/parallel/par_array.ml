@@ -1,4 +1,4 @@
-let init ?domains ?pool ?(chunk_size = 64) n f =
+let init ?pool ?(chunk_size = 64) n f =
   if n < 0 then invalid_arg "Par_array.init: negative size";
   if chunk_size <= 0 then invalid_arg "Par_array.init: chunk_size must be positive";
   if n = 0 then [||]
@@ -6,7 +6,7 @@ let init ?domains ?pool ?(chunk_size = 64) n f =
     let first = f 0 in
     let out = Array.make n first in
     let chunks = (n + chunk_size - 1) / chunk_size in
-    Pool.run ?domains ?pool ~chunks (fun c ->
+    Pool.run ?pool ~chunks (fun c ->
         let lo = c * chunk_size in
         let hi = Int.min n (lo + chunk_size) in
         let lo = if c = 0 then 1 else lo (* index 0 already computed *) in
@@ -16,5 +16,5 @@ let init ?domains ?pool ?(chunk_size = 64) n f =
     out
   end
 
-let map ?domains ?pool ?chunk_size f a =
-  init ?domains ?pool ?chunk_size (Array.length a) (fun i -> f a.(i))
+let map ?pool ?chunk_size f a =
+  init ?pool ?chunk_size (Array.length a) (fun i -> f a.(i))

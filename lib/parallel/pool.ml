@@ -88,19 +88,6 @@ let finish job =
   end;
   match Atomic.get job.failure with Some exn -> raise exn | None -> ()
 
-(* Legacy one-shot mode: spawn helper domains for this run only. Kept for
-   explicit [?domains] callers (tests, ablations) — the persistent pool
-   below is the hot path. *)
-let run_ephemeral ~domains ~chunks f =
-  let helpers = Int.min (domains - 1) (Int.max 0 (chunks - 1)) in
-  let job = make_job ~slots:(helpers + 1) ~chunks f in
-  let spawned =
-    List.init helpers (fun i -> Domain.spawn (fun () -> drain_as_worker job (i + 1)))
-  in
-  drain_as_worker job 0;
-  List.iter Domain.join spawned;
-  finish job
-
 (* Persistent pool: helper domains are spawned once and then parked on a
    condition variable between jobs, so a sweep of thousands of small
    fan-outs pays spawn/join once instead of per call. A job is published
@@ -210,8 +197,8 @@ let run_on t ~chunks f =
   end
 
 (* Process-wide shared pool, created on first demand and torn down at
-   exit. Callers that pass neither [?pool] nor [?domains] land here, so
-   campaigns reuse one warm set of domains across every case.
+   exit. Callers that pass no [?pool] land here, so campaigns reuse one
+   warm set of domains across every case.
 
    The cell may be refreshed: shutting the shared pool down (a server
    drain, a test) and asking for it again respawns a fresh pool, so
@@ -251,11 +238,7 @@ let shared () =
     Mutex.unlock shared_init;
     t
 
-let run ?domains ?pool ~chunks f =
+let run ?pool ~chunks f =
   if chunks < 0 then invalid_arg "Pool.run: negative chunk count";
   if Domain.DLS.get in_worker_key then run_inline ~chunks f
-  else
-    match (pool, domains) with
-    | Some t, _ -> run_on t ~chunks f
-    | None, Some d -> run_ephemeral ~domains:(Int.max 1 d) ~chunks f
-    | None, None -> run_on (shared ()) ~chunks f
+  else run_on (match pool with Some t -> t | None -> shared ()) ~chunks f

@@ -5,15 +5,11 @@
     never on how many domains happened to run. This is what keeps the
     experiment pipeline bit-reproducible whatever the machine size.
 
-    Two execution modes share that contract:
-    - a {e persistent} pool ({!t}): helper domains are spawned once and
-      parked on a condition variable between jobs, so campaigns running
-      thousands of small fan-outs pay spawn/join once. This is the
-      default — callers that pass nothing use the process-wide
-      {!shared} pool.
-    - a {e legacy one-shot} mode ([?domains]): helper domains are
-      spawned and joined per call. Kept for tests and ablations that
-      pin an explicit domain count. *)
+    Work runs on a {e persistent} pool ({!t}): helper domains are
+    spawned once and parked on a condition variable between jobs, so
+    campaigns running thousands of small fan-outs pay spawn/join once.
+    Callers that pass no pool use the process-wide {!shared} one; a
+    caller that pins a domain count creates its own with {!create}. *)
 
 val default_domains : unit -> int
 (** [max 1 (recommended_domain_count − 1)] — leave one core for the
@@ -44,17 +40,16 @@ val shared : unit -> t
     [shared ()] results should re-fetch rather than cache across a
     shutdown. *)
 
-val run : ?domains:int -> ?pool:t -> chunks:int -> (int -> unit) -> unit
+val run : ?pool:t -> chunks:int -> (int -> unit) -> unit
 (** [run ~chunks f] calls [f c] exactly once for every
     [c ∈ \[0, chunks)], distributing chunks over worker domains (the
     calling domain participates). [f] must only write to chunk-private
     state. The first exception raised by any chunk is re-raised after
     all workers have drained.
 
-    Worker selection: [?pool] runs on that pool; otherwise [?domains]
-    spawns that many one-shot domains (legacy mode); otherwise the
-    {!shared} pool is used. A nested [run] from inside a chunk always
-    drains inline on the calling domain.
+    Runs on [?pool], or on the {!shared} pool when none is given. A
+    nested [run] from inside a chunk always drains inline on the calling
+    domain.
 
     While any {!Obs} sink is enabled, each chunk is recorded as a
     ["pool.chunk"] span and the run feeds the [pool.chunks],

@@ -157,9 +157,9 @@ let sweep_job ~task_n i =
   }
 
 let sweep_worker ~host ~port ~jobs ~expected ~share ~offset =
-  (* generous socket timeout: the conn-admit baseline point serializes
-     admission behind the evaluation pool, and a timeout would desync
-     the keep-alive stream (responses pairing with the wrong request) *)
+  (* generous socket timeout: requests can queue behind cold admissions,
+     and a timeout would desync the keep-alive stream (responses pairing
+     with the wrong request) *)
   let client = ref (Client.connect ~host ~port ~timeout_s:600. ()) in
   let k = Array.length jobs in
   let rec go i lat errors mismatches =
@@ -217,7 +217,7 @@ let sweep (sc : sweep_config) =
         match Proto.eval j with Ok b -> b | Error e -> invalid_arg ("sweep job: " ^ e))
       jobs
   in
-  let point ~label ~workers ~conn_admit =
+  let point workers =
     (* fresh instruments per point: the admit quantile must describe
        this configuration only (no concurrent writers between points —
        the previous server is stopped) *)
@@ -229,7 +229,6 @@ let sweep (sc : sweep_config) =
           Server.default_config with
           Server.port = 0;
           workers;
-          conn_admit;
           queue_capacity = Int.max 64 sc.sweep_requests;
         }
     in
@@ -260,51 +259,28 @@ let sweep (sc : sweep_config) =
     let admit_q q =
       match admit with Some h -> Obs.Metrics.hist_quantile h q | None -> nan
     in
-    let admit_p99 = admit_q 0.99 in
-    let doc =
-      Json.Obj
-        [
-          ("label", Json.Str label);
-          ("workers", int_ workers);
-          ("conn_admit", Json.Bool conn_admit);
-          ("completed", int_ (Array.length latencies));
-          ("errors", int_ errors);
-          ("byte_mismatches", int_ mismatches);
-          ("wall_s", num wall);
-          ( "throughput_rps",
-            num (float_of_int (Array.length latencies) /. wall) );
-          ("latency_p50_s", num (percentile latencies 0.50));
-          ("latency_p99_s", num (percentile latencies 0.99));
-          ( "admit_count",
-            int_ (match admit with Some h -> h.Obs.Metrics.total | None -> 0) );
-          ("admit_p50_s", num (admit_q 0.50));
-          ("admit_p99_s", num admit_p99);
-          ("engines_created", int_ stats.Server.engines_created);
-          ( "shard_jobs",
-            Json.Arr (Array.to_list (Array.map int_ stats.Server.shard_jobs)) );
-        ]
-    in
-    (admit_p99, doc)
+    Json.Obj
+      [
+        ("label", Json.Str (Printf.sprintf "w%d" workers));
+        ("workers", int_ workers);
+        ("completed", int_ (Array.length latencies));
+        ("errors", int_ errors);
+        ("byte_mismatches", int_ mismatches);
+        ("wall_s", num wall);
+        ( "throughput_rps",
+          num (float_of_int (Array.length latencies) /. wall) );
+        ("latency_p50_s", num (percentile latencies 0.50));
+        ("latency_p99_s", num (percentile latencies 0.99));
+        ( "admit_count",
+          int_ (match admit with Some h -> h.Obs.Metrics.total | None -> 0) );
+        ("admit_p50_s", num (admit_q 0.50));
+        ("admit_p99_s", num (admit_q 0.99));
+        ("engines_created", int_ stats.Server.engines_created);
+        ( "shard_jobs",
+          Json.Arr (Array.to_list (Array.map int_ stats.Server.shard_jobs)) );
+      ]
   in
-  (* Baseline: the pre-fix placement — context built on the connection
-     domains on every submit, one worker. Then the sharded tier. *)
-  let base_p99, base_doc = point ~label:"conn-admit-w1" ~workers:1 ~conn_admit:true in
-  let points =
-    List.map
-      (fun w ->
-        let p99, doc = point ~label:(Printf.sprintf "w%d" w) ~workers:w ~conn_admit:false in
-        (w, p99, doc))
-      sc.worker_counts
-  in
-  let speedups =
-    List.map
-      (fun (w, p99, _) ->
-        ( Printf.sprintf "w%d" w,
-          if Float.is_finite base_p99 && Float.is_finite p99 && p99 > 0. then
-            num (base_p99 /. p99)
-          else Json.Null ))
-      points
-  in
+  let points = List.map point sc.worker_counts in
   Json.to_string
     (Json.Obj
        [
@@ -314,9 +290,7 @@ let sweep (sc : sweep_config) =
          ("task_n", int_ sc.task_n);
          ("requests_per_point", int_ sc.sweep_requests);
          ("concurrency", int_ sc.sweep_concurrency);
-         ("baseline", base_doc);
-         ("points", Json.Arr (List.map (fun (_, _, d) -> d) points));
-         ("admit_p99_speedup_vs_conn_admit", Json.Obj speedups);
+         ("points", Json.Arr points);
        ])
   ^ "\n"
 

@@ -55,9 +55,8 @@ val run : config -> string
     port), fires a closed-loop load of [keys] distinct cases from
     [sweep_concurrency] client domains, and reads the admit-stage
     latency back out of the {!Obs.Metrics} snapshot (per-shard
-    [service_stage_seconds{stage="admit"}] families merged). The first
-    point re-enables the pre-fix placement ([conn_admit]) as the
-    baseline the speedup is measured against. Every response body is
+    [service_stage_seconds{stage="admit"}] families merged). Every
+    response body is
     compared byte-for-byte against [Proto.eval]'s offline document
     ([byte_mismatches] must be 0 at every worker count). *)
 
@@ -74,4 +73,4 @@ val default_sweep : sweep_config
 
 val sweep : sweep_config -> string
 (** Run the curve and return the report (newline-terminated JSON with
-    [baseline], [points] and [admit_p99_speedup_vs_conn_admit]). *)
+    one [points] entry per worker count). *)

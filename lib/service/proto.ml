@@ -613,39 +613,20 @@ let run_job ?flight ?shard ?pool ~engine job =
           | Some e -> e
           | None -> Engine.analyze ~backend ~slack_mode engine (snd labeled.(i))
         in
-        (* pilot calibration on this job's own first schedules (≤ 20), exactly
-           the Runner scheme — independent of whatever else shares the engine,
-           so batching can never change response bytes *)
-        let pilot_n = Int.min 20 n in
-        let pilot_evals = Array.init pilot_n eval_row in
-        let delta, gamma =
-          match (job.delta, job.gamma) with
-          | Some d, Some g -> (d, g)
-          | d_opt, g_opt ->
-            let pilot =
-              Array.to_list
-                (Array.map
-                   (fun e ->
-                     let d = e.Engine.makespan in
-                     (Dist.mean d, Dist.std d))
-                   pilot_evals)
-            in
-            let d_cal, g_cal = Robustness.calibrate_bounds pilot in
-            (Option.value d_opt ~default:d_cal, Option.value g_opt ~default:g_cal)
-        in
-        let rows =
-          Parallel.Par_array.init ?pool ~chunk_size:16 n (fun i ->
-              let e = if i < pilot_n then pilot_evals.(i) else eval_row i in
-              let m =
-                Robustness.compute ~delta ~gamma ~makespan_dist:e.Engine.makespan
-                  ~slack:e.Engine.slack ()
-              in
+        (* pilot calibration on this job's own first schedules (≤ 20),
+           independent of whatever else shares the engine, so batching can
+           never change response bytes *)
+        let delta, gamma, rows =
+          Experiments.Runner.calibrated_sweep ?pool ?delta:job.delta ?gamma:job.gamma
+            ~pilot:20 ~eval:eval_row
+            ~row:(fun i e m ->
               Json.Obj
                 [
                   ("source", Json.Str (fst labeled.(i)));
                   ("makespan", makespan_to_json e.Engine.makespan);
                   ("metrics", metrics_to_json m);
                 ])
+            n
         in
         Json.Obj
           [

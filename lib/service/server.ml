@@ -8,7 +8,6 @@ type config = {
   queue_capacity : int;
   conn_domains : int;
   workers : int;
-  conn_admit : bool;
   limits : Http.limits;
   engine_cache : int;
   auto_worker : bool;
@@ -23,7 +22,6 @@ let default_config =
     queue_capacity = 64;
     conn_domains = 4;
     workers = 1;
-    conn_admit = false;
     limits = Http.default_limits;
     engine_cache = 8;
     auto_worker = true;
@@ -44,9 +42,6 @@ type jrec = {
   id : string;
   spec : Proto.job;
   key : string;
-  context : Proto.context option;
-      (* [Some] only under [conn_admit] (the pre-fix A/B baseline);
-         normally the owning worker materializes it in its "admit" stage *)
   shard : int;
   state : jstate Atomic.t;
   deadline : float option;
@@ -225,8 +220,7 @@ type submit_error =
    and the deadline stamp. The expensive half — [Proto.context_of_job],
    the ~50 ms workload/platform build that used to fight the evaluation
    pool for the minor heap — runs on the job's owning worker as its
-   "admit" stage. [conn_admit] restores the pre-fix placement so the
-   bench can measure the A/B. *)
+   "admit" stage. *)
 let submit t fl ~header_traced body : (jrec, submit_error) result =
   let decoded =
     Obs.Flight.timed ~record:fl ~stage:"decode" (fun () -> Proto.job_of_json body)
@@ -235,64 +229,49 @@ let submit t fl ~header_traced body : (jrec, submit_error) result =
   | Error e ->
     Atomic.incr t.c.c_rejected_invalid;
     Error (`Invalid (400, e))
-  | Ok spec -> (
-    let context =
-      if not t.config.conn_admit then Ok None
-      else
-        Obs.Flight.timed ~record:fl ~stage:"admit" (fun () ->
-            Result.map Option.some (Proto.context_of_job spec))
+  | Ok spec ->
+    (match spec.Proto.trace with
+    | Some tid when not header_traced -> fl.Obs.Flight.trace_id <- tid
+    | _ -> ());
+    let key = Proto.key_of_job spec in
+    let deadline =
+      Option.map
+        (fun ms -> Obs.Clock.now_s () +. (float_of_int ms /. 1000.))
+        spec.Proto.deadline_ms
     in
-    match context with
-    | Error e ->
-      Atomic.incr t.c.c_rejected_invalid;
-      Error (`Invalid (422, e))
-    | Ok context ->
-      (match spec.Proto.trace with
-      | Some tid when not header_traced -> fl.Obs.Flight.trace_id <- tid
-      | _ -> ());
-      let key =
-        match context with
-        | Some c -> c.Proto.key
-        | None -> Proto.key_of_job spec
-      in
-      let deadline =
-        Option.map
-          (fun ms -> Obs.Clock.now_s () +. (float_of_int ms /. 1000.))
-          spec.Proto.deadline_ms
-      in
-      let id = Printf.sprintf "job-%06d" (Atomic.fetch_and_add t.next_id 1) in
-      let shard = shard_of_key t key in
-      let sh = t.shards.(shard) in
-      let j =
-        { id; spec; key; context; shard; state = Atomic.make Queued; deadline; flight = fl }
-      in
-      Mutex.lock sh.mu;
-      let verdict =
-        if Atomic.get t.draining then Error `Draining
-        else if Queue.length sh.jobs >= t.config.queue_capacity then Error `Full
-        else begin
-          Queue.push j sh.jobs;
-          (* stamp only admitted jobs (a rejected request must not carry
-             a dangling open "queue" stage), and under the shard lock so
-             the stamp is in place before the worker can pop the job *)
-          Obs.Flight.mark_queued fl;
-          Ok j
-        end
-      in
-      let depth = Queue.length sh.jobs in
-      (match verdict with Ok _ -> Condition.signal sh.cond | Error _ -> ());
-      Mutex.unlock sh.mu;
-      (match verdict with
-      | Ok _ ->
-        Mutex.lock t.tmu;
-        Hashtbl.replace t.table id j;
-        Mutex.unlock t.tmu;
-        Atomic.incr t.c.c_submitted;
-        Obs.Metrics.set sh.g_depth (float_of_int depth)
-      | Error `Full -> Atomic.incr t.c.c_rejected_full
-      | Error `Draining -> Atomic.incr t.c.c_rejected_draining
-      | Error _ -> ());
-      verdict)
+    let id = Printf.sprintf "job-%06d" (Atomic.fetch_and_add t.next_id 1) in
+    let shard = shard_of_key t key in
+    let sh = t.shards.(shard) in
+    let j =
+      { id; spec; key; shard; state = Atomic.make Queued; deadline; flight = fl }
+    in
+    Mutex.lock sh.mu;
+    let verdict =
+      if Atomic.get t.draining then Error `Draining
+      else if Queue.length sh.jobs >= t.config.queue_capacity then Error `Full
+      else begin
+        Queue.push j sh.jobs;
+        (* stamp only admitted jobs (a rejected request must not carry
+           a dangling open "queue" stage), and under the shard lock so
+           the stamp is in place before the worker can pop the job *)
+        Obs.Flight.mark_queued fl;
+        Ok j
+      end
+    in
+    let depth = Queue.length sh.jobs in
+    (match verdict with Ok _ -> Condition.signal sh.cond | Error _ -> ());
+    Mutex.unlock sh.mu;
+    (match verdict with
+    | Ok _ ->
+      Mutex.lock t.tmu;
+      Hashtbl.replace t.table id j;
+      Mutex.unlock t.tmu;
+      Atomic.incr t.c.c_submitted;
+      Obs.Metrics.set sh.g_depth (float_of_int depth)
+    | Error `Full -> Atomic.incr t.c.c_rejected_full
+    | Error `Draining -> Atomic.incr t.c.c_rejected_draining
+    | Error _ -> ());
+    verdict
 
 (* Pop the oldest job plus every queued job sharing its key, preserving
    the order of what stays behind. Caller holds the shard's [mu]. *)
@@ -321,12 +300,7 @@ let engine_for t sh j =
     Ok (e, true)
   | None -> (
     Mutex.unlock sh.emu;
-    let context =
-      match j.context with
-      | Some c -> Ok c  (* conn_admit: built on the connection domain *)
-      | None -> Proto.context_of_job j.spec
-    in
-    match context with
+    match Proto.context_of_job j.spec with
     | Error e -> Error e
     | Ok context ->
       let e =
@@ -515,8 +489,75 @@ let healthz_body t =
        ])
   ^ "\n"
 
+(* The service counters and gauges behind both [/metrics] forms, in
+   JSON order: the key in the JSON document's "service" object, the
+   OpenMetrics family, and the value. A [None] key or family marks an
+   entry that exists in only one form. OpenMetrics names must stay
+   disjoint from the families the obs snapshot already owns
+   ([service_request_seconds], [service_batch_size],
+   [service_queue_depth], [service_stage_seconds]), or the exposition
+   would carry a duplicate [# TYPE]. *)
+type stat_row = {
+  key : string option;
+  family : string option;
+  kind : [ `Counter | `Gauge ];
+  help : string;
+  value : [ `One of int | `Per_shard of int array ];
+}
+
+let stat_rows t (s : stats) =
+  let row ?key ?family kind help value = { key; family; kind; help; value } in
+  let std key kind help v = row ~key ~family:("service_" ^ key) kind help (`One v) in
+  let engine key family help v = row ~key ~family `Counter help (`One v) in
+  [
+    std "requests" `Counter "HTTP requests parsed (any route)" s.requests;
+    std "jobs_submitted" `Counter "Jobs admitted to the queue" s.jobs_submitted;
+    std "jobs_done" `Counter "Jobs evaluated successfully" s.jobs_done;
+    std "jobs_failed" `Counter "Jobs that raised during evaluation" s.jobs_failed;
+    std "jobs_expired" `Counter "Jobs whose deadline elapsed while queued" s.jobs_expired;
+    std "jobs_cancelled" `Counter "Jobs cancelled by drain" s.jobs_cancelled;
+    std "rejected_full" `Counter "Submissions refused by a full queue" s.rejected_full;
+    std "rejected_invalid" `Counter "Submissions refused as invalid (400/422)"
+      s.rejected_invalid;
+    std "rejected_draining" `Counter "Submissions refused because of drain"
+      s.rejected_draining;
+    std "batches" `Counter "Same-key batches popped by the workers" s.batches;
+    std "max_batch" `Gauge "Largest batch so far" s.max_batch;
+    row ~key:"queue_depth" `Gauge "Queued jobs over all shards" (`One s.queue_depth);
+    row ~family:"service_queue_capacity" `Gauge "Per-shard job-queue bound"
+      (`One t.config.queue_capacity);
+    std "workers" `Gauge "Evaluation worker shards" s.workers;
+    row ~key:"shard_jobs" ~family:"service_shard_jobs" `Counter "Jobs evaluated per shard"
+      (`Per_shard s.shard_jobs);
+    row ~family:"service_shard_engines" `Counter
+      "Engines built per shard (context materializations)"
+      (`Per_shard (Array.map (fun sh -> Atomic.get sh.sc_engines) t.shards));
+    row ~key:"shard_depth" ~family:"service_shard_depth" `Gauge "Queued jobs per shard"
+      (`Per_shard s.shard_depth);
+    std "engines_created" `Counter "Engines built (LRU misses)" s.engines_created;
+    std "engine_task_hits" `Counter "Task-level cache hits over live engines"
+      s.engine_task_hits;
+    std "engine_task_misses" `Counter "Task-level cache misses over live engines"
+      s.engine_task_misses;
+    std "engine_reevals" `Counter "Single-move re-evaluations over live engines"
+      s.engine_reevals;
+    engine "engine_reeval_incremental" "service_engine_reevals_incremental"
+      "Re-evaluations served by a dirty-cone replay" s.engine_reeval_incremental;
+    engine "engine_reeval_full" "service_engine_reevals_full"
+      "Re-evaluations that fell back to a full sweep" s.engine_reeval_full;
+    engine "engine_reeval_full_cone" "service_engine_reevals_full_cone"
+      "Full-sweep fallbacks whose dirty cone exceeded the cutoff"
+      s.engine_reeval_full_cone;
+    engine "engine_reeval_full_backend" "service_engine_reevals_full_backend"
+      "Full-sweep fallbacks on non-incremental backends" s.engine_reeval_full_backend;
+    std "engine_reeval_cone_nodes" `Counter
+      "Dirty nodes recomputed across incremental re-evaluations"
+      s.engine_reeval_cone_nodes;
+    std "engine_reeval_max_cone" `Gauge "Largest incremental dirty cone seen"
+      s.engine_reeval_max_cone;
+  ]
+
 let metrics_body t =
-  let s = stats t in
   let q p =
     let snap = Obs.Metrics.snapshot () in
     match List.assoc_opt "service.request_seconds" snap.Obs.Metrics.histograms with
@@ -525,120 +566,51 @@ let metrics_body t =
       Json.Num (Json.float_lit (Obs.Metrics.window_quantile h p))
     | _ -> Json.Null
   in
-  let int_arr a = Json.Arr (Array.to_list (Array.map num_of_int a)) in
   let service =
     Json.Obj
-      [
-        ("requests", num_of_int s.requests);
-        ("jobs_submitted", num_of_int s.jobs_submitted);
-        ("jobs_done", num_of_int s.jobs_done);
-        ("jobs_failed", num_of_int s.jobs_failed);
-        ("jobs_expired", num_of_int s.jobs_expired);
-        ("jobs_cancelled", num_of_int s.jobs_cancelled);
-        ("rejected_full", num_of_int s.rejected_full);
-        ("rejected_invalid", num_of_int s.rejected_invalid);
-        ("rejected_draining", num_of_int s.rejected_draining);
-        ("batches", num_of_int s.batches);
-        ("max_batch", num_of_int s.max_batch);
-        ("queue_depth", num_of_int s.queue_depth);
-        ("workers", num_of_int s.workers);
-        ("shard_jobs", int_arr s.shard_jobs);
-        ("shard_depth", int_arr s.shard_depth);
-        ("engines_created", num_of_int s.engines_created);
-        ("engine_task_hits", num_of_int s.engine_task_hits);
-        ("engine_task_misses", num_of_int s.engine_task_misses);
-        ("engine_reevals", num_of_int s.engine_reevals);
-        ("engine_reeval_incremental", num_of_int s.engine_reeval_incremental);
-        ("engine_reeval_full", num_of_int s.engine_reeval_full);
-        ("engine_reeval_full_cone", num_of_int s.engine_reeval_full_cone);
-        ("engine_reeval_full_backend", num_of_int s.engine_reeval_full_backend);
-        ("engine_reeval_cone_nodes", num_of_int s.engine_reeval_cone_nodes);
-        ("engine_reeval_max_cone", num_of_int s.engine_reeval_max_cone);
-        ("latency_p50_s", q 0.5);
-        ("latency_p99_s", q 0.99);
-      ]
+      (List.filter_map
+         (fun r ->
+           Option.map
+             (fun key ->
+               ( key,
+                 match r.value with
+                 | `One v -> num_of_int v
+                 | `Per_shard a -> Json.Arr (Array.to_list (Array.map num_of_int a)) ))
+             r.key)
+         (stat_rows t (stats t))
+      @ [ ("latency_p50_s", q 0.5); ("latency_p99_s", q 0.99) ])
   in
   (* The Obs report is already a JSON document — splice it verbatim. *)
   Printf.sprintf "{\"service\":%s,\"obs\":%s}\n" (Json.to_string service)
     (String.trim (Obs.Report.json ()))
 
-(* OpenMetrics exposition: the always-on service counters plus every
-   Obs instrument. The obs snapshot already owns the families
-   [service_request_seconds], [service_batch_size], [service_queue_depth]
-   and [service_stage_seconds]; the names below must stay disjoint from
-   those or the exposition would carry a duplicate [# TYPE]. *)
 let openmetrics_content_type = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
+(* OpenMetrics exposition: the service rows plus every Obs instrument. *)
 let openmetrics_body t =
-  let s = stats t in
-  let counter ?(labels = []) family help v =
-    {
-      Obs.Openmetrics.family;
-      labels;
-      help = Some help;
-      data = Obs.Openmetrics.Counter (float_of_int v);
-    }
-  in
-  let gauge ?(labels = []) family help v =
-    {
-      Obs.Openmetrics.family;
-      labels;
-      help = Some help;
-      data = Obs.Openmetrics.Gauge (float_of_int v);
-    }
-  in
-  let per_shard mk family help values =
-    Array.to_list
-      (Array.mapi (fun k v -> mk [ ("shard", string_of_int k) ] family help v) values)
-  in
-  let counter_l labels family help v = counter ~labels family help v in
-  let gauge_l labels family help v = gauge ~labels family help v in
   let service =
-    [
-      counter "service_requests" "HTTP requests parsed (any route)" s.requests;
-      counter "service_jobs_submitted" "Jobs admitted to the queue" s.jobs_submitted;
-      counter "service_jobs_done" "Jobs evaluated successfully" s.jobs_done;
-      counter "service_jobs_failed" "Jobs that raised during evaluation" s.jobs_failed;
-      counter "service_jobs_expired" "Jobs whose deadline elapsed while queued"
-        s.jobs_expired;
-      counter "service_jobs_cancelled" "Jobs cancelled by drain" s.jobs_cancelled;
-      counter "service_rejected_full" "Submissions refused by a full queue"
-        s.rejected_full;
-      counter "service_rejected_invalid" "Submissions refused as invalid (400/422)"
-        s.rejected_invalid;
-      counter "service_rejected_draining" "Submissions refused because of drain"
-        s.rejected_draining;
-      counter "service_batches" "Same-key batches popped by the workers" s.batches;
-      counter "service_engines_created" "Engines built (LRU misses)" s.engines_created;
-      counter "service_engine_task_hits" "Task-level cache hits over live engines"
-        s.engine_task_hits;
-      counter "service_engine_task_misses" "Task-level cache misses over live engines"
-        s.engine_task_misses;
-      counter "service_engine_reevals" "Single-move re-evaluations over live engines"
-        s.engine_reevals;
-      counter "service_engine_reevals_incremental"
-        "Re-evaluations served by a dirty-cone replay" s.engine_reeval_incremental;
-      counter "service_engine_reevals_full"
-        "Re-evaluations that fell back to a full sweep" s.engine_reeval_full;
-      counter "service_engine_reevals_full_cone"
-        "Full-sweep fallbacks whose dirty cone exceeded the cutoff"
-        s.engine_reeval_full_cone;
-      counter "service_engine_reevals_full_backend"
-        "Full-sweep fallbacks on non-incremental backends" s.engine_reeval_full_backend;
-      counter "service_engine_reeval_cone_nodes"
-        "Dirty nodes recomputed across incremental re-evaluations"
-        s.engine_reeval_cone_nodes;
-      gauge "service_queue_capacity" "Per-shard job-queue bound" t.config.queue_capacity;
-      gauge "service_workers" "Evaluation worker shards" s.workers;
-      gauge "service_max_batch" "Largest batch so far" s.max_batch;
-      gauge "service_engine_reeval_max_cone" "Largest incremental dirty cone seen"
-        s.engine_reeval_max_cone;
-    ]
-    @ per_shard counter_l "service_shard_jobs" "Jobs evaluated per shard" s.shard_jobs
-    @ per_shard counter_l "service_shard_engines"
-        "Engines built per shard (context materializations)"
-        (Array.map (fun sh -> Atomic.get sh.sc_engines) t.shards)
-    @ per_shard gauge_l "service_shard_depth" "Queued jobs per shard" s.shard_depth
+    List.concat_map
+      (fun r ->
+        match r.family with
+        | None -> []
+        | Some family ->
+          let metric labels v =
+            {
+              Obs.Openmetrics.family;
+              labels;
+              help = Some r.help;
+              data =
+                (match r.kind with
+                | `Counter -> Obs.Openmetrics.Counter (float_of_int v)
+                | `Gauge -> Obs.Openmetrics.Gauge (float_of_int v));
+            }
+          in
+          (match r.value with
+          | `One v -> [ metric [] v ]
+          | `Per_shard a ->
+            Array.to_list
+              (Array.mapi (fun k v -> metric [ ("shard", string_of_int k) ] v) a)))
+      (stat_rows t (stats t))
   in
   Obs.Openmetrics.render
     (service @ Obs.Openmetrics.of_snapshot (Obs.Metrics.snapshot ()))

@@ -28,8 +28,7 @@
     The expensive half — {!Proto.context_of_job}, the workload/platform
     generation that used to fight the evaluation pool for the minor
     heap when it ran on connection domains — executes on the job's
-    owning worker as the ["admit"] stage of its flight record
-    ([conn_admit] restores the old placement for A/B benchmarks).
+    owning worker as the ["admit"] stage of its flight record.
     Verdicts:
 
     - shard queue full → [503] with [Retry-After] (never admitted);
@@ -70,10 +69,6 @@ type config = {
   workers : int;
       (** evaluation shards (worker domains when [auto_worker]); values
           < 1 are clamped to 1 *)
-  conn_admit : bool;
-      (** build the job context on the connection domain (the pre-fix
-          admission placement). Only for A/B benchmarks of the
-          contention this layout caused; leave [false] in production. *)
   limits : Http.limits;
   engine_cache : int;  (** max engines kept warm per shard (LRU by case key) *)
   auto_worker : bool;
@@ -90,7 +85,7 @@ type config = {
 
 val default_config : config
 (** localhost, ephemeral port, capacity 64, 4 handler domains, 1
-    worker, worker-side admission, {!Http.default_limits}, 8 engines,
+    worker, {!Http.default_limits}, 8 engines,
     auto worker, 5 s grace. *)
 
 type t

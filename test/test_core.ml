@@ -56,10 +56,10 @@ let analyze_methods_consistent () =
   let sched = Core.Heuristics.heft graph platform in
   let means =
     List.map
-      (fun m ->
-        (Core.analyze ~method_:m sched platform model).Core.metrics
+      (fun backend ->
+        (Core.analyze ~backend sched platform model).Core.metrics
           .Core.Robustness.expected_makespan)
-      [ Core.Makespan_eval.Classical; Core.Makespan_eval.Dodin; Core.Makespan_eval.Spelde ]
+      Core.Engine.analytic_backends
   in
   match means with
   | [ a; b; c ] ->

@@ -1,6 +1,6 @@
-(* The unified evaluation engine: equivalence with the legacy
-   per-schedule paths, cache behaviour, slack sharing, thread safety, and
-   the Runner's pilot-calibration fallback. *)
+(* The unified evaluation engine: equivalence with the uncached
+   reference evaluators, cache behaviour, slack sharing, thread safety,
+   and the Runner's calibrated sweep. *)
 
 let check_close = Tutil.check_close
 let check_close_abs = Tutil.check_close_abs
@@ -29,22 +29,17 @@ let check_dists_equal name a b =
 
 let equivalence_tests =
   List.map
-    (fun method_ ->
-      let name = Makespan.Eval.method_name method_ in
+    (fun backend ->
+      let name = Makespan.Engine.backend_name backend in
       Tutil.qcheck ~count:60
         (Printf.sprintf "engine %s == legacy %s" name name)
         Tutil.random_scheduled_gen
         (fun (graph, platform, sched) ->
-          let legacy = Makespan.Eval.distribution ~method_ sched platform model11 in
-          let engine = engine_of (graph, platform) in
-          let cached =
-            Makespan.Engine.eval
-              ~backend:(Makespan.Engine.backend_of_method method_)
-              engine sched
-          in
-          check_dists_equal name legacy cached;
+          let reference = Tutil.Reference.eval backend sched platform model11 in
+          let cached = Makespan.Engine.eval ~backend (engine_of (graph, platform)) sched in
+          check_dists_equal name reference cached;
           true))
-    Makespan.Eval.all_methods
+    Makespan.Engine.analytic_backends
 
 let montecarlo_backend_matches_legacy () =
   let rng = Tutil.rng_of_seed 5 in
@@ -123,15 +118,20 @@ let create_rejects_mismatched_platform () =
 
 (* --- metrics and slack share the engine's propagation --- *)
 
-let of_engine_matches_of_schedule () =
+let of_engine_matches_reference () =
   let graph, platform, s1, s2 = fixture () in
   let engine = engine_of (graph, platform) in
   List.iter
     (fun sched ->
       List.iter
-        (fun method_ ->
-          let a = Metrics.Robustness.of_engine ~method_ engine sched in
-          let b = Metrics.Robustness.of_schedule ~method_ sched platform model11 in
+        (fun backend ->
+          let a = Metrics.Robustness.of_engine ~backend engine sched in
+          let b =
+            Metrics.Robustness.compute
+              ~makespan_dist:(Tutil.Reference.eval backend sched platform model11)
+              ~slack:(Sched.Slack.compute sched platform model11)
+              ()
+          in
           Array.iteri
             (fun i expected ->
               check_close
@@ -139,7 +139,7 @@ let of_engine_matches_of_schedule () =
                 expected
                 (Metrics.Robustness.to_array a).(i))
             (Metrics.Robustness.to_array b))
-        [ `Classical; `Dodin; `Spelde ])
+        Makespan.Engine.analytic_backends)
     [ s1; s2 ]
 
 let analyze_slack_matches_compute () =
@@ -172,13 +172,17 @@ let parallel_sweep_matches_sequential () =
   in
   let engine = engine_of (graph, platform) in
   let parallel =
-    Parallel.Par_array.init ~domains:4 ~chunk_size:2 (Array.length scheds) (fun i ->
-        let d = Makespan.Engine.eval engine scheds.(i) in
-        (Distribution.Dist.mean d, Distribution.Dist.std d))
+    let pool = Parallel.Pool.create ~domains:4 () in
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.shutdown pool)
+      (fun () ->
+        Parallel.Par_array.init ~pool ~chunk_size:2 (Array.length scheds) (fun i ->
+            let d = Makespan.Engine.eval engine scheds.(i) in
+            (Distribution.Dist.mean d, Distribution.Dist.std d)))
   in
   Array.iteri
     (fun i (mu, sigma) ->
-      let d = Makespan.Classic.run scheds.(i) platform model11 in
+      let d = Tutil.Reference.classical scheds.(i) platform model11 in
       check_close (Printf.sprintf "parallel mean %d" i) (Distribution.Dist.mean d) mu;
       check_close (Printf.sprintf "parallel std %d" i) (Distribution.Dist.std d) sigma)
     parallel
@@ -357,7 +361,7 @@ let runner_zero_count_falls_back_to_heuristics () =
     Experiments.Case.make ~kind:Experiments.Case.Cholesky ~n_target:10 ~n_procs:3 ~ul:1.1
       ()
   in
-  let result = Experiments.Runner.run ~domains:2 ~count:0 case in
+  let result = Experiments.Runner.run ~count:0 case in
   Alcotest.(check int) "no random rows" 0
     (Array.length (Experiments.Runner.random_rows result));
   let heuristic = Experiments.Runner.heuristic_rows result in
@@ -373,6 +377,35 @@ let runner_zero_count_falls_back_to_heuristics () =
           Alcotest.(check bool) (name ^ " metrics finite") true (Float.is_finite v))
         row)
     heuristic
+
+(* the sweep's chunking is fixed, so the pool size must not change a bit
+   of the rows or of the calibrated bounds *)
+let runner_pool_size_independent () =
+  let case =
+    Experiments.Case.make ~kind:Experiments.Case.Random_graph ~n_target:20 ~n_procs:4
+      ~ul:1.1 ()
+  in
+  let run domains =
+    let pool = Parallel.Pool.create ~domains () in
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.shutdown pool)
+      (fun () -> Experiments.Runner.run ~pool ~count:40 case)
+  in
+  let a = run 1 and b = run 3 in
+  Alcotest.(check int64) "delta bits" (bits a.Experiments.Runner.delta)
+    (bits b.Experiments.Runner.delta);
+  Alcotest.(check int64) "gamma bits" (bits a.Experiments.Runner.gamma)
+    (bits b.Experiments.Runner.gamma);
+  Alcotest.(check int) "row count" (Array.length a.Experiments.Runner.rows)
+    (Array.length b.Experiments.Runner.rows);
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v ->
+          Alcotest.(check int64) (Printf.sprintf "row %d metric %d bits" i j) (bits v)
+            (bits b.Experiments.Runner.rows.(i).(j)))
+        row)
+    a.Experiments.Runner.rows
 
 let () =
   Alcotest.run "engine"
@@ -391,7 +424,7 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "of_engine == of_schedule" `Quick of_engine_matches_of_schedule;
+          Alcotest.test_case "of_engine == reference" `Quick of_engine_matches_reference;
           Alcotest.test_case "slack modes" `Quick analyze_slack_matches_compute;
         ] );
       ( "parallel",
@@ -418,5 +451,7 @@ let () =
         [
           Alcotest.test_case "count=0 pilot fallback" `Quick
             runner_zero_count_falls_back_to_heuristics;
+          Alcotest.test_case "pool size independence (bitwise)" `Quick
+            runner_pool_size_independent;
         ] );
     ]

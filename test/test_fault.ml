@@ -371,16 +371,6 @@ let pool_survives_poisoned_chunk () =
           Alcotest.(check bool) "all chunks ran after poisoning" true
             (Array.for_all Fun.id seen)))
 
-let pool_ephemeral_poisoned_chunk () =
-  with_faults (fun () ->
-      Fault.configure ~spec:"pool.chunk:fail@1";
-      check_injected "ephemeral run surfaces" "pool.chunk" (fun () ->
-          Parallel.Pool.run ~domains:2 ~chunks:4 (fun _ -> ()));
-      Fault.reset ();
-      let n = Atomic.make 0 in
-      Parallel.Pool.run ~domains:2 ~chunks:4 (fun _ -> Atomic.incr n);
-      Alcotest.(check int) "clean rerun" 4 (Atomic.get n))
-
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "fault"
@@ -419,6 +409,5 @@ let () =
       ( "pool",
         [
           tc "persistent pool survives poison" `Quick pool_survives_poisoned_chunk;
-          tc "ephemeral run survives poison" `Quick pool_ephemeral_poisoned_chunk;
         ] );
     ]

@@ -36,10 +36,11 @@ let three_methods_consistent () =
   in
   let model = Core.Uncertainty.make ~ul:1.1 () in
   let sched = Core.Heuristics.bmct graph platform in
+  let engine = Core.Engine.create ~graph ~platform ~model in
   let means =
     List.map
-      (fun m -> Core.Dist.mean (Core.Makespan_eval.distribution ~method_:m sched platform model))
-      Core.Makespan_eval.all_methods
+      (fun backend -> Core.Dist.mean (Core.Engine.eval ~backend engine sched))
+      Core.Engine.analytic_backends
   in
   match means with
   | [ classical; dodin; spelde ] ->
@@ -83,7 +84,7 @@ let metric_cluster_on_random_case () =
     Array.of_list
       (List.map
          (fun s ->
-           Core.Robustness.to_array (Core.Robustness.of_schedule s platform model))
+           Core.Robustness.to_array (Core.analyze s platform model).Core.metrics)
          (Core.Random_sched.generate_many ~rng ~graph ~n_procs:3 ~count:60))
   in
   let col j = Array.map (fun r -> r.(j)) rows in

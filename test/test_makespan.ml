@@ -25,7 +25,7 @@ let classic_chain_is_sum () =
   let n = 10 and w = 20. in
   let s = chain_schedule n in
   let p = flat_platform ~n_tasks:n ~n_procs:1 ~w ~tau:0. in
-  let d = Makespan.Classic.run s p model11 in
+  let d = Tutil.eval s p model11 in
   let one = Workloads.Stochastify.dist model11 w in
   let mean1 = Distribution.Dist.mean one and var1 = Distribution.Dist.variance one in
   check_close ~eps:1e-3 "mean" (float_of_int n *. mean1) (Distribution.Dist.mean d);
@@ -41,7 +41,7 @@ let classic_parallel_is_max () =
     Array.init n (fun q -> if q = 0 then [| 0; n |] else [| q |])
   in
   let s = Sched.Schedule.make ~graph:g ~n_procs:n ~proc_of ~order in
-  let d = Makespan.Classic.run s p model11 in
+  let d = Tutil.eval s p model11 in
   let one = Workloads.Stochastify.dist model11 w in
   let want =
     Distribution.Dist.add
@@ -54,7 +54,7 @@ let classic_parallel_is_max () =
 let classic_deterministic_model_gives_const () =
   let s = chain_schedule 5 in
   let p = flat_platform ~n_tasks:5 ~n_procs:1 ~w:10. ~tau:0. in
-  let d = Makespan.Classic.run s p Workloads.Stochastify.deterministic in
+  let d = Tutil.eval s p Workloads.Stochastify.deterministic in
   Alcotest.(check bool) "const" true (Distribution.Dist.is_const d);
   check_close "value" 50. (Distribution.Dist.mean d)
 
@@ -65,7 +65,7 @@ let classic_support_bounds =
       let ul = 1.2 in
       let model = Workloads.Stochastify.make ~ul () in
       let det = (Sched.Simulator.deterministic sched platform).Sched.Simulator.makespan in
-      let d = Makespan.Classic.run sched platform model in
+      let d = Tutil.eval sched platform model in
       let lo, hi = Distribution.Dist.support d in
       (* trimming may cut 1e-9 tails; allow a whisker *)
       lo >= det -. (0.01 *. det) && hi <= (det *. ul) +. (0.01 *. det))
@@ -89,8 +89,12 @@ let montecarlo_domain_count_irrelevant () =
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:2 () in
   let s = Sched.Random_sched.generate ~rng ~graph:g ~n_procs:2 in
   let run domains =
-    Makespan.Montecarlo.realizations ~domains ~chunk_size:64
-      ~rng:(Tutil.rng_of_seed 7) ~count:1000 s p model11
+    let pool = Parallel.Pool.create ~domains () in
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.shutdown pool)
+      (fun () ->
+        Makespan.Montecarlo.realizations ~pool ~chunk_size:64 ~rng:(Tutil.rng_of_seed 7)
+          ~count:1000 s p model11)
   in
   Alcotest.(check bool) "1 domain = 4 domains" true (run 1 = run 4)
 
@@ -99,7 +103,7 @@ let montecarlo_matches_classic_moments () =
   let rng = Tutil.rng_of_seed 5 in
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:3 () in
   let s = Sched.Heft.schedule g p in
-  let d = Makespan.Classic.run s p model11 in
+  let d = Tutil.eval s p model11 in
   let e = Makespan.Montecarlo.run ~rng ~count:30000 s p model11 in
   check_close ~eps:2e-3 "mean" (Distribution.Empirical.mean e) (Distribution.Dist.mean d);
   check_close ~eps:5e-2 "std" (Distribution.Empirical.std e) (Distribution.Dist.std d)
@@ -116,7 +120,7 @@ let montecarlo_ks_small_on_tree () =
       ~proc_of:(Array.init 7 Fun.id)
       ~order:(Array.init 7 (fun q -> [| q |]))
   in
-  let d = Makespan.Classic.run s p model11 in
+  let d = Tutil.eval s p model11 in
   let e = Makespan.Montecarlo.run ~rng ~count:20000 s p model11 in
   let ks = Stats.Distance.ks (Analytic d) (Sampled e) in
   Alcotest.(check bool) "small ks" true (ks < 0.03)
@@ -170,7 +174,7 @@ let spelde_chain_exact_moments () =
   let n = 10 and w = 20. in
   let s = chain_schedule n in
   let p = flat_platform ~n_tasks:n ~n_procs:1 ~w ~tau:0. in
-  let m = Makespan.Spelde.moments s p model11 in
+  let m = Tutil.Reference.spelde_moments s p model11 in
   check_close ~eps:1e-9 "mean"
     (float_of_int n *. Workloads.Stochastify.mean model11 w)
     m.Distribution.Normal_pair.mean;
@@ -182,8 +186,8 @@ let spelde_close_to_classic =
   Tutil.qcheck ~count:20 "Spelde moments track classical moments"
     Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
-      let m = Makespan.Spelde.moments sched platform model11 in
-      let d = Makespan.Classic.run sched platform model11 in
+      let m = Tutil.Reference.spelde_moments sched platform model11 in
+      let d = Tutil.eval sched platform model11 in
       match Distribution.Dist.is_const d with
       | true -> true
       | false ->
@@ -195,15 +199,15 @@ let spelde_close_to_classic =
 let dodin_chain_no_duplication () =
   let s = chain_schedule 6 in
   let p = flat_platform ~n_tasks:6 ~n_procs:1 ~w:10. ~tau:0. in
-  let o = Makespan.Dodin.evaluate s p model11 in
+  let o = Tutil.Reference.dodin s p model11 in
   Alcotest.(check int) "chain is SP" 0 o.Makespan.Dodin.duplications
 
 let dodin_matches_classic_on_sp () =
   (* fork-join on one processor is series–parallel after serialization *)
   let s = chain_schedule 8 in
   let p = flat_platform ~n_tasks:8 ~n_procs:1 ~w:10. ~tau:0. in
-  let a = Makespan.Dodin.run s p model11 in
-  let b = Makespan.Classic.run s p model11 in
+  let a = Tutil.eval ~backend:Makespan.Engine.Dodin s p model11 in
+  let b = Tutil.eval s p model11 in
   check_close ~eps:1e-3 "mean" (Distribution.Dist.mean b) (Distribution.Dist.mean a);
   check_close ~eps:2e-2 "std" (Distribution.Dist.std b) (Distribution.Dist.std a)
 
@@ -211,7 +215,7 @@ let dodin_duplications_iff_not_sp =
   Tutil.qcheck ~count:30 "Dodin duplicates iff the disjunctive network is not SP"
     Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
-      let o = Makespan.Dodin.evaluate sched platform model11 in
+      let o = Tutil.Reference.dodin sched platform model11 in
       let dgraph = Sched.Disjunctive.graph_of sched in
       let network =
         Dag.Series_parallel.of_task_dag dgraph
@@ -226,8 +230,8 @@ let dodin_close_to_classic_general =
   Tutil.qcheck ~count:15 "Dodin ≈ classical on random schedules"
     Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
-      let a = Makespan.Dodin.run sched platform model11 in
-      let b = Makespan.Classic.run sched platform model11 in
+      let a = Tutil.eval ~backend:Makespan.Engine.Dodin sched platform model11 in
+      let b = Tutil.eval sched platform model11 in
       match (Distribution.Dist.is_const a, Distribution.Dist.is_const b) with
       | true, true -> true
       | false, false ->
@@ -257,7 +261,7 @@ let bounds_upper_is_classical () =
   let s = chain_schedule 5 in
   let p = flat_platform ~n_tasks:5 ~n_procs:1 ~w:10. ~tau:0. in
   let b = Makespan.Bounds.run s p model11 in
-  let c = Makespan.Classic.run s p model11 in
+  let c = Tutil.eval s p model11 in
   check_close ~eps:1e-6 "same mean" (Distribution.Dist.mean c)
     (Distribution.Dist.mean b.Makespan.Bounds.upper)
 
@@ -273,7 +277,7 @@ let bounds_coincide_on_chain () =
     (Distribution.Dist.std b.Makespan.Bounds.lower)
     (Distribution.Dist.std b.Makespan.Bounds.upper)
 
-(* --- Eval umbrella --- *)
+(* --- Analytic backends through the engine --- *)
 
 let eval_dispatches () =
   let g = Workloads.Cholesky.generate ~tiles:3 () in
@@ -281,29 +285,33 @@ let eval_dispatches () =
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:2 () in
   let s = Sched.Heft.schedule g p in
   List.iter
-    (fun m ->
-      let d = Makespan.Eval.distribution ~method_:m s p model11 in
+    (fun backend ->
+      let d = Tutil.eval ~backend s p model11 in
       Alcotest.(check bool)
-        (Makespan.Eval.method_name m ^ " positive mean")
+        (Makespan.Engine.backend_name backend ^ " positive mean")
         true
         (Distribution.Dist.mean d > 0.))
-    Makespan.Eval.all_methods
+    Makespan.Engine.analytic_backends
 
 let eval_method_names () =
   Alcotest.(check (list string)) "names" [ "classical"; "dodin"; "spelde" ]
-    (List.map Makespan.Eval.method_name Makespan.Eval.all_methods)
+    (List.map Makespan.Engine.backend_name Makespan.Engine.analytic_backends)
 
+(* the §V comparison: every analytic backend against Monte Carlo *)
 let compare_methods_reports_all () =
-  let g = Workloads.Cholesky.generate ~tiles:3 () in
-  let rng = Tutil.rng_of_seed 9 in
-  let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:2 () in
-  let s = Sched.Heft.schedule g p in
-  let rows = Makespan.Eval.compare_methods ~rng ~mc_count:3000 s p model11 in
-  Alcotest.(check int) "three rows" 3 (List.length rows);
+  let case =
+    Experiments.Case.make ~kind:Experiments.Case.Cholesky ~n_target:10 ~n_procs:2 ~ul:1.1 ()
+  in
+  let rows =
+    Experiments.Intext.methods_vs_mc ~scale:Experiments.Scale.smoke ~cases:[ case ] ()
+  in
+  Alcotest.(check (list string)) "one row per backend" [ "classical"; "dodin"; "spelde" ]
+    (List.map (fun r -> r.Experiments.Intext.method_name) rows);
   List.iter
-    (fun (_, ks, cm) ->
-      Alcotest.(check bool) "ks in [0,1]" true (ks >= 0. && ks <= 1.);
-      Alcotest.(check bool) "cm >= 0" true (cm >= 0.))
+    (fun r ->
+      Alcotest.(check bool) "ks in [0,1]" true
+        (r.Experiments.Intext.ks >= 0. && r.Experiments.Intext.ks <= 1.);
+      Alcotest.(check bool) "cm >= 0" true (r.Experiments.Intext.cm >= 0.))
     rows
 
 let () =

@@ -58,17 +58,18 @@ let labels_and_to_array_align () =
   check_close "slack position" 5. a.(3);
   check_close "slack std position" 2. a.(4)
 
-let of_schedule_methods_agree () =
+let of_engine_backends_agree () =
   let g = Workloads.Cholesky.generate ~tiles:3 () in
   let rng = Tutil.rng_of_seed 1 in
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:10 ~n_procs:2 () in
   let model = Workloads.Stochastify.make ~ul:1.1 () in
   let s = Sched.Heft.schedule g p in
-  let a = Metrics.Robustness.of_schedule ~method_:`Classical s p model in
-  let b = Metrics.Robustness.of_schedule ~method_:`Spelde s p model in
+  let engine = Makespan.Engine.create ~graph:g ~platform:p ~model in
+  let a = Metrics.Robustness.of_engine ~backend:Makespan.Engine.Classical engine s in
+  let b = Metrics.Robustness.of_engine ~backend:Makespan.Engine.Spelde engine s in
   check_close ~eps:5e-3 "means agree" a.Metrics.Robustness.expected_makespan
     b.Metrics.Robustness.expected_makespan;
-  (* slack identical regardless of distribution method *)
+  (* slack identical regardless of the distribution backend *)
   check_close "slack same" a.Metrics.Robustness.avg_slack b.Metrics.Robustness.avg_slack
 
 let inversion_flips_the_right_metrics () =
@@ -131,18 +132,23 @@ let narrower_distribution_is_more_robust () =
   Alcotest.(check bool) "rel prob" true
     (mt.Metrics.Robustness.prob_relative > ml.Metrics.Robustness.prob_relative)
 
+let of_fresh_engine sched platform model =
+  Metrics.Robustness.of_engine
+    (Makespan.Engine.create ~graph:sched.Sched.Schedule.graph ~platform ~model)
+    sched
+
 let lateness_nonnegative =
   Tutil.qcheck ~count:30 "lateness >= 0 for any schedule" Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
       let model = Workloads.Stochastify.make ~ul:1.2 () in
-      let m = Metrics.Robustness.of_schedule sched platform model in
+      let m = of_fresh_engine sched platform model in
       m.Metrics.Robustness.avg_lateness >= -1e-9)
 
 let probabilistic_metrics_in_unit_interval =
   Tutil.qcheck ~count:30 "A and R lie in [0,1]" Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
       let model = Workloads.Stochastify.make ~ul:1.2 () in
-      let m = Metrics.Robustness.of_schedule sched platform model in
+      let m = of_fresh_engine sched platform model in
       let in01 x = x >= 0. && x <= 1. in
       in01 m.Metrics.Robustness.prob_absolute && in01 m.Metrics.Robustness.prob_relative)
 
@@ -178,7 +184,7 @@ let extended_join_the_cluster () =
   let rows =
     List.map
       (fun s ->
-        let d = Makespan.Classic.run s platform model in
+        let d = Tutil.eval s platform model in
         (Distribution.Dist.std d, Metrics.Extended.compute d))
       scheds
   in
@@ -204,7 +210,7 @@ let () =
           tc "closed forms on normal" `Quick compute_on_normal;
           tc "bad bounds" `Quick compute_rejects_bad_bounds;
           tc "labels/to_array" `Quick labels_and_to_array_align;
-          tc "of_schedule methods" `Quick of_schedule_methods_agree;
+          tc "of_engine backends" `Quick of_engine_backends_agree;
           tc "tight beats loose" `Quick narrower_distribution_is_more_robust;
           lateness_nonnegative;
           probabilistic_metrics_in_unit_interval;

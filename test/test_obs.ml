@@ -169,10 +169,11 @@ let counter_concurrent_sum () =
   with_flags ~metrics:true ~spans:false ~progress:false @@ fun () ->
   let c = Obs.Metrics.counter "test.obs.hits" in
   let chunks = 64 and per_chunk = 500 in
-  Parallel.Pool.run ~domains:4 ~chunks (fun _ ->
-      for _ = 1 to per_chunk do
-        Obs.Metrics.incr c
-      done);
+  Tutil.with_pool 4 (fun pool ->
+      Parallel.Pool.run ~pool ~chunks (fun _ ->
+          for _ = 1 to per_chunk do
+            Obs.Metrics.incr c
+          done));
   let snap = Obs.Metrics.snapshot () in
   match Obs.Metrics.find_counter snap "test.obs.hits" with
   | None -> Alcotest.fail "counter missing from snapshot"
@@ -226,7 +227,8 @@ let histogram_matches_reference =
       let arr = Array.of_list xs in
       let n = Array.length arr in
       (* one chunk per value, so observations land on several shards *)
-      Parallel.Pool.run ~domains ~chunks:n (fun i -> Obs.Metrics.observe h arr.(i));
+      Tutil.with_pool domains (fun pool ->
+          Parallel.Pool.run ~pool ~chunks:n (fun i -> Obs.Metrics.observe h arr.(i)));
       let snap = Obs.Metrics.snapshot () in
       match List.assoc_opt "test.obs.hist" snap.Obs.Metrics.histograms with
       | None -> false
@@ -264,7 +266,8 @@ let trace_export_balanced () =
   for _ = 1 to 5 do
     outer ()
   done;
-  Parallel.Pool.run ~domains:3 ~chunks:12 (fun _ -> ignore (nested_work ()));
+  Tutil.with_pool 3 (fun pool ->
+      Parallel.Pool.run ~pool ~chunks:12 (fun _ -> ignore (nested_work ())));
   let json = Obs.Span.export_chrome () in
   check_valid_json "trace" json;
   let b = count_substring ~sub:{|"ph":"B"|} json

@@ -4,21 +4,25 @@
 let pool_covers_all_chunks () =
   let n = 100 in
   let hit = Array.make n 0 in
-  Parallel.Pool.run ~domains:3 ~chunks:n (fun c -> hit.(c) <- hit.(c) + 1);
+  Tutil.with_pool 3 (fun pool ->
+      Parallel.Pool.run ~pool ~chunks:n (fun c -> hit.(c) <- hit.(c) + 1));
   Array.iteri
     (fun i c -> Alcotest.(check int) (Printf.sprintf "chunk %d once" i) 1 c)
     hit
 
-let pool_zero_chunks () = Parallel.Pool.run ~domains:2 ~chunks:0 (fun _ -> assert false)
+let pool_zero_chunks () =
+  Tutil.with_pool 2 (fun pool -> Parallel.Pool.run ~pool ~chunks:0 (fun _ -> assert false))
 
 let pool_single_domain () =
   let acc = ref 0 in
-  Parallel.Pool.run ~domains:1 ~chunks:10 (fun c -> acc := !acc + c);
+  Tutil.with_pool 1 (fun pool ->
+      Parallel.Pool.run ~pool ~chunks:10 (fun c -> acc := !acc + c));
   Alcotest.(check int) "sum" 45 !acc
 
 let pool_propagates_exception () =
   Alcotest.check_raises "failure" (Failure "boom") (fun () ->
-      Parallel.Pool.run ~domains:2 ~chunks:8 (fun c -> if c = 3 then failwith "boom"))
+      Tutil.with_pool 2 (fun pool ->
+          Parallel.Pool.run ~pool ~chunks:8 (fun c -> if c = 3 then failwith "boom")))
 
 let pool_rejects_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Pool.run: negative chunk count")
@@ -29,11 +33,12 @@ let par_array_matches_sequential =
     QCheck2.Gen.(pair (int_range 0 500) (int_range 1 4))
     (fun (n, domains) ->
       let f i = (i * 37) mod 101 in
-      Parallel.Par_array.init ~domains ~chunk_size:13 n f = Array.init n f)
+      Tutil.with_pool domains (fun pool -> Parallel.Par_array.init ~pool ~chunk_size:13 n f)
+      = Array.init n f)
 
 let par_array_map () =
   let a = Array.init 257 float_of_int in
-  let got = Parallel.Par_array.map ~domains:2 (fun x -> x *. 2.) a in
+  let got = Tutil.with_pool 2 (fun pool -> Parallel.Par_array.map ~pool (fun x -> x *. 2.) a) in
   Alcotest.(check bool) "doubles" true (got = Array.map (fun x -> x *. 2.) a)
 
 let par_array_empty () =
@@ -41,8 +46,8 @@ let par_array_empty () =
 
 let par_array_domain_count_irrelevant () =
   let f i = float_of_int (i * i) /. 7. in
-  let one = Parallel.Par_array.init ~domains:1 1000 f in
-  let four = Parallel.Par_array.init ~domains:4 1000 f in
+  let on domains = Tutil.with_pool domains (fun pool -> Parallel.Par_array.init ~pool 1000 f) in
+  let one = on 1 and four = on 4 in
   Alcotest.(check bool) "identical" true (one = four)
 
 let default_domains_positive () =

@@ -51,3 +51,58 @@ let random_scheduled_gen =
   let sched = Sched.Random_sched.generate ~rng ~graph ~n_procs in
   check_valid ~msg:"random_scheduled_gen" sched;
   return (graph, platform, sched)
+
+(* --- Makespan evaluation --- *)
+
+(* One schedule through a fresh engine: the production path. *)
+let eval ?backend sched platform model =
+  Makespan.Engine.eval ?backend
+    (Makespan.Engine.create ~graph:sched.Sched.Schedule.graph ~platform ~model)
+    sched
+
+(* The uncached reference the engine is checked against: the backend
+   cores fed straight from the uncertainty model, with fresh scratch
+   arrays and no memo tables. *)
+module Reference = struct
+  module S = Workloads.Stochastify
+  module Np = Distribution.Normal_pair
+
+  let classical sched platform model =
+    let points = model.S.points and dgraph = Sched.Disjunctive.graph_of sched in
+    let completion =
+      Array.make (Dag.Graph.n_tasks dgraph) (Distribution.Dist.const 0.)
+    in
+    Makespan.Classic.makespan_of_exits ~points dgraph
+      (Makespan.Classic.completion_dists_with ~points ~dgraph ~completion
+         ~task_dist:(S.task_dist model platform) ~comm_dist:(S.comm_dist model platform)
+         sched)
+
+  let dodin sched platform model =
+    Makespan.Dodin.evaluate_with ~points:model.S.points
+      ~dgraph:(Sched.Disjunctive.graph_of sched) ~task_dist:(S.task_dist model platform)
+      ~comm_dist:(S.comm_dist model platform) sched
+
+  let spelde_moments sched platform model =
+    let dgraph = Sched.Disjunctive.graph_of sched in
+    Makespan.Spelde.moments_with ~dgraph
+      ~completion:(Array.make (Dag.Graph.n_tasks dgraph) (Np.const 0.))
+      ~task_moments:(fun ~task ~proc ->
+        Np.make ~mean:(S.task_mean model platform ~task ~proc)
+          ~std:(S.task_std model platform ~task ~proc))
+      ~comm_moments:(fun ~volume ~src ~dst ->
+        Np.make ~mean:(S.comm_mean model platform ~volume ~src ~dst)
+          ~std:(S.comm_std model platform ~volume ~src ~dst))
+      sched
+
+  let eval backend sched platform model =
+    match backend with
+    | Makespan.Engine.Classical -> classical sched platform model
+    | Dodin -> (dodin sched platform model).Makespan.Dodin.dist
+    | Spelde -> Np.to_normal ~points:model.S.points (spelde_moments sched platform model)
+    | Montecarlo _ -> invalid_arg "Tutil.Reference.eval: analytic backends only"
+end
+
+(* [f] on a fresh pool of [domains] domains, shut down afterwards. *)
+let with_pool domains f =
+  let pool = Parallel.Pool.create ~domains () in
+  Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () -> f pool)
