@@ -1,17 +1,13 @@
-(* Benchmark & reproduction harness.
+(* Kernel benchmark harness.
 
-   Running `dune exec bench/main.exe` does two things:
-
-   1. Regenerates every table/figure of the paper (Figs. 1-9 plus the
-      §V/§VII in-text results) at the ambient REPRO_SCALE — defaulting to
-      "smoke" here so the whole run stays in the minutes range; set
-      REPRO_SCALE=small or =full for higher-fidelity sweeps (the `repro`
-      binary defaults to "small").
-
-   2. Times, with Bechamel, one kernel per figure — the computational
-      core that regenerates it — plus the substrate kernels they are
-      built from (FFT convolution, distribution sum/max, Monte-Carlo
-      batches, the scheduling heuristics, series-parallel reduction). *)
+   Running `dune exec bench/main.exe` times, with Bechamel, one kernel
+   per table/figure of the paper — the computational core that
+   regenerates it — plus the substrate kernels they are built from
+   (packed-FFT convolution, distribution sum/max, Monte-Carlo batches,
+   the scheduling heuristics, series-parallel reduction), and writes the
+   BENCH_*.json records to the current directory. REPRO_SCALE (default
+   "smoke" here) only labels the records. The figures themselves are
+   reproduced by `repro all`; `--perf-smoke` is the short CI subset. *)
 
 open Bechamel
 open Toolkit
@@ -21,53 +17,6 @@ let scale =
   match Sys.getenv_opt "REPRO_SCALE" with
   | Some _ -> E.Scale.of_env ()
   | None -> E.Scale.smoke
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: figure reproduction                                          *)
-(* ------------------------------------------------------------------ *)
-
-let reproduce () =
-  let sep title =
-    Printf.printf "\n================ %s ================\n\n%!" title
-  in
-  Printf.printf "Reproduction at scale %S (schedules /%d, Monte-Carlo /%d)\n%!"
-    scale.E.Scale.name scale.E.Scale.schedule_divisor scale.E.Scale.mc_divisor;
-  sep "Fig. 1";
-  print_string (E.Fig1.render (E.Fig1.run ~scale ()));
-  sep "Fig. 2";
-  print_string (E.Fig2.render (E.Fig2.run ~scale ()));
-  sep "Fig. 3";
-  print_string (E.Fig_corr.render (E.Fig_corr.run ~scale E.Fig_corr.fig3));
-  sep "Fig. 4";
-  print_string (E.Fig_corr.render (E.Fig_corr.run ~scale E.Fig_corr.fig4));
-  sep "Fig. 5";
-  print_string (E.Fig_corr.render (E.Fig_corr.run ~scale E.Fig_corr.fig5));
-  sep "Fig. 6 (+ §VII in-text)";
-  let fig6 = E.Fig6.run ~scale () in
-  print_string (E.Fig6.render fig6);
-  print_newline ();
-  print_string (E.Intext.render_rel_prob (E.Intext.rel_prob_vs_std fig6.E.Fig6.results));
-  sep "Fig. 7";
-  print_string (E.Fig7.render (E.Fig7.run ()));
-  sep "Fig. 8";
-  print_string (E.Fig8.render (E.Fig8.run ()));
-  sep "Fig. 9";
-  print_string (E.Fig9.render (E.Fig9.run ()));
-  sep "In-text: evaluation methods vs Monte Carlo";
-  print_string (E.Intext.render_methods (E.Intext.methods_vs_mc ~scale ()));
-  sep "Extensions (§VIII future work)";
-  print_string
-    (E.Ablation.render_correlation (E.Ablation.correlation_under_variable_ul ~scale ()));
-  print_newline ();
-  print_string (E.Ablation.render_shapes (E.Ablation.cluster_under_shapes ~scale ()));
-  print_newline ();
-  print_string (E.Ablation.render_tradeoff (E.Ablation.robust_heft_tradeoff ()));
-  print_newline ();
-  print_string (E.Ablation.render_pareto (E.Ablation.pareto_front_study ~scale ()))
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel kernels                                             *)
-(* ------------------------------------------------------------------ *)
 
 (* shared fixtures, built once *)
 let model = Workloads.Stochastify.make ~ul:1.1 ()
@@ -266,7 +215,7 @@ let substrate_tests =
   [
     Test.make ~name:"substrate:fft-conv-256"
       (let a = Array.init 256 (fun i -> sin (float_of_int i)) in
-       Staged.stage (fun () -> ignore (Numerics.Convolution.fft a a)));
+       Staged.stage (fun () -> ignore (Numerics.Convolution.fft_packed a a)));
     Test.make ~name:"substrate:dist-add"
       (Staged.stage (fun () -> ignore (Distribution.Dist.add u u)));
     Test.make ~name:"substrate:dist-max"
@@ -359,13 +308,6 @@ let dist_tests =
       (Staged.stage (fun () ->
            let w = Lazy.force wide_partial in
            ignore (Distribution.Dist.mean w +. Distribution.Dist.std w)));
-    (* the direct-tier sum (64×64 ≤ the 4096-cell direct cutoff) runs on
-       unboxed floatarray work buffers; this kernel is that tier's
-       end-to-end cost — sample, flat direct convolution, grid rebuild *)
-    Test.make ~name:"dist:add-unboxed"
-      (Staged.stage (fun () ->
-           let u = Lazy.force uncertain in
-           ignore (Distribution.Dist.add u u)));
     (* a 12-sum chain under Moment mode: past depth 8 every further sum
        collapses to the CLT normal (moment arithmetic + one 64-point
        normal sampling) instead of a convolution *)
@@ -466,8 +408,6 @@ let conv_tests =
     Test.make ~name:"conv:direct-512x512"
       (Staged.stage (fun () ->
            Numerics.Convolution.direct_into ~out a512 512 b512 512));
-    Test.make ~name:"conv:fft-512x512"
-      (Staged.stage (fun () -> Numerics.Convolution.fft_into ~out a512 512 b512 512));
     Test.make ~name:"conv:packed-512x512"
       (Staged.stage (fun () ->
            Numerics.Convolution.fft_packed_into ~out a512 512 b512 512));
@@ -756,7 +696,6 @@ let perf_smoke () =
 let () =
   if Array.exists (fun a -> a = "--perf-smoke") Sys.argv then perf_smoke ()
   else begin
-    reproduce ();
     let results = run_benchmarks () in
     write_bench_json results;
     write_obs_json results;

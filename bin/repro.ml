@@ -89,19 +89,10 @@ let moment_depth_arg =
            certified Berry-Esseen error bound carried on every result. Default: exact \
            convolution everywhere (bit-reproducible output).")
 
-let exact_arg =
-  Arg.(
-    value & flag
-    & info [ "exact" ]
-        ~doc:
-          "Force exact sampled convolution, overriding $(b,--moment-depth). This is \
-           already the default; the flag is the explicit escape hatch for scripts that \
-           must pin byte-reproducible output.")
-
-let setup_chain_mode ~exact ~moment_depth =
-  match (exact, moment_depth) with
-  | true, _ | false, None -> Distribution.Dist.set_chain_mode Distribution.Dist.Exact
-  | false, Some k ->
+let setup_chain_mode ~moment_depth =
+  match moment_depth with
+  | None -> Distribution.Dist.set_chain_mode Distribution.Dist.Exact
+  | Some k ->
     if k < 2 then begin
       prerr_endline "repro: --moment-depth must be >= 2";
       Stdlib.exit 2
@@ -245,8 +236,23 @@ let n_arg =
 let procs_arg =
   Arg.(value & opt int 3 & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processor count.")
 
+(* The range the service enforces on a job's "ul" field, checked at parse
+   time so an out-of-range or non-finite UL is a usage error. *)
+let ul_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some ul when E.Case.ul_in_range ul -> Ok ul
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "invalid UL %S: expected a number in [1, %g]" s E.Case.max_ul))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let ul_arg =
-  Arg.(value & opt float 1.1 & info [ "ul" ] ~docv:"UL" ~doc:"Uncertainty level (>= 1).")
+  Arg.(
+    value & opt ul_conv 1.1
+    & info [ "ul" ] ~docv:"UL"
+        ~doc:(Printf.sprintf "Uncertainty level, in [1, %g]." E.Case.max_ul))
 
 let instance kind n procs ul seed =
   E.Case.instantiate
@@ -480,15 +486,15 @@ let eval_cmd =
           document (the byte-identical offline twin of POST /eval).")
     Term.(
       const (fun workload n procs ul seed backend mc_count mc_seed schedules slack
-                 delta gamma emit moment_depth exact ->
-          setup_chain_mode ~exact ~moment_depth;
+                 delta gamma emit moment_depth ->
+          setup_chain_mode ~moment_depth;
           run_eval
             (eval_job workload n procs ul seed backend mc_count mc_seed schedules
                slack delta gamma)
             emit)
       $ case_arg $ n_arg $ procs_arg $ ul_arg $ seed_arg $ backend_arg $ mc_count_arg
       $ mc_seed_arg $ schedules_arg $ slack_arg $ delta_arg $ gamma_arg $ emit_arg
-      $ moment_depth_arg $ exact_arg)
+      $ moment_depth_arg)
 
 let serve_cmd =
   let queue_arg =
@@ -1008,13 +1014,13 @@ let run_all ctx =
 let ctx_term =
   Term.(
     const (fun scale domains seed out verbose trace metrics progress fault
-               moment_depth exact ->
+               moment_depth ->
         setup_logging (List.length verbose);
         if trace <> None then Obs.Span.set_enabled true;
         if metrics <> None then Obs.Metrics.set_enabled true;
         if progress then Obs.Progress.set_enabled true;
         Option.iter (fun spec -> Fault.configure ~spec) fault;
-        setup_chain_mode ~exact ~moment_depth;
+        setup_chain_mode ~moment_depth;
         let pool =
           Option.map
             (fun domains ->
@@ -1025,7 +1031,7 @@ let ctx_term =
         in
         { scale; pool; seed; out; trace; metrics })
     $ scale_arg $ domains_arg $ seed_arg $ out_arg $ verbose_arg $ trace_arg
-    $ metrics_arg $ progress_arg $ fault_arg $ moment_depth_arg $ exact_arg)
+    $ metrics_arg $ progress_arg $ fault_arg $ moment_depth_arg)
 
 (* Telemetry sinks flush once, after the command body: the trace file
    holds every span of the run, the metrics file the merged registry

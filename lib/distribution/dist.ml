@@ -115,14 +115,15 @@ let scratch_c n =
    integrate in two passes over fresh exactly-sized arrays — same
    operation order as the historical map/map/cumulative pipeline, so the
    stored pdf/cdf are bit-identical to it. *)
-let check_grid_args ~lo:_ ~dx ~n =
+let make_grid_n ~lo ~dx ~n src =
   if n < 2 then invalid_arg "Dist: grid needs at least 2 samples";
-  if dx <= 0. || not (Float.is_finite dx) then invalid_arg "Dist: dx must be positive"
-
-(* Normalize an already-clamped, exactly-sized density in place and wrap
-   it — the shared tail of [make_grid_n] and [make_grid_n_fa]. *)
-let finish_grid ~lo ~dx pdf =
-  let n = Array.length pdf in
+  if dx <= 0. || not (Float.is_finite dx) then invalid_arg "Dist: dx must be positive";
+  if Array.length src < n then invalid_arg "Dist: fewer samples than requested";
+  let pdf = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get src i in
+    Array.unsafe_set pdf i (if Float.is_finite v && v > 0. then v else 0.)
+  done;
   let total = Numerics.Integrate.trapezoid_sampled ~dx pdf in
   if total <= 0. then invalid_arg "Dist: density has no mass";
   for i = 0 to n - 1 do
@@ -146,29 +147,6 @@ let finish_grid ~lo ~dx pdf =
     err = 0.;
     rho3 = Atomic.make None;
   }
-
-let make_grid_n ~lo ~dx ~n src =
-  check_grid_args ~lo ~dx ~n;
-  if Array.length src < n then invalid_arg "Dist: fewer samples than requested";
-  let pdf = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let v = Array.unsafe_get src i in
-    Array.unsafe_set pdf i (if Float.is_finite v && v > 0. then v else 0.)
-  done;
-  finish_grid ~lo ~dx pdf
-
-(* Same construction from an unboxed work buffer: identical clamp /
-   normalize / cumulate order, so a kernel may run on either tier and
-   produce the same grid bit-for-bit. *)
-let make_grid_n_fa ~lo ~dx ~n src =
-  check_grid_args ~lo ~dx ~n;
-  if Float.Array.length src < n then invalid_arg "Dist: fewer samples than requested";
-  let pdf = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let v = Float.Array.unsafe_get src i in
-    Array.unsafe_set pdf i (if Float.is_finite v && v > 0. then v else 0.)
-  done;
-  finish_grid ~lo ~dx pdf
 
 let make_grid ~lo ~dx pdf = make_grid_n ~lo ~dx ~n:(Array.length pdf) pdf
 
@@ -443,21 +421,6 @@ let sample_onto_into ~lo ~dx ~n g out =
        else Float.max 0. (Numerics.Spline.eval_walk s cu x))
   done
 
-(* The same cursor walk writing an unboxed buffer — the entry point of
-   the flat kernel tier (values identical to [sample_onto_into]). *)
-let sample_onto_fa ~lo ~dx ~n g out =
-  if Float.Array.length out < n then invalid_arg "Dist: sample buffer too short";
-  let g_hi = grid_hi g in
-  let g_lo = g.lo in
-  let s = grid_spline g in
-  let cu = Numerics.Spline.cursor () in
-  for k = 0 to n - 1 do
-    let x = lo +. (float_of_int k *. dx) in
-    Float.Array.unsafe_set out k
-      (if x < g_lo || x > g_hi then 0.
-       else Float.max 0. (Numerics.Spline.eval_walk s cu x))
-  done
-
 let resample ?(points = default_points) d =
   match d with
   | Const _ -> d
@@ -695,31 +658,15 @@ let add ?(points = default_points) d1 d2 =
             Int.max 2 (int_of_float (Float.ceil (range /. dx -. 1e-9)) + 1)
           in
           let n1 = n_of range1 and n2 = n_of range2 in
-          let small = Int.min n1 n2 and large = Int.max n1 n2 in
+          let p1 = scratch_a n1 and p2 = scratch_b n2 in
+          sample_onto_into ~lo:g1.lo ~dx ~n:n1 g1 p1;
+          sample_onto_into ~lo:g2.lo ~dx ~n:n2 g2 p2;
+          let conv = scratch_c (n1 + n2 - 1) in
           (* f_{X+Y}(z) = ∫ f_X(x) f_Y(z−x) dx ≈ dx · Σ — the dx factor is
              absorbed by make_grid_n's renormalization. *)
-          if small * large <= 4096 then begin
-            (* The sizes [auto_into] would route to the direct kernel run
-               on the unboxed tier instead: flat sampling buffers and the
-               floatarray direct kernel, identical accumulation order, so
-               the resulting grid is bit-for-bit the boxed one. *)
-            let p1 = Flat.scratch_a n1 and p2 = Flat.scratch_b n2 in
-            sample_onto_fa ~lo:g1.lo ~dx ~n:n1 g1 p1;
-            sample_onto_fa ~lo:g2.lo ~dx ~n:n2 g2 p2;
-            let conv = Flat.scratch_c (n1 + n2 - 1) in
-            Numerics.Convolution.direct_into_fa ~out:conv p1 n1 p2 n2;
-            trim ~points
-              (Grid (make_grid_n_fa ~lo:(g1.lo +. g2.lo) ~dx ~n:(n1 + n2 - 1) conv))
-          end
-          else begin
-            let p1 = scratch_a n1 and p2 = scratch_b n2 in
-            sample_onto_into ~lo:g1.lo ~dx ~n:n1 g1 p1;
-            sample_onto_into ~lo:g2.lo ~dx ~n:n2 g2 p2;
-            let conv = scratch_c (n1 + n2 - 1) in
-            Numerics.Convolution.auto_into ~out:conv p1 n1 p2 n2;
-            trim ~points
-              (Grid (make_grid_n ~lo:(g1.lo +. g2.lo) ~dx ~n:(n1 + n2 - 1) conv))
-          end
+          Numerics.Convolution.auto_into ~out:conv p1 n1 p2 n2;
+          trim ~points
+            (Grid (make_grid_n ~lo:(g1.lo +. g2.lo) ~dx ~n:(n1 + n2 - 1) conv))
         end
       in
       retag exact ~depth ~err)

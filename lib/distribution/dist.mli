@@ -138,8 +138,9 @@ val abs_third_central_moment : t -> float
 
 val add : ?points:int -> t -> t -> t
 (** [add d1 d2] is the distribution of [X₁ + X₂] for independent inputs:
-    densities are convolved at a common resolution (direct on unboxed
-    buffers for small sizes, FFT / overlap–add beyond), then resampled
+    densities are convolved at a common resolution by
+    {!Numerics.Convolution.auto_into} (direct for small sizes, packed FFT
+    or overlap–add beyond), then resampled
     to [points]. Under [Moment k] (see {!set_chain_mode}) a sum whose
     combined {!chain_depth} reaches [k] is replaced by its CLT normal
     sampled on μ ± 4σ. *)

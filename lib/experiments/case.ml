@@ -20,9 +20,13 @@ let kind_name = function
 
 let default_procs n = if n < 20 then 3 else if n < 100 then 8 else 16
 
+let max_ul = 100.
+let ul_in_range ul = ul >= 1. && ul <= max_ul
+
 let make ?id ?(seed = 1L) ?n_procs ?paper_schedules ~kind ~n_target ~ul () =
   if n_target <= 0 then invalid_arg "Case.make: n_target must be positive";
-  if ul < 1. then invalid_arg "Case.make: UL must be >= 1";
+  if not (Float.is_finite ul && ul >= 1.) then
+    invalid_arg "Case.make: UL must be finite and >= 1";
   let n_procs = Option.value n_procs ~default:(default_procs n_target) in
   if n_procs <= 0 then invalid_arg "Case.make: n_procs must be positive";
   let paper_schedules =

@@ -16,6 +16,12 @@ type t = {
   paper_schedules : int;  (** random schedules at paper scale *)
 }
 
+val max_ul : float
+(** Largest uncertainty level the CLI and the service accept (100). *)
+
+val ul_in_range : float -> bool
+(** [ul_in_range ul] holds iff [1 ≤ ul ≤ max_ul] (false for NaN). *)
+
 val make :
   ?id:string ->
   ?seed:int64 ->
@@ -28,7 +34,8 @@ val make :
   t
 (** Defaults follow the paper: processors 3/8/16 for ≈10/30/≥100 tasks;
     10 000 random schedules (2 000 when n ≥ 100); id derived from the
-    parameters. *)
+    parameters. Raises [Invalid_argument] unless [n_target] and
+    [n_procs] are positive and [ul] is finite and [>= 1]. *)
 
 type instance = {
   case : t;

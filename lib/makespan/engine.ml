@@ -287,40 +287,42 @@ let check_schedule t sched =
   if Dag.Graph.n_tasks sched.Sched.Schedule.graph <> t.n_tasks then
     invalid_arg "Engine: schedule belongs to a different case (task-count mismatch)"
 
-let completion_dists t ~dgraph sched =
-  Classic.completion_dists_with ~points:t.points ~dgraph
-    ~completion:(scratch_dists t (Dag.Graph.n_tasks dgraph))
-    ~task_dist:(fun ~task ~proc -> task_dist t ~task ~proc)
-    ~comm_dist:(fun ~volume ~src ~dst -> comm_dist t ~volume ~src ~dst)
-    sched
+let task_moments t ~task ~proc =
+  Distribution.Normal_pair.make ~mean:(task_mean t ~task ~proc)
+    ~std:(task_std t ~task ~proc)
 
-let dist_of_backend t ~dgraph backend sched =
+let comm_moments t ~volume ~src ~dst =
+  Distribution.Normal_pair.make ~mean:(comm_mean t ~volume ~src ~dst)
+    ~std:(comm_std t ~volume ~src ~dst)
+
+(* The one full sweep. Classical and Spelde write their per-node state
+   into [completion] and [moments] respectively (the other array is
+   unused): [analyze] passes the engine's domain-local scratch, a session
+   its own arrays, so both run the same bits. *)
+let sweep t backend ~dgraph ~completion ~moments sched =
   match backend with
   | Classical ->
-    Classic.makespan_of_exits ~points:t.points dgraph (completion_dists t ~dgraph sched)
+    Classic.makespan_of_exits ~points:t.points dgraph
+      (Classic.completion_dists_with ~points:t.points ~dgraph ~completion
+         ~task_dist:(task_dist t) ~comm_dist:(comm_dist t) sched)
   | Dodin ->
-    (Dodin.evaluate_with ~points:t.points ~dgraph
-       ~task_dist:(fun ~task ~proc -> task_dist t ~task ~proc)
-       ~comm_dist:(fun ~volume ~src ~dst -> comm_dist t ~volume ~src ~dst)
-       sched)
+    (Dodin.evaluate_with ~points:t.points ~dgraph ~task_dist:(task_dist t)
+       ~comm_dist:(comm_dist t) sched)
       .Dodin.dist
   | Spelde ->
-    let m =
-      Spelde.moments_with ~dgraph
-        ~completion:(scratch_pairs t (Dag.Graph.n_tasks dgraph))
-        ~task_moments:(fun ~task ~proc ->
-          Distribution.Normal_pair.make ~mean:(task_mean t ~task ~proc)
-            ~std:(task_std t ~task ~proc))
-        ~comm_moments:(fun ~volume ~src ~dst ->
-          Distribution.Normal_pair.make ~mean:(comm_mean t ~volume ~src ~dst)
-            ~std:(comm_std t ~volume ~src ~dst))
-        sched
-    in
-    Distribution.Normal_pair.to_normal ~points:t.points m
+    Distribution.Normal_pair.to_normal ~points:t.points
+      (Spelde.moments_with ~dgraph ~completion:moments ~task_moments:(task_moments t)
+         ~comm_moments:(comm_moments t) sched)
   | Montecarlo { count; seed } ->
     let rng = Prng.Xoshiro.create seed in
     Distribution.Empirical.to_dist ~points:t.points
       (Montecarlo.run ~rng ~count sched t.platform t.model)
+
+let sweep_scratch t backend ~dgraph sched =
+  let n = Dag.Graph.n_tasks dgraph in
+  let completion = match backend with Classical -> scratch_dists t n | _ -> [||] in
+  let moments = match backend with Spelde -> scratch_pairs t n | _ -> [||] in
+  sweep t backend ~dgraph ~completion ~moments sched
 
 let count_eval t backend =
   Atomic.incr t.evals;
@@ -332,8 +334,7 @@ let count_eval t backend =
   | Montecarlo _ -> Obs.Metrics.incr m_evals_montecarlo
 
 let eval_dist t backend sched =
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  dist_of_backend t ~dgraph backend sched
+  sweep_scratch t backend ~dgraph:(Sched.Disjunctive.graph_of sched) sched
 
 let eval ?(backend = Classical) t sched =
   check_schedule t sched;
@@ -357,7 +358,7 @@ let slack_of t slack_mode ~dgraph sched =
 
 let analyze_parts t backend slack_mode sched =
   let dgraph = Sched.Disjunctive.graph_of sched in
-  let makespan = dist_of_backend t ~dgraph backend sched in
+  let makespan = sweep_scratch t backend ~dgraph sched in
   let slack = slack_of t slack_mode ~dgraph sched in
   { makespan; slack }
 
@@ -407,39 +408,6 @@ type session = {
   mutable last : evaluation;
 }
 
-let session_task_dist t ~task ~proc = task_dist t ~task ~proc
-let session_comm_dist t ~volume ~src ~dst = comm_dist t ~volume ~src ~dst
-
-let session_task_moments t ~task ~proc =
-  Distribution.Normal_pair.make ~mean:(task_mean t ~task ~proc)
-    ~std:(task_std t ~task ~proc)
-
-let session_comm_moments t ~volume ~src ~dst =
-  Distribution.Normal_pair.make ~mean:(comm_mean t ~volume ~src ~dst)
-    ~std:(comm_std t ~volume ~src ~dst)
-
-(* Full sweep into the session-owned arrays (same bits as the engine's
-   scratch-array sweep in [dist_of_backend]). *)
-let full_makespan t backend ~dgraph ~completion ~moments sched =
-  match backend with
-  | Classical ->
-    ignore
-      (Classic.completion_dists_with ~points:t.points ~dgraph ~completion
-         ~task_dist:(fun ~task ~proc -> session_task_dist t ~task ~proc)
-         ~comm_dist:(fun ~volume ~src ~dst -> session_comm_dist t ~volume ~src ~dst)
-         sched
-        : Distribution.Dist.t array);
-    Classic.makespan_of_exits ~points:t.points dgraph completion
-  | Spelde ->
-    let m =
-      Spelde.moments_with ~dgraph ~completion:moments
-        ~task_moments:(fun ~task ~proc -> session_task_moments t ~task ~proc)
-        ~comm_moments:(fun ~volume ~src ~dst -> session_comm_moments t ~volume ~src ~dst)
-        sched
-    in
-    Distribution.Normal_pair.to_normal ~points:t.points m
-  | (Dodin | Montecarlo _) as backend -> dist_of_backend t ~dgraph backend sched
-
 let start_session ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
   check_schedule t sched;
   count_eval t backend;
@@ -456,7 +424,7 @@ let start_session ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
     | _ -> [||]
   in
   let makespan =
-    full_makespan t backend ~dgraph ~completion:s_completion ~moments:s_moments sched
+    sweep t backend ~dgraph ~completion:s_completion ~moments:s_moments sched
   in
   let slack = slack_of t slack_mode ~dgraph sched in
   {
@@ -558,9 +526,7 @@ let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
             if dirty.(v) then begin
               if not commit then saved := (v, `Dist completion.(v)) :: !saved;
               Classic.update_node ~points:t.points ~dgraph:dgraph'
-                ~task_dist:(fun ~task ~proc -> session_task_dist t ~task ~proc)
-                ~comm_dist:(fun ~volume ~src ~dst -> session_comm_dist t ~volume ~src ~dst)
-                sched' completion v
+                ~task_dist:(task_dist t) ~comm_dist:(comm_dist t) sched' completion v
             end)
           (Dag.Graph.topo_order dgraph');
         Classic.makespan_of_exits ~points:t.points dgraph' completion
@@ -570,11 +536,8 @@ let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
           (fun v ->
             if dirty.(v) then begin
               if not commit then saved := (v, `Pair moments.(v)) :: !saved;
-              Spelde.update_node ~dgraph:dgraph'
-                ~task_moments:(fun ~task ~proc -> session_task_moments t ~task ~proc)
-                ~comm_moments:(fun ~volume ~src ~dst ->
-                  session_comm_moments t ~volume ~src ~dst)
-                sched' moments v
+              Spelde.update_node ~dgraph:dgraph' ~task_moments:(task_moments t)
+                ~comm_moments:(comm_moments t) sched' moments v
             end)
           (Dag.Graph.topo_order dgraph');
         Distribution.Normal_pair.to_normal ~points:t.points
@@ -582,12 +545,12 @@ let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
       | Dodin | Montecarlo _ -> assert false)
     end
     else if commit then
-      full_makespan t session.backend ~dgraph:dgraph' ~completion:session.s_completion
+      sweep t session.backend ~dgraph:dgraph' ~completion:session.s_completion
         ~moments:session.s_moments sched'
     else
       (* keep the session arrays intact: run the fallback through the
          engine's domain-local scratch, exactly like [analyze] *)
-      dist_of_backend t ~dgraph:dgraph' session.backend sched'
+      sweep_scratch t session.backend ~dgraph:dgraph' sched'
   in
   let slack = slack_of t session.slack_mode ~dgraph:dgraph' sched' in
   let ev = { makespan; slack } in

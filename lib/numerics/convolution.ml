@@ -30,27 +30,6 @@ let direct_into ~out a n b m =
       done
   done
 
-(* Unboxed tier: the same direct kernel over [floatarray] prefixes.
-   [floatarray] is guaranteed flat unboxed storage with no per-element
-   tag dispatch, so flambda can keep the inner multiply–add loop in
-   registers and vectorize it. The accumulation order is IDENTICAL to
-   [direct_into] (i-outer, j-inner, zero-skip on [ai]), so results are
-   bit-for-bit equal to the boxed kernel — callers may switch tiers
-   freely without perturbing reproducible outputs. *)
-let direct_into_fa ~out a n b m =
-  if n = 0 || m = 0 then invalid_arg "Convolution.direct: empty input";
-  if Float.Array.length a < n || Float.Array.length b < m then
-    invalid_arg "Convolution.direct_into_fa: prefix longer than operand";
-  Float.Array.fill out 0 (n + m - 1) 0.;
-  for i = 0 to n - 1 do
-    let ai = Float.Array.unsafe_get a i in
-    if ai <> 0. then
-      for j = 0 to m - 1 do
-        Float.Array.unsafe_set out (i + j)
-          (Float.Array.unsafe_get out (i + j) +. (ai *. Float.Array.unsafe_get b j))
-      done
-  done
-
 (* Moment-space fast path for long convolution chains. After enough
    convolutions the partial sum is CLT-normal (the paper's Figs. 7–8:
    ≈5–10 convolutions already look normal), so past a depth threshold
@@ -85,20 +64,14 @@ module Moment_chain = struct
     done
 end
 
-(* Per-domain workspace: transform buffers are reused across calls (one
-   set per power-of-two size, zeroed before use), so the distribution
-   algebra's hot path — thousands of small convolutions per schedule
-   sweep — stops allocating. Domain-local storage keeps parallel
-   evaluation race-free without locks. The FFT operates on whole arrays,
-   so buffers are keyed by their exact (power-of-two) length. *)
-type buffers = {
-  are : float array;
-  aim : float array;
-  bre : float array;
-  bim : float array;
-}
+(* Per-domain workspace: one complex buffer pair per power-of-two
+   transform size, zeroed before use and reused across calls, so the
+   distribution algebra's hot path — thousands of small convolutions per
+   schedule sweep — stops allocating. Domain-local storage keeps parallel
+   evaluation race-free without locks. *)
+type pair = { zre : float array; zim : float array }
 
-let workspace_key : (int, buffers) Hashtbl.t Domain.DLS.key =
+let pair_key : (int, pair) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 (* Workspace growth telemetry: each first-touch of a (domain, size) pair
@@ -106,31 +79,6 @@ let workspace_key : (int, buffers) Hashtbl.t Domain.DLS.key =
    many words, so sweeps can attribute allocation to FFT scratch. *)
 let m_ws_allocs = Obs.Metrics.counter "fft.workspace_allocs"
 let m_ws_words = Obs.Metrics.counter "fft.workspace_words"
-
-let workspace_buffers size =
-  let tbl = Domain.DLS.get workspace_key in
-  match Hashtbl.find_opt tbl size with
-  | Some w ->
-    Array.fill w.are 0 size 0.;
-    Array.fill w.aim 0 size 0.;
-    Array.fill w.bre 0 size 0.;
-    Array.fill w.bim 0 size 0.;
-    w
-  | None ->
-    Obs.Metrics.incr m_ws_allocs;
-    Obs.Metrics.add m_ws_words (4 * size);
-    let w =
-      { are = Array.make size 0.; aim = Array.make size 0.;
-        bre = Array.make size 0.; bim = Array.make size 0. }
-    in
-    Hashtbl.add tbl size w;
-    w
-
-(* Packed-real transforms need only one complex buffer pair per size. *)
-type pair = { zre : float array; zim : float array }
-
-let pair_key : (int, pair) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let pair_buffers size =
   let tbl = Domain.DLS.get pair_key in
@@ -146,31 +94,6 @@ let pair_buffers size =
     Hashtbl.add tbl size w;
     w
 
-let fft_into ~out a n b m =
-  if n = 0 || m = 0 then invalid_arg "Convolution.fft: empty input";
-  let size = Array_ops.next_pow2 (n + m - 1) in
-  let w = workspace_buffers size in
-  let are = w.are and aim = w.aim and bre = w.bre and bim = w.bim in
-  Array.blit a 0 are 0 n;
-  Array.blit b 0 bre 0 m;
-  Fft.forward are aim;
-  Fft.forward bre bim;
-  for i = 0 to size - 1 do
-    let ar = Array.unsafe_get are i and ai = Array.unsafe_get aim i in
-    let br = Array.unsafe_get bre i and bi = Array.unsafe_get bim i in
-    Array.unsafe_set are i ((ar *. br) -. (ai *. bi));
-    Array.unsafe_set aim i ((ar *. bi) +. (ai *. br))
-  done;
-  Fft.inverse are aim;
-  Array.blit are 0 out 0 (n + m - 1)
-
-let fft a b =
-  let n = Array.length a and m = Array.length b in
-  if n = 0 || m = 0 then invalid_arg "Convolution.fft: empty input";
-  let out = Array.make (n + m - 1) 0. in
-  fft_into ~out a n b m;
-  out
-
 (* Packed real convolution: both operands are real, so they travel in one
    complex transform z = a + i·b. By conjugate symmetry of real signals,
    the individual spectra are recovered as
@@ -178,7 +101,7 @@ let fft a b =
    the product spectrum C = A·B is Hermitian (C_{n-k} = conj C_k), and a
    single inverse transform yields the real convolution. One forward
    transform instead of two; bins 0 and n/2 are self-conjugate and purely
-   real. Results differ from {!fft} only in rounding (≪ 1e-9 at the
+   real. Results differ from {!direct} only in rounding (≪ 1e-9 at the
    grid sizes the distribution algebra uses). *)
 let fft_packed_into ~out a n b m =
   if n = 0 || m = 0 then invalid_arg "Convolution.fft_packed: empty input";

@@ -3,9 +3,10 @@
     The distribution algebra computes sums of independent random variables
     by convolving their sampled densities, exactly as the paper's C/GSL
     implementation did. Strategies: a direct O(n·m) form (oracle and
-    small-input fast path), a classic two-transform FFT form, a
-    packed-real single-transform FFT form, and the overlap–add block
-    method the paper names for long signals.
+    small-input fast path), a packed-real single-transform FFT form, and
+    the overlap–add block method the paper names for long signals.
+    {!auto_into} picks one from the operand sizes; it is the only entry
+    point the distribution algebra uses.
 
     The [_into] variants are the zero-allocation hot path: operands are
     read as prefixes ([a] up to [n], [b] up to [m]) of possibly oversized
@@ -20,12 +21,6 @@ val direct : float array -> float array -> float array
 
 val direct_into : out:float array -> float array -> int -> float array -> int -> unit
 (** [direct_into ~out a n b m] is {!direct} on prefixes, into [out]. *)
-
-val direct_into_fa :
-  out:floatarray -> floatarray -> int -> floatarray -> int -> unit
-(** {!direct_into} over unboxed [floatarray] prefixes — guaranteed flat
-    storage the optimizer can vectorize. Same accumulation order as the
-    boxed kernel, so results are bit-for-bit identical. *)
 
 (** Moment-space fast path for deep convolution chains: past a depth
     threshold the partial sum is replaced by its CLT normal (μ and σ²
@@ -48,19 +43,12 @@ module Moment_chain : sig
   (** Sample the normal density on [lo + k·dx], [k < n], into [out]. *)
 end
 
-val fft : float array -> float array -> float array
-(** Same result via zero-padded FFT, one forward transform per operand.
-    O((n+m) log (n+m)). *)
-
-val fft_into : out:float array -> float array -> int -> float array -> int -> unit
-(** [fft_into ~out a n b m] is {!fft} on prefixes, into [out]. *)
-
 val fft_packed : float array -> float array -> float array
 (** Packed-real FFT convolution: both real operands travel in a single
     complex forward transform ([z = a + i·b]), the operand spectra are
     separated by conjugate symmetry, and one inverse transform recovers
-    the product. Half the forward-transform cost of {!fft}; agrees with
-    {!direct} and {!fft} to rounding (≪ 1e-9 on unit-mass densities). *)
+    the product. O((n+m) log (n+m)); agrees with {!direct} to rounding
+    (pinned at 1e-9 in the tests). *)
 
 val fft_packed_into : out:float array -> float array -> int -> float array -> int -> unit
 (** [fft_packed_into ~out a n b m] is {!fft_packed} on prefixes, into [out]. *)
@@ -77,7 +65,9 @@ val overlap_add_into :
     into [out]. *)
 
 val auto : float array -> float array -> float array
-(** Picks a strategy from the input sizes. *)
+(** Picks a strategy from the input sizes: {!direct} when [n·m ≤ 4096],
+    {!overlap_add} (longer operand as the signal) when one operand is
+    more than 8× the other, {!fft_packed} otherwise. *)
 
 val auto_into : out:float array -> float array -> int -> float array -> int -> unit
 (** [auto_into ~out a n b m]: same dispatch as {!auto}, into [out]. *)

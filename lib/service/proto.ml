@@ -277,7 +277,10 @@ let total_schedules specs =
 let job_of_fields j =
   let* workload = Result.bind (field "workload" j) workload_of_json in
   let* ul = Result.bind (field "ul" j) (as_float "ul") in
-  let* () = if ul >= 1. && ul <= 100. then Ok () else Error "ul: out of range [1, 100]" in
+  let* () =
+    if Case.ul_in_range ul then Ok ()
+    else Error (Printf.sprintf "ul: out of range [1, %g]" Case.max_ul)
+  in
   let* backend =
     match opt_field "backend" j with
     | None -> Ok Engine.Classical

@@ -575,7 +575,7 @@ let moment_chain_error_bound () =
 
 (* Toggling Moment on and back off must leave the exact path
    bit-reproducible — this is what keeps campaign CSVs and served bytes
-   stable under the default mode and `--exact`. *)
+   stable under the default mode. *)
 let exact_mode_round_trip_bitwise () =
   let d = Family.uncertain ~ul:1.2 10. in
   let fingerprint () =

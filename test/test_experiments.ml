@@ -69,6 +69,14 @@ let case_instantiate_deterministic () =
   Alcotest.(check bool) "same graph" true
     (Dag.Graph.edges a.Experiments.Case.graph = Dag.Graph.edges b.Experiments.Case.graph)
 
+let case_rejects_bad_ul () =
+  List.iter
+    (fun ul ->
+      match Experiments.Case.make ~kind:Experiments.Case.Cholesky ~n_target:10 ~ul () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "UL %g accepted" ul)
+    [ 0.5; Float.nan; Float.infinity ]
+
 let paper_cases_count () =
   let cases = Experiments.Case.paper_cases () in
   Alcotest.(check int) "24 cases" 24 (List.length cases);
@@ -492,6 +500,7 @@ let () =
           tc "defaults" `Quick case_defaults;
           tc "instantiate sizes" `Quick case_instantiate_sizes;
           tc "deterministic" `Quick case_instantiate_deterministic;
+          tc "rejects bad ul" `Quick case_rejects_bad_ul;
           tc "paper cases" `Quick paper_cases_count;
         ] );
       ( "runner",

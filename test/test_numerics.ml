@@ -99,10 +99,6 @@ let conv_close a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-8 *. Float.max 1. (Float.abs x)) a b
 
-let conv_fft_matches_direct =
-  Tutil.qcheck ~count:100 "fft conv = direct conv" conv_gen (fun (a, b) ->
-      conv_close (Numerics.Convolution.direct a b) (Numerics.Convolution.fft a b))
-
 let conv_overlap_add_matches_direct =
   Tutil.qcheck ~count:100 "overlap-add conv = direct conv" conv_gen (fun (a, b) ->
       conv_close (Numerics.Convolution.direct a b) (Numerics.Convolution.overlap_add a b))
@@ -137,7 +133,11 @@ let conv_packed_matches_direct =
 (* Every strategy against the direct oracle at 1e-9, on operand sizes
    whose padded length n+m−1 straddles a power of two — the boundary
    where the transform plan size, the packed spectrum split, and the
-   overlap-add block count all change. *)
+   overlap-add block count all change — and on pairs straddling [auto]'s
+   dispatch: the n·m ≤ 4096 direct cutoff ((64,64)/(64,65),
+   (512,8)/(513,8)) and the 8× length ratio that selects overlap-add,
+   with either operand the longer ((600,75)/(601,75)/(75,601),
+   (8,513)). *)
 let conv_strategies_agree_at_pow2_boundaries () =
   let close want got =
     Array.length want = Array.length got
@@ -157,13 +157,13 @@ let conv_strategies_agree_at_pow2_boundaries () =
             (Printf.sprintf "%s %dx%d" name n m)
             true
             (close want (f a b)))
-        [ ("fft", Numerics.Convolution.fft);
-          ("packed", Numerics.Convolution.fft_packed);
+        [ ("packed", Numerics.Convolution.fft_packed);
           ("overlap-add", fun a b -> Numerics.Convolution.overlap_add a b);
           ("auto", Numerics.Convolution.auto) ])
     [ (63, 2); (64, 2); (65, 2); (63, 63); (64, 64); (65, 65); (127, 3);
       (128, 3); (129, 3); (127, 127); (128, 128); (129, 129); (255, 2);
-      (256, 2); (257, 64) ]
+      (256, 2); (257, 64); (64, 65); (512, 8); (513, 8); (8, 513); (600, 75);
+      (601, 75); (75, 601) ]
 
 (* The _into forms must equal their allocating counterparts when reading
    prefixes of oversized arenas — the exact calling convention of the
@@ -183,7 +183,6 @@ let conv_into_reads_prefixes () =
       let got = Array.sub out 0 (n + m - 1) in
       Alcotest.(check bool) name true (conv_close want got))
     [ ("direct_into", Numerics.Convolution.direct_into);
-      ("fft_into", Numerics.Convolution.fft_into);
       ("fft_packed_into", Numerics.Convolution.fft_packed_into);
       ("overlap_add_into", fun ~out a n b m ->
         Numerics.Convolution.overlap_add_into ~out a n b m);
@@ -456,7 +455,6 @@ let () =
         ] );
       ( "convolution",
         [
-          conv_fft_matches_direct;
           conv_overlap_add_matches_direct;
           conv_auto_matches_direct;
           conv_packed_matches_direct;
