@@ -543,14 +543,44 @@ let write_obs_json results =
       ("overhead_trace_on_pct", pct_vs "obs:eval-sinks-off" "obs:eval-trace-on");
     ]
 
-(* BENCH_dist.json: the before/after record of the zero-allocation kernel
-   layer. The headline speedup is the committed interleaved A/B probe
-   (seed binary and this binary alternated on the same machine — the only
-   sound protocol on a host with drifting background load); the kernels
-   array and the live eval numbers are re-measured on every run. *)
+(* BENCH_dist.json: the before/after record of the pooled-arena kernel
+   layer. The headline speedup and its allocation twin are the committed
+   interleaved A/B probe (seed binary and this binary alternated on the
+   same machine — the only sound protocol on a host with drifting
+   background load); the kernels array and the live eval numbers are
+   re-measured on every run, stamped with the commit, core count and
+   compiler that produced them. *)
 let seed_baseline_ns_per_schedule = 23_015_611.
 let seed_baseline_minor_words_per_schedule = 4_024_988.
 let after_probe_ns_per_schedule = 11_091_376.
+let after_probe_minor_words_per_schedule = 1_937_340.
+
+(* The checkout this binary was built from, read next to the executable
+   so the bench may run from any directory; "-dirty" marks uncommitted
+   changes, "unknown" a tree without git. Read at startup, before any
+   BENCH file is written. *)
+let build_commit =
+  let dir = Filename.dirname Sys.executable_name in
+  match
+    Unix.open_process_in
+      (Printf.sprintf "git -C %s describe --always --dirty --abbrev=40 2>/dev/null"
+         (Filename.quote dir))
+  with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let line = try input_line ic with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    if line = "" then "unknown" else line
+
+(* Minor words and words allocated straight into the major heap
+   (major − promoted: blocks too large for the minor heap) during [f]. *)
+let allocated f =
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0))
 
 (* live warm-engine classical eval: ns and minor words per schedule on
    the same random30/p8 batch the engine benches use *)
@@ -562,15 +592,16 @@ let measure_live_eval () =
   in
   eval_all ();
   let iters = 5 in
-  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    eval_all ()
-  done;
+  let minor, major =
+    allocated (fun () ->
+        for _ = 1 to iters do
+          eval_all ()
+        done)
+  in
   let dt = Unix.gettimeofday () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
   let per = float_of_int (iters * Array.length scheds) in
-  (dt *. 1e9 /. per, dw /. per)
+  (dt *. 1e9 /. per, minor /. per, major /. per)
 
 (* live warm-session single-move re-evaluation: ns and minor words per
    re-evaluated schedule, same case and protocol as [measure_live_eval]
@@ -582,21 +613,25 @@ let measure_live_reeval () =
   in
   reeval ();
   let iters = 5 * batch_size in
-  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    reeval ()
-  done;
+  let minor, major =
+    allocated (fun () ->
+        for _ = 1 to iters do
+          reeval ()
+        done)
+  in
   let dt = Unix.gettimeofday () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
   let per = float_of_int iters in
-  (dt *. 1e9 /. per, dw /. per)
+  (dt *. 1e9 /. per, minor /. per, major /. per)
 
 let write_dist_json results =
-  let live_ns, live_words = measure_live_eval () in
-  let reeval_ns, reeval_words = measure_live_reeval () in
+  let live_ns, live_words, live_major = measure_live_eval () in
+  let reeval_ns, reeval_words, reeval_major = measure_live_reeval () in
   write_json "BENCH_dist.json"
     [
+      ("commit", J.Str build_commit);
+      ("nproc", J.Num (string_of_int (Domain.recommended_domain_count ())));
+      ("ocaml", J.Str Sys.ocaml_version);
       ("unit", J.Str "ns");
       ( "protocol",
         J.Str
@@ -606,17 +641,20 @@ let write_dist_json results =
       ( "baseline_classical_eval_minor_words_per_schedule",
         fixed 0 seed_baseline_minor_words_per_schedule );
       ("after_classical_eval_ns_per_schedule", fixed 0 after_probe_ns_per_schedule);
-      ("after_classical_eval_minor_words_per_schedule", fixed 0 live_words);
+      ( "after_classical_eval_minor_words_per_schedule",
+        fixed 0 after_probe_minor_words_per_schedule );
       ( "speedup_classical_eval",
         fixed 3 (seed_baseline_ns_per_schedule /. after_probe_ns_per_schedule) );
       ( "minor_alloc_drop_pct",
         fixed 1
-          ((seed_baseline_minor_words_per_schedule -. live_words)
+          ((seed_baseline_minor_words_per_schedule -. after_probe_minor_words_per_schedule)
           /. seed_baseline_minor_words_per_schedule *. 100.) );
       ("live_classical_eval_ns_per_schedule", fixed 0 live_ns);
       ("live_classical_eval_minor_words_per_schedule", fixed 0 live_words);
+      ("live_classical_eval_direct_major_words_per_schedule", fixed 0 live_major);
       ("reeval_1move_ns_per_schedule", fixed 0 reeval_ns);
       ("reeval_1move_minor_words_per_schedule", fixed 0 reeval_words);
+      ("reeval_1move_direct_major_words_per_schedule", fixed 0 reeval_major);
       ( "reeval_speedup_vs_full_eval",
         fixed 2 (if reeval_ns > 0. then live_ns /. reeval_ns else 0.) );
       ( "kernels",

@@ -56,86 +56,83 @@ let current_chain_mode () = Atomic.get chain_mode_cell
 let chain_depth = function Const _ -> 0 | Grid g -> g.depth
 let chain_error_bound = function Const _ -> 0. | Grid g -> g.err
 
-(* Rebuild the wrapper with new chain metadata, sharing the sampled
-   arrays and the lazy caches — no numeric work. *)
-let retag d ~depth ~err =
-  match d with
-  | Const _ -> d
-  | Grid g -> if g.depth = depth && g.err = err then d else Grid { g with depth; err }
-
 let grid_n g = Array.length g.pdf
 let grid_hi g = g.lo +. (g.dx *. float_of_int (grid_n g - 1))
 let grid_xs g = Array.init (grid_n g) (fun i -> g.lo +. (float_of_int i *. g.dx))
 
+(* Per-domain arena for the construction hot path: growable float
+   buffers reused across every sum/max in a sweep, one slot per role.
+   A kernel fills slots, and [finish] turns them into the one grid it
+   allocates; nothing survives a kernel call, so the arena has no
+   lifecycle to manage. The one rule: a kernel never holds a slot across
+   a call that writes it — DESIGN.md §8 lists which slots each kernel
+   holds across which calls. *)
+let slot_op1 = 0 (* first sampled operand; knot abscissas inside [finish] *)
+let slot_op2 = 1 (* second sampled operand; spline second derivatives inside [finish] *)
+let slot_work = 2 (* raw samples handed to [finish], normalized there in place *)
+let slot_cdf = 3 (* [finish]'s intermediate CDF *)
+let slot_solve = 4 (* spline tridiagonal workspace, free again once a fit returns *)
+let slot_out = 5 (* resampled result before its copy into a fresh grid *)
+
+let arena_key : float array array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make 6 [||])
+
+let scratch slot n =
+  let slots = Domain.DLS.get arena_key in
+  let buf = Array.unsafe_get slots slot in
+  if Array.length buf >= n then buf
+  else begin
+    let r = Array.make (Numerics.Array_ops.next_pow2 n) 0. in
+    slots.(slot) <- r;
+    r
+  end
+
+(* The spline keeps [xs] and its second derivatives; the solve's
+   workspace is an arena slot (no kernel holds [slot_solve] across a
+   call that may force a spline). *)
 let grid_spline g =
   match Atomic.get g.spline with
   | Some s -> s
   | None ->
-    let s = Numerics.Spline.fit ~xs:(grid_xs g) ~ys:g.pdf in
+    let n = grid_n g in
+    let s =
+      Numerics.Spline.fit_into ~xs:(grid_xs g) ~ys:g.pdf ~n ~y2:(Array.make n 0.)
+        ~u:(scratch slot_solve n)
+    in
     Atomic.set g.spline (Some s);
     s
 
-(* Per-domain arena for the construction hot path: three growable float
-   buffers (two convolution operands plus one result/sampling target),
-   reused across every sum/max in a sweep. Buffers only ever hold data
-   between a fill and the [make_grid_n] copy a few lines later, so the
-   arena has no lifecycle to manage — each operation overwrites freely. *)
-type arena = {
-  mutable a : float array;
-  mutable b : float array;
-  mutable c : float array;
-}
-
-let arena_key : arena Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { a = [||]; b = [||]; c = [||] })
-
-let grow buf n =
-  if Array.length buf >= n then buf else Array.make (Numerics.Array_ops.next_pow2 n) 0.
-
-let scratch_a n =
-  let s = Domain.DLS.get arena_key in
-  let r = grow s.a n in
-  s.a <- r;
-  r
-
-let scratch_b n =
-  let s = Domain.DLS.get arena_key in
-  let r = grow s.b n in
-  s.b <- r;
-  r
-
-let scratch_c n =
-  let s = Domain.DLS.get arena_key in
-  let r = grow s.c n in
-  s.c <- r;
-  r
-
-(* Build a grid from the first [n] cells of [src] (possibly an oversized
-   arena buffer; [src] is read, never kept). Clamp, normalize, and
-   integrate in two passes over fresh exactly-sized arrays — same
-   operation order as the historical map/map/cumulative pipeline, so the
-   stored pdf/cdf are bit-identical to it. *)
-let make_grid_n ~lo ~dx ~n src =
+(* The steps every grid construction shares, over the first [n] cells of
+   possibly oversized buffers. Clamp [src] into [pdf] (the same buffer
+   is fine), normalize it by its trapezoid mass, integrate it into [cdf]
+   — the operation order of the historical map/map/cumulative pipeline,
+   so stored pdf/cdf are bit-identical to it. *)
+let density_into ~dx ~n src ~pdf ~cdf =
   if n < 2 then invalid_arg "Dist: grid needs at least 2 samples";
   if dx <= 0. || not (Float.is_finite dx) then invalid_arg "Dist: dx must be positive";
   if Array.length src < n then invalid_arg "Dist: fewer samples than requested";
-  let pdf = Array.make n 0. in
   for i = 0 to n - 1 do
     let v = Array.unsafe_get src i in
     Array.unsafe_set pdf i (if Float.is_finite v && v > 0. then v else 0.)
   done;
-  let total = Numerics.Integrate.trapezoid_sampled ~dx pdf in
+  let total = Numerics.Integrate.trapezoid_prefix ~dx ~n pdf in
   if total <= 0. then invalid_arg "Dist: density has no mass";
   for i = 0 to n - 1 do
     Array.unsafe_set pdf i (Array.unsafe_get pdf i /. total)
   done;
-  let cdf = Numerics.Integrate.cumulative ~dx pdf in
+  Numerics.Integrate.cumulative_into ~dx ~n pdf cdf;
   (* kill the last-ulp drift so quantile/cdf_at see an exact CDF *)
-  let last = cdf.(n - 1) in
+  let last = Array.unsafe_get cdf (n - 1) in
   if last > 0. then
     for i = 0 to n - 1 do
       Array.unsafe_set cdf i (Float.min 1. (Array.unsafe_get cdf i /. last))
-    done;
+    done
+
+(* A grid from the first [n] cells of [src] ([src] is read, never kept),
+   with the given chain metadata. *)
+let make_grid_n ~depth ~err ~lo ~dx ~n src =
+  let pdf = Array.make n 0. and cdf = Array.make n 0. in
+  density_into ~dx ~n src ~pdf ~cdf;
   {
     lo;
     dx;
@@ -143,12 +140,12 @@ let make_grid_n ~lo ~dx ~n src =
     cdf;
     spline = Atomic.make None;
     atoms = Atomic.make None;
-    depth = 1;
-    err = 0.;
+    depth;
+    err;
     rho3 = Atomic.make None;
   }
 
-let make_grid ~lo ~dx pdf = make_grid_n ~lo ~dx ~n:(Array.length pdf) pdf
+let make_grid ~lo ~dx pdf = make_grid_n ~depth:1 ~err:0. ~lo ~dx ~n:(Array.length pdf) pdf
 
 let const v =
   if not (Float.is_finite v) then invalid_arg "Dist.const: non-finite value";
@@ -180,7 +177,7 @@ let pdf_at d x =
   | Const _ -> invalid_arg "Dist.pdf_at: point mass has no density"
   | Grid g -> grid_pdf_at g x
 
-let grid_cdf_at g x =
+let[@inline] grid_cdf_at g x =
   if x <= g.lo then 0.
   else
     let hi = grid_hi g in
@@ -241,10 +238,10 @@ let integrate_weighted g weight =
    specialized to first-order loops: the closure-based form boxes every
    [weight x] result, so the two moments the sweep reads for every
    schedule row would dominate steady-state allocation. Accumulation
-   order matches [integrate_weighted] exactly — bit-identical values. *)
-let grid_mean g =
-  let n = grid_n g in
-  let lo = g.lo and dx = g.dx and pdf = g.pdf in
+   order matches [integrate_weighted] exactly — bit-identical values.
+   The mean reads bare arrays so [trim_core] can take it of an
+   arena-resident grid. *)
+let mean_of ~lo ~dx ~n pdf =
   let x0 = lo +. (float_of_int 0 *. dx) in
   let x_last = lo +. (float_of_int (n - 1) *. dx) in
   let num = ref (((x0 *. pdf.(0)) +. (x_last *. pdf.(n - 1))) /. 2.) in
@@ -257,6 +254,8 @@ let grid_mean g =
   done;
   let num = !num *. dx and mass = !mass *. dx in
   if mass > 0. then num /. mass else num
+
+let grid_mean g = mean_of ~lo:g.lo ~dx:g.dx ~n:(grid_n g) g.pdf
 
 let grid_var_about m g =
   let n = grid_n g in
@@ -390,9 +389,7 @@ let shift d c =
   match d with
   | Const v -> Const (v +. c)
   | Grid g ->
-    retag
-      (Grid (make_grid ~lo:(g.lo +. c) ~dx:g.dx g.pdf))
-      ~depth:g.depth ~err:g.err
+    Grid (make_grid_n ~depth:g.depth ~err:g.err ~lo:(g.lo +. c) ~dx:g.dx ~n:(grid_n g) g.pdf)
 
 let scale d c =
   if c <= 0. then invalid_arg "Dist.scale: factor must be positive";
@@ -400,26 +397,18 @@ let scale d c =
   | Const v -> Const (v *. c)
   | Grid g ->
     let pdf = Array.map (fun p -> p /. c) g.pdf in
-    retag
-      (Grid (make_grid ~lo:(g.lo *. c) ~dx:(g.dx *. c) pdf))
-      ~depth:g.depth ~err:g.err
+    Grid
+      (make_grid_n ~depth:g.depth ~err:g.err ~lo:(g.lo *. c) ~dx:(g.dx *. c)
+         ~n:(grid_n g) pdf)
 
-(* Sample grid [g]'s density at [lo + k·dx] for k < n into [out], zero
-   outside the support of [g]. The query points are increasing, so a
-   spline cursor walk replaces the per-point binary search (bit-identical
-   values, see {!Numerics.Spline.eval_walk}). *)
-let sample_onto_into ~lo ~dx ~n g out =
-  if Array.length out < n then invalid_arg "Dist: sample buffer too short";
-  let g_hi = grid_hi g in
-  let g_lo = g.lo in
-  let s = grid_spline g in
-  let cu = Numerics.Spline.cursor () in
-  for k = 0 to n - 1 do
-    let x = lo +. (float_of_int k *. dx) in
-    Array.unsafe_set out k
-      (if x < g_lo || x > g_hi then 0.
-       else Float.max 0. (Numerics.Spline.eval_walk s cu x))
-  done
+(* Sample grid [g]'s density at [(lo + k·dx) − shift] for k < n into
+   [out], zero outside the support of [g] — one unboxed batch scan (see
+   {!Numerics.Spline.sample_into}), bit-identical to a cursor walk. *)
+let sample_shifted ~lo ~dx ~shift ~n g out =
+  Numerics.Spline.sample_into (grid_spline g) ~x0:lo ~dx ~shift ~clip_lo:g.lo
+    ~clip_hi:(grid_hi g) ~n out
+
+let sample_onto_into ~lo ~dx ~n g out = sample_shifted ~lo ~dx ~shift:0. ~n g out
 
 let resample ?(points = default_points) d =
   match d with
@@ -428,46 +417,85 @@ let resample ?(points = default_points) d =
     if points < 2 then invalid_arg "Dist.resample: need at least 2 points";
     let hi = grid_hi g in
     let dx = (hi -. g.lo) /. float_of_int (points - 1) in
-    let buf = scratch_c points in
+    let buf = scratch slot_out points in
     sample_onto_into ~lo:g.lo ~dx ~n:points g buf;
-    retag (Grid (make_grid_n ~lo:g.lo ~dx ~n:points buf)) ~depth:g.depth ~err:g.err
+    Grid (make_grid_n ~depth:g.depth ~err:g.err ~lo:g.lo ~dx ~n:points buf)
 
 (* Trim negligible CDF tails, then resample. After repeated sums the
    support grows linearly while σ grows as √k, so without trimming the
-   density would concentrate into a handful of grid cells. *)
-let trim ?(eps = 1e-9) ?(points = default_points) d =
+   density would concentrate into a handful of grid cells.
+
+   [trim_core] works on the bare arrays of a normalized grid — a
+   published one ([owner = Some g], whose lazily cached spline it
+   reuses) or the arena-resident intermediate of [finish] ([owner =
+   None]: the spline is fit on arena slots). Holds [slot_out] while it
+   forces [owner]'s spline. *)
+let trim_core ~eps ~points ~depth ~err ~lo ~dx ~n ~pdf ~cdf ~owner =
+  let i_lo = ref 0 in
+  while !i_lo + 1 < n && Array.unsafe_get cdf (!i_lo + 1) <= eps do
+    incr i_lo
+  done;
+  let i_hi = ref (n - 1) in
+  while !i_hi - 1 > !i_lo && Array.unsafe_get cdf (!i_hi - 1) >= 1. -. eps do
+    decr i_hi
+  done;
+  let t_lo = lo +. (float_of_int !i_lo *. dx) in
+  let t_hi = lo +. (float_of_int !i_hi *. dx) in
+  if t_hi <= t_lo then Const (mean_of ~lo ~dx ~n pdf)
+  else begin
+    let t_dx = (t_hi -. t_lo) /. float_of_int (points - 1) in
+    (* Identity fast path: nothing was cut and the recomputed step lands
+       exactly on the grid's own step, so every sample point is a knot —
+       and a natural cubic spline evaluated at a knot returns the knot
+       ordinate exactly ((x_{i+1}−x)/h = 1 and (x−x_i)/h = 0 are exact
+       divisions, so the cubic terms vanish). The resample would
+       therefore reproduce [pdf] bit-for-bit; feed it straight to
+       [make_grid_n] and skip the spline fit and the scan. *)
+    if !i_lo = 0 && !i_hi = n - 1 && points = n && t_dx = dx && t_lo = lo then
+      Grid (make_grid_n ~depth ~err ~lo:t_lo ~dx:t_dx ~n:points pdf)
+    else begin
+      let out = scratch slot_out points in
+      let s =
+        match owner with
+        | Some g -> grid_spline g
+        | None ->
+          (* the knots [grid_xs] would build, in arena slots *)
+          let xs = scratch slot_op1 n in
+          let kf = ref 0. in
+          for i = 0 to n - 1 do
+            Array.unsafe_set xs i (lo +. (!kf *. dx));
+            kf := !kf +. 1.
+          done;
+          Numerics.Spline.fit_into ~xs ~ys:pdf ~n ~y2:(scratch slot_op2 n)
+            ~u:(scratch slot_solve n)
+      in
+      Numerics.Spline.sample_into s ~x0:t_lo ~dx:t_dx ~shift:0. ~clip_lo:lo
+        ~clip_hi:(lo +. (dx *. float_of_int (n - 1)))
+        ~n:points out;
+      Grid (make_grid_n ~depth ~err ~lo:t_lo ~dx:t_dx ~n:points out)
+    end
+  end
+
+let default_eps = 1e-9
+
+let trim ?(eps = default_eps) ?(points = default_points) d =
   match d with
   | Const _ -> d
   | Grid g ->
-    let n = grid_n g in
-    let i_lo = ref 0 in
-    while !i_lo + 1 < n && g.cdf.(!i_lo + 1) <= eps do
-      incr i_lo
-    done;
-    let i_hi = ref (n - 1) in
-    while !i_hi - 1 > !i_lo && g.cdf.(!i_hi - 1) >= 1. -. eps do
-      decr i_hi
-    done;
-    let lo = g.lo +. (float_of_int !i_lo *. g.dx) in
-    let hi = g.lo +. (float_of_int !i_hi *. g.dx) in
-    if hi <= lo then Const (grid_mean g)
-    else begin
-      let dx = (hi -. lo) /. float_of_int (points - 1) in
-      (* Identity fast path: nothing was cut and the recomputed step
-         lands exactly on the grid's own step, so every sample point is a
-         knot — and a natural cubic spline evaluated at a knot returns
-         the knot ordinate exactly ((x_{i+1}−x)/h = 1 and (x−x_i)/h = 0
-         are exact divisions, so the cubic terms vanish). The resample
-         would therefore reproduce [g.pdf] bit-for-bit; feed it straight
-         to [make_grid_n] and skip the spline fit and the scan. *)
-      if !i_lo = 0 && !i_hi = n - 1 && points = n && dx = g.dx && lo = g.lo
-      then retag (Grid (make_grid_n ~lo ~dx ~n:points g.pdf)) ~depth:g.depth ~err:g.err
-      else begin
-        let buf = scratch_c points in
-        sample_onto_into ~lo ~dx ~n:points g buf;
-        retag (Grid (make_grid_n ~lo ~dx ~n:points buf)) ~depth:g.depth ~err:g.err
-      end
-    end
+    trim_core ~eps ~points ~depth:g.depth ~err:g.err ~lo:g.lo ~dx:g.dx ~n:(grid_n g)
+      ~pdf:g.pdf ~cdf:g.cdf ~owner:(Some g)
+
+(* [trim ~points (Grid (make_grid_n ~lo ~dx ~n work))] without
+   publishing the intermediate grid: [work] (the [slot_work] buffer) is
+   clamped and normalized in place, its CDF goes to [slot_cdf], and the
+   spline fit reuses [slot_op1]/[slot_op2]/[slot_solve] — so the
+   operands sampled there must be consumed before the call. Only the
+   final [points]-sample grid is allocated; same steps in the same order
+   as the published path, hence the same bits. *)
+let finish ~points ~depth ~err ~lo ~dx ~n work =
+  let cdf = scratch slot_cdf n in
+  density_into ~dx ~n work ~pdf:work ~cdf;
+  trim_core ~eps:default_eps ~points ~depth ~err ~lo ~dx ~n ~pdf:work ~cdf ~owner:None
 
 (* Working resolution for a convolution: the finer of the two grids,
    capped so the padded signal stays tractable. *)
@@ -510,72 +538,46 @@ let kp_atoms gn =
     Atomic.set gn.atoms (Some (centers, masses));
     (centers, masses)
 
-let k_point_sum ~points gw gn =
+let k_point_sum ~points ~depth ~err gw gn =
   let centers, masses = kp_atoms gn in
   let k = Array.length masses in
   let lo = gw.lo +. gn.lo and hi = grid_hi gw +. grid_hi gn in
   let dx = (hi -. lo) /. float_of_int (points - 1) in
-  let gw_hi = grid_hi gw in
-  let s = grid_spline gw in
-  let buf = scratch_c points in
+  let buf = scratch slot_work points in
   Array.fill buf 0 points 0.;
-  (* Precompute the sample abscissas once: int→float conversion is much
-     slower than a load on this target, so the atom-outer loop below
-     reads them instead of recomputing lo + j·dx per (atom, cell). *)
-  let xbuf = scratch_a points in
-  for j = 0 to points - 1 do
-    Array.unsafe_set xbuf j (lo +. (float_of_int j *. dx))
-  done;
+  let f = scratch slot_op1 points in
   (* Atom-outer accumulation: per output cell this performs the same
      left-associated sum over atoms 0..k−1 as a cell-outer loop would
      (skipped zero-mass atoms contribute nothing either way), so the
-     result is bit-identical — but the mass, center, and spline cursor
-     are hoisted out of the inner scan, and within an atom the queries
-     x − cᵢ are increasing in j, so every spline lookup stays O(1)
-     amortized off one cursor. *)
+     result is bit-identical — but each atom is one batch scan of [gw]'s
+     density at the increasing queries x − cᵢ. *)
   for i = 0 to k - 1 do
     let mi = Array.unsafe_get masses i in
     if mi > 0. then begin
-      let ci = Array.unsafe_get centers i in
-      let cur = Numerics.Spline.cursor () in
+      sample_shifted ~lo ~dx ~shift:(Array.unsafe_get centers i) ~n:points gw f;
       for j = 0 to points - 1 do
-        let xi = Array.unsafe_get xbuf j -. ci in
-        let f =
-          if xi < gw.lo || xi > gw_hi then 0.
-          else Float.max 0. (Numerics.Spline.eval_walk s cur xi)
-        in
-        Array.unsafe_set buf j (Array.unsafe_get buf j +. (mi *. f))
+        Array.unsafe_set buf j (Array.unsafe_get buf j +. (mi *. Array.unsafe_get f j))
       done
     end
   done;
-  Grid (make_grid_n ~lo ~dx ~n:points buf)
+  finish ~points ~depth ~err ~lo ~dx ~n:points buf
 
 (* Sum of a wide grid [gw] and a narrow one [gn] whose support is below
    the working resolution: convolve [gw] with the two-point surrogate of
    [gn] (atoms at mean ± std, mass ½ each). *)
-let two_point_sum ~points gw gn =
+let two_point_sum ~points ~depth ~err gw gn =
   let mu = grid_mean gn in
   let sigma = sqrt (Float.max 0. (grid_var_about mu gn)) in
   let lo = gw.lo +. gn.lo and hi = grid_hi gw +. grid_hi gn in
   let dx = (hi -. lo) /. float_of_int (points - 1) in
-  let gw_hi = grid_hi gw in
-  let s = grid_spline gw in
-  let c1 = Numerics.Spline.cursor () and c2 = Numerics.Spline.cursor () in
-  let buf = scratch_c points in
+  let f1 = scratch slot_op1 points and f2 = scratch slot_op2 points in
+  sample_shifted ~lo ~dx ~shift:(mu -. sigma) ~n:points gw f1;
+  sample_shifted ~lo ~dx ~shift:(mu +. sigma) ~n:points gw f2;
+  let buf = scratch slot_work points in
   for j = 0 to points - 1 do
-    let x = lo +. (float_of_int j *. dx) in
-    let x1 = x -. (mu -. sigma) and x2 = x -. (mu +. sigma) in
-    let f1 =
-      if x1 < gw.lo || x1 > gw_hi then 0.
-      else Float.max 0. (Numerics.Spline.eval_walk s c1 x1)
-    in
-    let f2 =
-      if x2 < gw.lo || x2 > gw_hi then 0.
-      else Float.max 0. (Numerics.Spline.eval_walk s c2 x2)
-    in
-    buf.(j) <- 0.5 *. (f1 +. f2)
+    Array.unsafe_set buf j (0.5 *. (Array.unsafe_get f1 j +. Array.unsafe_get f2 j))
   done;
-  Grid (make_grid_n ~lo ~dx ~n:points buf)
+  finish ~points ~depth ~err ~lo ~dx ~n:points buf
 
 (* E|X−μ|³ — the Berry–Esseen numerator. Cached on the grid because a
    chained sum re-reads both operands' third moments at every step. *)
@@ -616,10 +618,10 @@ let moment_sum ~points g1 g2 ~depth ~err =
     let std = sqrt var in
     let lo = mu -. (4. *. std) and hi = mu +. (4. *. std) in
     let dx = (hi -. lo) /. float_of_int (points - 1) in
-    let buf = scratch_c points in
+    let buf = scratch slot_work points in
     Numerics.Convolution.Moment_chain.normal_pdf_into ~out:buf ~n:points ~lo ~dx
       ~mean:mu ~std;
-    retag (Grid (make_grid_n ~lo ~dx ~n:points buf)) ~depth ~err:(err +. step)
+    Grid (make_grid_n ~depth ~err:(err +. step) ~lo ~dx ~n:points buf)
   end
 
 let add ?(points = default_points) d1 d2 =
@@ -646,30 +648,23 @@ let add ?(points = default_points) d1 d2 =
          variance — so the convolution becomes the average of two shifted
          copies of the wide density. Errors are O(dx³) in the moments while
          σ² accumulation (the robustness signal) is preserved exactly. *)
-      let exact =
-        if range1 < 2. *. dx then trim ~points (two_point_sum ~points g2 g1)
-        else if range2 < 2. *. dx then trim ~points (two_point_sum ~points g1 g2)
-        else if range1 < (range1 +. range2) /. 16. then
-          trim ~points (k_point_sum ~points g2 g1)
-        else if range2 < (range1 +. range2) /. 16. then
-          trim ~points (k_point_sum ~points g1 g2)
-        else begin
-          let n_of range =
-            Int.max 2 (int_of_float (Float.ceil (range /. dx -. 1e-9)) + 1)
-          in
-          let n1 = n_of range1 and n2 = n_of range2 in
-          let p1 = scratch_a n1 and p2 = scratch_b n2 in
-          sample_onto_into ~lo:g1.lo ~dx ~n:n1 g1 p1;
-          sample_onto_into ~lo:g2.lo ~dx ~n:n2 g2 p2;
-          let conv = scratch_c (n1 + n2 - 1) in
-          (* f_{X+Y}(z) = ∫ f_X(x) f_Y(z−x) dx ≈ dx · Σ — the dx factor is
-             absorbed by make_grid_n's renormalization. *)
-          Numerics.Convolution.auto_into ~out:conv p1 n1 p2 n2;
-          trim ~points
-            (Grid (make_grid_n ~lo:(g1.lo +. g2.lo) ~dx ~n:(n1 + n2 - 1) conv))
-        end
-      in
-      retag exact ~depth ~err)
+      if range1 < 2. *. dx then two_point_sum ~points ~depth ~err g2 g1
+      else if range2 < 2. *. dx then two_point_sum ~points ~depth ~err g1 g2
+      else if range1 < (range1 +. range2) /. 16. then k_point_sum ~points ~depth ~err g2 g1
+      else if range2 < (range1 +. range2) /. 16. then k_point_sum ~points ~depth ~err g1 g2
+      else begin
+        let n_of range = Int.max 2 (int_of_float (Float.ceil (range /. dx -. 1e-9)) + 1) in
+        let n1 = n_of range1 and n2 = n_of range2 in
+        let p1 = scratch slot_op1 n1 and p2 = scratch slot_op2 n2 in
+        sample_onto_into ~lo:g1.lo ~dx ~n:n1 g1 p1;
+        sample_onto_into ~lo:g2.lo ~dx ~n:n2 g2 p2;
+        let conv = scratch slot_work (n1 + n2 - 1) in
+        (* f_{X+Y}(z) = ∫ f_X(x) f_Y(z−x) dx ≈ dx · Σ — the dx factor is
+           absorbed by the renormalization in [finish], which may reuse
+           the operand slots once the convolution has read them. *)
+        Numerics.Convolution.auto_into ~out:conv p1 n1 p2 n2;
+        finish ~points ~depth ~err ~lo:(g1.lo +. g2.lo) ~dx ~n:(n1 + n2 - 1) conv
+      end)
 
 let max_indep ?(points = default_points) d1 d2 =
   match (d1, d2) with
@@ -683,7 +678,7 @@ let max_indep ?(points = default_points) d1 d2 =
          atom is spread over the first cell of the result grid *)
       let mass = grid_cdf_at g a in
       let dx = (hi -. a) /. float_of_int (points - 1) in
-      let buf = scratch_c points in
+      let buf = scratch slot_out points in
       sample_onto_into ~lo:a ~dx ~n:points g buf;
       buf.(0) <- buf.(0) +. (2. *. mass /. dx);
       (* make_grid_n renormalizes; pre-scale the continuous part so that
@@ -692,42 +687,37 @@ let max_indep ?(points = default_points) d1 d2 =
          A maximum is a synchronization point: chain depth resets to 1
          (the CLT argument restarts), the accumulated bound survives
          (Kolmogorov distance is non-expansive under maxima). *)
-      retag (Grid (make_grid_n ~lo:a ~dx ~n:points buf)) ~depth:1 ~err:g.err
+      Grid (make_grid_n ~depth:1 ~err:g.err ~lo:a ~dx ~n:points buf)
     end
   | Grid g1, Grid g2 ->
     let lo = Float.max g1.lo g2.lo in
     let hi = Float.max (grid_hi g1) (grid_hi g2) in
     if hi <= lo then Const lo
     else begin
-      (* fused f₁F₂ + f₂F₁ scan: the query points are increasing, so two
-         spline cursors replace the per-point binary searches while the
-         CDF lookups stay the O(1) linear-interp reads they always were *)
+      (* f₁F₂ + f₂F₁: both densities in one batch scan each, then the
+         O(1) linear-interp CDF reads, inlined so nothing is boxed *)
       let dx = (hi -. lo) /. float_of_int (points - 1) in
-      let hi1 = grid_hi g1 and hi2 = grid_hi g2 in
-      let s1 = grid_spline g1 and s2 = grid_spline g2 in
-      let c1 = Numerics.Spline.cursor () and c2 = Numerics.Spline.cursor () in
-      let buf = scratch_c points in
+      let f1 = scratch slot_op1 points and f2 = scratch slot_op2 points in
+      sample_onto_into ~lo ~dx ~n:points g1 f1;
+      sample_onto_into ~lo ~dx ~n:points g2 f2;
+      let buf = scratch slot_work points in
+      let kf = ref 0. in
       for k = 0 to points - 1 do
-        let x = lo +. (float_of_int k *. dx) in
-        let f1 =
-          if x < g1.lo || x > hi1 then 0.
-          else Float.max 0. (Numerics.Spline.eval_walk s1 c1 x)
-        in
-        let f2 =
-          if x < g2.lo || x > hi2 then 0.
-          else Float.max 0. (Numerics.Spline.eval_walk s2 c2 x)
-        in
-        buf.(k) <- (f1 *. grid_cdf_at g2 x) +. (f2 *. grid_cdf_at g1 x)
+        let x = lo +. (!kf *. dx) in
+        kf := !kf +. 1.;
+        Array.unsafe_set buf k
+          ((Array.unsafe_get f1 k *. grid_cdf_at g2 x)
+          +. (Array.unsafe_get f2 k *. grid_cdf_at g1 x))
       done;
       (* P(max ≤ lo) can be positive when one support starts below the
          other: fold that atom into the first cell as above. Sync point:
          depth resets to 1, operand error bounds add. *)
       let atom = grid_cdf_at g1 lo *. grid_cdf_at g2 lo in
       if atom > 0. then buf.(0) <- buf.(0) +. (2. *. atom /. dx);
-      retag
-        (trim ~points (Grid (make_grid_n ~lo ~dx ~n:points buf)))
-        ~depth:1 ~err:(g1.err +. g2.err)
+      finish ~points ~depth:1 ~err:(g1.err +. g2.err) ~lo ~dx ~n:points buf
     end
+
+let[@inline] min_cdf_at g1 g2 x = Float.min (grid_cdf_at g1 x) (grid_cdf_at g2 x)
 
 let max_comonotone ?(points = default_points) d1 d2 =
   match (d1, d2) with
@@ -743,19 +733,16 @@ let max_comonotone ?(points = default_points) d1 d2 =
       (* density from central differences of F(x) = min(F₁, F₂); CDF-only,
          so neither input spline is ever forced *)
       let dx = (hi -. lo) /. float_of_int (points - 1) in
-      let cdf_at x = Float.min (grid_cdf_at g1 x) (grid_cdf_at g2 x) in
-      let buf = scratch_c points in
+      let buf = scratch slot_work points in
       for k = 0 to points - 1 do
         let x = lo +. (float_of_int k *. dx) in
-        buf.(k) <- (cdf_at (x +. (dx /. 2.)) -. cdf_at (x -. (dx /. 2.))) /. dx
+        buf.(k) <- (min_cdf_at g1 g2 (x +. (dx /. 2.)) -. min_cdf_at g1 g2 (x -. (dx /. 2.))) /. dx
       done;
       (* fold the possible atom at the lower end into the first cell;
          sync point, same chain bookkeeping as [max_indep] *)
-      let atom = cdf_at lo in
+      let atom = min_cdf_at g1 g2 lo in
       if atom > 0. then buf.(0) <- buf.(0) +. (2. *. atom /. dx);
-      retag
-        (trim ~points (Grid (make_grid_n ~lo ~dx ~n:points buf)))
-        ~depth:1 ~err:(g1.err +. g2.err)
+      finish ~points ~depth:1 ~err:(g1.err +. g2.err) ~lo ~dx ~n:points buf
     end
 
 let add_list ?points ds = List.fold_left (fun acc d -> add ?points acc d) (Const 0.) ds

@@ -7,7 +7,13 @@
     grid (64 points by default, as §V found sufficient), cubic-spline
     resampling between operations, Simpson integration for moments.
     Deterministic quantities are carried exactly as {!const} values rather
-    than as degenerate grids. *)
+    than as degenerate grids.
+
+    Allocation: {!add}, {!max_indep} and {!max_comonotone} build every
+    intermediate — sampled operands, the convolution's [n₁+n₂−1]-sample
+    grid, its CDF and the spline that resamples it — in per-domain
+    arena buffers, and allocate only the [points]-sample result (plus,
+    once per operand, its lazily fit spline). *)
 
 type t
 (** A distribution: either an exact point mass or a sampled density. *)
@@ -92,9 +98,10 @@ val resample : ?points:int -> t -> t
 
 val trim : ?eps:float -> ?points:int -> t -> t
 (** Drop CDF tails below [eps] (default 1e-9) and resample onto [points]
-    samples. The sum/max operations apply this internally so that the
-    grid keeps tracking the region that actually carries mass (after many
-    sums the support grows linearly but σ only as √k). *)
+    samples. The sum/max operations apply the same steps internally, to
+    a grid they never publish, so that the grid keeps tracking the region
+    that actually carries mass (after many sums the support grows
+    linearly but σ only as √k). *)
 
 (** {1 Convolution-chain mode}
 
@@ -140,8 +147,8 @@ val add : ?points:int -> t -> t -> t
 (** [add d1 d2] is the distribution of [X₁ + X₂] for independent inputs:
     densities are convolved at a common resolution by
     {!Numerics.Convolution.auto_into} (direct for small sizes, packed FFT
-    or overlap–add beyond), then resampled
-    to [points]. Under [Moment k] (see {!set_chain_mode}) a sum whose
+    or overlap–add beyond), then trimmed and resampled to [points]
+    without publishing the intermediate grid. Under [Moment k] (see {!set_chain_mode}) a sum whose
     combined {!chain_depth} reaches [k] is replaced by its CLT normal
     sampled on μ ± 4σ. *)
 

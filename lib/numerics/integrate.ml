@@ -2,14 +2,16 @@
    distribution construction, so the loops use unsafe accesses — indices
    are bounded by the length checks on entry. *)
 
-let trapezoid_sampled ~dx ys =
-  let n = Array.length ys in
+let trapezoid_prefix ~dx ~n ys =
   if n < 2 then invalid_arg "Integrate.trapezoid_sampled: need >= 2 samples";
+  if Array.length ys < n then invalid_arg "Integrate.trapezoid_prefix: fewer than n samples";
   let s = ref ((ys.(0) +. ys.(n - 1)) /. 2.) in
   for i = 1 to n - 2 do
     s := !s +. Array.unsafe_get ys i
   done;
   !s *. dx
+
+let trapezoid_sampled ~dx ys = trapezoid_prefix ~dx ~n:(Array.length ys) ys
 
 let simpson_sampled ~dx ys =
   let n = Array.length ys in
@@ -40,13 +42,19 @@ let simpson ~f ~a ~b ~n =
   let ys = Array.init (n + 1) (fun i -> f (a +. (float_of_int i *. dx))) in
   simpson_sampled ~dx ys
 
-let cumulative ~dx ys =
-  let n = Array.length ys in
+let cumulative_into ~dx ~n ys out =
   if n < 1 then invalid_arg "Integrate.cumulative: empty input";
-  let out = Array.make n 0. in
+  if Array.length ys < n || Array.length out < n then
+    invalid_arg "Integrate.cumulative_into: buffer shorter than n";
+  Array.unsafe_set out 0 0.;
   for i = 1 to n - 1 do
     Array.unsafe_set out i
       (Array.unsafe_get out (i - 1)
       +. ((Array.unsafe_get ys (i - 1) +. Array.unsafe_get ys i) /. 2. *. dx))
-  done;
+  done
+
+let cumulative ~dx ys =
+  let n = Array.length ys in
+  let out = Array.make (Int.max n 1) 0. in
+  cumulative_into ~dx ~n ys out;
   out

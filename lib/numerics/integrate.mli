@@ -7,6 +7,10 @@
 val trapezoid_sampled : dx:float -> float array -> float
 (** Composite trapezoid rule over uniform samples. Needs >= 2 samples. *)
 
+val trapezoid_prefix : dx:float -> n:int -> float array -> float
+(** {!trapezoid_sampled} over the first [n] samples of a possibly longer
+    buffer; bit-identical to it on an [n]-sample copy. *)
+
 val simpson_sampled : dx:float -> float array -> float
 (** Composite Simpson rule over uniform samples. Needs >= 2 samples. *)
 
@@ -18,3 +22,8 @@ val cumulative : dx:float -> float array -> float array
 (** [cumulative ~dx ys] is the running trapezoid integral: element [i]
     holds the integral of the sampled function from the first sample to
     sample [i] (element 0 is 0). Used to turn a PDF grid into a CDF. *)
+
+val cumulative_into : dx:float -> n:int -> float array -> float array -> unit
+(** [cumulative_into ~dx ~n ys out] writes {!cumulative} of the first [n]
+    samples of [ys] into the first [n] cells of [out], which must not
+    alias [ys]. *)

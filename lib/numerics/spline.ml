@@ -1,4 +1,5 @@
 type t = {
+  n : int; (* knot count: the arrays below may be longer (caller buffers) *)
   xs : float array;
   ys : float array;
   y2 : float array; (* second derivatives at the knots *)
@@ -8,18 +9,20 @@ type t = {
    loops below use unsafe accesses — every index is bounded by [n],
    validated on entry. *)
 
-let fit ~xs ~ys =
-  let n = Array.length xs in
-  if Array.length ys <> n then invalid_arg "Spline.fit: xs/ys length mismatch";
+let fit_into ~xs ~ys ~n ~y2 ~u =
   if n < 2 then invalid_arg "Spline.fit: need at least 2 knots";
+  if Array.length xs < n || Array.length ys < n || Array.length y2 < n || Array.length u < n
+  then invalid_arg "Spline.fit_into: buffer shorter than n";
   for i = 1 to n - 1 do
-    if xs.(i) <= xs.(i - 1) then
+    if Array.unsafe_get xs i <= Array.unsafe_get xs (i - 1) then
       invalid_arg "Spline.fit: knots must be strictly increasing"
   done;
   (* Tridiagonal solve for the natural spline second derivatives
-     (Numerical Recipes §3.3). *)
-  let y2 = Array.make n 0. in
-  let u = Array.make n 0. in
+     (Numerical Recipes §3.3); y2 and u start from the natural boundary
+     zeros whatever the buffers held. *)
+  Array.unsafe_set y2 0 0.;
+  Array.unsafe_set u 0 0.;
+  Array.unsafe_set y2 (n - 1) 0.;
   for i = 1 to n - 2 do
     let x_lo = Array.unsafe_get xs (i - 1)
     and x_mid = Array.unsafe_get xs i
@@ -37,19 +40,31 @@ let fit ~xs ~ys =
     Array.unsafe_set y2 i
       ((Array.unsafe_get y2 i *. Array.unsafe_get y2 (i + 1)) +. Array.unsafe_get u i)
   done;
-  { xs; ys; y2 }
+  { n; xs; ys; y2 }
+
+let fit ~xs ~ys =
+  let n = Array.length xs in
+  if Array.length ys <> n then invalid_arg "Spline.fit: xs/ys length mismatch";
+  fit_into ~xs ~ys ~n ~y2:(Array.make n 0.) ~u:(Array.make n 0.)
 
 let segment t x =
   (* binary search for the knot interval containing x *)
-  let n = Array.length t.xs in
-  let lo = ref 0 and hi = ref (n - 1) in
+  let lo = ref 0 and hi = ref (t.n - 1) in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
     if Array.unsafe_get t.xs mid > x then hi := mid else lo := mid
   done;
   !lo
 
-let eval_at t i x =
+(* Linear advance from segment [s] for a query at or past [xs.(s)]: the
+   largest [i] with [xs.(i) <= x], clamped to [n − 2]. *)
+let[@inline] advance t s x =
+  let xs = t.xs and last = t.n - 2 in
+  let c = ref s in
+  while !c < last && Array.unsafe_get xs (!c + 1) <= x do incr c done;
+  !c
+
+let[@inline] eval_at t i x =
   let xs = t.xs and ys = t.ys and y2 = t.y2 in
   let x_i = Array.unsafe_get xs i and x_i1 = Array.unsafe_get xs (i + 1) in
   let h = x_i1 -. x_i in
@@ -63,11 +78,11 @@ let eval_at t i x =
 
 let eval t x = eval_at t (segment t x) x
 
-(* A walker is a stateful evaluator for query sequences that are mostly
-   increasing (grid resampling scans): it keeps the last segment index
-   and advances linearly, falling back to the binary search only when a
-   query regresses. The segment chosen is identical to [segment]'s — the
-   largest [i] with [xs.(i) <= x], clamped to [n − 2] — so a walker
+(* A cursor serves query sequences that are mostly increasing (grid
+   resampling scans): it keeps the last segment index and advances
+   linearly, falling back to the binary search only when a query
+   regresses. The segment chosen is identical to [segment]'s — the
+   largest [i] with [xs.(i) <= x], clamped to [n − 2] — so a walk
    returns bit-identical values to [eval], just without the O(log n)
    search per point. *)
 type cursor = { mutable seg : int }
@@ -75,26 +90,38 @@ type cursor = { mutable seg : int }
 let cursor () = { seg = 0 }
 
 let eval_walk t cur x =
-  let xs = t.xs in
   let s = cur.seg in
-  let s =
-    if x < Array.unsafe_get xs s then segment t x
-    else begin
-      let n = Array.length xs in
-      let c = ref s in
-      while !c < n - 2 && Array.unsafe_get xs (!c + 1) <= x do incr c done;
-      !c
-    end
-  in
+  let s = if x < Array.unsafe_get t.xs s then segment t x else advance t s x in
   cur.seg <- s;
   eval_at t s x
 
-let walker t =
-  let cur = cursor () in
-  fun x -> eval_walk t cur x
+(* [eval_walk]'s scan over a whole uniform query grid, with the cursor
+   and every intermediate kept in registers: no float is boxed. The
+   abscissa counter is a float ([kf +. 1.] is exact below 2⁵³, so
+   [x0 +. kf *. dx] is the same value as with [float_of_int k]); an
+   int→float conversion per point would carry a false dependency on the
+   previous point's result and serialize the loop. *)
+let sample_into t ~x0 ~dx ~shift ~clip_lo ~clip_hi ~n out =
+  if Array.length out < n then invalid_arg "Spline.sample_into: buffer shorter than n";
+  let xs = t.xs in
+  let seg = ref 0 in
+  let kf = ref 0. in
+  for k = 0 to n - 1 do
+    let x = x0 +. (!kf *. dx) -. shift in
+    kf := !kf +. 1.;
+    if x < clip_lo || x > clip_hi then Array.unsafe_set out k 0.
+    else begin
+      let s = !seg in
+      let s = if x < Array.unsafe_get xs s then segment t x else advance t s x in
+      seg := s;
+      let v = eval_at t s x in
+      (* Float.max 0. v: NaN propagates, −0. becomes 0. *)
+      Array.unsafe_set out k (if v > 0. || v <> v then v else 0.)
+    end
+  done
 
 let eval_clamped t x =
-  let n = Array.length t.xs in
+  let n = t.n in
   if x <= t.xs.(0) then t.ys.(0)
   else if x >= t.xs.(n - 1) then t.ys.(n - 1)
   else eval t x

@@ -11,22 +11,29 @@ let check_tiles tiles =
 let kinds ~tiles =
   check_tiles tiles;
   let acc = ref [] in
-  for k = tiles - 1 downto 0 do
-    let step = ref [] in
-    step := [ Potrf k ];
+  let push x = acc := x :: !acc in
+  for k = 0 to tiles - 1 do
+    push (Potrf k);
     for i = k + 1 to tiles - 1 do
-      step := !step @ [ Trsm (k, i) ]
+      push (Trsm (k, i))
     done;
     for i = k + 1 to tiles - 1 do
       for j = k + 1 to i do
-        step := !step @ [ Update (k, i, j) ]
+        push (Update (k, i, j))
       done
-    done;
-    acc := !step @ !acc
+    done
   done;
-  !acc
+  List.rev !acc
 
-let n_tasks ~tiles = List.length (kinds ~tiles)
+(* Step k of a b-tile factorization holds m(m+1)/2 tasks for m = b − k
+   (1 factor, m − 1 panel solves, m(m − 1)/2 updates), so the steps from
+   k on hold the tetrahedral number tet (b − k) tasks. *)
+let tri a = a * (a + 1) / 2
+let tet m = m * (m + 1) * (m + 2) / 6
+
+let n_tasks ~tiles =
+  check_tiles tiles;
+  tet tiles
 
 let index_table ~tiles =
   let table = Hashtbl.create 64 in
@@ -61,10 +68,30 @@ let generate ~tiles ?(volume = 20.0) () =
   done;
   Dag.Graph.make ~n:(n_tasks ~tiles) ~edges:!edges
 
+(* Closed-form decode of [kinds]' order: a float root estimate, then
+   exact integer correction (at most a step or two either way). *)
 let kind_of ~tiles task =
-  match List.nth_opt (kinds ~tiles) task with
-  | Some k -> k
-  | None -> invalid_arg "Cholesky.kind_of: task out of range"
+  let n = n_tasks ~tiles in
+  if task < 0 || task >= n then invalid_arg "Cholesky.kind_of: task out of range";
+  (* the task lies in the step whose suffix [tet m] first reaches r *)
+  let r = n - task in
+  let m = ref (int_of_float (Float.cbrt (6. *. float_of_int r))) in
+  while tet !m < r do incr m done;
+  while !m > 1 && tet (!m - 1) >= r do decr m done;
+  let m = !m in
+  let k = tiles - m in
+  let l = task - (n - tet m) in
+  if l = 0 then Potrf k
+  else if l < m then Trsm (k, k + l)
+  else begin
+    (* updates row by row: row i = k+1+a starts at tri a *)
+    let u = l - m in
+    let a = ref (int_of_float ((sqrt (float_of_int ((8 * u) + 1)) -. 1.) /. 2.)) in
+    while tri (!a + 1) <= u do incr a done;
+    while tri !a > u do decr a done;
+    let a = !a in
+    Update (k, k + 1 + a, k + 1 + (u - tri a))
+  end
 
 let task_name ~tiles task =
   match kind_of ~tiles task with

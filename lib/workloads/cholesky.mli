@@ -11,9 +11,13 @@ type kind =
   | Trsm of int * int  (** [Trsm (k, i)], [i > k] *)
   | Update of int * int * int  (** [Update (k, i, j)], [k < j <= i] *)
 
+val kinds : tiles:int -> kind list
+(** Every task's role in task-index order: per step [k], [POTRF(k)], then
+    its panel solves, then its trailing updates row by row. *)
+
 val n_tasks : tiles:int -> int
 (** Number of tasks for a [tiles × tiles] tiled matrix:
-    [b + b(b−1)/2 + Σ_k (b−k−1)(b−k)/2]. *)
+    [b + b(b−1)/2 + Σ_k (b−k−1)(b−k)/2 = b(b+1)(b+2)/6], in O(1). *)
 
 val generate : tiles:int -> ?volume:float -> unit -> Dag.Graph.t
 (** [generate ~tiles ()] builds the DAG; every edge carries the uniform
@@ -21,7 +25,8 @@ val generate : tiles:int -> ?volume:float -> unit -> Dag.Graph.t
     time scale when computation costs are a few tens). *)
 
 val kind_of : tiles:int -> Dag.Graph.task -> kind
-(** Decode a task index back to its algebraic role. *)
+(** Decode a task index back to its algebraic role, in O(1). Raises
+    [Invalid_argument] on an index outside [\[0, n_tasks ~tiles)]. *)
 
 val task_name : tiles:int -> Dag.Graph.task -> string
 (** Human-readable name, e.g. ["POTRF(1)"], ["GEMM(0,2,1)"]. *)

@@ -407,6 +407,60 @@ let runner_pool_size_independent () =
         row)
     a.Experiments.Runner.rows
 
+(* --- frozen evaluator goldens --- *)
+
+(* The fixtures under golden/engine__*.txt hold the %h bits of E(M) and
+   σ(M) from [analyze] on HEFT plus seven random schedules per case, as
+   computed before the distribution kernels were made allocation-free.
+   Every kernel rewrite must replay them bit for bit. *)
+let engine_golden_cases =
+  let module C = Experiments.Case in
+  [
+    ("random30", C.make ~kind:C.Random_graph ~n_target:30 ~n_procs:8 ~ul:1.1 ~seed:1L ());
+    ("chol10", C.make ~kind:C.Cholesky ~n_target:10 ~n_procs:3 ~ul:1.1 ~seed:1L ());
+    ("ge104", C.make ~kind:C.Gauss_elim ~n_target:104 ~n_procs:16 ~ul:1.1 ~seed:1L ());
+  ]
+
+let engine_golden_runs =
+  let open Makespan.Engine in
+  List.concat_map
+    (fun (cname, _) ->
+      [ ("classical", Classical, cname, Distribution.Dist.Exact); ("dodin", Dodin, cname, Exact) ])
+    engine_golden_cases
+  @ [ ("classical-moment2", Classical, "random30", Distribution.Dist.Moment 2) ]
+
+let render_engine_golden backend mode (case : Experiments.Case.t) =
+  let inst = Experiments.Case.instantiate case in
+  let graph = inst.Experiments.Case.graph and platform = inst.Experiments.Case.platform in
+  let engine = Makespan.Engine.create ~graph ~platform ~model:inst.Experiments.Case.model in
+  let rng = Prng.Xoshiro.create 7L in
+  let scheds =
+    ("heft", Sched.Heft.schedule graph platform)
+    :: List.init 7 (fun i ->
+           ( Printf.sprintf "random%d" i,
+             Sched.Random_sched.generate ~rng ~graph ~n_procs:case.Experiments.Case.n_procs ))
+  in
+  Distribution.Dist.set_chain_mode mode;
+  Fun.protect
+    ~finally:(fun () -> Distribution.Dist.set_chain_mode Distribution.Dist.Exact)
+    (fun () ->
+      String.concat ""
+        (List.map
+           (fun (name, s) ->
+             let m = (Makespan.Engine.analyze ~backend engine s).Makespan.Engine.makespan in
+             Printf.sprintf "%s %h %h\n" name (Distribution.Dist.mean m)
+               (Distribution.Dist.std m))
+           scheds))
+
+let engine_golden_replay () =
+  List.iter
+    (fun (bname, backend, cname, mode) ->
+      let label = Printf.sprintf "engine__%s__%s" bname cname in
+      let expected = Tutil.read_file (Filename.concat (Tutil.golden_dir ()) (label ^ ".txt")) in
+      Alcotest.(check string) label expected
+        (render_engine_golden backend mode (List.assoc cname engine_golden_cases)))
+    engine_golden_runs
+
 let () =
   Alcotest.run "engine"
     [
@@ -446,6 +500,10 @@ let () =
             reset_stats_clears_reeval_counters;
           Alcotest.test_case "1-move reeval allocation bound" `Slow
             reeval_allocation_bound;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "frozen E(M)/σ(M) bits" `Quick engine_golden_replay;
         ] );
       ( "runner",
         [

@@ -202,32 +202,88 @@ let spline_interpolates_knots =
       let s = Numerics.Spline.fit ~xs ~ys in
       Array.for_all2 (fun x y -> Float.abs (Numerics.Spline.eval s x -. y) < 1e-9) xs ys)
 
+(* Random knots, plus the same spline fit by [fit_into] on oversized
+   buffers pre-filled with garbage: both must evaluate identically. *)
+let random_splines rng n =
+  let xs = Array.init n (fun i -> float_of_int i +. Prng.Sampler.uniform rng ~lo:0. ~hi:0.5) in
+  let ys = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3.) in
+  let pad = 1 + Prng.Xoshiro.int rng 7 in
+  let junk () = Array.init (n + pad) (fun _ -> Prng.Sampler.uniform rng ~lo:(-9.) ~hi:9.) in
+  let big_xs = junk () and big_ys = junk () in
+  Array.blit xs 0 big_xs 0 n;
+  Array.blit ys 0 big_ys 0 n;
+  let s = Numerics.Spline.fit ~xs ~ys in
+  let s_into =
+    Numerics.Spline.fit_into ~xs:big_xs ~ys:big_ys ~n ~y2:(junk ()) ~u:(junk ())
+  in
+  (s, s_into)
+
+let bits = Int64.bits_of_float
+
 let spline_walk_matches_eval =
-  Tutil.qcheck ~count:100 "cursor walk = eval bitwise"
+  Tutil.qcheck ~count:100 "cursor walk = eval bitwise (fit and fit_into)"
     QCheck2.Gen.(pair (int_range 2 30) (int_range 0 100000))
     (fun (n, seed) ->
       let rng = Tutil.rng_of_seed seed in
-      let xs =
-        Array.init n (fun i -> float_of_int i +. Prng.Sampler.uniform rng ~lo:0. ~hi:0.5)
-      in
-      let ys = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3.) in
-      let s = Numerics.Spline.fit ~xs ~ys in
-      let cur = Numerics.Spline.cursor () in
+      let s, s_into = random_splines rng n in
+      let cur = Numerics.Spline.cursor () and cur_into = Numerics.Spline.cursor () in
       (* mostly-increasing scan with deliberate regressions: both the
          linear-advance and the fallback-search paths must match [eval]
-         bit for bit *)
+         bit for bit, on either fit *)
       let ok = ref true in
       for k = 0 to 199 do
         let x =
           if k mod 13 = 0 then Prng.Sampler.uniform rng ~lo:(-1.) ~hi:(float_of_int n)
           else (float_of_int k /. 200. *. float_of_int n) -. 0.5
         in
+        let e = bits (Numerics.Spline.eval s x) in
         if
-          Int64.bits_of_float (Numerics.Spline.eval_walk s cur x)
-          <> Int64.bits_of_float (Numerics.Spline.eval s x)
+          bits (Numerics.Spline.eval_walk s cur x) <> e
+          || bits (Numerics.Spline.eval_walk s_into cur_into x) <> e
+          || bits (Numerics.Spline.eval s_into x) <> e
         then ok := false
       done;
       !ok)
+
+(* The batch sampler against the boxed cursor loop it replaces: random
+   knots and shifts, clip windows that are empty, partial or cover the
+   whole scan, n down to 1, on oversized output buffers. *)
+let spline_sample_into_matches_walk =
+  Tutil.qcheck ~count:200 "sample_into = eval_walk scan bitwise"
+    QCheck2.Gen.(triple (int_range 2 30) (int_range 1 80) (int_range 0 100000))
+    (fun (knots, n, seed) ->
+      let rng = Tutil.rng_of_seed seed in
+      let s, s_into = random_splines rng knots in
+      let span = float_of_int knots in
+      let x0 = Prng.Sampler.uniform rng ~lo:(-2.) ~hi:span in
+      let dx = Prng.Sampler.uniform rng ~lo:0.01 ~hi:(2. *. span /. float_of_int n) in
+      let shift = Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3. in
+      let clip_lo, clip_hi =
+        match seed mod 4 with
+        | 0 -> (1., 0.) (* empty *)
+        | 1 -> (Float.neg_infinity, Float.infinity) (* full *)
+        | 2 -> (0., span -. 1.) (* the knot range *)
+        | _ ->
+          let a = Prng.Sampler.uniform rng ~lo:(-1.) ~hi:span in
+          (a, a +. Prng.Sampler.uniform rng ~lo:0. ~hi:span)
+      in
+      List.for_all
+        (fun s ->
+          let out = Array.make (n + 3) Float.nan in
+          Numerics.Spline.sample_into s ~x0 ~dx ~shift ~clip_lo ~clip_hi ~n out;
+          let cur = Numerics.Spline.cursor () in
+          let ok = ref true in
+          for k = 0 to n - 1 do
+            let x = x0 +. (float_of_int k *. dx) -. shift in
+            let want =
+              if x < clip_lo || x > clip_hi then 0.
+              else Float.max 0. (Numerics.Spline.eval_walk s cur x)
+            in
+            if bits out.(k) <> bits want then ok := false
+          done;
+          (* cells past n are left alone *)
+          !ok && Float.is_nan out.(n))
+        [ s; s_into ])
 
 let spline_exact_on_lines =
   Tutil.qcheck ~count:50 "spline reproduces straight lines"
@@ -468,6 +524,7 @@ let () =
         [
           spline_interpolates_knots;
           spline_walk_matches_eval;
+          spline_sample_into_matches_walk;
           spline_exact_on_lines;
           tc "smooth accuracy" `Quick spline_smooth_function_accuracy;
           tc "clamped" `Quick spline_clamped_outside;

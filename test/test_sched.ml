@@ -564,17 +564,6 @@ let golden_heuristics =
     ("bmct", Sched.Bmct.schedule);
   ]
 
-(* dune runtest runs with cwd = test/; dune exec from the root *)
-let golden_dir () =
-  if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let golden_equivalence () =
   List.iter
     (fun (cname, case) ->
@@ -584,7 +573,7 @@ let golden_equivalence () =
           let label = hname ^ "__" ^ cname in
           let s = h inst.Experiments.Case.graph inst.Experiments.Case.platform in
           Tutil.check_valid ~msg:label s;
-          let expected = read_file (Filename.concat (golden_dir ()) (label ^ ".txt")) in
+          let expected = Tutil.read_file (Filename.concat (Tutil.golden_dir ()) (label ^ ".txt")) in
           Alcotest.(check string) label expected (Sched.Schedule.to_string s))
         golden_heuristics)
     golden_cases

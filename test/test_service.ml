@@ -382,8 +382,18 @@ let server_shards_by_key () =
 (* Drain with N workers: draining rejections are counted and visible,
    queued jobs across every shard are cancelled. *)
 let server_drain_with_workers () =
+  (* The loop below submits until drain mode answers. Admission takes
+     well under a millisecond, so a loaded host could fill a 64-job shard
+     queue before the stopper domain flips to draining and answer the
+     "queue full" 503 instead (backpressure has its own test): the queue
+     here is unbounded in practice. *)
   let config =
-    { Server.default_config with Server.auto_worker = false; workers = 3 }
+    {
+      Server.default_config with
+      Server.auto_worker = false;
+      workers = 3;
+      queue_capacity = 1_000_000;
+    }
   in
   let t = Server.start config in
   let c = Client.connect ~port:(Server.port t) () in

@@ -64,6 +64,21 @@ let cholesky_task_counts () =
         (Workloads.Cholesky.n_tasks ~tiles))
     [ (1, 1); (2, 4); (3, 10); (4, 20); (5, 35) ]
 
+(* The closed-form count and decode agree with the explicit task list
+   over every size Case.instantiate searches. *)
+let cholesky_closed_form_matches_kinds () =
+  for tiles = 1 to 40 do
+    let kinds = Array.of_list (Workloads.Cholesky.kinds ~tiles) in
+    Alcotest.(check int)
+      (Printf.sprintf "n_tasks tiles %d" tiles)
+      (Array.length kinds) (Workloads.Cholesky.n_tasks ~tiles);
+    Array.iteri
+      (fun t k ->
+        if Workloads.Cholesky.kind_of ~tiles t <> k then
+          Alcotest.failf "kind_of ~tiles:%d %d disagrees with kinds" tiles t)
+      kinds
+  done
+
 let cholesky_graph_matches_count =
   Tutil.qcheck ~count:10 "generate size = n_tasks" QCheck2.Gen.(int_range 1 8) (fun tiles ->
       Dag.Graph.n_tasks (Workloads.Cholesky.generate ~tiles ())
@@ -364,6 +379,7 @@ let () =
       ( "cholesky",
         [
           tc "task counts" `Quick cholesky_task_counts;
+          tc "closed form = kinds (1..40)" `Quick cholesky_closed_form_matches_kinds;
           cholesky_graph_matches_count;
           tc "b=3 structure" `Quick cholesky_structure_b3;
           tc "critical depth" `Quick cholesky_critical_path_depth;

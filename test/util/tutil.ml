@@ -106,3 +106,15 @@ end
 let with_pool domains f =
   let pool = Parallel.Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () -> f pool)
+
+(* Frozen fixtures: dune runtest runs with cwd = test/, dune exec from
+   the root. *)
+let golden_dir () =
+  if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
