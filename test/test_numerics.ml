@@ -221,7 +221,7 @@ let random_splines rng n =
 let bits = Int64.bits_of_float
 
 let spline_walk_matches_eval =
-  Tutil.qcheck ~count:100 "cursor walk = eval bitwise (fit and fit_into)"
+  Tutil.qcheck ~count:100 "cursor walk = eval bitwise"
     QCheck2.Gen.(pair (int_range 2 30) (int_range 0 100000))
     (fun (n, seed) ->
       let rng = Tutil.rng_of_seed seed in
