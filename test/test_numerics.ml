@@ -203,10 +203,12 @@ let spline_interpolates_knots =
       Array.for_all2 (fun x y -> Float.abs (Numerics.Spline.eval s x -. y) < 1e-9) xs ys)
 
 (* Random knots, plus the same spline fit by [fit_into] on oversized
-   buffers pre-filled with garbage: both must evaluate identically. *)
-let random_splines rng n =
+   buffers pre-filled with garbage: both must evaluate identically.
+   [poison] puts a NaN ordinate on one knot. *)
+let random_splines ?(poison = false) rng n =
   let xs = Array.init n (fun i -> float_of_int i +. Prng.Sampler.uniform rng ~lo:0. ~hi:0.5) in
   let ys = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3.) in
+  if poison then ys.(Prng.Xoshiro.int rng n) <- Float.nan;
   let pad = 1 + Prng.Xoshiro.int rng 7 in
   let junk () = Array.init (n + pad) (fun _ -> Prng.Sampler.uniform rng ~lo:(-9.) ~hi:9.) in
   let big_xs = junk () and big_ys = junk () in
@@ -246,23 +248,26 @@ let spline_walk_matches_eval =
       !ok)
 
 (* The batch sampler against the boxed cursor loop it replaces: random
-   knots and shifts, clip windows that are empty, partial or cover the
-   whole scan, n down to 1, on oversized output buffers. *)
+   knots and shifts, clip windows that are empty, partial, cover the
+   whole scan or end exactly on its first and last abscissas, NaN
+   ordinates ([Float.max 0.] propagates them), n down to 1, on oversized
+   output buffers. *)
 let spline_sample_into_matches_walk =
   Tutil.qcheck ~count:200 "sample_into = eval_walk scan bitwise"
     QCheck2.Gen.(triple (int_range 2 30) (int_range 1 80) (int_range 0 100000))
     (fun (knots, n, seed) ->
       let rng = Tutil.rng_of_seed seed in
-      let s, s_into = random_splines rng knots in
+      let s, s_into = random_splines ~poison:(seed mod 7 = 0) rng knots in
       let span = float_of_int knots in
       let x0 = Prng.Sampler.uniform rng ~lo:(-2.) ~hi:span in
       let dx = Prng.Sampler.uniform rng ~lo:0.01 ~hi:(2. *. span /. float_of_int n) in
       let shift = Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3. in
       let clip_lo, clip_hi =
-        match seed mod 4 with
+        match seed mod 5 with
         | 0 -> (1., 0.) (* empty *)
         | 1 -> (Float.neg_infinity, Float.infinity) (* full *)
         | 2 -> (0., span -. 1.) (* the knot range *)
+        | 3 -> (x0 -. shift, x0 +. (float_of_int (n - 1) *. dx) -. shift) (* scan ends *)
         | _ ->
           let a = Prng.Sampler.uniform rng ~lo:(-1.) ~hi:span in
           (a, a +. Prng.Sampler.uniform rng ~lo:0. ~hi:span)
