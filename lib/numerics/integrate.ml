@@ -55,6 +55,6 @@ let cumulative_into ~dx ~n ys out =
 
 let cumulative ~dx ys =
   let n = Array.length ys in
-  let out = Array.make (Int.max n 1) 0. in
+  let out = Array.make n 0. in
   cumulative_into ~dx ~n ys out;
   out

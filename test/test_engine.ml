@@ -411,8 +411,8 @@ let runner_pool_size_independent () =
 
 (* The fixtures under golden/engine__*.txt hold the %h bits of E(M) and
    σ(M) from [analyze] on HEFT plus seven random schedules per case, as
-   computed before the distribution kernels were made allocation-free.
-   Every kernel rewrite must replay them bit for bit. *)
+   computed at commit ec42bbd, before the intermediate grid moved into
+   the arena. Every kernel rewrite must replay them bit for bit. *)
 let engine_golden_cases =
   let module C = Experiments.Case in
   [
