@@ -408,8 +408,6 @@ let sample_shifted ~lo ~dx ~shift ~n g out =
   Numerics.Spline.sample_into (grid_spline g) ~x0:lo ~dx ~shift ~clip_lo:g.lo
     ~clip_hi:(grid_hi g) ~n out
 
-let sample_onto_into ~lo ~dx ~n g out = sample_shifted ~lo ~dx ~shift:0. ~n g out
-
 let resample ?(points = default_points) d =
   match d with
   | Const _ -> d
@@ -418,7 +416,7 @@ let resample ?(points = default_points) d =
     let hi = grid_hi g in
     let dx = (hi -. g.lo) /. float_of_int (points - 1) in
     let buf = scratch slot_out points in
-    sample_onto_into ~lo:g.lo ~dx ~n:points g buf;
+    sample_shifted ~lo:g.lo ~dx ~shift:0. ~n:points g buf;
     Grid (make_grid_n ~depth:g.depth ~err:g.err ~lo:g.lo ~dx ~n:points buf)
 
 (* Trim negligible CDF tails, then resample. After repeated sums the
@@ -656,8 +654,8 @@ let add ?(points = default_points) d1 d2 =
         let n_of range = Int.max 2 (int_of_float (Float.ceil (range /. dx -. 1e-9)) + 1) in
         let n1 = n_of range1 and n2 = n_of range2 in
         let p1 = scratch slot_op1 n1 and p2 = scratch slot_op2 n2 in
-        sample_onto_into ~lo:g1.lo ~dx ~n:n1 g1 p1;
-        sample_onto_into ~lo:g2.lo ~dx ~n:n2 g2 p2;
+        sample_shifted ~lo:g1.lo ~dx ~shift:0. ~n:n1 g1 p1;
+        sample_shifted ~lo:g2.lo ~dx ~shift:0. ~n:n2 g2 p2;
         let conv = scratch slot_work (n1 + n2 - 1) in
         (* f_{X+Y}(z) = ∫ f_X(x) f_Y(z−x) dx ≈ dx · Σ — the dx factor is
            absorbed by the renormalization in [finish], which may reuse
@@ -679,7 +677,7 @@ let max_indep ?(points = default_points) d1 d2 =
       let mass = grid_cdf_at g a in
       let dx = (hi -. a) /. float_of_int (points - 1) in
       let buf = scratch slot_out points in
-      sample_onto_into ~lo:a ~dx ~n:points g buf;
+      sample_shifted ~lo:a ~dx ~shift:0. ~n:points g buf;
       buf.(0) <- buf.(0) +. (2. *. mass /. dx);
       (* make_grid_n renormalizes; pre-scale the continuous part so that
          the atom and the tail keep their relative weights under the
@@ -698,8 +696,8 @@ let max_indep ?(points = default_points) d1 d2 =
          O(1) linear-interp CDF reads, inlined so nothing is boxed *)
       let dx = (hi -. lo) /. float_of_int (points - 1) in
       let f1 = scratch slot_op1 points and f2 = scratch slot_op2 points in
-      sample_onto_into ~lo ~dx ~n:points g1 f1;
-      sample_onto_into ~lo ~dx ~n:points g2 f2;
+      sample_shifted ~lo ~dx ~shift:0. ~n:points g1 f1;
+      sample_shifted ~lo ~dx ~shift:0. ~n:points g2 f2;
       let buf = scratch slot_work points in
       let kf = ref 0. in
       for k = 0 to points - 1 do

@@ -43,7 +43,7 @@ let simpson ~f ~a ~b ~n =
   simpson_sampled ~dx ys
 
 let cumulative_into ~dx ~n ys out =
-  if n < 1 then invalid_arg "Integrate.cumulative: empty input";
+  if n < 1 then invalid_arg "Integrate.cumulative_into: empty input";
   if Array.length ys < n || Array.length out < n then
     invalid_arg "Integrate.cumulative_into: buffer shorter than n";
   Array.unsafe_set out 0 0.;
@@ -52,9 +52,3 @@ let cumulative_into ~dx ~n ys out =
       (Array.unsafe_get out (i - 1)
       +. ((Array.unsafe_get ys (i - 1) +. Array.unsafe_get ys i) /. 2. *. dx))
   done
-
-let cumulative ~dx ys =
-  let n = Array.length ys in
-  let out = Array.make n 0. in
-  cumulative_into ~dx ~n ys out;
-  out

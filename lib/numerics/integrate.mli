@@ -18,12 +18,9 @@ val simpson : f:(float -> float) -> a:float -> b:float -> n:int -> float
 (** [simpson ~f ~a ~b ~n] integrates [f] on [\[a,b\]] using [n] (rounded up
     to even) subintervals. *)
 
-val cumulative : dx:float -> float array -> float array
-(** [cumulative ~dx ys] is the running trapezoid integral: element [i]
-    holds the integral of the sampled function from the first sample to
-    sample [i] (element 0 is 0). Used to turn a PDF grid into a CDF. *)
-
 val cumulative_into : dx:float -> n:int -> float array -> float array -> unit
-(** [cumulative_into ~dx ~n ys out] writes {!cumulative} of the first [n]
-    samples of [ys] into the first [n] cells of [out], which must not
-    alias [ys]. *)
+(** [cumulative_into ~dx ~n ys out] writes the running trapezoid integral
+    of the first [n] samples of [ys] into the first [n] cells of [out],
+    which must not alias [ys]: cell [i] holds the integral from the first
+    sample to sample [i] (cell 0 is 0). Used to turn a PDF grid into a
+    CDF. *)

@@ -26,14 +26,11 @@ let kinds ~tiles =
   List.rev !acc
 
 (* Step k of a b-tile factorization holds m(m+1)/2 tasks for m = b − k
-   (1 factor, m − 1 panel solves, m(m − 1)/2 updates), so the steps from
-   k on hold the tetrahedral number tet (b − k) tasks. *)
-let tri a = a * (a + 1) / 2
-let tet m = m * (m + 1) * (m + 2) / 6
-
+   (1 factor, m − 1 panel solves, m(m − 1)/2 updates); summed over the
+   steps this is the tetrahedral number b(b+1)(b+2)/6. *)
 let n_tasks ~tiles =
   check_tiles tiles;
-  tet tiles
+  tiles * (tiles + 1) * (tiles + 2) / 6
 
 let index_table ~tiles =
   let table = Hashtbl.create 64 in
@@ -68,30 +65,10 @@ let generate ~tiles ?(volume = 20.0) () =
   done;
   Dag.Graph.make ~n:(n_tasks ~tiles) ~edges:!edges
 
-(* Closed-form decode of [kinds]' order: a float root estimate, then
-   exact integer correction (at most a step or two either way). *)
 let kind_of ~tiles task =
-  let n = n_tasks ~tiles in
-  if task < 0 || task >= n then invalid_arg "Cholesky.kind_of: task out of range";
-  (* the task lies in the step whose suffix [tet m] first reaches r *)
-  let r = n - task in
-  let m = ref (int_of_float (Float.cbrt (6. *. float_of_int r))) in
-  while tet !m < r do incr m done;
-  while !m > 1 && tet (!m - 1) >= r do decr m done;
-  let m = !m in
-  let k = tiles - m in
-  let l = task - (n - tet m) in
-  if l = 0 then Potrf k
-  else if l < m then Trsm (k, k + l)
-  else begin
-    (* updates row by row: row i = k+1+a starts at tri a *)
-    let u = l - m in
-    let a = ref (int_of_float ((sqrt (float_of_int ((8 * u) + 1)) -. 1.) /. 2.)) in
-    while tri (!a + 1) <= u do incr a done;
-    while tri !a > u do decr a done;
-    let a = !a in
-    Update (k, k + 1 + a, k + 1 + (u - tri a))
-  end
+  match List.nth_opt (kinds ~tiles) task with
+  | Some k -> k
+  | None -> invalid_arg "Cholesky.kind_of: task out of range"
 
 let task_name ~tiles task =
   match kind_of ~tiles task with

@@ -25,7 +25,7 @@ val generate : tiles:int -> ?volume:float -> unit -> Dag.Graph.t
     time scale when computation costs are a few tens). *)
 
 val kind_of : tiles:int -> Dag.Graph.task -> kind
-(** Decode a task index back to its algebraic role, in O(1). Raises
+(** Decode a task index back to its algebraic role. Raises
     [Invalid_argument] on an index outside [\[0, n_tasks ~tiles)]. *)
 
 val task_name : tiles:int -> Dag.Graph.task -> string

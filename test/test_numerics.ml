@@ -355,7 +355,8 @@ let simpson_sampled_odd_intervals () =
 
 let cumulative_matches_total () =
   let ys = [| 1.; 3.; 2.; 5. |] in
-  let c = Numerics.Integrate.cumulative ~dx:0.5 ys in
+  let c = Array.make 4 Float.nan in
+  Numerics.Integrate.cumulative_into ~dx:0.5 ~n:4 ys c;
   check_close "starts at 0" 0. c.(0);
   check_close "total" (Numerics.Integrate.trapezoid_sampled ~dx:0.5 ys) c.(3)
 
@@ -365,7 +366,8 @@ let cumulative_monotone_for_positive =
     (fun (n, seed) ->
       let rng = Tutil.rng_of_seed seed in
       let ys = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:0. ~hi:3.) in
-      let c = Numerics.Integrate.cumulative ~dx:0.1 ys in
+      let c = Array.make n Float.nan in
+      Numerics.Integrate.cumulative_into ~dx:0.1 ~n ys c;
       let ok = ref true in
       for i = 1 to n - 1 do
         if c.(i) < c.(i - 1) then ok := false
