@@ -440,6 +440,11 @@ let eval_job workload n procs ul seed backend mc_count mc_seed schedules slack d
     }
 
 let run_eval job emit =
+  (match Service.Proto.validate job with
+  | Ok () -> ()
+  | Error e ->
+    prerr_endline ("repro eval: " ^ e);
+    Stdlib.exit 2);
   if emit then print_string (Service.Proto.job_to_json job ^ "\n")
   else
     match Service.Proto.eval job with

@@ -6,11 +6,11 @@
 
 let () =
   let rng = Core.Rng.create 8L in
-  let graph = Core.Workload.lu ~tiles:3 () in
+  let graph = Core.Workload.gauss_elim ~n:5 () in
   let n = Core.Graph.n_tasks graph in
   let platform = Core.Platform.Gen.uniform_minval ~rng ~n_tasks:n ~n_procs:4 () in
   let sched = Core.Heuristics.heft graph platform in
-  Printf.printf "Tiled LU factorization, %d tasks on 4 processors, HEFT schedule\n\n" n;
+  Printf.printf "Gaussian elimination, %d tasks on 4 processors, HEFT schedule\n\n" n;
 
   (* 1. The same schedule under four perturbation shapes. *)
   print_endline "1. Makespan distribution vs perturbation shape (UL = 1.3):";

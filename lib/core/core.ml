@@ -40,7 +40,6 @@ module Montecarlo = Makespan.Montecarlo
 module Makespan_bounds = Makespan.Bounds
 module Robustness = Metrics.Robustness
 module Inversion = Metrics.Inversion
-module Extended_metrics = Metrics.Extended
 module Correlation = Stats.Correlation
 module Distance = Stats.Distance
 module Bootstrap = Stats.Bootstrap
@@ -53,8 +52,6 @@ module Workload = struct
   let random_dag = Workloads.Random_dag.generate
   let cholesky = Workloads.Cholesky.generate
   let gauss_elim = Workloads.Gauss_elim.generate
-  let lu = Workloads.Lu.generate
-  let fft = Workloads.Fft_graph.generate
   let chain = Workloads.Classic.chain
   let join = Workloads.Classic.join
   let fork_join = Workloads.Classic.fork_join

@@ -1,23 +1,13 @@
-let to_dot ?(name = "dag") ?task_label ?edge_label g =
+let to_dot ?(name = "dag") ?task_label g =
   let task_label = Option.value task_label ~default:(Printf.sprintf "t%d") in
-  let edge_label =
-    match edge_label with
-    | Some f -> f
-    | None ->
-      fun u v ->
-        (match Graph.volume g ~src:u ~dst:v with
-        | Some vol -> Printf.sprintf "%g" vol
-        | None -> "")
-  in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
   for v = 0 to Graph.n_tasks g - 1 do
     Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"];\n" v (task_label v))
   done;
   Array.iter
-    (fun (u, v, _) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d -> n%d [label=\"%s\"];\n" u v (edge_label u v)))
+    (fun (u, v, vol) ->
+      Buffer.add_string buf (Printf.sprintf "  n%d -> n%d [label=\"%g\"];\n" u v vol))
     (Graph.edges g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -3,8 +3,7 @@
 val to_dot :
   ?name:string ->
   ?task_label:(Graph.task -> string) ->
-  ?edge_label:(Graph.task -> Graph.task -> string) ->
   Graph.t ->
   string
-(** [to_dot g] renders a [digraph]. Default labels are the task index and
-    the communication volume. *)
+(** [to_dot g] renders a [digraph]. Tasks are labelled by index by
+    default; edges by their communication volume. *)

@@ -204,12 +204,6 @@ let to_arrays = function
     ([| v -. w; v +. w |], [| 0.5 /. w; 0.5 /. w |])
   | Grid g -> (grid_xs g, Array.copy g.pdf)
 
-let cdf_arrays = function
-  | Const v ->
-    let w = 1e-9 *. Float.max 1. (Float.abs v) in
-    ([| v -. w; v +. w |], [| 0.; 1. |])
-  | Grid g -> (grid_xs g, Array.copy g.cdf)
-
 (* E[weight(X)], normalized by the mass measured with the same quadrature
    so normalization drift cannot bias moments. The trapezoid rule is used
    deliberately: it is the rule [make_grid_n] normalizes with and the CDF

@@ -53,9 +53,6 @@ val to_arrays : t -> float array * float array
 (** [(xs, pdf)] of the underlying grid; a {!const} yields a narrow
     two-point spike (useful only for plotting). *)
 
-val cdf_arrays : t -> float array * float array
-(** [(xs, cdf)] of the underlying grid. *)
-
 (** {1 Moments and functionals} *)
 
 val mean : t -> float
@@ -122,8 +119,6 @@ type chain_mode =
 val set_chain_mode : chain_mode -> unit
 (** Set the process-wide mode. Raises [Invalid_argument] on
     [Moment k] with [k < 2]. *)
-
-val current_chain_mode : unit -> chain_mode
 
 val chain_depth : t -> int
 (** Convolution-chain depth of this value: 0 for a point mass, 1 for a

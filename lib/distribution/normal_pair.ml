@@ -30,8 +30,6 @@ let max_clark a b =
     { mean = m1; std = sqrt (Float.max 0. (m2 -. (m1 *. m1))) }
   end
 
-let add_list ts = List.fold_left add (const 0.) ts
-
 let max_list = function
   | [] -> invalid_arg "Normal_pair.max_list: empty list"
   | t :: ts -> List.fold_left max_clark t ts

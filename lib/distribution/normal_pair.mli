@@ -26,6 +26,5 @@ val max_clark : t -> t -> t
 (** Clark's first- and second-moment formulas for [max(X₁, X₂)] of
     independent normals. *)
 
-val add_list : t list -> t
 val max_list : t list -> t
-(** Left folds of the binary operations; {!max_list} rejects []. *)
+(** Left fold of {!max_clark}; rejects []. *)

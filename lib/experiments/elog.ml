@@ -5,18 +5,3 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let warn fmt = Format.kasprintf (fun s -> Log.warn (fun m -> m "%s" s)) fmt
 let info fmt = Format.kasprintf (fun s -> Log.info (fun m -> m "%s" s)) fmt
 let debug fmt = Format.kasprintf (fun s -> Log.debug (fun m -> m "%s" s)) fmt
-
-let time fmt =
-  Format.kasprintf
-    (fun label f ->
-      (* monotonic, shared with Obs.Span: durations survive NTP steps *)
-      let t0 = Obs.Clock.now_s () in
-      let finish () = info "%s: %.3f s" label (Obs.Clock.now_s () -. t0) in
-      match f () with
-      | v ->
-        finish ();
-        v
-      | exception e ->
-        finish ();
-        raise e)
-    fmt

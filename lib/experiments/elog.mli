@@ -17,7 +17,3 @@ val info : ('a, Format.formatter, unit, unit) format4 -> 'a
 val debug : ('a, Format.formatter, unit, unit) format4 -> 'a
 (** [debug fmt …] logs at debug level on {!src} — per-case details
     (calibration constants, checkpoint decisions) too chatty for [-v]. *)
-
-val time : ('a, Format.formatter, unit, (unit -> 'b) -> 'b) format4 -> 'a
-(** [time fmt … f] runs [f ()] and logs "<label>: <elapsed> s" at info
-    level, also when [f] raises: [time "fig%d sweep" 1 run]. *)

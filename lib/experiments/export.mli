@@ -2,9 +2,6 @@
     re-plotted outside the terminal. [`repro --out DIR`] writes these
     next to the rendered text. *)
 
-val series_csv : headers:string list -> rows:float list list -> string
-(** Generic numeric CSV with a header line. *)
-
 val mkdir_p : string -> unit
 (** Create a directory and any missing parents; an already-existing
     directory (including one created concurrently) is not an error. *)

@@ -28,8 +28,3 @@ val render : t -> string
     heuristic with its raw metric vector and, per metric, its rank among
     the random schedules (paper shape: heuristics rank at or near the
     best makespan and makespan-std). *)
-
-val heuristic_rank : t -> metric:int -> string -> int * int
-(** [(rank, population)] of a heuristic's metric within the population
-    {heuristic} ∪ random schedules (1 = best = smallest after
-    inversion). *)

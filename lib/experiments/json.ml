@@ -183,8 +183,6 @@ let parse ?(max_bytes = 8 * 1024 * 1024) ?(max_depth = 64) ?(max_nodes = 1_000_0
 
 let mem k = function Obj fields -> List.assoc_opt k fields | _ -> None
 let str = function Str s -> Some s | _ -> None
-let num = function Num raw -> Some raw | _ -> None
-let bool_ = function Bool b -> Some b | _ -> None
 let list_ = function Arr l -> Some l | _ -> None
 let to_int = function Num raw -> int_of_string_opt raw | _ -> None
 

@@ -40,8 +40,6 @@ val mem : string -> t -> t option
 (** Field of an {!Obj} (first occurrence). *)
 
 val str : t -> string option
-val num : t -> string option
-val bool_ : t -> bool option
 val list_ : t -> t list option
 val to_int : t -> int option
 val to_int64 : t -> int64 option
@@ -59,6 +57,5 @@ val float_lit : float -> string
 (** Round-trip-exact literal ([%.17g]); non-finite values become
     [null]. *)
 
-val write : Buffer.t -> t -> unit
 val to_string : t -> string
 (** Compact single-line rendering; object fields keep their order. *)

@@ -22,8 +22,6 @@ let slack_mode_name = function
   | None | Some `Disjunctive -> "disjunctive"
   | Some `Precedence -> "precedence"
 
-let find t id = List.find_opt (fun e -> e.id = id) t.entries
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)

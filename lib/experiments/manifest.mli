@@ -43,14 +43,11 @@ type t = {
   entries : entry list;
 }
 
-val version : int
 val file_name : string
 
 val slack_mode_name : Sched.Slack.graph_mode option -> string
 (** Canonical name: ["disjunctive"] (also the [None] default) or
     ["precedence"]. *)
-
-val find : t -> string -> entry option
 
 val save : dir:string -> t -> unit
 (** Atomically (re)write [dir/campaign.json]. *)

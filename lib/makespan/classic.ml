@@ -45,7 +45,7 @@ let completion_dists_with ~points ~dgraph ~completion
 
 let makespan_of_exits ~points dgraph completion =
   let exits = Dag.Graph.exits dgraph in
-  if Array.length exits = 0 then invalid_arg "Dist.max_list: empty list";
+  if Array.length exits = 0 then invalid_arg "Classic.makespan_of_exits: no exit task";
   let acc = ref completion.(exits.(0)) in
   for i = 1 to Array.length exits - 1 do
     acc := Distribution.Dist.max_indep ~points !acc completion.(exits.(i))

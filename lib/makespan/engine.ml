@@ -162,8 +162,6 @@ let create ~graph ~platform ~model =
 
 let graph t = t.graph
 let platform t = t.platform
-let model t = t.model
-
 let stats t =
   {
     task_hits = Atomic.get t.task_hits;
@@ -441,8 +439,6 @@ let start_session ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
 
 let session_schedule s = s.sched
 let session_evaluation s = s.last
-let session_backend s = s.backend
-
 let same_pred_seq a b =
   Array.length a = Array.length b
   &&

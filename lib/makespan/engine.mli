@@ -51,7 +51,6 @@ val create :
 
 val graph : t -> Dag.Graph.t
 val platform : t -> Platform.t
-val model : t -> Workloads.Stochastify.t
 
 val eval : ?backend:backend -> t -> Sched.Schedule.t -> Distribution.Dist.t
 (** Makespan distribution of a schedule of this engine's case
@@ -109,8 +108,6 @@ val session_schedule : session -> Sched.Schedule.t
 val session_evaluation : session -> evaluation
 (** The last committed evaluation. *)
 
-val session_backend : session -> backend
-
 val reevaluate :
   ?commit:bool ->
   ?max_cone:int ->
@@ -141,22 +138,6 @@ val reevaluate_swap :
 val reevaluate_any :
   ?commit:bool -> ?max_cone:int -> session -> Sched.Neighbor.any -> evaluation
 (** Dispatch on either move class. *)
-
-(** {1 Cached views}
-
-    Accessors into the engine's caches — used by the evaluation cores
-    and available to custom metrics. *)
-
-val task_dist : t -> task:int -> proc:int -> Distribution.Dist.t
-val comm_dist : t -> volume:float -> src:int -> dst:int -> Distribution.Dist.t
-val task_mean : t -> task:int -> proc:int -> float
-val task_std : t -> task:int -> proc:int -> float
-val comm_mean : t -> volume:float -> src:int -> dst:int -> float
-val comm_std : t -> volume:float -> src:int -> dst:int -> float
-
-val mean_weights : t -> Sched.Schedule.t -> Dag.Levels.weights
-(** Mean-duration weights of a schedule, served from the moment tables —
-    the engine's counterpart of {!Sched.Disjunctive.weights}. *)
 
 (** {1 Instrumentation} *)
 

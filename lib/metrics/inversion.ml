@@ -3,10 +3,6 @@ let idx_avg_slack = 3
 let idx_abs_prob = 6
 let idx_rel_prob = 7
 
-let inverted =
-  Array.init Robustness.n_metrics (fun i ->
-      i = idx_avg_slack || i = idx_abs_prob || i = idx_rel_prob)
-
 let apply ~max_slack values =
   if Array.length values <> Robustness.n_metrics then
     invalid_arg "Inversion.apply: wrong metric vector length";

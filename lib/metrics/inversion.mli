@@ -3,9 +3,6 @@
     maximum observed slack of the case) and the two probabilistic metrics
     (subtracted from 1). The other five already improve downwards. *)
 
-val inverted : bool array
-(** Per metric (in {!Robustness.labels} order), whether it is flipped. *)
-
 val apply : max_slack:float -> float array -> float array
 (** [apply ~max_slack values] re-orients one schedule's metric vector.
     [max_slack] must be the maximum {e avg-slack} over all schedules of

@@ -40,17 +40,6 @@ let argmax a =
   done;
   !best
 
-let scale c a = Array.map (fun x -> c *. x) a
-
-let map2 f a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Array_ops.map2: length mismatch";
-  Array.init n (fun i -> f a.(i) b.(i))
-
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
-
-let approx_equal ?(eps = 1e-9) a b =
-  let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
-  Float.abs (a -. b) <= eps *. scale

@@ -19,14 +19,5 @@ val min_elt : float array -> float
 val argmax : float array -> int
 (** Index of the first maximum of a non-empty array. *)
 
-val scale : float -> float array -> float array
-(** [scale c a] is a fresh array with every element multiplied by [c]. *)
-
-val map2 : (float -> float -> float) -> float array -> float array -> float array
-(** Pointwise combination; arrays must have equal length. *)
-
 val next_pow2 : int -> int
 (** [next_pow2 n] is the smallest power of two [>= max 1 n]. *)
-
-val approx_equal : ?eps:float -> float -> float -> bool
-(** Mixed absolute/relative comparison with default [eps = 1e-9]. *)

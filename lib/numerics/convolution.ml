@@ -154,13 +154,13 @@ let oa_grow buf len =
   if Array.length buf >= len then buf else Array.make (Array_ops.next_pow2 len) 0.
 
 let overlap_add_into ~out ?block a n b m =
-  if n = 0 || m = 0 then invalid_arg "Convolution.overlap_add: empty input";
+  if n = 0 || m = 0 then invalid_arg "Convolution.overlap_add_into: empty input";
   (* Convolve kernel [b] with consecutive blocks of [a]; partial results
      overlap by m-1 samples and add. *)
   let block =
     match block with
     | Some s ->
-      if s <= 0 then invalid_arg "Convolution.overlap_add: block must be positive";
+      if s <= 0 then invalid_arg "Convolution.overlap_add_into: block must be positive";
       s
     | None -> Int.max m 64
   in
@@ -182,13 +182,6 @@ let overlap_add_into ~out ?block a n b m =
     pos := !pos + len
   done
 
-let overlap_add ?block a b =
-  let n = Array.length a and m = Array.length b in
-  if n = 0 || m = 0 then invalid_arg "Convolution.overlap_add: empty input";
-  let out = Array.make (n + m - 1) 0. in
-  overlap_add_into ~out ?block a n b m;
-  out
-
 (* Heuristic dispatch, unchanged thresholds: tiny products go direct,
    strongly mismatched lengths go overlap–add (with the longer operand
    as the signal), the rest one packed-real FFT. *)
@@ -199,10 +192,3 @@ let auto_into ~out a n b m =
     if n >= m then overlap_add_into ~out a n b m
     else overlap_add_into ~out b m a n
   else fft_packed_into ~out a n b m
-
-let auto a b =
-  let n = Array.length a and m = Array.length b in
-  if n = 0 || m = 0 then invalid_arg "Convolution: empty input";
-  let out = Array.make (n + m - 1) 0. in
-  auto_into ~out a n b m;
-  out

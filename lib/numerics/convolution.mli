@@ -53,22 +53,17 @@ val fft_packed : float array -> float array -> float array
 val fft_packed_into : out:float array -> float array -> int -> float array -> int -> unit
 (** [fft_packed_into ~out a n b m] is {!fft_packed} on prefixes, into [out]. *)
 
-val overlap_add : ?block:int -> float array -> float array -> float array
-(** [overlap_add ?block a b] convolves [a] (the long signal) with [b] (the
-    kernel) by packed FFT on blocks of [a] of size [block] (default chosen
-    from the kernel length). Equal to {!direct} up to rounding. Block
-    copies and partial results live in per-domain scratch. *)
-
 val overlap_add_into :
   out:float array -> ?block:int -> float array -> int -> float array -> int -> unit
-(** [overlap_add_into ~out ?block a n b m] is {!overlap_add} on prefixes,
-    into [out]. *)
-
-val auto : float array -> float array -> float array
-(** Picks a strategy from the input sizes: {!direct} when [n·m ≤ 4096],
-    {!overlap_add} (longer operand as the signal) when one operand is
-    more than 8× the other, {!fft_packed} otherwise. *)
+(** [overlap_add_into ~out ?block a n b m] convolves the prefix [a.(0..n-1)]
+    (the long signal) with [b.(0..m-1)] (the kernel) into [out] by packed
+    FFT on blocks of [a] of size [block] (default chosen from the kernel
+    length). Equal to {!direct} up to rounding. Block copies and partial
+    results live in per-domain scratch. *)
 
 val auto_into : out:float array -> float array -> int -> float array -> int -> unit
-(** [auto_into ~out a n b m]: same dispatch as {!auto}, into [out]. *)
+(** [auto_into ~out a n b m] picks a strategy from the prefix sizes:
+    {!direct_into} when [n·m ≤ 4096], {!overlap_add_into} (longer operand
+    as the signal) when one operand is more than 8× the other,
+    {!fft_packed_into} otherwise. *)
 

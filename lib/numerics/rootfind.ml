@@ -1,9 +1,12 @@
+(* iteration cap of both solvers *)
+let max_iter = 200
+
 let check_bracket f lo hi =
   let flo = f lo and fhi = f hi in
   if flo *. fhi > 0. then invalid_arg "Rootfind: interval does not bracket a root";
   (flo, fhi)
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
+let bisect ?(tol = 1e-12) ~f ~lo ~hi () =
   let flo, _ = check_bracket f lo hi in
   if flo = 0. then lo
   else begin
@@ -24,7 +27,7 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
     !mid
   end
 
-let brent ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
+let brent ?(tol = 1e-12) ~f ~lo ~hi () =
   let fa, fb = check_bracket f lo hi in
   let a = ref lo and b = ref hi and fa = ref fa and fb = ref fb in
   if Float.abs !fa < Float.abs !fb then begin

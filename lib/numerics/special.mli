@@ -21,9 +21,6 @@ val normal_quantile : float -> float
 val log_gamma : float -> float
 (** ln Γ(x) for [x > 0] (Lanczos). *)
 
-val log_beta : float -> float -> float
-(** ln B(a, b) for positive [a], [b]. *)
-
 val beta_pdf : alpha:float -> beta:float -> float -> float
 (** Density of Beta(α, β) at a point of [\[0,1\]] (0 outside). *)
 

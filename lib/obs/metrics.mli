@@ -39,9 +39,6 @@ val histogram : ?buckets:float array -> string -> histogram
     bounds (default: decades from [1e-6] to [1e3]). An extra overflow
     bucket catches values above the last bound. *)
 
-val default_buckets : float array
-(** Decades, [1e-6 .. 1e3] — coarse; fine for event sizes/counts. *)
-
 val latency_buckets : float array
 (** Log-1.5 ladder, 1 µs … ≈22 s (43 buckets) — the preset every
     duration-in-seconds histogram should use: quantile interpolation

@@ -102,10 +102,10 @@ let fmt_value v =
 (* From a registry snapshot                                            *)
 (* ------------------------------------------------------------------ *)
 
-let of_snapshot ?(help = fun _ -> None) (s : Metrics.snapshot) =
+let of_snapshot (s : Metrics.snapshot) =
   let make name data =
     let base, labels = split_name name in
-    { family = sanitize_name base; labels; help = help base; data }
+    { family = sanitize_name base; labels; help = None; data }
   in
   List.map (fun (name, v) -> make name (Counter (float_of_int v))) s.Metrics.counters
   @ List.map (fun (name, v) -> make name (Gauge v)) s.Metrics.gauges

@@ -38,10 +38,9 @@ val split_name : string -> string * (string * string) list
 (** Split a registry name [family{k="v",...}] into base + labels;
     names without braces pass through with no labels. *)
 
-val of_snapshot : ?help:(string -> string option) -> Metrics.snapshot -> metric list
+val of_snapshot : Metrics.snapshot -> metric list
 (** Every counter/gauge/histogram of the snapshot as metrics, names
-    sanitized and embedded labels split out. [help] supplies optional
-    per-family help strings (keyed by the unsanitized base name). *)
+    sanitized and embedded labels split out, without help strings. *)
 
 val render : metric list -> string
 (** The exposition document, families grouped in first-seen order,

@@ -13,17 +13,18 @@ type t = {
   ticks : int Atomic.t;
   started : float; (* seconds *)
   last_print : float Atomic.t;
-  every : float;
 }
 
-let create ?(every = 0.5) ~total label =
+(* refresh period of the progress line, seconds *)
+let every = 0.5
+
+let create ~total label =
   {
     label;
     total;
     ticks = Atomic.make 0;
     started = Unix.gettimeofday ();
     last_print = Atomic.make 0.;
-    every;
   }
 
 let print_line t ~final =
@@ -44,7 +45,7 @@ let tick ?(n = 1) t =
     ignore (Atomic.fetch_and_add t.ticks n);
     let now = Unix.gettimeofday () in
     let last = Atomic.get t.last_print in
-    if now -. last >= t.every && Atomic.compare_and_set t.last_print last now then
+    if now -. last >= every && Atomic.compare_and_set t.last_print last now then
       print_line t ~final:false
   end
 
@@ -104,18 +105,3 @@ let phase name f =
       finish ();
       raise e
   end
-
-let render_phases () =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-28s %10s %14s %14s %6s\n" "phase" "elapsed" "minor words"
-       "major words" "compact");
-  Buffer.add_string buf (String.make 76 '-');
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-28s %9.2fs %14.3g %14.3g %6d\n" r.phase r.elapsed_s
-           r.minor_words r.major_words r.compactions))
-    (phases ());
-  Buffer.contents buf

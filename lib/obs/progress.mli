@@ -13,9 +13,9 @@ val set_enabled : bool -> unit
 
 type t
 
-val create : ?every:float -> total:int -> string -> t
-(** Reporter for [total] units, refreshing stderr at most every [every]
-    seconds (default 0.5). Creation is cheap and always allowed; ticks
+val create : total:int -> string -> t
+(** Reporter for [total] units, refreshing stderr at most every 0.5
+    seconds. Creation is cheap and always allowed; ticks
     are dropped while disabled. *)
 
 val tick : ?n:int -> t -> unit
@@ -42,4 +42,3 @@ val phases : unit -> phase_report list
 (** Reports in execution order. *)
 
 val reset_phases : unit -> unit
-val render_phases : unit -> string

@@ -59,30 +59,3 @@ let json () =
      \"phases\":[%s]\n\
      }\n"
     counters gauges histograms spans phases
-
-let render () =
-  let s = Metrics.snapshot () in
-  let buf = Buffer.create 1024 in
-  if s.Metrics.counters <> [] then begin
-    Buffer.add_string buf "counters:\n";
-    List.iter
-      (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" name v))
-      s.Metrics.counters
-  end;
-  if s.Metrics.gauges <> [] then begin
-    Buffer.add_string buf "gauges:\n";
-    List.iter
-      (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %g\n" name v))
-      s.Metrics.gauges
-  end;
-  (match Span.summary () with
-  | [] -> ()
-  | _ ->
-    Buffer.add_string buf "spans:\n";
-    Buffer.add_string buf (Span.render_summary ()));
-  (match Progress.phases () with
-  | [] -> ()
-  | _ ->
-    Buffer.add_string buf "phases:\n";
-    Buffer.add_string buf (Progress.render_phases ()));
-  Buffer.contents buf

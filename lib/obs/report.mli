@@ -4,6 +4,3 @@ val json : unit -> string
 (** One JSON document: [counters], [gauges], [histograms] (merged
     {!Metrics.snapshot}), [spans] ({!Span.summary}) and [phases]
     ({!Progress.phases}). This is what [repro --metrics FILE] writes. *)
-
-val render : unit -> string
-(** The same content as human-readable text. *)

@@ -158,7 +158,7 @@ let add_chrome_event buf e =
   end;
   Buffer.add_char buf '}'
 
-let chrome_document ?dropped events =
+let chrome_document_with dropped events =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",";
   Option.iter (Printf.bprintf buf "\"dropped\":%d,") dropped;
@@ -171,6 +171,8 @@ let chrome_document ?dropped events =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
+let chrome_document events = chrome_document_with None events
+
 let export_chrome () =
   let events =
     List.concat_map
@@ -182,7 +184,7 @@ let export_chrome () =
         ])
       (records ())
   in
-  chrome_document ~dropped:(dropped ())
+  chrome_document_with (Some (dropped ()))
     (List.map
        (fun e ->
          {
@@ -244,29 +246,3 @@ let summary () =
       :: acc)
     tbl []
   |> List.sort (fun a b -> compare a.name b.name)
-
-let pretty_us us =
-  if Float.is_nan us then "n/a"
-  else if us >= 1e6 then Printf.sprintf "%.3f s" (us /. 1e6)
-  else if us >= 1e3 then Printf.sprintf "%.3f ms" (us /. 1e3)
-  else Printf.sprintf "%.1f µs" us
-
-let render_summary () =
-  let stats = summary () in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-28s %8s %12s %12s %12s %12s\n" "span" "count" "total" "mean" "p50"
-       "p99");
-  Buffer.add_string buf (String.make 88 '-');
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-28s %8d %12s %12s %12s %12s\n" s.name s.count
-           (pretty_us s.total_us) (pretty_us s.mean_us) (pretty_us s.p50_us)
-           (pretty_us s.p99_us)))
-    stats;
-  (match dropped () with
-  | 0 -> ()
-  | d -> Buffer.add_string buf (Printf.sprintf "(%d spans dropped by ring buffers)\n" d));
-  Buffer.contents buf

@@ -42,11 +42,12 @@ type chrome_event = {
   args : (string * chrome_arg) list;  (** omitted from the output when empty *)
 }
 
-val chrome_document : ?dropped:int -> chrome_event list -> string
+val chrome_document : chrome_event list -> string
 (** The one Chrome trace-event writer behind {!export_chrome} and
     [Flight.chrome]: a [traceEvents] document in milliseconds display
-    units, with a top-level [dropped] count when given, one event per
-    line in the given order, timestamps and durations at [%.3f]. *)
+    units, one event per line in the given order, timestamps and
+    durations at [%.3f]. {!export_chrome} adds a top-level [dropped]
+    count. *)
 
 val export_chrome : unit -> string
 (** All recorded spans as Chrome trace-event JSON: balanced ["B"]/["E"]
@@ -65,9 +66,6 @@ type stat = {
 
 val summary : unit -> stat list
 (** Per-name aggregates over the retained spans, sorted by name. *)
-
-val render_summary : unit -> string
-(** {!summary} as an aligned text table. *)
 
 (**/**)
 

@@ -15,9 +15,6 @@ type t = {
 val mint : unit -> t
 (** Fresh random identifiers. *)
 
-val span_id : unit -> string
-(** Fresh 16-hex span id (for a child span under an existing trace). *)
-
 val to_traceparent : t -> string
 (** ["00-<trace_id>-<parent_id>-01"], the header value to send. *)
 

@@ -117,22 +117,16 @@ module Gen = struct
       ~tau:(homogeneous_matrix ~m:n_procs ~value:tau)
       ~latency:(homogeneous_matrix ~m:n_procs ~value:latency)
 
-  let heterogeneous_network ~rng ~tau_lo ~tau_hi ?(latency_lo = 0.) ?(latency_hi = 0.) p =
+  let heterogeneous_network ~rng ~tau_lo ~tau_hi p =
     if tau_lo < 0. || tau_hi < tau_lo then
       invalid_arg "Platform.Gen.heterogeneous_network: need 0 <= tau_lo <= tau_hi";
-    if latency_lo < 0. || latency_hi < latency_lo then
-      invalid_arg "Platform.Gen.heterogeneous_network: need 0 <= latency_lo <= latency_hi";
     let m = n_procs p in
     let draw lo hi = if hi > lo then Prng.Sampler.uniform rng ~lo ~hi else lo in
     let tau =
       Array.init m (fun i ->
           Array.init m (fun j -> if i = j then 0. else draw tau_lo tau_hi))
     in
-    let latency =
-      Array.init m (fun i ->
-          Array.init m (fun j -> if i = j then 0. else draw latency_lo latency_hi))
-    in
     let n = n_tasks p in
     let etc = Array.init n (fun i -> Array.init m (fun j -> etc p ~task:i ~proc:j)) in
-    make ~etc ~tau ~latency
+    make ~etc ~tau ~latency:(homogeneous_matrix ~m ~value:0.)
 end

@@ -89,11 +89,9 @@ module Gen : sig
     rng:Prng.Xoshiro.t ->
     tau_lo:float ->
     tau_hi:float ->
-    ?latency_lo:float ->
-    ?latency_hi:float ->
     t ->
     t
   (** Replace the network of a platform by per-pair uniform draws
-      [τ_{pq} ~ U(tau_lo, tau_hi)] (and optionally latencies), keeping
-      the zero diagonal. *)
+      [τ_{pq} ~ U(tau_lo, tau_hi)], keeping the zero diagonal, and zero
+      latencies. *)
 end

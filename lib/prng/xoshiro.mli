@@ -14,9 +14,6 @@ val create : int64 -> t
 val of_splitmix : Splitmix.t -> t
 (** [of_splitmix sm] draws the four state words from [sm] (advancing it). *)
 
-val copy : t -> t
-(** [copy t] is an independent clone with identical current state. *)
-
 val next : t -> int64
 (** [next t] returns the next 64 random bits. *)
 

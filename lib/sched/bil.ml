@@ -3,8 +3,6 @@
    task priority and a row-argmin processor pick, append-only
    placement. *)
 
-let bil = Components.bil_table
-
 let spec =
   {
     List_scheduler.ranking = Components.Rank_bil;

@@ -9,9 +9,6 @@
     claim when [r] ready tasks compete for [m] processors), the highest-
     priority task is scheduled on the processor minimizing its BIM*. *)
 
-val bil : Dag.Graph.t -> Platform.t -> float array array
-(** [bil g p] is the [n × m] matrix of basic imaginary levels. *)
-
 val schedule : Dag.Graph.t -> Platform.t -> Schedule.t
 
 val spec : List_scheduler.spec

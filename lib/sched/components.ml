@@ -25,6 +25,8 @@ let collapse_name = function `Mean -> "mean" | `Best -> "best" | `Worst -> "wors
 (* Averaged-cost machinery (shared by every ranking component)         *)
 (* ------------------------------------------------------------------ *)
 
+(* Task weight = the [rank]-collapsed ETC row; edge weight = mean
+   latency + volume × mean τ (off-diagonal averages). *)
 let average_weights ?(rank = `Mean) graph platform =
   let mean_tau = Platform.mean_tau platform in
   let mean_latency = Platform.mean_latency platform in
@@ -43,6 +45,8 @@ let average_weights ?(rank = `Mean) graph platform =
   in
   { Dag.Levels.task = collapse; edge }
 
+(* rank_u(t) = w̄(t) + max over succs (c̄(t,s) + rank_u(s)): the bottom
+   levels under [average_weights]. *)
 let upward_ranks ?rank graph platform =
   Dag.Levels.bottom_levels graph (average_weights ?rank graph platform)
 

@@ -3,8 +3,6 @@
    processor minimizing the whole path's execution time, everything else
    goes to its EFT processor with insertion. *)
 
-let critical_path = Components.critical_path
-
 let spec =
   {
     List_scheduler.ranking = Components.Rank_updown `Mean;

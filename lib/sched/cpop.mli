@@ -7,9 +7,6 @@
     other tasks go to their earliest-finish-time processor (insertion
     policy). *)
 
-val critical_path : Dag.Graph.t -> Platform.t -> Dag.Graph.task list
-(** The critical path under averaged costs, entry to exit. *)
-
 val schedule : Dag.Graph.t -> Platform.t -> Schedule.t
 
 val spec : List_scheduler.spec

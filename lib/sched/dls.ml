@@ -2,8 +2,6 @@
    joint (task, processor) dynamic-level maximization, append-only
    placement. *)
 
-let static_levels = Components.static_levels
-
 let spec =
   {
     List_scheduler.ranking = Components.Rank_static_level;

@@ -9,8 +9,6 @@
     the (task, processor) pair with the highest dynamic level is
     scheduled. *)
 
-val static_levels : Dag.Graph.t -> Platform.t -> float array
-
 val schedule : Dag.Graph.t -> Platform.t -> Schedule.t
 
 val spec : List_scheduler.spec

@@ -7,10 +7,6 @@
 
 type rank_policy = Components.collapse
 
-let average_weights = Components.average_weights
-let upward_ranks = Components.upward_ranks
-let rank_order = Components.rank_order
-
 let spec ?(rank = `Mean) () =
   {
     List_scheduler.ranking = Components.Rank_upward rank;

@@ -4,9 +4,7 @@
     (mean ETC over processors, mean communication over processor pairs),
     then assigned in rank order to the processor minimizing the earliest
     finish time, with the insertion policy (a task may fill an idle gap).
-
-    The helpers are exported because Hyb.BMCT and CPOP reuse the same
-    averaged-cost ranking machinery. *)
+    The averaged-cost ranking machinery lives in {!Components}. *)
 
 type rank_policy =
   [ `Mean  (** average ETC over processors — Topcuoglu's original *)
@@ -15,18 +13,6 @@ type rank_policy =
 (** How a task's processor-dependent cost is collapsed for ranking.
     Zhao & Sakellariou showed the choice can shift HEFT's makespan by
     several percent; [`Mean] is the default everywhere. *)
-
-val average_weights : ?rank:rank_policy -> Dag.Graph.t -> Platform.t -> Dag.Levels.weights
-(** Task weight = the [rank]-collapsed ETC row; edge weight = mean
-    latency + volume × mean τ (off-diagonal averages). *)
-
-val upward_ranks : ?rank:rank_policy -> Dag.Graph.t -> Platform.t -> float array
-(** [rank_u(t) = w̄(t) + max over succs (c̄(t,s) + rank_u(s))] — the
-    bottom levels under {!average_weights}. *)
-
-val rank_order : ?rank:rank_policy -> Dag.Graph.t -> Platform.t -> Dag.Graph.task array
-(** Tasks by decreasing upward rank (a valid topological order; ties are
-    broken by task index for determinism). *)
 
 val schedule : ?rank:rank_policy -> Dag.Graph.t -> Platform.t -> Schedule.t
 (** The HEFT schedule. *)

@@ -58,16 +58,9 @@ let random ?(attempts = 64) ~rng sched =
   in
   draw attempts
 
-let to_string m =
-  match m.at with
-  | None -> Printf.sprintf "%d->p%d" m.task m.to_
-  | Some p -> Printf.sprintf "%d->p%d@%d" m.task m.to_ p
-
 (* Swap move: exchange two tasks' (processor, position) slots. *)
 
 type swap = { a : int; b : int }
-
-let make_swap ~a ~b = { a; b }
 
 let apply_swap sched (s : swap) = Schedule.swap sched ~a:s.a ~b:s.b
 
@@ -96,8 +89,6 @@ let random_swap ?(attempts = 64) ~rng sched =
     in
     draw attempts
 
-let swap_to_string s = Printf.sprintf "%d<->%d" s.a s.b
-
 (* One feasibility-checked step drawn from either neighborhood —
    [Reassign] via {!Schedule.reassign}, [Swap] via {!Schedule.swap}. *)
 
@@ -110,7 +101,3 @@ let apply_any sched = function
 let apply_any_opt sched = function
   | Reassign m -> apply_opt sched m
   | Swap s -> apply_swap_opt sched s
-
-let any_to_string = function
-  | Reassign m -> to_string m
-  | Swap s -> swap_to_string s

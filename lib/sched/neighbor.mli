@@ -20,9 +20,6 @@ val apply : Schedule.t -> move -> Schedule.t
 (** Patched schedule. Raises [Invalid_argument] if the move is out of
     range or would deadlock the eager execution. *)
 
-val apply_opt : Schedule.t -> move -> Schedule.t option
-(** [apply] with infeasible moves mapped to [None]. *)
-
 val is_noop : Schedule.t -> move -> bool
 (** True when applying the move reproduces the same assignment and
     order (same processor, same resulting position). *)
@@ -32,9 +29,6 @@ val random : ?attempts:int -> rng:Prng.Xoshiro.t -> Schedule.t -> move
     retried up to [attempts] times (default 64) before falling back to a
     guaranteed-feasible same-processor append. *)
 
-val to_string : move -> string
-(** ["12->p3"] or ["12->p3@0"] — for labels and logs. *)
-
 (** {1 Swap moves}
 
     A {!swap} exchanges the (processor, position) slots of two tasks via
@@ -43,21 +37,15 @@ val to_string : move -> string
 
 type swap = { a : int; b : int }
 
-val make_swap : a:int -> b:int -> swap
-
-val apply_swap : Schedule.t -> swap -> Schedule.t
-(** Raises [Invalid_argument] if out of range, [a = b], or the exchange
-    would deadlock the eager execution. *)
-
 val apply_swap_opt : Schedule.t -> swap -> Schedule.t option
+(** The schedule with tasks [a] and [b] exchanging their (processor,
+    position) slots; [None] if out of range, [a = b], or the exchange
+    would deadlock the eager execution. *)
 
 val random_swap : ?attempts:int -> rng:Prng.Xoshiro.t -> Schedule.t -> swap option
 (** A random feasible swap, deterministic in [rng]. [None] after
     [attempts] (default 64) infeasible draws — unlike {!random} there is
     no universally feasible fallback swap. *)
-
-val swap_to_string : swap -> string
-(** ["12<->7"]. *)
 
 (** {1 Either neighborhood} *)
 
@@ -65,4 +53,3 @@ type any = Reassign of move | Swap of swap
 
 val apply_any : Schedule.t -> any -> Schedule.t
 val apply_any_opt : Schedule.t -> any -> Schedule.t option
-val any_to_string : any -> string

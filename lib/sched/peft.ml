@@ -4,8 +4,6 @@
    processor selection towards placements with cheap futures
    (minimize EFT + OCT). *)
 
-let oct = Components.oct_table
-
 let spec =
   {
     List_scheduler.ranking = Components.Rank_oct;

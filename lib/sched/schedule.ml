@@ -208,8 +208,6 @@ let proc_succ t v =
 
 let n_tasks t = Dag.Graph.n_tasks t.graph
 
-let tasks_of_proc t p = t.order.(p)
-
 let to_string t =
   let buf = Buffer.create 256 in
   Array.iteri
@@ -219,40 +217,3 @@ let to_string t =
       Buffer.add_char buf '\n')
     t.order;
   Buffer.contents buf
-
-let of_string ~graph s =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
-  in
-  let parse_line idx line =
-    match String.index_opt line ':' with
-    | None -> invalid_arg "Schedule.of_string: missing ':'"
-    | Some colon ->
-      let head = String.sub line 0 colon in
-      if head <> Printf.sprintf "p%d" idx then
-        invalid_arg "Schedule.of_string: processors must appear in order p0, p1, …";
-      let rest = String.sub line (colon + 1) (String.length line - colon - 1) in
-      String.split_on_char ' ' rest
-      |> List.filter_map (fun tok ->
-             let tok = String.trim tok in
-             if tok = "" then None
-             else
-               match int_of_string_opt tok with
-               | Some v -> Some v
-               | None -> invalid_arg "Schedule.of_string: malformed task id")
-      |> Array.of_list
-  in
-  let order = Array.of_list (List.mapi parse_line lines) in
-  let n_procs = Array.length order in
-  if n_procs = 0 then invalid_arg "Schedule.of_string: empty input";
-  let n = Dag.Graph.n_tasks graph in
-  let proc_of = Array.make n (-1) in
-  Array.iteri
-    (fun p tasks ->
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then invalid_arg "Schedule.of_string: task out of range";
-          proc_of.(v) <- p)
-        tasks)
-    order;
-  make ~graph ~n_procs ~proc_of ~order

@@ -60,14 +60,6 @@ val proc_succ : t -> Dag.Graph.task -> Dag.Graph.task option
 
 val n_tasks : t -> int
 
-val tasks_of_proc : t -> Platform.proc -> Dag.Graph.task array
-(** Execution order of one processor (do not mutate). *)
-
 val to_string : t -> string
 (** Compact textual form, one line per processor:
-    ["p0: 0 1 3\np1: 2\n"]. Stable across versions; round-trips through
-    {!of_string}. *)
-
-val of_string : graph:Dag.Graph.t -> string -> t
-(** Parse {!to_string} output back against the same task graph, with full
-    {!make} validation. Raises [Invalid_argument] on malformed input. *)
+    ["p0: 0 1 3\np1: 2\n"]. Stable across versions. *)

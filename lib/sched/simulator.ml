@@ -34,8 +34,6 @@ let prepare sched =
   assert (!filled = n) (* Schedule.make already rejected cyclic orders *);
   { sched; topo }
 
-let schedule_of plan = plan.sched
-
 let run plan ~task_dur ~comm_dur =
   let sched = plan.sched in
   let graph = sched.Schedule.graph in

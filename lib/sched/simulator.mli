@@ -17,8 +17,6 @@ val prepare : Schedule.t -> plan
 (** Precompute the execution order implied by precedence plus processor
     order. *)
 
-val schedule_of : plan -> Schedule.t
-
 val run :
   plan ->
   task_dur:(Dag.Graph.task -> float) ->

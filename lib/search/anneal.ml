@@ -497,8 +497,25 @@ let parse_spec s =
       | Some a -> Error (Printf.sprintf "unknown axis %S (sigma|slack)" a)
     in
     let* ul = match get "ul" with None -> Ok 1.1 | Some v -> parse_float ~key:"ul" v in
+    let holds p = Option.fold ~none:true ~some:p in
     if steps < 0 then Error "anneal spec: steps must be >= 0"
     else if restarts < 0 then Error "anneal spec: restarts must be >= 0"
+    else if not (holds (fun t -> Float.is_finite t && t > 0.) t0) then
+      Error "anneal spec: t0 must be finite and > 0"
+    else if not (holds (fun a -> a > 0. && a <= 1.) alpha) then
+      Error "anneal spec: alpha must be in (0, 1]"
+    else if not (holds (fun t -> t > 0. && t < 1.) target) then
+      Error "anneal spec: target must be in (0, 1)"
+    else if not (holds (fun w -> w >= 1) window) then
+      Error "anneal spec: window must be >= 1"
+    else if not (holds (fun m -> m >= 1) max_cone) then
+      Error "anneal spec: max-cone must be >= 1"
+    else if not (holds (fun d -> Float.is_finite d && d >= 0.) delta) then
+      Error "anneal spec: delta must be finite and >= 0"
+    else if not (holds (fun g -> Float.is_finite g && g >= 1.) gamma) then
+      Error "anneal spec: gamma must be finite and >= 1"
+    else if not (Experiments.Case.ul_in_range ul) then
+      Error (Printf.sprintf "anneal spec: ul must be in [1, %g]" Experiments.Case.max_ul)
     else
       Ok
         ( {

@@ -11,18 +11,6 @@ type t =
 
 type ctx = { delta : float; gamma : float }
 
-let all =
-  [
-    Expected_makespan;
-    Makespan_std;
-    Makespan_entropy;
-    Avg_slack;
-    Slack_std;
-    Avg_lateness;
-    Prob_absolute;
-    Prob_relative;
-  ]
-
 let name = function
   | Expected_makespan -> "makespan"
   | Makespan_std -> "sigma_m"
@@ -55,8 +43,6 @@ let parse s =
          "unknown objective %S \
           (makespan|sigma_m|entropy|slack|slack_std|lateness|a_delta|r_gamma|blend:LAMBDA)"
          s)
-
-let needs_bounds = function Prob_absolute | Prob_relative -> true | _ -> false
 
 let value t ctx (ev : Makespan.Engine.evaluation) =
   let open Distribution in

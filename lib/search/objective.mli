@@ -33,13 +33,6 @@ val parse : string -> (t, string) result
 val name : t -> string
 (** Canonical token, reparsed by {!parse} (round-trips). *)
 
-val needs_bounds : t -> bool
-(** True for {!Prob_absolute} and {!Prob_relative}. *)
-
 val value : t -> ctx -> Makespan.Engine.evaluation -> float
 (** The scalar to minimize. Deterministic: same evaluation bits and same
     [ctx] give the same bits back. *)
-
-val all : t list
-(** The eight metric objectives (no blend), in {!Metrics.Robustness.labels}
-    order — for listings and tests. *)

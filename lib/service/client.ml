@@ -104,7 +104,7 @@ let job_status body =
   | Some j -> Option.bind (Json.mem "status" j) Json.str
   | None -> None
 
-let wait ?(poll_s = 0.02) ?(timeout_s = 60.) t id =
+let wait ?(timeout_s = 60.) t id =
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec poll () =
     match collapse "wait" (get t ("/jobs/" ^ id)) with
@@ -114,7 +114,7 @@ let wait ?(poll_s = 0.02) ?(timeout_s = 60.) t id =
       | Some ("queued" | "running") ->
         if Unix.gettimeofday () > deadline then Error ("wait: timed out on " ^ id)
         else begin
-          Unix.sleepf poll_s;
+          Unix.sleepf 0.02;
           poll ()
         end
       | Some _ -> (

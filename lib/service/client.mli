@@ -40,8 +40,7 @@ val eval : ?traceparent:string -> t -> Proto.job -> (string, string) result
 val submit : t -> Proto.job -> (string, string) result
 (** Async submit: [POST /jobs], returns the job id. *)
 
-val wait :
-  ?poll_s:float -> ?timeout_s:float -> t -> string -> (string, string) result
+val wait : ?timeout_s:float -> t -> string -> (string, string) result
 (** Poll [GET /jobs/:id] until the job leaves the queue/run states,
     then fetch [GET /jobs/:id/result] and return the bare document
     (default: poll every 20 ms, give up after 60 s). *)

@@ -295,13 +295,13 @@ let write_all fd s =
   in
   go 0
 
-let write_response ?(headers = []) ?(content_type = "application/json") fd ~status body =
+let write_response ?(headers = []) fd ~status body =
   let buf = Buffer.create (256 + String.length body) in
   Buffer.add_string buf
     (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (status_reason status));
   (* an explicit content-type in [headers] wins over the default *)
   if not (List.mem_assoc "content-type" headers) then
-    Buffer.add_string buf (Printf.sprintf "content-type: %s\r\n" content_type);
+    Buffer.add_string buf "content-type: application/json\r\n";
   Buffer.add_string buf (Printf.sprintf "content-length: %d\r\n" (String.length body));
   List.iter
     (fun (name, value) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" name value))

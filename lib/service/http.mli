@@ -66,17 +66,14 @@ val header : string -> (string * string) list -> string option
 val keep_alive : request -> bool
 (** HTTP/1.1 without [Connection: close] (HTTP/1.0 is always closed). *)
 
-val status_reason : int -> string
-
 val write_response :
   ?headers:(string * string) list ->
-  ?content_type:string ->
   Unix.file_descr ->
   status:int ->
   string ->
   unit
-(** Serialize and send a response with [Content-Length] (default
-    content type [application/json]). Raises [Unix.Unix_error] on a
+(** Serialize and send a response with [Content-Length] (content type
+    [application/json] unless [headers] names one). Raises [Unix.Unix_error] on a
     broken peer (e.g. [EPIPE]); callers treat that as connection
     teardown. *)
 

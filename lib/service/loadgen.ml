@@ -135,9 +135,6 @@ type sweep_config = {
   task_n : int;
 }
 
-let default_sweep =
-  { worker_counts = [ 1; 2; 4 ]; sweep_concurrency = 8; sweep_requests = 96; keys = 8; task_n = 24 }
-
 (* [keys] distinct cases: same shape, different seeds, so every job has
    its own (graph × platform × UL) key — they spread across shards and
    each owns one engine. *)

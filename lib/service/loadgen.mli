@@ -68,9 +68,6 @@ type sweep_config = {
   task_n : int;  (** target task count per case — sizes the admit cost *)
 }
 
-val default_sweep : sweep_config
-(** workers 1/2/4, 8 clients, 96 requests per point, 8 keys, n = 24. *)
-
 val sweep : sweep_config -> string
 (** Run the curve and return the report (newline-terminated JSON with
     one [points] entry per worker count). *)

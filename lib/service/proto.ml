@@ -37,12 +37,6 @@ type job = {
   trace : string option;
 }
 
-(* Scheduler names are resolved through {!Sched.Registry}: every
-   registered heuristic plus rank=...,select=... compositions. Kept as
-   an assoc list for the wire-facing listing. *)
-let heuristics =
-  List.map (fun e -> (e.Sched.Registry.name, e.Sched.Registry.run)) Sched.Registry.entries
-
 let resolve_scheduler name =
   match Sched.Registry.parse name with
   | Ok e -> Ok e
@@ -95,6 +89,37 @@ let in_range what lo hi v =
   if v < lo || v > hi then
     Error (Printf.sprintf "%s: %d out of range [%d, %d]" what v lo hi)
   else Ok v
+
+(* Range checks on decoded values. The decoder applies each one right
+   after reading its field, and {!validate} applies them all, in the same
+   order, to a job built in code — so both report the same error. *)
+
+let check_n = in_range "workload.n" 1 max_tasks
+let check_procs = in_range "workload.procs" 1 max_procs
+let check_mc_count = in_range "backend.montecarlo.count" 1 max_mc_count
+let check_random_count = in_range "schedules[].random.count" 0 max_random_count
+
+let check_index what v = if v >= 0 then Ok v else Error (what ^ ": must be >= 0")
+let check_task = check_index "schedules[].neighbor.task"
+let check_to = check_index "schedules[].neighbor.to"
+let check_at = check_index "schedules[].neighbor.at"
+
+let check_ul ul =
+  if Case.ul_in_range ul then Ok ul
+  else Error (Printf.sprintf "ul: out of range [1, %g]" Case.max_ul)
+
+let check_finite what x =
+  if Float.is_finite x then Ok x else Error (what ^ ": expected a finite number")
+
+let check_delta d =
+  let* d = check_finite "delta" d in
+  if d >= 0. then Ok d else Error "delta: must be >= 0"
+
+let check_gamma g =
+  let* g = check_finite "gamma" g in
+  if g >= 1. then Ok g else Error "gamma: must be >= 1"
+
+let check_deadline_ms d = if d > 0 then Ok d else Error "deadline_ms: must be > 0"
 
 let kind_of_name = function
   | "random" -> Ok Case.Random_graph
@@ -178,9 +203,9 @@ let workload_of_json j =
   | Some kind_json ->
     let* kind = Result.bind (as_str "workload.kind" kind_json) kind_of_name in
     let* n = Result.bind (field "n" j) (as_int "workload.n") in
-    let* n = in_range "workload.n" 1 max_tasks n in
+    let* n = check_n n in
     let* procs = Result.bind (field "procs" j) (as_int "workload.procs") in
-    let* procs = in_range "workload.procs" 1 max_procs procs in
+    let* procs = check_procs procs in
     let* seed =
       match opt_field "seed" j with
       | None -> Ok 1L
@@ -210,7 +235,7 @@ let backend_of_json j =
     | None -> Error "backend: expected a name or {\"montecarlo\": {...}}"
     | Some mc ->
       let* count = Result.bind (field "count" mc) (as_int "backend.montecarlo.count") in
-      let* count = in_range "backend.montecarlo.count" 1 max_mc_count count in
+      let* count = check_mc_count count in
       let* seed =
         match opt_field "seed" mc with
         | None -> Ok 0L
@@ -229,7 +254,7 @@ let sched_spec_of_json j =
     match (Json.mem "random" j, Json.mem "neighbor" j) with
     | Some r, _ ->
       let* count = Result.bind (field "count" r) (as_int "schedules[].random.count") in
-      let* count = in_range "schedules[].random.count" 0 max_random_count count in
+      let* count = check_random_count count in
       let* seed =
         match opt_field "seed" r with
         | None -> Ok 0L
@@ -242,20 +267,15 @@ let sched_spec_of_json j =
         Result.map (fun e -> e.Sched.Registry.name) (resolve_scheduler base)
       in
       let* task = Result.bind (field "task" nb) (as_int "schedules[].neighbor.task") in
-      let* () =
-        if task >= 0 then Ok () else Error "schedules[].neighbor.task: must be >= 0"
-      in
+      let* task = check_task task in
       let* to_ = Result.bind (field "to" nb) (as_int "schedules[].neighbor.to") in
-      let* () =
-        if to_ >= 0 then Ok () else Error "schedules[].neighbor.to: must be >= 0"
-      in
+      let* to_ = check_to to_ in
       let* at =
         match opt_field "at" nb with
         | None -> Ok None
         | Some a ->
           let* a = as_int "schedules[].neighbor.at" a in
-          if a >= 0 then Ok (Some a)
-          else Error "schedules[].neighbor.at: must be >= 0"
+          Result.map Option.some (check_at a)
       in
       Ok (Neighbor { base; task; to_; at })
     | None, None ->
@@ -274,13 +294,18 @@ let total_schedules specs =
       + match s with Heuristic _ | Neighbor _ -> 1 | Random { count; _ } -> count)
     0 specs
 
+let check_total specs =
+  let total = total_schedules specs in
+  if total = 0 then Error "schedules: zero schedules requested"
+  else if total > max_total_schedules then
+    Error (Printf.sprintf "schedules: %d schedules exceed the cap %d" total
+             max_total_schedules)
+  else Ok ()
+
 let job_of_fields j =
   let* workload = Result.bind (field "workload" j) workload_of_json in
   let* ul = Result.bind (field "ul" j) (as_float "ul") in
-  let* () =
-    if Case.ul_in_range ul then Ok ()
-    else Error (Printf.sprintf "ul: out of range [1, %g]" Case.max_ul)
-  in
+  let* ul = check_ul ul in
   let* backend =
     match opt_field "backend" j with
     | None -> Ok Engine.Classical
@@ -300,14 +325,7 @@ let job_of_fields j =
         Ok (spec :: acc))
       sched_json (Ok [])
   in
-  let* () =
-    let total = total_schedules schedules in
-    if total = 0 then Error "schedules: zero schedules requested"
-    else if total > max_total_schedules then
-      Error (Printf.sprintf "schedules: %d schedules exceed the cap %d" total
-               max_total_schedules)
-    else Ok ()
-  in
+  let* () = check_total schedules in
   let* slack_mode =
     match opt_field "slack" j with
     | None -> Ok `Disjunctive
@@ -322,21 +340,21 @@ let job_of_fields j =
     | None -> Ok None
     | Some d ->
       let* d = as_float "delta" d in
-      if d >= 0. then Ok (Some d) else Error "delta: must be >= 0"
+      Result.map Option.some (check_delta d)
   in
   let* gamma =
     match opt_field "gamma" j with
     | None -> Ok None
     | Some g ->
       let* g = as_float "gamma" g in
-      if g >= 1. then Ok (Some g) else Error "gamma: must be >= 1"
+      Result.map Option.some (check_gamma g)
   in
   let* deadline_ms =
     match opt_field "deadline_ms" j with
     | None -> Ok None
     | Some d ->
       let* d = as_int "deadline_ms" d in
-      if d > 0 then Ok (Some d) else Error "deadline_ms: must be > 0"
+      Result.map Option.some (check_deadline_ms d)
   in
   let* trace =
     match opt_field "trace" j with
@@ -347,6 +365,40 @@ let job_of_fields j =
       else Error "trace: expected 32 lowercase hex digits (non-zero)"
   in
   Ok { workload; ul; backend; schedules; slack_mode; delta; gamma; deadline_ms; trace }
+
+let validate job =
+  let ok r = Result.map ignore r in
+  let opt check = function None -> Ok () | Some v -> ok (check v) in
+  let* () =
+    match job.workload with
+    | Named { n; procs; _ } ->
+      let* _ = check_n n in
+      ok (check_procs procs)
+    | Inline _ -> Ok ()
+  in
+  let* _ = check_ul job.ul in
+  let* () =
+    match job.backend with
+    | Engine.Montecarlo { count; _ } -> ok (check_mc_count count)
+    | _ -> Ok ()
+  in
+  let* () =
+    List.fold_left
+      (fun acc spec ->
+        let* () = acc in
+        match spec with
+        | Heuristic _ -> Ok ()
+        | Random { count; _ } -> ok (check_random_count count)
+        | Neighbor { task; to_; at; _ } ->
+          let* _ = check_task task in
+          let* _ = check_to to_ in
+          opt check_at at)
+      (Ok ()) job.schedules
+  in
+  let* () = check_total job.schedules in
+  let* () = opt check_delta job.delta in
+  let* () = opt check_gamma job.gamma in
+  opt check_deadline_ms job.deadline_ms
 
 let job_of_json body =
   match Json.parse body with

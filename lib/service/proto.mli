@@ -58,14 +58,17 @@ type job = {
           byte-determinism contract. *)
 }
 
-val heuristics : (string * (Dag.Graph.t -> Platform.t -> Sched.Schedule.t)) list
-(** Every named {!Sched.Registry} entry, reachable over the wire by
-    canonical name, alias, or [rank=...,select=...] composition. *)
-
 val job_of_json : string -> (job, string) result
 (** Decode and validate one job body. Bounded: body size is capped by
     the HTTP layer, schedule counts and workload sizes here. The error
     string is safe to echo back in a 400/422 response. *)
+
+val validate : job -> (unit, string) result
+(** The range checks {!job_of_json} applies while decoding, for a job
+    built in code (as [repro eval] does): sizes and counts within the
+    service caps, [ul] within {!Experiments.Case.ul_in_range}, finite
+    [delta ≥ 0] and [gamma ≥ 1]. The error is the one {!job_of_json}
+    reports for the same value. *)
 
 val job_to_json : job -> string
 (** Inverse of {!job_of_json} (used by the client, [repro loadgen] and

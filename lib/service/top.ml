@@ -15,9 +15,6 @@ type config = {
   plain : bool; (* no ANSI clear — append frames (CI, pipes) *)
 }
 
-let default_config =
-  { host = "127.0.0.1"; port = 8080; interval_s = 1.0; iterations = None; plain = false }
-
 (* ------------------------------------------------------------------ *)
 (* Scrape                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -18,9 +18,6 @@ type config = {
       (** append frames instead of ANSI clear-screen (pipes, CI logs) *)
 }
 
-val default_config : config
-(** localhost:8080, 1 s interval, endless, ANSI. *)
-
 val run : config -> (unit, string) result
 (** Poll and render until [iterations] frames have been shown (or
     forever). [Error] carries the first scrape failure (unreachable

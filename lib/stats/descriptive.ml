@@ -20,8 +20,6 @@ let variance a =
   let n = Array.length a in
   if n < 2 then 0. else sum_sq_dev a /. float_of_int (n - 1)
 
-let std a = sqrt (variance a)
-
 let population_variance a =
   check_nonempty "population_variance" a;
   sum_sq_dev a /. float_of_int (Array.length a)
@@ -43,14 +41,6 @@ let quantile a p =
     let frac = pos -. float_of_int i in
     xs.(i) +. (frac *. (xs.(i + 1) -. xs.(i)))
   end
-
-let median a = quantile a 0.5
-
-let min_max a =
-  check_nonempty "min_max" a;
-  Array.fold_left
-    (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
-    (a.(0), a.(0)) a
 
 let standardize a =
   check_nonempty "standardize" a;

@@ -6,19 +6,11 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (0 for samples of size < 2). *)
 
-val std : float array -> float
-
 val population_variance : float array -> float
 (** Biased (1/n) variance. *)
 
-val median : float array -> float
-(** Median of a non-empty sample (input is not mutated). *)
-
 val quantile : float array -> float -> float
 (** Linear-interpolated order-statistic quantile, [p ∈ \[0,1\]]. *)
-
-val min_max : float array -> float * float
-(** Extremes of a non-empty sample. *)
 
 val standardize : float array -> float array
 (** Subtract the mean and divide by the (population) standard deviation;

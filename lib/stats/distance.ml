@@ -50,8 +50,10 @@ let ks a b =
   jumps b a;
   !best
 
-let cm_area ?(grid = 2048) a b =
-  if grid < 2 then invalid_arg "Distance.cm_area: grid too small";
+(* integration points of [cm_area] *)
+let grid = 2048
+
+let cm_area a b =
   let f1 = cdf_of a and f2 = cdf_of b in
   let lo, hi = union_support a b in
   if hi <= lo then 0.

@@ -15,6 +15,6 @@ val ks : side -> side -> float
 (** Kolmogorov–Smirnov distance [sup_x |F₁(x) − F₂(x)|], evaluated on a
     fine union grid plus every jump point of any sampled side. *)
 
-val cm_area : ?grid:int -> side -> side -> float
+val cm_area : side -> side -> float
 (** Area variant of Cramér–von-Mises: [∫ |F₁(x) − F₂(x)| dx] over the
-    union of supports ([grid] integration points, default 2048). *)
+    union of supports (2048 integration points). *)

@@ -39,19 +39,19 @@ let render_cells ~labels cells =
   done;
   Buffer.contents buf
 
-let render ?(fmt_cell = default_fmt) ~labels m =
+let render ~labels m =
   let _k = check_square labels m in
-  render_cells ~labels (Array.map (Array.map fmt_cell) m)
+  render_cells ~labels (Array.map (Array.map default_fmt) m)
 
-let render_mean_std ?(fmt_cell = default_fmt) ~labels mean std =
+let render_mean_std ~labels mean std =
   let k = check_square labels mean in
   ignore (check_square labels std);
   let cells =
     Array.init k (fun i ->
         Array.init k (fun j ->
             if i = j then Printf.sprintf "[%s]" labels.(i)
-            else if i < j then fmt_cell mean.(i).(j)
-            else fmt_cell std.(i).(j)))
+            else if i < j then default_fmt mean.(i).(j)
+            else default_fmt std.(i).(j)))
   in
   render_cells ~labels cells
 

@@ -4,14 +4,12 @@
     tables: either a plain matrix, or the paper's combined layout with one
     triangle holding means and the other standard deviations. *)
 
-val render :
-  ?fmt_cell:(float -> string) -> labels:string array -> float array array -> string
+val render : labels:string array -> float array array -> string
 (** [render ~labels m] renders [m] (square, same order as [labels]) with a
-    header row and row labels. Default cell format: ["%+.3f"], [nan]
-    printed as ["  n/a "]. *)
+    header row and row labels. Cell format: ["%+.3f"], [nan] printed as
+    ["  n/a "]. *)
 
 val render_mean_std :
-  ?fmt_cell:(float -> string) ->
   labels:string array ->
   float array array ->
   float array array ->

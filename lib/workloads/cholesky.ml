@@ -64,15 +64,3 @@ let generate ~tiles ?(volume = 20.0) () =
     done
   done;
   Dag.Graph.make ~n:(n_tasks ~tiles) ~edges:!edges
-
-let kind_of ~tiles task =
-  match List.nth_opt (kinds ~tiles) task with
-  | Some k -> k
-  | None -> invalid_arg "Cholesky.kind_of: task out of range"
-
-let task_name ~tiles task =
-  match kind_of ~tiles task with
-  | Potrf k -> Printf.sprintf "POTRF(%d)" k
-  | Trsm (k, i) -> Printf.sprintf "TRSM(%d,%d)" k i
-  | Update (k, i, j) ->
-    if i = j then Printf.sprintf "SYRK(%d,%d)" k i else Printf.sprintf "GEMM(%d,%d,%d)" k i j

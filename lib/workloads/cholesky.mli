@@ -23,10 +23,3 @@ val generate : tiles:int -> ?volume:float -> unit -> Dag.Graph.t
 (** [generate ~tiles ()] builds the DAG; every edge carries the uniform
     tile communication [volume] (default 20.0, the same order as the
     time scale when computation costs are a few tens). *)
-
-val kind_of : tiles:int -> Dag.Graph.task -> kind
-(** Decode a task index back to its algebraic role. Raises
-    [Invalid_argument] on an index outside [\[0, n_tasks ~tiles)]. *)
-
-val task_name : tiles:int -> Dag.Graph.task -> string
-(** Human-readable name, e.g. ["POTRF(1)"], ["GEMM(0,2,1)"]. *)

@@ -44,13 +44,3 @@ let generate ~n ?(volume = 20.0) () =
     done
   done;
   Dag.Graph.make ~n:(n_tasks ~n) ~edges:!edges
-
-let kind_of ~n task =
-  match List.nth_opt (kinds ~n) task with
-  | Some k -> k
-  | None -> invalid_arg "Gauss_elim.kind_of: task out of range"
-
-let task_name ~n task =
-  match kind_of ~n task with
-  | Pivot k -> Printf.sprintf "PIV(%d)" k
-  | Update (k, j) -> Printf.sprintf "UPD(%d,%d)" k j

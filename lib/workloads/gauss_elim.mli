@@ -11,16 +11,9 @@
     the closest realization of the paper's “Gaussian elimination graph of
     103 tasks” (see DESIGN.md). *)
 
-type kind =
-  | Pivot of int  (** [Pivot k], [1 <= k <= n−1] *)
-  | Update of int * int  (** [Update (k, j)], [k < j <= n] *)
-
 val n_tasks : n:int -> int
 (** [(n−1) + n(n−1)/2] for an [n × n] system, [n >= 2]. *)
 
 val generate : n:int -> ?volume:float -> unit -> Dag.Graph.t
 (** Build the DAG; each edge carries communication [volume]
     (default 20.0, the same order as the computation times, per §V). *)
-
-val kind_of : n:int -> Dag.Graph.task -> kind
-val task_name : n:int -> Dag.Graph.task -> string

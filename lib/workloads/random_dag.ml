@@ -1,4 +1,4 @@
-let generate ~rng ~n ?(ccr = 0.1) ?(mu_task = 20.) ?(v_comm = 0.5) ?(mean_tau = 1.0)
+let generate ~rng ~n ?(ccr = 0.1) ?(mu_task = 20.) ?(mean_tau = 1.0)
     ?max_out_degree () =
   if n <= 0 then invalid_arg "Random_dag.generate: n must be positive";
   if ccr < 0. then invalid_arg "Random_dag.generate: ccr must be >= 0";
@@ -9,9 +9,7 @@ let generate ~rng ~n ?(ccr = 0.1) ?(mu_task = 20.) ?(v_comm = 0.5) ?(mean_tau = 
   | _ -> ());
   let mean_volume = ccr *. mu_task /. mean_tau in
   let volume () =
-    if mean_volume = 0. then 0.
-    else if v_comm = 0. then mean_volume
-    else Prng.Sampler.gamma_mean_cv rng ~mean:mean_volume ~cv:v_comm
+    if mean_volume = 0. then 0. else Prng.Sampler.gamma_mean_cv rng ~mean:mean_volume ~cv:0.5
   in
   let edges = ref [] in
   (* Node i connects to [degree] distinct nodes among the i already

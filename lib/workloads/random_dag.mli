@@ -3,8 +3,8 @@
     Nodes are created one at a time; each new node connects to previously
     created ones (“the ones at higher level”), with an out-degree drawn
     uniformly between 1 and the number of available nodes. Edge
-    communication volumes are Gamma-distributed with a coefficient of
-    variation, scaled so the expected communication-to-computation ratio
+    communication volumes are Gamma-distributed with coefficient of
+    variation 0.5, scaled so the expected communication-to-computation ratio
     matches [ccr] (given the platform's mean computation time and mean
     transfer rate). *)
 
@@ -13,7 +13,6 @@ val generate :
   n:int ->
   ?ccr:float ->
   ?mu_task:float ->
-  ?v_comm:float ->
   ?mean_tau:float ->
   ?max_out_degree:int ->
   unit ->
@@ -24,7 +23,6 @@ val generate :
       time ([volume · mean_tau]) and the mean computation time [mu_task];
     - [mu_task] (default 20.0): the mean computation cost the volumes are
       scaled against (§V's μ_task);
-    - [v_comm] (default 0.5): coefficient of variation of edge volumes;
     - [mean_tau] (default 1.0): mean per-element transfer time of the
       intended platform;
     - [max_out_degree]: optional cap on each node's out-degree (the

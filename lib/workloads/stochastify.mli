@@ -54,9 +54,6 @@ val make_variable :
     variable UL breaks that equivalence. [task_ul] must be a pure
     function (it is re-evaluated freely, including across domains). *)
 
-val effective_ul : t -> task:int -> float
-(** The uncertainty level applied to a given task. *)
-
 val deterministic : t
 (** UL = 1: every duration stays a point mass. *)
 

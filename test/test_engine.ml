@@ -267,7 +267,7 @@ let reevaluate_walk backend steps () =
     let ev = Makespan.Engine.reevaluate_move session m in
     sched := Sched.Neighbor.apply !sched m;
     eval_bits_equal
-      (Printf.sprintf "step %d (%s)" step (Sched.Neighbor.to_string m))
+      (Printf.sprintf "step %d (%d->p%d)" step m.Sched.Neighbor.task m.Sched.Neighbor.to_)
       (Makespan.Engine.analyze ~backend engine !sched)
       ev
   done;

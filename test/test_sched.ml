@@ -25,7 +25,7 @@ let make_valid_schedule () =
   Alcotest.(check (option int)) "proc pred of 0" None (Sched.Schedule.proc_pred s 0);
   Alcotest.(check (option int)) "proc succ of 1" (Some 3) (Sched.Schedule.proc_succ s 1);
   Alcotest.(check (option int)) "proc succ of 3" None (Sched.Schedule.proc_succ s 3);
-  Alcotest.(check (array int)) "proc 1 tasks" [| 2 |] (Sched.Schedule.tasks_of_proc s 1)
+  Alcotest.(check (array int)) "proc 1 tasks" [| 2 |] s.Sched.Schedule.order.(1)
 
 let schedule_validation () =
   let expect msg f =
@@ -47,32 +47,12 @@ let schedule_validation () =
       Sched.Schedule.make ~graph:diamond ~n_procs:2 ~proc_of:[| 0; 0; 1; 0 |]
         ~order:[| [| 3; 0; 1 |]; [| 2 |] |])
 
-let serialization_roundtrip =
-  Tutil.qcheck ~count:100 "to_string/of_string round-trips" Tutil.random_scheduled_gen
-    (fun (graph, _, sched) ->
-      let s = Sched.Schedule.to_string sched in
-      let back = Sched.Schedule.of_string ~graph s in
-      back.Sched.Schedule.proc_of = sched.Sched.Schedule.proc_of
-      && back.Sched.Schedule.order = sched.Sched.Schedule.order)
-
-let serialization_rejects_garbage () =
-  let expect s =
-    match Sched.Schedule.of_string ~graph:diamond s with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "accepted %S" s
-  in
-  expect "";
-  expect "p0 0 1 2 3";
-  expect "p1: 0 1 2 3";
-  expect "p0: 0 1 2 99";
-  expect "p0: 0 1 x 3"
-
 let of_assignment_sequence_builds () =
   let s =
     Sched.Schedule.of_assignment_sequence ~graph:diamond ~n_procs:2
       [ (0, 0); (2, 1); (1, 0); (3, 0) ]
   in
-  Alcotest.(check (array int)) "proc 0 order" [| 0; 1; 3 |] (Sched.Schedule.tasks_of_proc s 0)
+  Alcotest.(check (array int)) "proc 0 order" [| 0; 1; 3 |] s.Sched.Schedule.order.(0)
 
 (* --- Simulator --- *)
 
@@ -371,7 +351,7 @@ let heft_ranks_decrease_along_edges =
       let p =
         Platform.Gen.uniform_minval ~rng ~n_tasks:(Dag.Graph.n_tasks g) ~n_procs:2 ()
       in
-      let ranks = Sched.Heft.upward_ranks g p in
+      let ranks = Sched.Components.upward_ranks g p in
       Array.for_all (fun (u, v, _) -> ranks.(u) > ranks.(v)) (Dag.Graph.edges g))
 
 let heft_prefers_fast_processor () =
@@ -419,9 +399,9 @@ let heft_rank_policies_order_weights () =
   let g = diamond in
   let rng = Tutil.rng_of_seed 20 in
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:4 ~n_procs:3 () in
-  let wb = Sched.Heft.average_weights ~rank:`Best g p in
-  let wm = Sched.Heft.average_weights ~rank:`Mean g p in
-  let ww = Sched.Heft.average_weights ~rank:`Worst g p in
+  let wb = Sched.Components.average_weights ~rank:`Best g p in
+  let wm = Sched.Components.average_weights ~rank:`Mean g p in
+  let ww = Sched.Components.average_weights ~rank:`Worst g p in
   for v = 0 to 3 do
     Alcotest.(check bool) "ordering" true
       (wb.Dag.Levels.task v <= wm.Dag.Levels.task v
@@ -432,7 +412,7 @@ let bil_levels_at_exits () =
   (* BIL(exit, p) = w(exit, p) *)
   let g = diamond in
   let p = two_proc_platform () in
-  let levels = Sched.Bil.bil g p in
+  let levels = Sched.Components.bil_table g p in
   check_close "exit level p0" 10. levels.(3).(0);
   check_close "exit level p1" 10. levels.(3).(1)
 
@@ -440,7 +420,7 @@ let bil_levels_monotone () =
   (* BIL of an ancestor exceeds that of its descendants (positive weights) *)
   let g = diamond in
   let p = two_proc_platform () in
-  let levels = Sched.Bil.bil g p in
+  let levels = Sched.Components.bil_table g p in
   Alcotest.(check bool) "entry > exit" true (levels.(0).(0) > levels.(3).(0))
 
 let bmct_groups_are_independent =
@@ -482,7 +462,7 @@ let dls_static_levels_monotone =
       let p =
         Platform.Gen.uniform_minval ~rng ~n_tasks:(Dag.Graph.n_tasks g) ~n_procs:3 ()
       in
-      let sl = Sched.Dls.static_levels g p in
+      let sl = Sched.Components.static_levels g p in
       Array.for_all (fun (u, v, _) -> sl.(u) > sl.(v)) (Dag.Graph.edges g))
 
 let dls_single_task_fast_proc () =
@@ -587,7 +567,7 @@ let peft_oct_hand_computed () =
      max over children of min(10 + 10 + 0, 10 + 10 + 2) = 20. *)
   let g = diamond in
   let p = two_proc_platform () in
-  let oct = Sched.Peft.oct g p in
+  let oct = Sched.Components.oct_table g p in
   for q = 0 to 1 do
     check_close (Printf.sprintf "oct(3,%d)" q) 0. oct.(3).(q);
     check_close (Printf.sprintf "oct(1,%d)" q) 10. oct.(1).(q);
@@ -603,7 +583,7 @@ let peft_oct_zero_at_exits =
       let p =
         Platform.Gen.uniform_minval ~rng ~n_tasks:(Dag.Graph.n_tasks g) ~n_procs:3 ()
       in
-      let oct = Sched.Peft.oct g p in
+      let oct = Sched.Components.oct_table g p in
       let ok = ref true in
       for v = 0 to Dag.Graph.n_tasks g - 1 do
         let exit = Array.length (Dag.Graph.succs g v) = 0 in
@@ -795,7 +775,7 @@ let validate_accepts_make_outputs () =
 let cpop_critical_path_is_path () =
   let g = diamond in
   let p = two_proc_platform () in
-  let cp = Sched.Cpop.critical_path g p in
+  let cp = Sched.Components.critical_path g p in
   (* must start at the entry and end at the exit *)
   Alcotest.(check int) "starts at entry" 0 (List.hd cp);
   Alcotest.(check int) "ends at exit" 3 (List.nth cp (List.length cp - 1))
@@ -819,8 +799,6 @@ let () =
           tc "valid build" `Quick make_valid_schedule;
           tc "validation" `Quick schedule_validation;
           tc "assignment sequence" `Quick of_assignment_sequence_builds;
-          serialization_roundtrip;
-          tc "serialization rejects" `Quick serialization_rejects_garbage;
         ] );
       ( "simulator",
         [

@@ -32,7 +32,9 @@ let objective_name_round_trips () =
       | Ok o' ->
         Alcotest.(check bool) (Search.Objective.name o ^ " round-trips") true (o = o')
       | Error e -> Alcotest.failf "%s: %s" (Search.Objective.name o) e)
-    (Search.Objective.Blend 0.5 :: Search.Objective.all);
+    Search.Objective.
+      [ Expected_makespan; Makespan_std; Makespan_entropy; Avg_slack; Slack_std;
+        Avg_lateness; Prob_absolute; Prob_relative; Blend 0.5 ];
   (match Search.Objective.parse "std" with
   | Ok Search.Objective.Makespan_std -> ()
   | _ -> Alcotest.fail "alias std");
@@ -335,6 +337,16 @@ let spec_rejects_garbage () =
   (match Search.Anneal.parse_spec "anneal:steps=-4" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative steps accepted");
+  List.iter
+    (fun body ->
+      match Search.Anneal.parse_spec ("anneal:" ^ body) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" body)
+    [ "t0=-1"; "t0=0"; "t0=nan"; "t0=inf"; "alpha=2"; "alpha=0"; "alpha=nan";
+      "policy=adaptive;target=nan"; "target=5"; "target=0"; "window=0";
+      "policy=adaptive;window=0"; "max-cone=-1"; "max-cone=0"; "delta=nan";
+      "delta=-1"; "delta=inf"; "gamma=0.5"; "gamma=inf"; "gamma=nan"; "ul=0.5";
+      "ul=nan"; "ul=1000" ];
   match Search.Anneal.parse_spec "anneal:frobnicate=1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key accepted"

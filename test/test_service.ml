@@ -190,7 +190,27 @@ let proto_rejects_invalid () =
   expect_err
     {|{"workload":{"kind":"cholesky","n":99999,"procs":3},"ul":1.1,"schedules":["HEFT"]}|};
   expect_err
-    {|{"workload":{"kind":"cholesky","n":10,"procs":3},"ul":1.1,"schedules":[{"random":{"count":999999999}}]}|}
+    {|{"workload":{"kind":"cholesky","n":10,"procs":3},"ul":1.1,"schedules":[{"random":{"count":999999999}}]}|};
+  expect_err
+    {|{"workload":{"kind":"cholesky","n":10,"procs":3},"ul":1.1,"delta":-1,"schedules":["HEFT"]}|};
+  expect_err
+    {|{"workload":{"kind":"cholesky","n":10,"procs":3},"ul":1.1,"backend":{"montecarlo":{"count":0}},"schedules":["HEFT"]}|};
+  (* a job built in code passes the same checks, with the decoder's error *)
+  let expect_invalid what job want =
+    match Proto.validate job with
+    | Error e -> Alcotest.(check string) what want e
+    | Ok () -> Alcotest.failf "validate accepted %s" what
+  in
+  Alcotest.(check bool) "valid job" true (Proto.validate (named_job ()) = Ok ());
+  expect_invalid "NaN delta" { (named_job ()) with Proto.delta = Some Float.nan }
+    "delta: expected a finite number";
+  expect_invalid "negative delta" { (named_job ()) with Proto.delta = Some (-1.) }
+    "delta: must be >= 0";
+  expect_invalid "infinite gamma" { (named_job ()) with Proto.gamma = Some Float.infinity }
+    "gamma: expected a finite number";
+  expect_invalid "zero mc count"
+    { (named_job ()) with Proto.backend = Makespan.Engine.Montecarlo { count = 0; seed = 0L } }
+    "backend.montecarlo.count: 0 out of range [1, 1000000]"
 
 let proto_eval_deterministic () =
   let job = named_job ~schedules:[ Proto.Heuristic "HEFT"; Proto.Random { count = 3; seed = 5L } ] () in

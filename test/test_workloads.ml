@@ -86,8 +86,9 @@ let cholesky_structure_b3 () =
   Alcotest.(check int) "one entry" 1 (Array.length (Dag.Graph.entries g));
   Alcotest.(check int) "one exit" 1 (Array.length (Dag.Graph.exits g));
   let entry = (Dag.Graph.entries g).(0) and exit_ = (Dag.Graph.exits g).(0) in
-  Alcotest.(check string) "entry kind" "POTRF(0)" (Workloads.Cholesky.task_name ~tiles:3 entry);
-  Alcotest.(check string) "exit kind" "POTRF(2)" (Workloads.Cholesky.task_name ~tiles:3 exit_)
+  let kind t = List.nth (Workloads.Cholesky.kinds ~tiles:3) t in
+  Alcotest.(check bool) "entry kind" true (kind entry = Workloads.Cholesky.Potrf 0);
+  Alcotest.(check bool) "exit kind" true (kind exit_ = Workloads.Cholesky.Potrf 2)
 
 let cholesky_critical_path_depth () =
   (* critical path alternates POTRF/TRSM/UPDATE: length 3(b−1)+1 *)
@@ -95,17 +96,6 @@ let cholesky_critical_path_depth () =
   let g = Workloads.Cholesky.generate ~tiles () in
   let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ -> 0.) } in
   check_close "depth" (float_of_int ((3 * (tiles - 1)) + 1)) (Dag.Levels.makespan g w)
-
-let cholesky_kind_roundtrip () =
-  let tiles = 4 in
-  for t = 0 to Workloads.Cholesky.n_tasks ~tiles - 1 do
-    (* names decode without exception and are distinct per index *)
-    ignore (Workloads.Cholesky.task_name ~tiles t)
-  done;
-  Alcotest.(check bool) "kind_of rejects out of range" true
-    (match Workloads.Cholesky.kind_of ~tiles 9999 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 (* --- Gauss_elim --- *)
 
@@ -125,57 +115,11 @@ let gauss_structure () =
   let g = Workloads.Gauss_elim.generate ~n () in
   (* single entry: the first pivot *)
   Alcotest.(check int) "one entry" 1 (Array.length (Dag.Graph.entries g));
-  Alcotest.(check string) "entry" "PIV(1)"
-    (Workloads.Gauss_elim.task_name ~n (Dag.Graph.entries g).(0));
+  (* PIV(1) is task 0 of the canonical step-by-step order *)
+  Alcotest.(check int) "entry" 0 (Dag.Graph.entries g).(0);
   (* depth: pivot and update alternate over n−1 steps: 2(n−1) *)
   let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ -> 0.) } in
   check_close "depth" (float_of_int (2 * (n - 1))) (Dag.Levels.makespan g w)
-
-(* --- LU --- *)
-
-let lu_task_counts () =
-  (* Σ 1 + 2m + m² with m = b−k−1 *)
-  List.iter
-    (fun (tiles, want) ->
-      Alcotest.(check int) (Printf.sprintf "tiles %d" tiles) want
-        (Workloads.Lu.n_tasks ~tiles))
-    [ (1, 1); (2, 5); (3, 14); (4, 30) ]
-
-let lu_graph_matches_count =
-  Tutil.qcheck ~count:8 "generate size = n_tasks" QCheck2.Gen.(int_range 1 6) (fun tiles ->
-      Dag.Graph.n_tasks (Workloads.Lu.generate ~tiles ()) = Workloads.Lu.n_tasks ~tiles)
-
-let lu_structure () =
-  let g = Workloads.Lu.generate ~tiles:3 () in
-  Alcotest.(check int) "14 tasks" 14 (Dag.Graph.n_tasks g);
-  Alcotest.(check int) "one entry" 1 (Array.length (Dag.Graph.entries g));
-  Alcotest.(check string) "entry" "GETRF(0)"
-    (Workloads.Lu.task_name ~tiles:3 (Dag.Graph.entries g).(0));
-  (* depth: GETRF → TRSM → GEMM per step, 3(b−1)+1 levels *)
-  let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ -> 0.) } in
-  Tutil.check_close "depth" 7. (Dag.Levels.makespan g w)
-
-(* --- FFT graph --- *)
-
-let fft_counts_and_shape () =
-  Alcotest.(check int) "8-point tasks" 32 (Workloads.Fft_graph.n_tasks ~n:8);
-  let g = Workloads.Fft_graph.generate ~n:8 () in
-  Alcotest.(check int) "tasks" 32 (Dag.Graph.n_tasks g);
-  Alcotest.(check int) "entries" 8 (Array.length (Dag.Graph.entries g));
-  Alcotest.(check int) "exits" 8 (Array.length (Dag.Graph.exits g));
-  Alcotest.(check int) "edges" (2 * 8 * 3) (Dag.Graph.n_edges g);
-  (* every interior task has exactly 2 preds *)
-  for t = 8 to 31 do
-    Alcotest.(check int) "two preds" 2 (Array.length (Dag.Graph.preds g t))
-  done;
-  let l, i = Workloads.Fft_graph.level_of ~n:8 19 in
-  Alcotest.(check (pair int int)) "level_of" (2, 3) (l, i)
-
-let fft_rejects_non_pow2 () =
-  Alcotest.(check bool) "rejects 6" true
-    (match Workloads.Fft_graph.generate ~n:6 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 (* --- Classic shapes --- *)
 
@@ -378,24 +322,12 @@ let () =
           cholesky_graph_matches_count;
           tc "b=3 structure" `Quick cholesky_structure_b3;
           tc "critical depth" `Quick cholesky_critical_path_depth;
-          tc "kind roundtrip" `Quick cholesky_kind_roundtrip;
         ] );
       ( "gauss_elim",
         [
           tc "task counts" `Quick gauss_task_counts;
           gauss_graph_matches_count;
           tc "structure" `Quick gauss_structure;
-        ] );
-      ( "lu",
-        [
-          tc "task counts" `Quick lu_task_counts;
-          lu_graph_matches_count;
-          tc "structure" `Quick lu_structure;
-        ] );
-      ( "fft_graph",
-        [
-          tc "counts and shape" `Quick fft_counts_and_shape;
-          tc "rejects non-pow2" `Quick fft_rejects_non_pow2;
         ] );
       ( "classic",
         [
