@@ -104,9 +104,12 @@ let run ?pool ?(scale = Scale.of_env ()) ?slack_mode ?count
   Elog.debug "case %s: calibrated bounds on %d pilot schedules (δ=%.3g, γ=%.6g)"
     case.Case.id pilot delta gamma;
   let s = Makespan.Engine.stats engine in
-  Elog.debug "case %s: engine task %d/%d hit/miss, comm %d/%d hit/miss, %d evals"
+  Elog.debug
+    "case %s: engine task %d/%d hit/miss, comm %d/%d hit/miss, arrival %d/%d hit/miss, %d \
+     evals"
     case.Case.id s.Makespan.Engine.task_hits s.Makespan.Engine.task_misses
-    s.Makespan.Engine.comm_hits s.Makespan.Engine.comm_misses s.Makespan.Engine.evals;
+    s.Makespan.Engine.comm_hits s.Makespan.Engine.comm_misses
+    s.Makespan.Engine.arrival_hits s.Makespan.Engine.arrival_misses s.Makespan.Engine.evals;
   Elog.info "case %s: done" case.Case.id;
   { instance; delta; gamma; sources; rows }
 

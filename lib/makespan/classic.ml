@@ -2,10 +2,48 @@
    as functions plus a caller-owned scratch array, so {!Engine} feeds it
    from its memo tables and reuses the array across schedules. *)
 
-let update_node ~points ~dgraph
-    ~(task_dist : task:int -> proc:int -> Distribution.Dist.t)
-    ~(comm_dist : volume:float -> src:int -> dst:int -> Distribution.Dist.t)
-    sched completion v =
+module Dist = Distribution.Dist
+
+(* Per-predecessor memo of arrival sums for one full sweep. Entry [p]
+   holds the last two sums [C(p) + comm] computed for predecessor [p],
+   six slots each, most recent first: (C(p), comm, sum) twice. Keys
+   compare by physical identity, so a hit returns the value of the
+   identical [Dist.add] call on the identical operands. *)
+type arrivals = {
+  mutable slots : Dist.t array;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+(* never a completion or a communication distribution, so an empty slot
+   matches no key *)
+let vacant = Dist.const 0.
+
+let arrivals () = { slots = [||]; hits = 0; misses = 0 }
+let arrival_hits a = a.hits
+let arrival_misses a = a.misses
+
+let memo_sum ~points a p c comm =
+  let s = a.slots and i = 6 * p in
+  if Array.unsafe_get s i == c && Array.unsafe_get s (i + 1) == comm then begin
+    a.hits <- a.hits + 1;
+    Array.unsafe_get s (i + 2)
+  end
+  else if Array.unsafe_get s (i + 3) == c && Array.unsafe_get s (i + 4) == comm then begin
+    a.hits <- a.hits + 1;
+    Array.unsafe_get s (i + 5)
+  end
+  else begin
+    a.misses <- a.misses + 1;
+    let sum = Dist.add ~points c comm in
+    Array.blit s i s (i + 3) 3;
+    s.(i) <- c;
+    s.(i + 1) <- comm;
+    s.(i + 2) <- sum;
+    sum
+  end
+
+let node ~points ~dgraph ~task_dist ~comm_dist ~arrivals sched completion v =
   let graph = sched.Sched.Schedule.graph in
   let proc_of = sched.Sched.Schedule.proc_of in
   (* fused arrival/max loop: same left fold as the historical
@@ -16,31 +54,49 @@ let update_node ~points ~dgraph
        original graph *)
     match Dag.Graph.volume graph ~src:p ~dst:v with
     | None -> completion.(p)
-    | Some volume ->
+    | Some volume -> (
       let comm = comm_dist ~volume ~src:proc_of.(p) ~dst:proc_of.(v) in
-      Distribution.Dist.add ~points completion.(p) comm
+      match arrivals with
+      | None -> Dist.add ~points completion.(p) comm
+      | Some a -> memo_sum ~points a p completion.(p) comm)
   in
   let preds = Dag.Graph.preds dgraph v in
   let np = Array.length preds in
   let ready =
-    if np = 0 then Distribution.Dist.const 0.
+    if np = 0 then Dist.const 0.
     else begin
       let acc = ref (arrival preds.(0)) in
       for i = 1 to np - 1 do
-        acc := Distribution.Dist.max_indep ~points !acc (arrival preds.(i))
+        acc := Dist.max_indep ~points !acc (arrival preds.(i))
       done;
       !acc
     end
   in
   let dur = task_dist ~task:v ~proc:proc_of.(v) in
-  completion.(v) <- Distribution.Dist.add ~points ready dur
+  completion.(v) <- Dist.add ~points ready dur
 
-let completion_dists_with ~points ~dgraph ~completion
-    ~(task_dist : task:int -> proc:int -> Distribution.Dist.t)
-    ~(comm_dist : volume:float -> src:int -> dst:int -> Distribution.Dist.t) sched =
-  Array.iter
-    (update_node ~points ~dgraph ~task_dist ~comm_dist sched completion)
-    (Dag.Graph.topo_order dgraph);
+let update_node ~points ~dgraph ~task_dist ~comm_dist sched completion v =
+  node ~points ~dgraph ~task_dist ~comm_dist ~arrivals:None sched completion v
+
+let completion_dists_with ?arrivals ~points ~dgraph ~completion
+    ~(task_dist : task:int -> proc:int -> Dist.t)
+    ~(comm_dist : volume:float -> src:int -> dst:int -> Dist.t) sched =
+  let sweep arrivals =
+    Array.iter
+      (node ~points ~dgraph ~task_dist ~comm_dist ~arrivals sched completion)
+      (Dag.Graph.topo_order dgraph)
+  in
+  (match arrivals with
+  | None -> sweep None
+  | Some a ->
+    let len = 6 * Dag.Graph.n_tasks dgraph in
+    if Array.length a.slots < len then a.slots <- Array.make len vacant;
+    a.hits <- 0;
+    a.misses <- 0;
+    (* nothing outlives the sweep: the sums are dropped with it *)
+    Fun.protect
+      ~finally:(fun () -> Array.fill a.slots 0 len vacant)
+      (fun () -> sweep arrivals));
   completion
 
 let makespan_of_exits ~points dgraph completion =
@@ -48,6 +104,6 @@ let makespan_of_exits ~points dgraph completion =
   if Array.length exits = 0 then invalid_arg "Classic.makespan_of_exits: no exit task";
   let acc = ref completion.(exits.(0)) in
   for i = 1 to Array.length exits - 1 do
-    acc := Distribution.Dist.max_indep ~points !acc completion.(exits.(i))
+    acc := Dist.max_indep ~points !acc completion.(exits.(i))
   done;
   !acc

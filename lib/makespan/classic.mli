@@ -25,7 +25,27 @@ val update_node :
     fold order over [Dag.Graph.preds] is the deterministic sorted
     order). *)
 
+type arrivals
+(** Domain-local scratch for the arrival-sum memo of a full sweep:
+    per predecessor [p], the last two sums [C(p) + comm(p→v)] keyed by
+    the physical identity of both operands. Within one sweep a
+    predecessor whose successors are reached over the same shared
+    communication distribution (one per weight from {!Engine}, one
+    shared zero for same-processor edges) reuses the sum instead of
+    convolving again; a reused sum is the value of the identical
+    [Dist.add] call, so results are bit-identical to the uncached sweep.
+    Not thread-safe: one per domain. *)
+
+val arrivals : unit -> arrivals
+
+val arrival_hits : arrivals -> int
+(** Arrival sums reused by the last sweep that ran with this memo. *)
+
+val arrival_misses : arrivals -> int
+(** Arrival sums computed by that sweep. *)
+
 val completion_dists_with :
+  ?arrivals:arrivals ->
   points:int ->
   dgraph:Dag.Graph.t ->
   completion:Distribution.Dist.t array ->
@@ -37,7 +57,9 @@ val completion_dists_with :
     as {!Engine} runs it from its caches. [dgraph] must be the schedule's
     disjunctive graph. [completion] is caller-owned scratch with at least
     one entry per task; it is filled and returned (entries beyond the
-    task count are left untouched). *)
+    task count are left untouched). With [arrivals], repeated arrival
+    sums are reused within the sweep and the memo is emptied before
+    returning, so no sum outlives it. *)
 
 val makespan_of_exits :
   points:int -> Dag.Graph.t -> Distribution.Dist.t array -> Distribution.Dist.t

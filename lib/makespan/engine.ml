@@ -15,9 +15,10 @@
    Mutable caches are guarded by one mutex (lookups are cheap next to a
    64-point grid construction; distribution builds happen outside the
    lock, a benign duplicated build under a race). Scratch buffers —
-   completion arrays for the classical sweep and moment arrays for
-   Spelde — live in domain-local storage so parallel sweeps neither
-   race nor allocate per schedule. *)
+   completion arrays and the arrival-sum memo for the classical sweep,
+   moment arrays for Spelde — live in domain-local storage under one
+   module-level key, so parallel sweeps neither race nor allocate per
+   schedule, and dropping an engine leaves nothing of it behind. *)
 
 type backend =
   | Classical
@@ -46,6 +47,8 @@ type stats = {
   task_misses : int;  (** filled (task, proc) duration cells *)
   comm_hits : int;
   comm_misses : int;  (** distinct communication weights built *)
+  arrival_hits : int;
+  arrival_misses : int;  (** arrival sums reused / computed by full classical sweeps *)
   evals : int;
   evals_classical : int;
   evals_dodin : int;
@@ -68,6 +71,8 @@ let m_task_hits = Obs.Metrics.counter "engine.task_hits"
 let m_task_misses = Obs.Metrics.counter "engine.task_misses"
 let m_comm_hits = Obs.Metrics.counter "engine.comm_hits"
 let m_comm_misses = Obs.Metrics.counter "engine.comm_misses"
+let m_arrival_hits = Obs.Metrics.counter "engine.arrival_hits"
+let m_arrival_misses = Obs.Metrics.counter "engine.arrival_misses"
 let m_evals_classical = Obs.Metrics.counter "engine.evals.classical"
 let m_evals_dodin = Obs.Metrics.counter "engine.evals.dodin"
 let m_evals_spelde = Obs.Metrics.counter "engine.evals.spelde"
@@ -87,7 +92,16 @@ let span_name = function
 type scratch = {
   mutable dists : Distribution.Dist.t array;
   mutable pairs : Distribution.Normal_pair.t array;
+  arrivals : Classic.arrivals;
 }
+
+(* One key for every engine: OCaml never frees a DLS slot, so a key per
+   engine would keep each dropped engine's last completion array alive
+   for the life of every domain that evaluated on it. Sized to the
+   largest case seen on the domain. *)
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { dists = [||]; pairs = [||]; arrivals = Classic.arrivals () })
 
 type t = {
   graph : Dag.Graph.t;
@@ -105,6 +119,8 @@ type t = {
   task_misses : int Atomic.t;
   comm_hits : int Atomic.t;
   comm_misses : int Atomic.t;
+  arrival_hits : int Atomic.t;
+  arrival_misses : int Atomic.t;
   evals : int Atomic.t;
   evals_by_backend : int Atomic.t array; (* Classical, Dodin, Spelde, Montecarlo *)
   reevals : int Atomic.t;
@@ -113,7 +129,6 @@ type t = {
   reeval_full_backend : int Atomic.t;
   reeval_cone_nodes : int Atomic.t;
   reeval_max_cone : int Atomic.t;
-  scratch : scratch Domain.DLS.key;
 }
 
 let backend_slot = function
@@ -149,6 +164,8 @@ let create ~graph ~platform ~model =
     task_misses = Atomic.make 0;
     comm_hits = Atomic.make 0;
     comm_misses = Atomic.make 0;
+    arrival_hits = Atomic.make 0;
+    arrival_misses = Atomic.make 0;
     evals = Atomic.make 0;
     evals_by_backend = Array.init 4 (fun _ -> Atomic.make 0);
     reevals = Atomic.make 0;
@@ -157,7 +174,6 @@ let create ~graph ~platform ~model =
     reeval_full_backend = Atomic.make 0;
     reeval_cone_nodes = Atomic.make 0;
     reeval_max_cone = Atomic.make 0;
-    scratch = Domain.DLS.new_key (fun () -> { dists = [||]; pairs = [||] });
   }
 
 let graph t = t.graph
@@ -168,6 +184,8 @@ let stats t =
     task_misses = Atomic.get t.task_misses;
     comm_hits = Atomic.get t.comm_hits;
     comm_misses = Atomic.get t.comm_misses;
+    arrival_hits = Atomic.get t.arrival_hits;
+    arrival_misses = Atomic.get t.arrival_misses;
     evals = Atomic.get t.evals;
     evals_classical = Atomic.get t.evals_by_backend.(0);
     evals_dodin = Atomic.get t.evals_by_backend.(1);
@@ -187,6 +205,8 @@ let reset_stats t =
   Atomic.set t.task_misses 0;
   Atomic.set t.comm_hits 0;
   Atomic.set t.comm_misses 0;
+  Atomic.set t.arrival_hits 0;
+  Atomic.set t.arrival_misses 0;
   Atomic.set t.evals 0;
   Array.iter (fun a -> Atomic.set a 0) t.evals_by_backend;
   (* the reeval/cone counters are part of the same phase measurement and
@@ -221,9 +241,13 @@ let task_dist t ~task ~proc =
           t.task_tbl.(task).(proc) <- Some d;
           d)
 
+(* one shared value for every zero-weight edge, so the classical sweep's
+   arrival memo sees same-processor arrivals as one key *)
+let zero = Distribution.Dist.const 0.
+
 let comm_dist t ~volume ~src ~dst =
   let w = Platform.comm_time t.platform ~src ~dst ~volume in
-  if w = 0. then Distribution.Dist.const 0.
+  if w = 0. then zero
   else
     let cached = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.comm_tbl w) in
     match cached with
@@ -266,13 +290,13 @@ let mean_weights t sched =
 (* Scratch buffers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let scratch_dists t n =
-  let s = Domain.DLS.get t.scratch in
+let scratch_dists n =
+  let s = Domain.DLS.get scratch_key in
   if Array.length s.dists < n then s.dists <- Array.make n (Distribution.Dist.const 0.);
   s.dists
 
-let scratch_pairs t n =
-  let s = Domain.DLS.get t.scratch in
+let scratch_pairs n =
+  let s = Domain.DLS.get scratch_key in
   if Array.length s.pairs < n then
     s.pairs <- Array.make n (Distribution.Normal_pair.const 0.);
   s.pairs
@@ -296,13 +320,24 @@ let comm_moments t ~volume ~src ~dst =
 (* The one full sweep. Classical and Spelde write their per-node state
    into [completion] and [moments] respectively (the other array is
    unused): [analyze] passes the engine's domain-local scratch, a session
-   its own arrays, so both run the same bits. *)
+   its own arrays, so both run the same bits. Every classical full sweep
+   reuses repeated arrival sums through the domain-local memo; dirty-cone
+   replays do not (a probe's few sums rarely repeat, and keeping them
+   would promote every probe's grids to the major heap). *)
 let sweep t backend ~dgraph ~completion ~moments sched =
   match backend with
   | Classical ->
-    Classic.makespan_of_exits ~points:t.points dgraph
-      (Classic.completion_dists_with ~points:t.points ~dgraph ~completion
-         ~task_dist:(task_dist t) ~comm_dist:(comm_dist t) sched)
+    let arrivals = (Domain.DLS.get scratch_key).arrivals in
+    let completion =
+      Classic.completion_dists_with ~arrivals ~points:t.points ~dgraph ~completion
+        ~task_dist:(task_dist t) ~comm_dist:(comm_dist t) sched
+    in
+    let hits = Classic.arrival_hits arrivals and misses = Classic.arrival_misses arrivals in
+    ignore (Atomic.fetch_and_add t.arrival_hits hits : int);
+    ignore (Atomic.fetch_and_add t.arrival_misses misses : int);
+    Obs.Metrics.add m_arrival_hits hits;
+    Obs.Metrics.add m_arrival_misses misses;
+    Classic.makespan_of_exits ~points:t.points dgraph completion
   | Dodin ->
     (Dodin.evaluate_with ~points:t.points ~dgraph ~task_dist:(task_dist t)
        ~comm_dist:(comm_dist t) sched)
@@ -318,8 +353,8 @@ let sweep t backend ~dgraph ~completion ~moments sched =
 
 let sweep_scratch t backend ~dgraph sched =
   let n = Dag.Graph.n_tasks dgraph in
-  let completion = match backend with Classical -> scratch_dists t n | _ -> [||] in
-  let moments = match backend with Spelde -> scratch_pairs t n | _ -> [||] in
+  let completion = match backend with Classical -> scratch_dists n | _ -> [||] in
+  let moments = match backend with Spelde -> scratch_pairs n | _ -> [||] in
   sweep t backend ~dgraph ~completion ~moments sched
 
 let count_eval t backend =

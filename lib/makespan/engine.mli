@@ -15,7 +15,9 @@
     - exact (mean, std) moment tables, shared by Spelde's method and
       the mean-weight slack levels;
     - per-domain scratch buffers (completion-distribution and moment
-      arrays), so repeated evaluations stop allocating.
+      arrays, and the classical sweep's arrival-sum memo), shared by all
+      engines, so repeated evaluations stop allocating and a dropped
+      engine leaves nothing behind.
 
     All four evaluation methods of the paper are exposed as pluggable
     {!backend}s behind the single {!eval} entry point. Engines are safe
@@ -146,6 +148,10 @@ type stats = {
   task_misses : int;  (** filled (task, proc) duration cells *)
   comm_hits : int;
   comm_misses : int;  (** distinct communication weights built *)
+  arrival_hits : int;
+      (** arrival sums [C(p) + comm(p→v)] a classical full sweep reused
+          from the same predecessor's earlier sum in that sweep *)
+  arrival_misses : int;  (** arrival sums classical full sweeps computed *)
   evals : int;  (** total [eval]/[analyze]/[reevaluate] calls *)
   evals_classical : int;
   evals_dodin : int;

@@ -81,6 +81,8 @@ type stats = {
   engines_created : int;
   engine_task_hits : int;
   engine_task_misses : int;
+  engine_arrival_hits : int;
+  engine_arrival_misses : int;
   engine_reevals : int;
   engine_reeval_incremental : int;
   engine_reeval_full : int;
@@ -409,6 +411,8 @@ let worker_loop t sh =
 let stats t =
   let ( task_hits,
         task_misses,
+        arrival_hits,
+        arrival_misses,
         reevals,
         reeval_inc,
         reeval_full_cone,
@@ -420,10 +424,12 @@ let stats t =
         Mutex.lock sh.emu;
         let totals =
           List.fold_left
-            (fun (h, m, r, ri, rfc, rfb, cn, mc) (_, e) ->
+            (fun (h, m, ah, am, r, ri, rfc, rfb, cn, mc) (_, e) ->
               let s = Engine.stats e in
               ( h + s.Engine.task_hits,
                 m + s.Engine.task_misses,
+                ah + s.Engine.arrival_hits,
+                am + s.Engine.arrival_misses,
                 r + s.Engine.reevals,
                 ri + s.Engine.reeval_incremental,
                 rfc + s.Engine.reeval_full_cone,
@@ -434,7 +440,7 @@ let stats t =
         in
         Mutex.unlock sh.emu;
         totals)
-      (0, 0, 0, 0, 0, 0, 0, 0) t.shards
+      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0) t.shards
   in
   let shard_depth =
     Array.map
@@ -460,6 +466,8 @@ let stats t =
     engines_created = Atomic.get t.c.c_engines_created;
     engine_task_hits = task_hits;
     engine_task_misses = task_misses;
+    engine_arrival_hits = arrival_hits;
+    engine_arrival_misses = arrival_misses;
     engine_reevals = reevals;
     engine_reeval_incremental = reeval_inc;
     engine_reeval_full = reeval_full_cone + reeval_full_backend;
@@ -539,6 +547,12 @@ let stat_rows t (s : stats) =
       s.engine_task_hits;
     std "engine_task_misses" `Counter "Task-level cache misses over live engines"
       s.engine_task_misses;
+    std "engine_arrival_hits" `Counter
+      "Arrival sums reused within a classical sweep over live engines"
+      s.engine_arrival_hits;
+    std "engine_arrival_misses" `Counter
+      "Arrival sums computed by classical sweeps over live engines"
+      s.engine_arrival_misses;
     std "engine_reevals" `Counter "Single-move re-evaluations over live engines"
       s.engine_reevals;
     engine "engine_reeval_incremental" "service_engine_reevals_incremental"

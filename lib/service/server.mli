@@ -133,6 +133,8 @@ type stats = {
   engines_created : int;
   engine_task_hits : int;  (** summed over live engines, all shards *)
   engine_task_misses : int;
+  engine_arrival_hits : int;  (** arrival sums reused within classical sweeps *)
+  engine_arrival_misses : int;
   engine_reevals : int;  (** single-move re-evaluations, summed over live engines *)
   engine_reeval_incremental : int;  (** served by a dirty-cone replay *)
   engine_reeval_full : int;  (** fell back to a full sweep (= cone + backend) *)

@@ -407,6 +407,82 @@ let runner_pool_size_independent () =
         row)
     a.Experiments.Runner.rows
 
+(* --- arrival-sum memo and scratch lifetime --- *)
+
+(* The memo must not move a bit: the engine's classical sweep (memo on)
+   against the uncached reference sweep fed straight from the model. *)
+let arrival_memo_bitwise =
+  Tutil.qcheck ~count:60 "arrival memo == uncached sweep (bitwise)"
+    Tutil.random_scheduled_gen (fun (graph, platform, sched) ->
+      dist_bits_equal "classical makespan"
+        (Tutil.Reference.eval Makespan.Engine.Classical sched platform model11)
+        (Makespan.Engine.eval (engine_of (graph, platform)) sched);
+      true)
+
+let arrival_counts engine =
+  let st = Makespan.Engine.stats engine in
+  (st.Makespan.Engine.arrival_hits, st.Makespan.Engine.arrival_misses)
+
+(* Everything on one processor: every data edge has weight zero, and the
+   engine hands out one shared zero, so the fork's six arrivals are one
+   sum computed once and reused five times; the join's six arrivals come
+   from six different predecessors. *)
+let same_processor_arrivals_hit () =
+  let graph = Workloads.Classic.fork_join ~width:6 ~volume:3. () in
+  let rng = Tutil.rng_of_seed 7 in
+  let platform =
+    Platform.Gen.uniform_minval ~rng ~n_tasks:(Dag.Graph.n_tasks graph) ~n_procs:1 ()
+  in
+  let engine = engine_of (graph, platform) in
+  ignore (Makespan.Engine.eval engine (Sched.Random_sched.generate ~rng ~graph ~n_procs:1));
+  Alcotest.(check (pair int int)) "fork hits, join misses" (5, 7) (arrival_counts engine)
+
+(* The count of reused sums is a deterministic function of the schedule;
+   a change here means the memo's key or scope changed. *)
+let gauss_elim_arrival_hits_pinned () =
+  let module C = Experiments.Case in
+  let inst =
+    C.instantiate (C.make ~kind:C.Gauss_elim ~n_target:104 ~n_procs:16 ~ul:1.1 ~seed:1L ())
+  in
+  let graph = inst.C.graph and platform = inst.C.platform in
+  let engine = Makespan.Engine.create ~graph ~platform ~model:inst.C.model in
+  let heft = Sched.Heft.schedule graph platform in
+  ignore (Makespan.Engine.analyze engine heft);
+  let first = arrival_counts engine in
+  Alcotest.(check (pair int int)) "HEFT on ge104" (66, 115) first;
+  Makespan.Engine.reset_stats engine;
+  ignore (Makespan.Engine.analyze engine heft);
+  Alcotest.(check (pair int int)) "counts repeat exactly" first (arrival_counts engine);
+  Makespan.Engine.reset_stats engine;
+  Alcotest.(check (pair int int)) "reset_stats zeroes them" (0, 0) (arrival_counts engine)
+
+(* Scratch lives under one module-level DLS key: dropped engines must
+   leave nothing reachable. With a key per engine, every engine's last
+   completion array stayed alive (about 2k words per engine here). *)
+let dropped_engines_are_collected () =
+  let module C = Experiments.Case in
+  let inst = C.instantiate (C.make ~kind:C.Cholesky ~n_target:10 ~n_procs:3 ~ul:1.1 ()) in
+  let graph = inst.C.graph and platform = inst.C.platform in
+  let sched = Sched.Heft.schedule graph platform in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let cycle () =
+    let engine = Makespan.Engine.create ~graph ~platform ~model:inst.C.model in
+    ignore (Sys.opaque_identity (Makespan.Engine.analyze engine sched))
+  in
+  for _ = 1 to 10 do
+    cycle ()
+  done;
+  let base = live () in
+  for _ = 1 to 120 do
+    cycle ()
+  done;
+  let grown = live () - base in
+  if grown > 20_000 then
+    Alcotest.failf "live heap grew by %d words over 120 dropped engines" grown
+
 (* --- frozen evaluator goldens --- *)
 
 (* The fixtures under golden/engine__*.txt hold the %h bits of E(M) and
@@ -429,6 +505,7 @@ let engine_golden_runs =
     engine_golden_cases
   @ [ ("classical-moment2", Classical, "random30", Distribution.Dist.Moment 2) ]
 
+(* The rendered bits, and the engine's arrival-memo hits behind them. *)
 let render_engine_golden backend mode (case : Experiments.Case.t) =
   let inst = Experiments.Case.instantiate case in
   let graph = inst.Experiments.Case.graph and platform = inst.Experiments.Case.platform in
@@ -444,21 +521,26 @@ let render_engine_golden backend mode (case : Experiments.Case.t) =
   Fun.protect
     ~finally:(fun () -> Distribution.Dist.set_chain_mode Distribution.Dist.Exact)
     (fun () ->
-      String.concat ""
-        (List.map
-           (fun (name, s) ->
-             let m = (Makespan.Engine.analyze ~backend engine s).Makespan.Engine.makespan in
-             Printf.sprintf "%s %h %h\n" name (Distribution.Dist.mean m)
-               (Distribution.Dist.std m))
-           scheds))
+      let text =
+        String.concat ""
+          (List.map
+             (fun (name, s) ->
+               let m = (Makespan.Engine.analyze ~backend engine s).Makespan.Engine.makespan in
+               Printf.sprintf "%s %h %h\n" name (Distribution.Dist.mean m)
+                 (Distribution.Dist.std m))
+             scheds)
+      in
+      (text, (Makespan.Engine.stats engine).Makespan.Engine.arrival_hits))
 
 let engine_golden_replay () =
   List.iter
     (fun (bname, backend, cname, mode) ->
       let label = Printf.sprintf "engine__%s__%s" bname cname in
       let expected = Tutil.read_file (Filename.concat (Tutil.golden_dir ()) (label ^ ".txt")) in
-      Alcotest.(check string) label expected
-        (render_engine_golden backend mode (List.assoc cname engine_golden_cases)))
+      let text, hits = render_engine_golden backend mode (List.assoc cname engine_golden_cases) in
+      Alcotest.(check string) label expected text;
+      if label = "engine__classical__ge104" && hits = 0 then
+        Alcotest.failf "%s replayed without reusing an arrival sum" label)
     engine_golden_runs
 
 let () =
@@ -475,6 +557,12 @@ let () =
           Alcotest.test_case "comm cache across schedules" `Quick
             comm_cache_shared_across_schedules;
           Alcotest.test_case "mismatched platform" `Quick create_rejects_mismatched_platform;
+          arrival_memo_bitwise;
+          Alcotest.test_case "same-processor arrivals hit" `Quick same_processor_arrivals_hit;
+          Alcotest.test_case "ge104 HEFT arrival hits pinned" `Quick
+            gauss_elim_arrival_hits_pinned;
+          Alcotest.test_case "dropped engines are collected" `Quick
+            dropped_engines_are_collected;
         ] );
       ( "metrics",
         [

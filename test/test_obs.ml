@@ -432,6 +432,35 @@ let engine_counts_per_backend () =
   Alcotest.(check int) "counts resume" 1
     (Makespan.Engine.stats engine).Makespan.Engine.evals_classical
 
+(* The arrival-memo counters mirror [Engine.stats] when metrics are on
+   and stay untouched when they are off. One processor makes every data
+   edge a shared zero-weight arrival, so the fork's sums are reused. *)
+let engine_arrival_counters_mirror_stats () =
+  let graph = Workloads.Classic.fork_join ~width:4 () in
+  let rng = Tutil.rng_of_seed 3 in
+  let platform =
+    Platform.Gen.uniform_minval ~rng ~n_tasks:(Dag.Graph.n_tasks graph) ~n_procs:1 ()
+  in
+  let model = Workloads.Stochastify.make ~ul:1.2 () in
+  let sched = Sched.Random_sched.generate ~rng ~graph ~n_procs:1 in
+  let engine = Makespan.Engine.create ~graph ~platform ~model in
+  let counters () =
+    let snap = Obs.Metrics.snapshot () in
+    let get name = Option.value ~default:0 (Obs.Metrics.find_counter snap name) in
+    (get "engine.arrival_hits", get "engine.arrival_misses")
+  in
+  with_flags ~metrics:false ~spans:false ~progress:false (fun () ->
+      ignore (Makespan.Engine.eval engine sched);
+      Alcotest.(check (pair int int)) "off: untouched" (0, 0) (counters ()));
+  Makespan.Engine.reset_stats engine;
+  with_flags ~metrics:true ~spans:false ~progress:false (fun () ->
+      ignore (Makespan.Engine.eval engine sched);
+      let st = Makespan.Engine.stats engine in
+      Alcotest.(check bool) "fork arrivals reused" true (st.Makespan.Engine.arrival_hits > 0);
+      Alcotest.(check (pair int int)) "on: mirrors stats"
+        (st.Makespan.Engine.arrival_hits, st.Makespan.Engine.arrival_misses)
+        (counters ()))
+
 let engine_output_independent_of_sinks () =
   let engine, sched = small_engine () in
   let reference = Makespan.Engine.eval engine sched in
@@ -818,6 +847,7 @@ let () =
       ( "engine",
         [
           tc "per-backend counts" `Quick engine_counts_per_backend;
+          tc "arrival counters mirror stats" `Quick engine_arrival_counters_mirror_stats;
           tc "sinks do not affect output" `Quick engine_output_independent_of_sinks;
         ] );
       ( "trace",

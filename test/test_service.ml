@@ -347,6 +347,8 @@ let server_batches_same_key_jobs () =
           Alcotest.(check int) "one engine" 1 s.Server.engines_created;
           Alcotest.(check int) "both done" 2 s.Server.jobs_done;
           Alcotest.(check bool) "shared caches hit" true (s.Server.engine_task_hits > 0);
+          Alcotest.(check bool) "arrival sums counted" true
+            (s.Server.engine_arrival_misses > 0);
           (* batching must not change response bytes *)
           List.iter
             (fun (id, job) ->
@@ -536,7 +538,12 @@ let server_rejects_invalid_requests () =
           | Ok resp ->
             Alcotest.(check int) "metrics alive" 200 resp.Http.status;
             Alcotest.(check bool) "metrics json" true
-              (contains ~needle:"\"service\"" resp.Http.body)
+              (contains ~needle:"\"service\"" resp.Http.body);
+            List.iter
+              (fun key ->
+                Alcotest.(check bool) (key ^ " in metrics json") true
+                  (contains ~needle:(Printf.sprintf "\"%s\"" key) resp.Http.body))
+              [ "engine_task_hits"; "engine_arrival_hits"; "engine_arrival_misses" ]
           | Error e -> Alcotest.fail (Http.error_to_string e)))
 
 let server_drain_cancels_queued () =
@@ -655,6 +662,8 @@ let server_exposes_openmetrics () =
                 "service_rejected_draining_total";
                 "service_engine_reevals_total";
                 "service_engine_reeval_max_cone";
+                "service_engine_arrival_hits_total";
+                "service_engine_arrival_misses_total";
                 "service_request_seconds_bucket";
                 "service_stage_seconds_bucket{stage=\"eval\",shard=\"0\"";
                 "service_shard_jobs_total{shard=\"0\"";
