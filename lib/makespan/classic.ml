@@ -8,9 +8,14 @@ module Dist = Distribution.Dist
    holds the last two sums [C(p) + comm] computed for predecessor [p],
    six slots each, most recent first: (C(p), comm, sum) twice. Keys
    compare by physical identity, so a hit returns the value of the
-   identical [Dist.add] call on the identical operands. *)
+   identical [Dist.add] call on the identical operands. [left.(p)]
+   counts the data successors of [p] the sweep has still to reach: an
+   entry is released at its last use, so a kept sum survives no longer
+   than it can be reused (a sum held across a minor collection is
+   promoted to the major heap). *)
 type arrivals = {
   mutable slots : Dist.t array;
+  mutable left : int array;
   mutable hits : int;
   mutable misses : int;
 }
@@ -19,29 +24,37 @@ type arrivals = {
    matches no key *)
 let vacant = Dist.const 0.
 
-let arrivals () = { slots = [||]; hits = 0; misses = 0 }
+let arrivals () = { slots = [||]; left = [||]; hits = 0; misses = 0 }
 let arrival_hits a = a.hits
 let arrival_misses a = a.misses
 
 let memo_sum ~points a p c comm =
   let s = a.slots and i = 6 * p in
-  if Array.unsafe_get s i == c && Array.unsafe_get s (i + 1) == comm then begin
-    a.hits <- a.hits + 1;
-    Array.unsafe_get s (i + 2)
-  end
-  else if Array.unsafe_get s (i + 3) == c && Array.unsafe_get s (i + 4) == comm then begin
-    a.hits <- a.hits + 1;
-    Array.unsafe_get s (i + 5)
-  end
-  else begin
-    a.misses <- a.misses + 1;
-    let sum = Dist.add ~points c comm in
-    Array.blit s i s (i + 3) 3;
-    s.(i) <- c;
-    s.(i + 1) <- comm;
-    s.(i + 2) <- sum;
-    sum
-  end
+  let left = a.left.(p) - 1 in
+  a.left.(p) <- left;
+  let sum =
+    if Array.unsafe_get s i == c && Array.unsafe_get s (i + 1) == comm then begin
+      a.hits <- a.hits + 1;
+      Array.unsafe_get s (i + 2)
+    end
+    else if Array.unsafe_get s (i + 3) == c && Array.unsafe_get s (i + 4) == comm then begin
+      a.hits <- a.hits + 1;
+      Array.unsafe_get s (i + 5)
+    end
+    else begin
+      a.misses <- a.misses + 1;
+      let sum = Dist.add ~points c comm in
+      if left > 0 then begin
+        Array.blit s i s (i + 3) 3;
+        s.(i) <- c;
+        s.(i + 1) <- comm;
+        s.(i + 2) <- sum
+      end;
+      sum
+    end
+  in
+  if left = 0 then Array.fill s i 6 vacant;
+  sum
 
 let node ~points ~dgraph ~task_dist ~comm_dist ~arrivals sched completion v =
   let graph = sched.Sched.Schedule.graph in
@@ -89,8 +102,16 @@ let completion_dists_with ?arrivals ~points ~dgraph ~completion
   (match arrivals with
   | None -> sweep None
   | Some a ->
-    let len = 6 * Dag.Graph.n_tasks dgraph in
-    if Array.length a.slots < len then a.slots <- Array.make len vacant;
+    let n = Dag.Graph.n_tasks dgraph in
+    let len = 6 * n in
+    if Array.length a.slots < len then begin
+      a.slots <- Array.make len vacant;
+      a.left <- Array.make n 0
+    end;
+    let graph = sched.Sched.Schedule.graph in
+    for p = 0 to n - 1 do
+      a.left.(p) <- Array.length (Dag.Graph.succs graph p)
+    done;
     a.hits <- 0;
     a.misses <- 0;
     (* nothing outlives the sweep: the sums are dropped with it *)

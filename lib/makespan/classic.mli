@@ -34,7 +34,8 @@ type arrivals
     shared zero for same-processor edges) reuses the sum instead of
     convolving again; a reused sum is the value of the identical
     [Dist.add] call, so results are bit-identical to the uncached sweep.
-    Not thread-safe: one per domain. *)
+    An entry is released when the sweep reaches [p]'s last data
+    successor. Not thread-safe: one per domain. *)
 
 val arrivals : unit -> arrivals
 
