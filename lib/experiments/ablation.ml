@@ -15,7 +15,8 @@ let sweep_correlations ?pool ~scale ~rng graph platform model =
   in
   let engine = Makespan.Engine.create ~graph ~platform ~model in
   let rows =
-    Parallel.Par_array.init ?pool ~chunk_size:16 (Array.length scheds) (fun i ->
+    Parallel.Par_array.init ?pool ~chunk_size:Runner.sweep_chunk_size (Array.length scheds)
+      (fun i ->
         let d = Makespan.Engine.eval engine scheds.(i) in
         let mu = Distribution.Dist.mean d in
         ( mu,
@@ -147,7 +148,8 @@ let pareto_front_study ?pool ?(scale = Scale.of_env ()) ?(seed = 71L) () =
   in
   let engine = Makespan.Engine.create ~graph ~platform ~model in
   let points =
-    Parallel.Par_array.init ?pool ~chunk_size:16 (Array.length scheds) (fun i ->
+    Parallel.Par_array.init ?pool ~chunk_size:Runner.sweep_chunk_size (Array.length scheds)
+      (fun i ->
         let d = Makespan.Engine.eval engine scheds.(i) in
         (Distribution.Dist.mean d, Distribution.Dist.std d))
   in

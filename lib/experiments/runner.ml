@@ -22,16 +22,24 @@ let scheduler name =
 
 let heuristics = List.map scheduler default_heuristic_names
 
+(* Schedules per claimed chunk in a metric sweep. One evaluation costs
+   0.7–13 ms, so a claim is free next to it, while a chunk of 16 left
+   the last one to a single domain. *)
+let sweep_chunk_size = 2
+
 (* The metric-sweep policy shared by campaigns and the service: the
    first [pilot] evaluations calibrate δ and γ (unless both are given),
    and are kept as the rows of those schedules rather than evaluated a
-   second time. *)
+   second time. The pilot runs on the pool one schedule per chunk, so
+   no domain idles while it is calibrated on. *)
 let calibrated_sweep ?pool ?delta ?gamma ~pilot ~eval ~row n =
-  let pilot_evals = Array.init (Int.min pilot n) eval in
-  let delta, gamma =
+  let pilot_evals, delta, gamma =
     match (delta, gamma) with
-    | Some d, Some g -> (d, g)
+    | Some d, Some g -> ([||], d, g)
     | d_opt, g_opt ->
+      let pilot_evals =
+        Parallel.Par_array.init ?pool ~chunk_size:1 (Int.min pilot n) eval
+      in
       let d_cal, g_cal =
         Metrics.Robustness.calibrate_bounds
           (Array.to_list
@@ -41,10 +49,10 @@ let calibrated_sweep ?pool ?delta ?gamma ~pilot ~eval ~row n =
                   (Distribution.Dist.mean d, Distribution.Dist.std d))
                 pilot_evals))
       in
-      (Option.value d_opt ~default:d_cal, Option.value g_opt ~default:g_cal)
+      (pilot_evals, Option.value d_opt ~default:d_cal, Option.value g_opt ~default:g_cal)
   in
   let rows =
-    Parallel.Par_array.init ?pool ~chunk_size:16 n (fun i ->
+    Parallel.Par_array.init ?pool ~chunk_size:sweep_chunk_size n (fun i ->
         let e = if i < Array.length pilot_evals then pilot_evals.(i) else eval i in
         row i e
           (Metrics.Robustness.compute ~delta ~gamma ~makespan_dist:e.Makespan.Engine.makespan

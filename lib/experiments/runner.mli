@@ -32,16 +32,24 @@ val calibrated_sweep :
   int ->
   float * float * 'a array
 (** [calibrated_sweep ~pilot ~eval ~row n] is the one metric-sweep
-    policy behind {!run} and the service's jobs. It evaluates schedules
-    [0 .. min pilot n − 1] in order, calibrates δ and γ on them with
-    {!Metrics.Robustness.calibrate_bounds} (a given [?delta]/[?gamma]
-    overrides its calibrated value; with both given no calibration
-    runs), then builds [row i (eval i) metrics] for every [i < n] on
-    [?pool] (default: the shared pool) in chunks of 16. Pilot
-    evaluations are reused as their rows, not evaluated twice. Returns
-    [(δ, γ, rows)]. [eval] and [row] must be safe to run concurrently
-    for distinct indices. Raises [Invalid_argument] if calibration is
-    needed and the pilot is empty. *)
+    policy behind {!run} and the service's jobs. Unless both [?delta]
+    and [?gamma] are given, it first evaluates schedules
+    [0 .. min pilot n − 1] on [?pool] (default: the shared pool), one
+    schedule per chunk, and calibrates δ and γ on them with
+    {!Metrics.Robustness.calibrate_bounds} (a given [?delta] or [?gamma]
+    overrides its calibrated value). It then builds
+    [row i (eval i) metrics] for every [i < n] on the same pool in chunks
+    of {!sweep_chunk_size}. Pilot evaluations are reused as their rows,
+    so [eval] runs exactly once per index. Since one evaluation gives
+    the same bits on any domain, δ, γ and the rows do not depend on the
+    pool's size. Returns [(δ, γ, rows)]. [eval] and [row] must be safe
+    to run concurrently for distinct indices. Raises [Invalid_argument]
+    if calibration is needed and the pilot is empty. *)
+
+val sweep_chunk_size : int
+(** Schedules per claimed chunk in {!calibrated_sweep} and the ablation
+    sweeps: small, so the last chunks of a sweep do not leave a domain
+    idle. *)
 
 val run :
   ?pool:Parallel.Pool.t ->

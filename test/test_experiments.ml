@@ -115,6 +115,73 @@ let runner_heuristics_have_best_makespan () =
       Alcotest.(check bool) (name ^ " <= best random") true (row.(0) <= best_random +. 1e-6))
     (Experiments.Runner.heuristic_rows r)
 
+(* The pilot and the sweep run on the pool; the result must not depend
+   on its size, and no schedule may be evaluated twice. *)
+let calibrated_sweep_pool_invariant () =
+  let case =
+    Experiments.Case.make ~n_procs:3 ~kind:Experiments.Case.Random_graph ~n_target:12
+      ~ul:1.1 ()
+  in
+  let { Experiments.Case.graph; platform; model; _ } = Experiments.Case.instantiate case in
+  let scheds =
+    Array.of_list
+      (Sched.Random_sched.generate_many ~rng:(Tutil.rng_of_seed 5) ~graph ~n_procs:3
+         ~count:12)
+  in
+  let pilot = 5 in
+  let bits = Int64.bits_of_float in
+  let sweep ?delta ?gamma ~pilot ~domains n =
+    let engine = Makespan.Engine.create ~graph ~platform ~model in
+    let calls = Array.init n (fun _ -> Atomic.make 0) in
+    let delta, gamma, rows =
+      Tutil.with_pool domains (fun pool ->
+          Experiments.Runner.calibrated_sweep ~pool ?delta ?gamma ~pilot
+            ~eval:(fun i ->
+              Atomic.incr calls.(i);
+              Makespan.Engine.analyze engine scheds.(i))
+            ~row:(fun i e m ->
+              let d = e.Makespan.Engine.makespan in
+              ( i,
+                Array.map bits
+                  (Array.append
+                     [| Distribution.Dist.mean d; Distribution.Dist.std d |]
+                     (Metrics.Robustness.to_array m)) ))
+            n)
+    in
+    Array.iteri
+      (fun i c ->
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d, %d domains: eval %d once" n domains i)
+          1 (Atomic.get c))
+      calls;
+    (delta, gamma, rows)
+  in
+  List.iter
+    (fun n ->
+      let ((d1, g1, rows1) as one) = sweep ~pilot ~domains:1 n in
+      let as_bits (d, g, rows) = (bits d, bits g, rows) in
+      List.iter
+        (fun domains ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d: %d domains = 1 domain (bitwise)" n domains)
+            true
+            (as_bits (sweep ~pilot ~domains n) = as_bits one))
+        [ 2; 3 ];
+      (* both bounds given: no calibration runs, so even an empty pilot is
+         accepted, and the rows match the calibrated sweep's *)
+      List.iter
+        (fun domains ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d: given bounds, %d domains" n domains)
+            true
+            (as_bits (sweep ~delta:d1 ~gamma:g1 ~pilot:0 ~domains n)
+            = as_bits (d1, g1, rows1)))
+        [ 1; 2; 3 ])
+    [ pilot - 2; pilot; Array.length scheds ];
+  Alcotest.check_raises "calibration on an empty pilot"
+    (Invalid_argument "Robustness.calibrate_bounds: empty pilot") (fun () ->
+      ignore (sweep ~pilot:0 ~domains:2 3))
+
 let correlate_matrix_properties () =
   let r = Lazy.force shared_run in
   let m = Experiments.Correlate.of_result r in
@@ -507,6 +574,7 @@ let () =
         [
           tc "rows" `Quick runner_produces_rows;
           tc "heuristics best makespan" `Quick runner_heuristics_have_best_makespan;
+          tc "calibrated sweep pool-invariant" `Quick calibrated_sweep_pool_invariant;
         ] );
       ( "correlate",
         [

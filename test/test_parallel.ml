@@ -50,6 +50,37 @@ let par_array_domain_count_irrelevant () =
   let one = on 1 and four = on 4 in
   Alcotest.(check bool) "identical" true (one = four)
 
+(* Index 0 runs inside the fan-out: [f 0] waits (at most 5 s) for [f 1]
+   to start, which on a 2-domain pool only the other domain can do while
+   [f 0] is still running. *)
+let par_array_index0_on_pool () =
+  let started1 = Atomic.make false in
+  let calls = Array.init 2 (fun _ -> Atomic.make 0) in
+  let overlapped =
+    Tutil.with_pool 2 (fun pool ->
+        Parallel.Par_array.init ~pool ~chunk_size:1 2 (fun i ->
+            Atomic.incr calls.(i);
+            if i = 1 then Atomic.set started1 true
+            else begin
+              let deadline = Unix.gettimeofday () +. 5. in
+              while (not (Atomic.get started1)) && Unix.gettimeofday () < deadline do
+                Domain.cpu_relax ()
+              done
+            end;
+            Atomic.get started1))
+  in
+  Alcotest.(check bool) "f 1 started while f 0 ran" true overlapped.(0);
+  Array.iteri
+    (fun i c -> Alcotest.(check int) (Printf.sprintf "index %d once" i) 1 (Atomic.get c))
+    calls
+
+let par_array_index0_raises () =
+  Alcotest.check_raises "index 0 failure" (Failure "index 0") (fun () ->
+      Tutil.with_pool 2 (fun pool ->
+          ignore
+            (Parallel.Par_array.init ~pool ~chunk_size:1 4 (fun i ->
+                 if i = 0 then failwith "index 0" else i))))
+
 let default_domains_positive () =
   Alcotest.(check bool) "at least 1" true (Parallel.Pool.default_domains () >= 1)
 
@@ -156,5 +187,7 @@ let () =
           tc "empty" `Quick par_array_empty;
           tc "domain independence" `Quick par_array_domain_count_irrelevant;
           tc "explicit pool" `Quick par_array_explicit_pool;
+          tc "index 0 on the pool" `Quick par_array_index0_on_pool;
+          tc "index 0 raises" `Quick par_array_index0_raises;
         ] );
     ]
