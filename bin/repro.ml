@@ -25,7 +25,10 @@ let domains_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "j"; "domains" ] ~docv:"N" ~doc:"Worker domains (default: cores - 1).")
+    & info [ "j"; "domains" ] ~docv:"N"
+        ~doc:
+          "Domains that run a sweep, the calling one included (default: cores - 1, so a \
+           2-core host sweeps on one domain unless given $(b,-j 2)).")
 
 let seed_arg =
   Arg.(

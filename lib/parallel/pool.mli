@@ -12,8 +12,11 @@
     caller that pins a domain count creates its own with {!create}. *)
 
 val default_domains : unit -> int
-(** [max 1 (recommended_domain_count − 1)] — leave one core for the
-    orchestrating domain. *)
+(** [max 1 (recommended_domain_count − 1)]: the total number of domains
+    that run a job, the calling domain included (see {!create}). One core
+    is left to other work, not added for the caller, so on a 2-core host
+    the default pool has no helper domain and every job runs inline on
+    the caller. *)
 
 type t
 (** A persistent worker pool. *)
@@ -21,7 +24,8 @@ type t
 val create : ?domains:int -> unit -> t
 (** [create ()] spawns [domains − 1] helper domains (default
     {!default_domains}) that park between jobs. The calling domain
-    participates in every job, so a pool of [domains:1] runs inline. *)
+    participates in every job and counts as one of the [domains], so a
+    pool of [domains:1] runs inline. *)
 
 val size : t -> int
 (** Number of domains that participate in a job (helpers + caller). *)
