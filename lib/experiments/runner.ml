@@ -23,8 +23,9 @@ let scheduler name =
 let heuristics = List.map scheduler default_heuristic_names
 
 (* Schedules per claimed chunk in a metric sweep. One evaluation costs
-   0.7–13 ms, so a claim is free next to it, while a chunk of 16 left
-   the last one to a single domain. *)
+   0.7–13 ms, so a claim costs nothing next to it, and small chunks keep
+   the end of a sweep from running on one domain. Of 1, 2 and 4, 2 ran
+   fastest (BENCH_sweep.json). *)
 let sweep_chunk_size = 2
 
 (* The metric-sweep policy shared by campaigns and the service: the
