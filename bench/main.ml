@@ -403,6 +403,9 @@ let conv_tests =
   let mk n = Array.init n (fun i -> 1. +. sin (float_of_int i)) in
   let a512 = mk 512 and b512 = mk 512 in
   let long = mk 2048 and kernel = mk 17 in
+  (* the campaign's shapes: a near-square sum and a long-by-short one *)
+  let a290 = mk 290 and b291 = mk 291 in
+  let a540 = mk 540 and b40 = mk 40 in
   let out = Array.make 4096 0. in
   [
     Test.make ~name:"conv:direct-512x512"
@@ -411,6 +414,12 @@ let conv_tests =
     Test.make ~name:"conv:packed-512x512"
       (Staged.stage (fun () ->
            Numerics.Convolution.fft_packed_into ~out a512 512 b512 512));
+    Test.make ~name:"conv:packed-290x291"
+      (Staged.stage (fun () ->
+           Numerics.Convolution.fft_packed_into ~out a290 290 b291 291));
+    Test.make ~name:"conv:overlap-add-540x40"
+      (Staged.stage (fun () ->
+           Numerics.Convolution.overlap_add_into ~out a540 540 b40 40));
     Test.make ~name:"conv:overlap-add-2048x17"
       (Staged.stage (fun () ->
            Numerics.Convolution.overlap_add_into ~out long 2048 kernel 17));

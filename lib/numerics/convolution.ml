@@ -11,13 +11,21 @@ let direct a b =
   done;
   out
 
+(* The C kernel checks no bounds, so every entry point validates its
+   operands before anything is written: non-empty prefixes that fit
+   their arrays, and an [out] long enough for the full result. *)
+let check_operands name ~out a n b m =
+  if n = 0 || m = 0 then invalid_arg (name ^ ": empty input");
+  if n < 0 || m < 0 then invalid_arg (name ^ ": negative length");
+  if Array.length a < n || Array.length b < m then
+    invalid_arg (name ^ ": prefix longer than operand");
+  if Array.length out < n + m - 1 then invalid_arg (name ^ ": out shorter than n + m - 1")
+
 (* Length-explicit kernel writing into a caller buffer: [a] and [b] are
    read as prefixes of length [n] and [m] (they may be oversized pooled
    arenas), and [out.(0 .. n+m-2)] receives the full linear convolution. *)
 let direct_into ~out a n b m =
-  if n = 0 || m = 0 then invalid_arg "Convolution.direct: empty input";
-  if Array.length a < n || Array.length b < m then
-    invalid_arg "Convolution.direct_into: prefix longer than operand";
+  check_operands "Convolution.direct_into" ~out a n b m;
   Array.fill out 0 (n + m - 1) 0.;
   (* unsafe: i + j ≤ n + m − 2 < length out, i < n ≤ length a,
      j < m ≤ length b *)
@@ -65,10 +73,10 @@ module Moment_chain = struct
 end
 
 (* Per-domain workspace: one complex buffer pair per power-of-two
-   transform size, zeroed before use and reused across calls, so the
-   distribution algebra's hot path — thousands of small convolutions per
-   schedule sweep — stops allocating. Domain-local storage keeps parallel
-   evaluation race-free without locks. *)
+   transform size, reused across calls (the kernel overwrites all of it),
+   so the distribution algebra's hot path — thousands of small
+   convolutions per schedule sweep — stops allocating. Domain-local
+   storage keeps parallel evaluation race-free without locks. *)
 type pair = { zre : float array; zim : float array }
 
 let pair_key : (int, pair) Hashtbl.t Domain.DLS.key =
@@ -83,16 +91,45 @@ let m_ws_words = Obs.Metrics.counter "fft.workspace_words"
 let pair_buffers size =
   let tbl = Domain.DLS.get pair_key in
   match Hashtbl.find_opt tbl size with
-  | Some w ->
-    Array.fill w.zre 0 size 0.;
-    Array.fill w.zim 0 size 0.;
-    w
+  | Some w -> w
   | None ->
     Obs.Metrics.incr m_ws_allocs;
     Obs.Metrics.add m_ws_words (2 * size);
     let w = { zre = Array.make size 0.; zim = Array.make size 0. } in
     Hashtbl.add tbl size w;
     w
+
+(* The packed real convolution, all in C (fft_stubs.c): copy
+   a.(a_off .. a_off+n−1) and b.(0 .. m−1) into the workspace, one
+   forward transform of z = a + i·b, Hermitian unpack of A·B, one
+   inverse transform, and the 1/size-scaled result written to — or, with
+   [accumulate] = 1, added to — out.(out_off .. out_off+n+m−2). *)
+external conv_packed :
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  float array ->
+  (int[@untagged]) ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  Fft.plan ->
+  unit = "numerics_conv_packed_byte" "numerics_conv_packed"
+[@@noalloc]
+
+(* One kernel call on validated operands: the block a.(a_off .. a_off+n−1)
+   must lie within [a] and out.(out_off .. out_off+n+m−2) within [out].
+   The size, workspace and plan are checked here. *)
+let packed ~out ~out_off ~accumulate a a_off n b m =
+  let size = Array_ops.next_pow2 (n + m - 1) in
+  let plan = Fft.plan size in
+  let w = pair_buffers size in
+  if Array.length w.zre < size || Array.length w.zim < size then
+    invalid_arg "Convolution: workspace shorter than the transform";
+  conv_packed out out_off accumulate a a_off n b m w.zre w.zim size plan
 
 (* Packed real convolution: both operands are real, so they travel in one
    complex transform z = a + i·b. By conjugate symmetry of real signals,
@@ -104,37 +141,8 @@ let pair_buffers size =
    real. Results differ from {!direct} only in rounding (≪ 1e-9 at the
    grid sizes the distribution algebra uses). *)
 let fft_packed_into ~out a n b m =
-  if n = 0 || m = 0 then invalid_arg "Convolution.fft_packed: empty input";
-  let size = Array_ops.next_pow2 (n + m - 1) in
-  let w = pair_buffers size in
-  let zre = w.zre and zim = w.zim in
-  Array.blit a 0 zre 0 n;
-  Array.blit b 0 zim 0 m;
-  Fft.forward zre zim;
-  (* bin 0: A_0 = re Z_0, B_0 = im Z_0 *)
-  zre.(0) <- zre.(0) *. zim.(0);
-  zim.(0) <- 0.;
-  if size > 1 then begin
-    let h = size / 2 in
-    (* bin n/2 is likewise self-conjugate: A, B real *)
-    zre.(h) <- zre.(h) *. zim.(h);
-    zim.(h) <- 0.;
-    for k = 1 to h - 1 do
-      let nk = size - k in
-      let zr = Array.unsafe_get zre k and zi = Array.unsafe_get zim k in
-      let yr = Array.unsafe_get zre nk and yi = Array.unsafe_get zim nk in
-      let ar = 0.5 *. (zr +. yr) and ai = 0.5 *. (zi -. yi) in
-      let br = 0.5 *. (zi +. yi) and bi = 0.5 *. (yr -. zr) in
-      let cr = (ar *. br) -. (ai *. bi) in
-      let ci = (ar *. bi) +. (ai *. br) in
-      Array.unsafe_set zre k cr;
-      Array.unsafe_set zim k ci;
-      Array.unsafe_set zre nk cr;
-      Array.unsafe_set zim nk (-.ci)
-    done
-  end;
-  Fft.inverse zre zim;
-  Array.blit zre 0 out 0 (n + m - 1)
+  check_operands "Convolution.fft_packed" ~out a n b m;
+  packed ~out ~out_off:0 ~accumulate:0 a 0 n b m
 
 let fft_packed a b =
   let n = Array.length a and m = Array.length b in
@@ -143,20 +151,10 @@ let fft_packed a b =
   fft_packed_into ~out a n b m;
   out
 
-(* Overlap–add scratch: one growable chunk copy and one partial-result
-   buffer per domain, instead of an [Array.sub] + fresh piece per block. *)
-type oa_scratch = { mutable chunk : float array; mutable piece : float array }
-
-let oa_key : oa_scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { chunk = [||]; piece = [||] })
-
-let oa_grow buf len =
-  if Array.length buf >= len then buf else Array.make (Array_ops.next_pow2 len) 0.
-
 let overlap_add_into ~out ?block a n b m =
-  if n = 0 || m = 0 then invalid_arg "Convolution.overlap_add_into: empty input";
+  check_operands "Convolution.overlap_add_into" ~out a n b m;
   (* Convolve kernel [b] with consecutive blocks of [a]; partial results
-     overlap by m-1 samples and add. *)
+     overlap by m-1 samples and add, block by block in order. *)
   let block =
     match block with
     | Some s ->
@@ -165,20 +163,10 @@ let overlap_add_into ~out ?block a n b m =
     | None -> Int.max m 64
   in
   Array.fill out 0 (n + m - 1) 0.;
-  let s = Domain.DLS.get oa_key in
-  s.chunk <- oa_grow s.chunk (Int.min block n);
-  s.piece <- oa_grow s.piece (Int.min block n + m - 1);
-  let chunk = s.chunk and piece = s.piece in
   let pos = ref 0 in
   while !pos < n do
     let len = Int.min block (n - !pos) in
-    Array.blit a !pos chunk 0 len;
-    fft_packed_into ~out:piece chunk len b m;
-    let base = !pos in
-    for i = 0 to len + m - 2 do
-      Array.unsafe_set out (base + i)
-        (Array.unsafe_get out (base + i) +. Array.unsafe_get piece i)
-    done;
+    packed ~out ~out_off:!pos ~accumulate:1 a !pos len b m;
     pos := !pos + len
   done
 

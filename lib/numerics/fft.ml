@@ -15,7 +15,7 @@ let check re im =
    slice starting at [len/2 − 1] (1 + 2 + … + len/4), n − 1 slots in
    total. Forward and inverse twiddles are stored separately rather than
    conjugated on the fly: sin(−θ) is not guaranteed to round to −sin(θ)
-   on every libm. *)
+   on every libm. The C kernel reads the fields in this order. *)
 type plan = {
   rev : int array;
   fwd_re : float array;
@@ -68,73 +68,43 @@ let build_plan n =
 let plans_key : (int, plan) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
+(* The C kernel indexes the tables without bounds checks, so every
+   lookup re-checks their lengths against the size it will be run at. *)
 let plan n =
+  if not (is_pow2 n) then invalid_arg "Fft.plan: size must be a power of two";
   let tbl = Domain.DLS.get plans_key in
-  match Hashtbl.find_opt tbl n with
-  | Some p -> p
-  | None ->
-    let p = build_plan n in
-    Hashtbl.add tbl n p;
-    p
+  let p =
+    match Hashtbl.find_opt tbl n with
+    | Some p -> p
+    | None ->
+      let p = build_plan n in
+      Hashtbl.add tbl n p;
+      p
+  in
+  let t = n - 1 in
+  if
+    Array.length p.rev <> n
+    || Array.length p.fwd_re <> t
+    || Array.length p.fwd_im <> t
+    || Array.length p.inv_re <> t
+    || Array.length p.inv_im <> t
+  then invalid_arg "Fft.plan: table lengths do not match the size";
+  p
 
-(* Cooley–Tukey, decimation in time, iterative over a plan. [sign] is
-   -1 for the forward transform, +1 for inverse. *)
-let transform sign re im =
+(* Cooley–Tukey, decimation in time, over a plan: fft_stubs.c. [inverse]
+   selects the twiddle tables and the final 1/n scaling. *)
+external transform :
+  float array -> float array -> (int[@untagged]) -> plan -> (int[@untagged]) -> unit
+  = "numerics_fft_transform_byte" "numerics_fft_transform"
+[@@noalloc]
+
+let forward re im =
   let n = check re im in
-  if n > 1 then begin
-    let p = plan n in
-    let rev = p.rev in
-    (* unsafe accesses below: rev is a permutation of [0, n), twiddle
-       index off + k − i stays below n − 1, and k + half < n by loop
-       construction *)
-    for i = 0 to n - 1 do
-      let j = Array.unsafe_get rev i in
-      if i < j then begin
-        let tr = Array.unsafe_get re i in
-        Array.unsafe_set re i (Array.unsafe_get re j);
-        Array.unsafe_set re j tr;
-        let ti = Array.unsafe_get im i in
-        Array.unsafe_set im i (Array.unsafe_get im j);
-        Array.unsafe_set im j ti
-      end
-    done;
-    let tw_re = if sign < 0 then p.fwd_re else p.inv_re in
-    let tw_im = if sign < 0 then p.fwd_im else p.inv_im in
-    let len = ref 2 in
-    while !len <= n do
-      let half = !len / 2 in
-      let off = half - 1 in
-      let i = ref 0 in
-      while !i < n do
-        for k = !i to !i + half - 1 do
-          let t = off + k - !i in
-          let cr = Array.unsafe_get tw_re t and ci = Array.unsafe_get tw_im t in
-          let k2 = k + half in
-          let re_k2 = Array.unsafe_get re k2 and im_k2 = Array.unsafe_get im k2 in
-          let tr = (cr *. re_k2) -. (ci *. im_k2) in
-          let ti = (cr *. im_k2) +. (ci *. re_k2) in
-          let re_k = Array.unsafe_get re k and im_k = Array.unsafe_get im k in
-          Array.unsafe_set re k2 (re_k -. tr);
-          Array.unsafe_set im k2 (im_k -. ti);
-          Array.unsafe_set re k (re_k +. tr);
-          Array.unsafe_set im k (im_k +. ti)
-        done;
-        i := !i + !len
-      done;
-      len := !len * 2
-    done
-  end
-
-let forward re im = transform (-1) re im
+  transform re im n (plan n) 0
 
 let inverse re im =
-  transform 1 re im;
-  let n = Array.length re in
-  let inv = 1. /. float_of_int n in
-  for i = 0 to n - 1 do
-    re.(i) <- re.(i) *. inv;
-    im.(i) <- im.(i) *. inv
-  done
+  let n = check re im in
+  transform re im n (plan n) 1
 
 let naive_dft re im =
   let n = Array.length re in

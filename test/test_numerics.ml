@@ -200,6 +200,192 @@ let conv_into_reads_prefixes () =
         Numerics.Convolution.overlap_add_into ~out a n b m);
       ("auto_into", Numerics.Convolution.auto_into) ]
 
+(* --- Bitwise equality with the frozen scalar oracle --- *)
+
+(* Bit equality ([Int64.bits_of_float]: -0. is not 0., every subnormal
+   counts) for every value that is not a NaN; a NaN must meet a NaN.
+   Its payload may differ: when an operation meets an input NaN and the
+   default NaN that an earlier ∞ − ∞ or 0 × ∞ produced, the hardware
+   returns one operand's payload, and which operand comes first in a
+   commutative + or × is the compiler's choice (ocamlopt and GCC choose
+   differently). IEEE 754 leaves that choice open. *)
+let same_bits want got =
+  Array.length want = Array.length got
+  && Array.for_all2
+       (fun x y ->
+         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+         || (Float.is_nan x && Float.is_nan y))
+       want got
+
+(* Operand values: mostly density-like finite values, and per case a
+   rate of specials — none, only the finite ones (zeros, -0.,
+   subnormals), or all of them including NaN and ±∞. *)
+let finite_specials = [| 0.; -0.; 4.9e-324; -4.9e-324; 2.2e-310; Float.min_float /. 3. |]
+let all_specials = Array.append finite_specials [| Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity |]
+
+let gen_values rng k =
+  let specials, rate =
+    match Prng.Xoshiro.int rng 3 with
+    | 0 -> (finite_specials, 0.)
+    | 1 -> (finite_specials, 0.1)
+    | _ -> (all_specials, 0.002)
+  in
+  Array.init k (fun _ ->
+      if Prng.Xoshiro.next_float rng < rate then
+        specials.(Prng.Xoshiro.int rng (Array.length specials))
+      else Prng.Sampler.uniform rng ~lo:(-2.) ~hi:2.)
+
+let fft_bitwise_oracle =
+  Tutil.qcheck ~count:200 "fft forward/inverse = oracle, bit for bit"
+    QCheck2.Gen.(pair (int_range 0 12) (int_range 0 100000))
+    (fun (log_n, seed) ->
+      let n = 1 lsl log_n in
+      let rng = Tutil.rng_of_seed seed in
+      let re = gen_values rng n and im = gen_values rng n in
+      let run f g =
+        let r = Array.copy re and i = Array.copy im in
+        let r' = Array.copy re and i' = Array.copy im in
+        f r i;
+        g r' i';
+        same_bits r r' && same_bits i i'
+      in
+      run Numerics.Fft.forward Fft_oracle.forward
+      && run Numerics.Fft.inverse Fft_oracle.inverse)
+
+(* Shapes in 1..4096 per side: uniform, and within a few cells of
+   auto_into's two cutoffs — the n·m ≤ 4096 direct product and the 8×
+   ratio that selects overlap–add — with either operand the longer. *)
+let conv_shape_gen =
+  QCheck2.Gen.(
+    let clamp k = Int.max 1 (Int.min 4096 k) in
+    let* small = int_range 1 512 in
+    let* jitter = int_range (-3) 3 in
+    let* shape =
+      oneof
+        [
+          map2 (fun n m -> (n, m)) (int_range 1 4096) (int_range 1 4096);
+          return (small, clamp ((4096 / small) + jitter));
+          return (small, clamp ((8 * small) + jitter));
+        ]
+    in
+    let* swap = bool in
+    let* seed = int_range 0 100000 in
+    return ((if swap then (snd shape, fst shape) else shape), seed))
+
+let conv_bitwise_oracle =
+  Tutil.qcheck ~count:150 "packed, overlap-add and auto = oracle, bit for bit"
+    conv_shape_gen (fun ((n, m), seed) ->
+      let rng = Tutil.rng_of_seed seed in
+      (* oversized operands: the kernels read prefixes *)
+      let a = gen_values rng (n + 3) and b = gen_values rng (m + 2) in
+      let block = 1 + Prng.Xoshiro.int rng 700 in
+      let run f g =
+        let out = Array.make (n + m + 5) 7. and want = Array.make (n + m + 5) 7. in
+        f ~out a n b m;
+        g ~out:want a n b m;
+        same_bits want out
+      in
+      run Numerics.Convolution.fft_packed_into Fft_oracle.fft_packed_into
+      && run
+           (fun ~out a n b m -> Numerics.Convolution.overlap_add_into ~out a n b m)
+           (fun ~out a n b m -> Fft_oracle.overlap_add_into ~out a n b m)
+      && run
+           (fun ~out a n b m -> Numerics.Convolution.overlap_add_into ~out ~block a n b m)
+           (fun ~out a n b m -> Fft_oracle.overlap_add_into ~out ~block a n b m)
+      && run Numerics.Convolution.auto_into Fft_oracle.auto_into)
+
+(* Cross-commit golden: golden/conv__*.txt hold the %h bits the scalar
+   OCaml convolution produced at 9a0dbe2, before the port to C, on
+   campaign-shaped operands. Both the kernel and the oracle must replay
+   them, so the two cannot drift together. The operands use only
+   integer arithmetic and IEEE +, ×, /, so they are the same bits on
+   every platform. *)
+let golden_operand ~seed len =
+  let s = ref seed in
+  Array.init len (fun k ->
+      s := ((!s * 1103515245) + 12345) land 0x7fffffff;
+      let t = (float_of_int k +. 0.5) /. float_of_int len in
+      let bump = t *. t *. (1. -. t) *. 4. in
+      bump *. (0.9 +. (0.2 *. float_of_int !s /. 2147483648.)))
+
+let conv_golden_replay () =
+  List.iter
+    (fun (kind, n, m, kernel, oracle) ->
+      let label = Printf.sprintf "conv__%s-%dx%d" kind n m in
+      let expected = Tutil.read_file (Filename.concat (Tutil.golden_dir ()) (label ^ ".txt")) in
+      let a = golden_operand ~seed:1 n and b = golden_operand ~seed:2 m in
+      let render f =
+        let out = Array.make (n + m - 1) 0. in
+        f ~out a n b m;
+        String.concat "" (Array.to_list (Array.map (Printf.sprintf "%h\n") out))
+      in
+      Alcotest.(check string) (label ^ " kernel") expected (render kernel);
+      Alcotest.(check string) (label ^ " oracle") expected (render oracle))
+    [
+      ("packed", 290, 291, Numerics.Convolution.fft_packed_into, Fft_oracle.fft_packed_into);
+      ("packed", 512, 512, Numerics.Convolution.fft_packed_into, Fft_oracle.fft_packed_into);
+      ( "overlap-add", 540, 40,
+        (fun ~out a n b m -> Numerics.Convolution.overlap_add_into ~out a n b m),
+        fun ~out a n b m -> Fft_oracle.overlap_add_into ~out a n b m );
+      ( "overlap-add", 2048, 17,
+        (fun ~out a n b m -> Numerics.Convolution.overlap_add_into ~out a n b m),
+        fun ~out a n b m -> Fft_oracle.overlap_add_into ~out a n b m );
+    ]
+
+(* --- Validation in front of the C kernel --- *)
+
+(* The kernel checks no bounds: each entry point must reject a bad
+   length or prefix with Invalid_argument before writing anything. *)
+let conv_rejects_short_buffers () =
+  let a = Array.init 300 (fun i -> float_of_int (i mod 5)) in
+  let b = Array.init 40 (fun i -> float_of_int (i mod 3)) in
+  let kernels =
+    [ ("fft_packed_into", Numerics.Convolution.fft_packed_into);
+      ("overlap_add_into", fun ~out a n b m ->
+        Numerics.Convolution.overlap_add_into ~out a n b m);
+      ("direct_into", Numerics.Convolution.direct_into);
+      ("auto_into", Numerics.Convolution.auto_into) ]
+  in
+  let cases =
+    [ ("out one short", 300, 40, 338);
+      ("out empty", 300, 40, 0);
+      ("a prefix too long", 301, 40, 400);
+      ("b prefix too long", 300, 41, 400);
+      ("negative n", -1, 40, 400);
+      ("negative m", 300, -5, 400);
+      ("empty n", 0, 40, 400) ]
+  in
+  List.iter
+    (fun (kname, f) ->
+      List.iter
+        (fun (cname, n, m, out_len) ->
+          let out = Array.make out_len 3.5 in
+          let a0 = Array.copy a and b0 = Array.copy b in
+          let label = Printf.sprintf "%s: %s" kname cname in
+          (match f ~out a n b m with
+          | () -> Alcotest.failf "%s: accepted" label
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check bool) (label ^ ": out untouched") true
+            (Array.for_all (fun x -> x = 3.5) out);
+          Alcotest.(check bool) (label ^ ": operands untouched") true
+            (same_bits a0 a && same_bits b0 b))
+        cases)
+    kernels
+
+let fft_rejects_bad_shapes () =
+  let raises label f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  raises "length mismatch" (fun () ->
+      Numerics.Fft.forward (Array.make 8 0.) (Array.make 4 0.));
+  raises "inverse length mismatch" (fun () ->
+      Numerics.Fft.inverse (Array.make 4 0.) (Array.make 8 0.));
+  raises "empty" (fun () -> Numerics.Fft.forward [||] [||]);
+  raises "plan of 12" (fun () -> ignore (Numerics.Fft.plan 12));
+  raises "plan of 0" (fun () -> ignore (Numerics.Fft.plan 0))
+
 (* --- Spline --- *)
 
 let spline_interpolates_knots =
@@ -538,6 +724,14 @@ let () =
           tc "overlap-add blocks" `Quick conv_overlap_add_block_sizes;
           tc "pow2 boundaries" `Quick conv_strategies_agree_at_pow2_boundaries;
           tc "into prefixes" `Quick conv_into_reads_prefixes;
+          tc "short buffers rejected" `Quick conv_rejects_short_buffers;
+        ] );
+      ( "bits",
+        [
+          fft_bitwise_oracle;
+          conv_bitwise_oracle;
+          tc "golden conv__*" `Quick conv_golden_replay;
+          tc "fft rejects bad shapes" `Quick fft_rejects_bad_shapes;
         ] );
       ( "spline",
         [
