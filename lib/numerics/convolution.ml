@@ -131,15 +131,11 @@ let packed ~out ~out_off ~accumulate a a_off n b m =
     invalid_arg "Convolution: workspace shorter than the transform";
   conv_packed out out_off accumulate a a_off n b m w.zre w.zim size plan
 
-(* Packed real convolution: both operands are real, so they travel in one
-   complex transform z = a + i·b. By conjugate symmetry of real signals,
-   the individual spectra are recovered as
-     A_k = (Z_k + conj Z_{n-k}) / 2,   B_k = (Z_k − conj Z_{n-k}) / 2i,
-   the product spectrum C = A·B is Hermitian (C_{n-k} = conj C_k), and a
-   single inverse transform yields the real convolution. One forward
-   transform instead of two; bins 0 and n/2 are self-conjugate and purely
-   real. Results differ from {!direct} only in rounding (≪ 1e-9 at the
-   grid sizes the distribution algebra uses). *)
+(* Packed real convolution: one complex forward transform of
+   z = a + i·b, the two spectra separated by conjugate symmetry, one
+   inverse transform of their product (fft_stubs.c has the algebra).
+   Results differ from {!direct} only in rounding (≪ 1e-9 at the grid
+   sizes the distribution algebra uses). *)
 let fft_packed_into ~out a n b m =
   check_operands "Convolution.fft_packed" ~out a n b m;
   packed ~out ~out_off:0 ~accumulate:0 a 0 n b m

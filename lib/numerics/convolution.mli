@@ -13,7 +13,16 @@
     pooled arenas and the result is written to [out.(0 .. n+m-2)]. [out]
     must not alias either input. Transform scratch comes from per-domain
     workspaces, so repeated calls allocate nothing; safe to call
-    concurrently from distinct domains. *)
+    concurrently from distinct domains.
+
+    The FFT strategies run in one C kernel ([fft_stubs.c]: bit reversal,
+    butterflies two per 128-bit vector, Hermitian unpack, scaling) that
+    computes every output with the same IEEE operations, in the same
+    order, as the scalar OCaml code it replaced, so results kept their
+    bits. The kernel checks no bounds; every [_into] entry point raises
+    [Invalid_argument] before writing anything when [n] or [m] is not
+    positive, a prefix is longer than its array, or [out] is shorter
+    than [n + m − 1]. *)
 
 val direct : float array -> float array -> float array
 (** [direct a b] is the full linear convolution, length
@@ -48,7 +57,8 @@ val fft_packed : float array -> float array -> float array
     complex forward transform ([z = a + i·b]), the operand spectra are
     separated by conjugate symmetry, and one inverse transform recovers
     the product. O((n+m) log (n+m)); agrees with {!direct} to rounding
-    (pinned at 1e-9 in the tests). *)
+    (pinned at 1e-9 in the tests), and with the scalar code it replaced
+    bit for bit. *)
 
 val fft_packed_into : out:float array -> float array -> int -> float array -> int -> unit
 (** [fft_packed_into ~out a n b m] is {!fft_packed} on prefixes, into [out]. *)
@@ -57,9 +67,10 @@ val overlap_add_into :
   out:float array -> ?block:int -> float array -> int -> float array -> int -> unit
 (** [overlap_add_into ~out ?block a n b m] convolves the prefix [a.(0..n-1)]
     (the long signal) with [b.(0..m-1)] (the kernel) into [out] by packed
-    FFT on blocks of [a] of size [block] (default chosen from the kernel
-    length). Equal to {!direct} up to rounding. Block copies and partial
-    results live in per-domain scratch. *)
+    FFT on blocks of [a] of size [block] (default [max m 64]), each
+    block's result added into [out] in block order. Equal to {!direct}
+    up to rounding. Raises [Invalid_argument] on a non-positive
+    [block]. *)
 
 val auto_into : out:float array -> float array -> int -> float array -> int -> unit
 (** [auto_into ~out a n b m] picks a strategy from the prefix sizes:
