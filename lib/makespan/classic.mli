@@ -9,11 +9,41 @@
     method the paper selected after finding it as accurate as Dodin's and
     Spelde's on its cases (its degradation with graph size is Fig. 1). *)
 
+type edge_sums
+(** Arrival-sum memo of one incremental session ({!Engine.session}):
+    one slot per data edge [p→v] of the case graph, holding
+    [(C(p), comm(p→v), C(p) + comm(p→v))]. A slot hits only when both
+    operands are physically the objects it holds, so a hit is the value
+    of the identical [Dist.add] call and replays keep their bits. It is
+    filled lazily by {!update_node}, holds only committed-state sums,
+    and lives as long as the session. Not thread-safe. *)
+
+val edge_sums : Dag.Graph.t -> edge_sums
+(** An empty memo for the given case graph (not a disjunctive graph). *)
+
+val sum_hits : edge_sums -> int
+(** Arrival sums {!update_node} has taken from the memo so far. *)
+
+val sum_misses : edge_sums -> int
+(** Arrival sums {!update_node} has computed so far. *)
+
+val forget_sums : edge_sums -> Dag.Graph.t -> changed:bool array -> seeds:int list -> unit
+(** Empty the slots of every data edge out of a [changed] node and into
+    a seed, after the session installed a probe that changed those
+    completions and the seeds' processors. The slots would never hit
+    again; emptying them frees their grids. *)
+
+val clear_sums : edge_sums -> unit
+(** Empty every slot. *)
+
 val update_node :
   points:int ->
   dgraph:Dag.Graph.t ->
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
+  sums:edge_sums ->
+  dirty:bool array ->
+  seed:bool ->
   Sched.Schedule.t ->
   Distribution.Dist.t array ->
   int ->
@@ -23,7 +53,11 @@ val update_node :
     {!completion_dists_with}, exposed so {!Engine.reevaluate} can replay
     just a dirty cone and still produce bitwise-identical results (the
     fold order over [Dag.Graph.preds] is the deterministic sorted
-    order). *)
+    order). Each arrival sum is read from [sums] first. A computed sum
+    is written back only when its operands are committed state: the
+    predecessor is not [dirty] (so its completion is the session's) and
+    the node is not a [seed] (the moved or swapped task, whose incoming
+    communications are the probe's own). *)
 
 type arrivals
 (** Domain-local scratch for the arrival-sum memo of a full sweep:

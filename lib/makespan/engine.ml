@@ -61,6 +61,8 @@ type stats = {
   reeval_full_backend : int;  (** fallbacks on non-incremental backends (Dodin, Monte Carlo) *)
   reeval_cone_nodes : int;
   reeval_max_cone : int;
+  reeval_sum_hits : int;  (** arrival sums a dirty-cone replay took from its session's memo *)
+  reeval_sum_misses : int;  (** arrival sums dirty-cone replays computed *)
 }
 
 (* Global observability mirrors of the per-engine counters: every engine
@@ -82,6 +84,8 @@ let m_reeval_full = Obs.Metrics.counter "engine.reeval_full"
 let m_reeval_full_cone = Obs.Metrics.counter "engine.reeval_full_cone"
 let m_reeval_full_backend = Obs.Metrics.counter "engine.reeval_full_backend"
 let m_reeval_cone_nodes = Obs.Metrics.counter "engine.reeval_cone_nodes"
+let m_reeval_sum_hits = Obs.Metrics.counter "engine.reeval_sum_hits"
+let m_reeval_sum_misses = Obs.Metrics.counter "engine.reeval_sum_misses"
 
 let span_name = function
   | Classical -> "engine.eval.classical"
@@ -129,6 +133,8 @@ type t = {
   reeval_full_backend : int Atomic.t;
   reeval_cone_nodes : int Atomic.t;
   reeval_max_cone : int Atomic.t;
+  reeval_sum_hits : int Atomic.t;
+  reeval_sum_misses : int Atomic.t;
 }
 
 let backend_slot = function
@@ -174,6 +180,8 @@ let create ~graph ~platform ~model =
     reeval_full_backend = Atomic.make 0;
     reeval_cone_nodes = Atomic.make 0;
     reeval_max_cone = Atomic.make 0;
+    reeval_sum_hits = Atomic.make 0;
+    reeval_sum_misses = Atomic.make 0;
   }
 
 let graph t = t.graph
@@ -198,6 +206,8 @@ let stats t =
     reeval_full_backend = Atomic.get t.reeval_full_backend;
     reeval_cone_nodes = Atomic.get t.reeval_cone_nodes;
     reeval_max_cone = Atomic.get t.reeval_max_cone;
+    reeval_sum_hits = Atomic.get t.reeval_sum_hits;
+    reeval_sum_misses = Atomic.get t.reeval_sum_misses;
   }
 
 let reset_stats t =
@@ -217,7 +227,9 @@ let reset_stats t =
   Atomic.set t.reeval_full_cone 0;
   Atomic.set t.reeval_full_backend 0;
   Atomic.set t.reeval_cone_nodes 0;
-  Atomic.set t.reeval_max_cone 0
+  Atomic.set t.reeval_max_cone 0;
+  Atomic.set t.reeval_sum_hits 0;
+  Atomic.set t.reeval_sum_misses 0
 
 (* ------------------------------------------------------------------ *)
 (* Cached distribution views                                           *)
@@ -321,9 +333,9 @@ let comm_moments t ~volume ~src ~dst =
    into [completion] and [moments] respectively (the other array is
    unused): [analyze] passes the engine's domain-local scratch, a session
    its own arrays, so both run the same bits. Every classical full sweep
-   reuses repeated arrival sums through the domain-local memo; dirty-cone
-   replays do not (a probe's few sums rarely repeat, and keeping them
-   would promote every probe's grids to the major heap). *)
+   reuses repeated arrival sums through the domain-local memo, which it
+   empties on return; dirty-cone replays use their session's memo of
+   committed-state sums instead (see [probe]). *)
 let sweep t backend ~dgraph ~completion ~moments sched =
   match backend with
   | Classical ->
@@ -410,9 +422,10 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
 (* A session pins one schedule of the case and keeps its per-node
    completion state (distributions for Classical, moments for Spelde)
    alive between evaluations, so a one-task move only recomputes the
-   dirty downstream cone. Sessions own their arrays — they never touch
-   the engine's domain-local scratch, which full [analyze] calls keep
-   using — but they are NOT thread-safe: use one session per domain.
+   dirty downstream cone. Sessions own their arrays (only a fallback
+   probe sweeps through the domain-local scratch, as [analyze] does, and
+   copies its n results out) and are NOT thread-safe: use one session
+   per domain.
 
    Dirty cone, for a move of task [m] from processor rows (o → d) with
    old disjunctive graph G and patched graph G':
@@ -427,7 +440,33 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
    comparison — and the downstream fold order — is deterministic).
    Everything else sees bitwise-identical inputs and keeps its stored
    value, which is why [reevaluate] agrees bitwise with a fresh
-   [analyze] of the patched schedule. *)
+   [analyze] of the patched schedule.
+
+   A re-evaluation is a probe: it replays the cone in the session's
+   arrays, puts the committed values back, and keeps the probe's own
+   values aside in [p_completion]/[p_moments] (at the dirty nodes, or
+   all n for a fallback) with its schedule, graph and evaluation.
+   [accept] installs exactly those values, so an accepted move is never
+   replayed; the next re-evaluation drops a probe nobody accepted.
+
+   Arrival-sum memo ([sums], Classical only): a replay reads the sum
+   C(p) + comm(p→v) of every data edge from the session's memo and
+   writes back only sums of committed state — [p] outside the cone, [v]
+   not a seed (the moved or swapped tasks, whose incoming
+   communications are the probe's own). Those sums stay valid until an
+   accepted probe changes C(p) or v's processor, so [accept] empties
+   the slots out of the cone and into the seeds (a fallback empties them
+   all). The memo is never filled by [start_session]: a 30-task session
+   would hold every edge's grid, where probes touch a few. *)
+
+(* The last probe of a session, until the next re-evaluation. *)
+type probe = {
+  p_sched : Sched.Schedule.t;
+  p_dgraph : Dag.Graph.t;
+  p_eval : evaluation;
+  p_seeds : int list;
+  p_cone : bool;  (* values kept at the dirty nodes only, else all n *)
+}
 
 type session = {
   engine : t;
@@ -437,25 +476,25 @@ type session = {
   mutable dgraph : Dag.Graph.t;
   s_completion : Distribution.Dist.t array;  (* Classical; [||] otherwise *)
   s_moments : Distribution.Normal_pair.t array;  (* Spelde; [||] otherwise *)
+  p_completion : Distribution.Dist.t array;  (* the probe's values, same shapes *)
+  p_moments : Distribution.Normal_pair.t array;
+  sums : Classic.edge_sums;
   dirty : bool array;
+  mutable pending : probe option;
   mutable last : evaluation;
 }
+
+let vacant_dist = Distribution.Dist.const 0.
+let vacant_pair = Distribution.Normal_pair.const 0.
 
 let start_session ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
   check_schedule t sched;
   count_eval t backend;
   let n = t.n_tasks in
   let dgraph = Sched.Disjunctive.graph_of sched in
-  let s_completion =
-    match backend with
-    | Classical -> Array.make n (Distribution.Dist.const 0.)
-    | _ -> [||]
-  in
-  let s_moments =
-    match backend with
-    | Spelde -> Array.make n (Distribution.Normal_pair.const 0.)
-    | _ -> [||]
-  in
+  let dists () = match backend with Classical -> Array.make n vacant_dist | _ -> [||] in
+  let pairs () = match backend with Spelde -> Array.make n vacant_pair | _ -> [||] in
+  let s_completion = dists () and s_moments = pairs () in
   let makespan =
     sweep t backend ~dgraph ~completion:s_completion ~moments:s_moments sched
   in
@@ -468,7 +507,11 @@ let start_session ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
     dgraph;
     s_completion;
     s_moments;
+    p_completion = dists ();
+    p_moments = pairs ();
+    sums = Classic.edge_sums t.graph;
     dirty = Array.make n false;
+    pending = None;
     last = { makespan; slack };
   }
 
@@ -511,17 +554,47 @@ let mark_dirty_cone session ~seeds ~dgraph' =
     (Dag.Graph.topo_order dgraph');
   !cone
 
-(* Shared replay core: [sched'] is the already-patched (hence feasible)
+(* Replay the dirty nodes of [state] in topological order with
+   [update], then swap: [state] gets its committed values back and
+   [aside] the probe's. A raising [update] leaves [state] committed. *)
+let replay_cone dirty order ~state ~aside update result =
+  let n = Array.length dirty in
+  for v = 0 to n - 1 do
+    if dirty.(v) then aside.(v) <- state.(v)
+  done;
+  let restore () =
+    for v = 0 to n - 1 do
+      if dirty.(v) then begin
+        let x = state.(v) in
+        state.(v) <- aside.(v);
+        aside.(v) <- x
+      end
+    done
+  in
+  match
+    Array.iter (fun v -> if dirty.(v) then update v) order;
+    result state
+  with
+  | r ->
+    restore ();
+    r
+  | exception e ->
+    restore ();
+    raise e
+
+(* Shared probe core: [sched'] is the already-patched (hence feasible)
    schedule, [seeds] the tasks whose timing the patch certainly changed.
    Callers construct [sched'] *before* this runs, so an infeasible move
    raises [Invalid_argument] without touching any session state. *)
-let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
+let probe ~max_cone session ~seeds sched' =
   let t = session.engine in
   let n = t.n_tasks in
   let max_cone = match max_cone with Some c -> c | None -> max 1 (n / 2) in
   let dgraph' = Sched.Disjunctive.graph_of sched' in
   count_eval t session.backend;
   Atomic.incr t.reevals;
+  Array.fill session.p_completion 0 (Array.length session.p_completion) vacant_dist;
+  Array.fill session.p_moments 0 (Array.length session.p_moments) vacant_pair;
   let incremental_backend =
     match session.backend with Classical | Spelde -> true | Dodin | Montecarlo _ -> false
   in
@@ -545,61 +618,87 @@ let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
     end;
     Obs.Metrics.incr m_reeval_full
   end;
-  let saved = ref [] in
+  let order = Dag.Graph.topo_order dgraph' in
   let makespan =
     if incremental then begin
       let dirty = session.dirty in
-      (match session.backend with
+      match session.backend with
       | Classical ->
-        let completion = session.s_completion in
-        Array.iter
-          (fun v ->
-            if dirty.(v) then begin
-              if not commit then saved := (v, `Dist completion.(v)) :: !saved;
-              Classic.update_node ~points:t.points ~dgraph:dgraph'
-                ~task_dist:(task_dist t) ~comm_dist:(comm_dist t) sched' completion v
-            end)
-          (Dag.Graph.topo_order dgraph');
-        Classic.makespan_of_exits ~points:t.points dgraph' completion
+        let sums = session.sums in
+        let hits0 = Classic.sum_hits sums and misses0 = Classic.sum_misses sums in
+        let makespan =
+          replay_cone dirty order ~state:session.s_completion ~aside:session.p_completion
+            (fun v ->
+              Classic.update_node ~points:t.points ~dgraph:dgraph' ~task_dist:(task_dist t)
+                ~comm_dist:(comm_dist t) ~sums ~dirty ~seed:(List.mem v seeds) sched'
+                session.s_completion v)
+            (Classic.makespan_of_exits ~points:t.points dgraph')
+        in
+        let hits = Classic.sum_hits sums - hits0
+        and misses = Classic.sum_misses sums - misses0 in
+        ignore (Atomic.fetch_and_add t.reeval_sum_hits hits : int);
+        ignore (Atomic.fetch_and_add t.reeval_sum_misses misses : int);
+        Obs.Metrics.add m_reeval_sum_hits hits;
+        Obs.Metrics.add m_reeval_sum_misses misses;
+        makespan
       | Spelde ->
-        let moments = session.s_moments in
-        Array.iter
+        replay_cone dirty order ~state:session.s_moments ~aside:session.p_moments
           (fun v ->
-            if dirty.(v) then begin
-              if not commit then saved := (v, `Pair moments.(v)) :: !saved;
-              Spelde.update_node ~dgraph:dgraph' ~task_moments:(task_moments t)
-                ~comm_moments:(comm_moments t) sched' moments v
-            end)
-          (Dag.Graph.topo_order dgraph');
-        Distribution.Normal_pair.to_normal ~points:t.points
-          (Spelde.moments_of_exits ~dgraph:dgraph' moments)
-      | Dodin | Montecarlo _ -> assert false)
+            Spelde.update_node ~dgraph:dgraph' ~task_moments:(task_moments t)
+              ~comm_moments:(comm_moments t) sched' session.s_moments v)
+          (fun moments ->
+            Distribution.Normal_pair.to_normal ~points:t.points
+              (Spelde.moments_of_exits ~dgraph:dgraph' moments))
+      | Dodin | Montecarlo _ -> assert false
     end
-    else if commit then
-      sweep t session.backend ~dgraph:dgraph' ~completion:session.s_completion
-        ~moments:session.s_moments sched'
-    else
+    else begin
       (* keep the session arrays intact: run the fallback through the
-         engine's domain-local scratch, exactly like [analyze] *)
-      sweep_scratch t session.backend ~dgraph:dgraph' sched'
+         engine's domain-local scratch, exactly like [analyze], and keep
+         a copy of its per-node state for [accept] *)
+      let makespan = sweep_scratch t session.backend ~dgraph:dgraph' sched' in
+      (match session.backend with
+      | Classical -> Array.blit (scratch_dists n) 0 session.p_completion 0 n
+      | Spelde -> Array.blit (scratch_pairs n) 0 session.p_moments 0 n
+      | Dodin | Montecarlo _ -> ());
+      makespan
+    end
   in
   let slack = slack_of t session.slack_mode ~dgraph:dgraph' sched' in
   let ev = { makespan; slack } in
-  if commit then begin
-    session.sched <- sched';
-    session.dgraph <- dgraph';
-    session.last <- ev
-  end
-  else
-    List.iter
-      (fun (v, old) ->
-        match old with
-        | `Dist d -> session.s_completion.(v) <- d
-        | `Pair p -> session.s_moments.(v) <- p)
-      !saved;
+  session.pending <-
+    Some { p_sched = sched'; p_dgraph = dgraph'; p_eval = ev; p_seeds = seeds; p_cone = incremental };
+  ev
+
+let accept session =
+  match session.pending with
+  | None -> invalid_arg "Engine.accept: no probe since the last re-evaluation or accept"
+  | Some p ->
+    session.pending <- None;
+    let install state aside =
+      if p.p_cone then
+        Array.iteri (fun v d -> if d then state.(v) <- aside.(v)) session.dirty
+      else Array.blit aside 0 state 0 (Array.length state)
+    in
+    (match session.backend with
+    | Classical ->
+      install session.s_completion session.p_completion;
+      if p.p_cone then
+        Classic.forget_sums session.sums session.engine.graph ~changed:session.dirty
+          ~seeds:p.p_seeds
+      else Classic.clear_sums session.sums
+    | Spelde -> install session.s_moments session.p_moments
+    | Dodin | Montecarlo _ -> ());
+    session.sched <- p.p_sched;
+    session.dgraph <- p.p_dgraph;
+    session.last <- p.p_eval
+
+let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
+  let ev = probe ~max_cone session ~seeds sched' in
+  if commit then accept session;
   ev
 
 let reevaluate ?(commit = true) ?max_cone ?at session ~moved ~to_ =
+  session.pending <- None;
   let sched' = Sched.Schedule.reassign ?at session.sched ~task:moved ~to_ in
   reevaluate_patched ~commit ~max_cone session ~seeds:[ moved ] sched'
 
@@ -608,6 +707,7 @@ let reevaluate_move ?commit ?max_cone session (m : Sched.Neighbor.move) =
     ~to_:m.Sched.Neighbor.to_
 
 let reevaluate_swap ?(commit = true) ?max_cone session ~a ~b =
+  session.pending <- None;
   let sched' = Sched.Schedule.swap session.sched ~a ~b in
   reevaluate_patched ~commit ~max_cone session ~seeds:[ a; b ] sched'
 

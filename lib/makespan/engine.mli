@@ -92,6 +92,23 @@ val analyze :
     [Montecarlo] fall back to a full evaluation — same bits, no
     speedup — counted under [reeval_full].
 
+    Every re-evaluation is a {e probe}: it leaves the session on its
+    schedule and keeps the probe's result aside (its schedule,
+    disjunctive graph, evaluation and per-node state) until the next
+    re-evaluation. {!accept} installs that result, so accepting a move
+    costs no replay. [~commit:true] is a probe followed by {!accept}.
+
+    A [Classical] session also keeps an arrival-sum memo: one slot per
+    data edge [p→v] of the case graph, keyed by the physical identity
+    of its two operands [C(p)] and [comm(p→v)], so a hit is the value of
+    the identical [Dist.add] call and the bits are unchanged. It starts
+    empty and is filled lazily by replays, only with committed-state
+    sums ([p] outside the dirty cone, [v] not the moved or swapped
+    task). It lives as long as the session; {!accept} empties the slots
+    the installed probe made stale. Its reuse is counted under
+    [reeval_sum_hits]/[reeval_sum_misses]. Full sweeps (fallbacks,
+    {!analyze}) keep their own sweep-scoped memo.
+
     Sessions own their arrays (full {!analyze} calls on the same engine
     are unaffected) but are NOT thread-safe: use one session per
     domain. *)
@@ -104,11 +121,11 @@ val start_session :
     Counts as one [analyze] in {!stats}. *)
 
 val session_schedule : session -> Sched.Schedule.t
-(** The schedule the session currently pins (updated by committing
-    re-evaluations). *)
+(** The schedule the session currently pins (updated by {!accept} and
+    committing re-evaluations). *)
 
 val session_evaluation : session -> evaluation
-(** The last committed evaluation. *)
+(** The evaluation of {!session_schedule}. *)
 
 val reevaluate :
   ?commit:bool ->
@@ -120,11 +137,12 @@ val reevaluate :
   evaluation
 (** Evaluation of the one-move neighbor [Schedule.reassign ?at sched
     ~task:moved ~to_], recomputing only the dirty cone when the backend
-    allows it. [commit] (default true) advances the session to the
-    neighbor; [commit:false] evaluates and restores the previous state,
-    so many neighbors can be probed off one base schedule. Raises
-    [Invalid_argument] if the move would deadlock the eager execution
-    (session state is untouched in that case). *)
+    allows it. [commit:false] probes: the session stays on its schedule,
+    so many neighbors can be probed off one base, and the last probe can
+    be installed by {!accept}. [commit] (default true) probes and
+    accepts. Raises [Invalid_argument] if the move would deadlock the
+    eager execution; the session's schedule and state are then
+    untouched, and no probe is left to accept. *)
 
 val reevaluate_move :
   ?commit:bool -> ?max_cone:int -> session -> Sched.Neighbor.move -> evaluation
@@ -140,6 +158,16 @@ val reevaluate_swap :
 val reevaluate_any :
   ?commit:bool -> ?max_cone:int -> session -> Sched.Neighbor.any -> evaluation
 (** Dispatch on either move class. *)
+
+val accept : session -> unit
+(** Advance the session to the neighbor of its last re-evaluation,
+    installing that probe's schedule, disjunctive graph, evaluation and
+    per-node state: the same bits a [~commit:true] re-evaluation of the
+    move computes, with nothing recomputed. A fallback probe (cone above
+    [max_cone], [Dodin], [Montecarlo]) kept a copy of its n per-node
+    results for this. Raises [Invalid_argument] when there is no probe
+    to install: none since the session started, the probe was already
+    accepted, or the last re-evaluation raised. *)
 
 (** {1 Instrumentation} *)
 
@@ -167,6 +195,9 @@ type stats = {
       (** fallbacks on non-incremental backends (Dodin, Monte-Carlo) *)
   reeval_cone_nodes : int;  (** total dirty nodes over incremental reevals *)
   reeval_max_cone : int;  (** largest incremental cone seen *)
+  reeval_sum_hits : int;
+      (** arrival sums a dirty-cone replay took from its session's memo *)
+  reeval_sum_misses : int;  (** arrival sums dirty-cone replays computed *)
 }
 
 val stats : t -> stats

@@ -1,11 +1,11 @@
 (* Simulated annealing / stochastic local search over schedules
    (DESIGN.md §17). The hot loop probes one-task reassigns and task
    swaps through a single incremental engine session
-   ([Engine.reevaluate_* ~commit:false]) and replays the move with
-   [commit:true] only on acceptance, so the expensive path is paid twice
-   only for the accepted minority. Priority-perturbation moves rebuild a
-   schedule through the list-scheduler driver with a jittered rank table
-   — a full evaluation, kept rare by the default move mix. *)
+   ([Engine.reevaluate_any ~commit:false]) and installs an accepted
+   probe with [Engine.accept], so every session move costs one dirty-cone
+   replay whether it is accepted or not. Priority-perturbation moves
+   rebuild a schedule through the list-scheduler driver with a jittered
+   rank table — a full evaluation, kept rare by the default move mix. *)
 
 module Engine = Makespan.Engine
 
@@ -102,10 +102,12 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
     invalid_arg "Anneal.run: move mix weights must be >= 0 and not all zero";
   let graph = Engine.graph engine in
   let platform = Engine.platform engine in
-  (* The engine's default cone cutoff (n/2) bounds worst-case probe cost
-     for interactive callers; for search every dirty-cone replay beats a
-     fresh sweep (only dirty nodes are recomputed), so default to the
-     whole graph and fall back only on non-incremental backends. *)
+  (* The engine's default cone cutoff is n/2. Search defaults to the
+     whole graph, falling back only on non-incremental backends: with
+     the session's arrival-sum memo a replay costs less than a fresh
+     analyze at every cone size on random30/p8, 10.6 against 11.8 ms for
+     cones of 26–30 nodes (CHANGES.md). Without the memo the two were
+     level there. *)
   let max_cone =
     match config.max_cone with Some c -> c | None -> Dag.Graph.n_tasks graph
   in
@@ -254,15 +256,8 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
                let ev, commit =
                  match probe with
                  | `Session mv ->
-                   let ev =
-                     Engine.reevaluate_any ~commit:false ~max_cone !session mv
-                   in
-                   ( ev,
-                     fun () ->
-                       ignore
-                         (Engine.reevaluate_any ~commit:true ~max_cone
-                            !session mv
-                           : Engine.evaluation) )
+                   let ev = Engine.reevaluate_any ~commit:false ~max_cone !session mv in
+                   (ev, fun () -> Engine.accept !session)
                  | `Rebuild sched' ->
                    incr priority_moves;
                    let s' = start_session sched' in

@@ -316,7 +316,143 @@ let reset_stats_clears_reeval_counters () =
   Alcotest.(check int) "incremental cleared" 0 st.Makespan.Engine.reeval_incremental;
   Alcotest.(check int) "full cleared" 0 st.Makespan.Engine.reeval_full;
   Alcotest.(check int) "cone nodes cleared" 0 st.Makespan.Engine.reeval_cone_nodes;
-  Alcotest.(check int) "max cone cleared" 0 st.Makespan.Engine.reeval_max_cone
+  Alcotest.(check int) "max cone cleared" 0 st.Makespan.Engine.reeval_max_cone;
+  Alcotest.(check (pair int int)) "session memo counts cleared" (0, 0)
+    (st.Makespan.Engine.reeval_sum_hits, st.Makespan.Engine.reeval_sum_misses)
+
+(* [accept] against a model: any interleaving of rejected probes,
+   accepted probes, committing re-evaluations, reassigns and swaps
+   (feasible or deadlocking) and [max_cone:0] fallback probes keeps
+   every probe and the session's evaluation equal, bit for bit, to a
+   fresh [analyze]. [accept] installs the last probe and only that one:
+   with none pending (nothing probed since, already accepted, or the
+   last move raised) it must raise. *)
+let accept_walk backend =
+  Tutil.qcheck ~count:12
+    (Printf.sprintf "%s accept walk == analyze (bitwise)" (Makespan.Engine.backend_name backend))
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Tutil.rng_of_seed seed in
+      let graph = Workloads.Random_dag.generate ~rng ~n:(8 + Prng.Xoshiro.int rng 8) () in
+      let n_tasks = Dag.Graph.n_tasks graph in
+      let n_procs = 2 + Prng.Xoshiro.int rng 3 in
+      let platform = Platform.Gen.uniform_minval ~rng ~n_tasks ~n_procs () in
+      let engine = engine_of (graph, platform) in
+      let base = ref (Sched.Random_sched.generate ~rng ~graph ~n_procs) in
+      let session = Makespan.Engine.start_session ~backend engine !base in
+      let pending = ref None in
+      let fresh sched = Makespan.Engine.analyze ~backend engine sched in
+      let check_base step =
+        eval_bits_equal (Printf.sprintf "step %d session" step) (fresh !base)
+          (Makespan.Engine.session_evaluation session);
+        if
+          Sched.Schedule.to_string (Makespan.Engine.session_schedule session)
+          <> Sched.Schedule.to_string !base
+        then
+          Alcotest.failf "step %d: session pins another schedule" step
+      in
+      let draw () =
+        if Prng.Xoshiro.int rng 3 = 0 then
+          (* any pair, so deadlocking exchanges occur too *)
+          let a = Prng.Xoshiro.int rng n_tasks and b = Prng.Xoshiro.int rng n_tasks in
+          if a = b then Sched.Neighbor.Reassign (Sched.Neighbor.random ~rng !base)
+          else Sched.Neighbor.Swap { Sched.Neighbor.a; b }
+        else
+          let task = Prng.Xoshiro.int rng n_tasks and to_ = Prng.Xoshiro.int rng n_procs in
+          let at =
+            if Prng.Xoshiro.int rng 2 = 0 then None
+            else Some (Prng.Xoshiro.int rng (1 + Array.length (!base).Sched.Schedule.order.(to_)))
+          in
+          Sched.Neighbor.Reassign (Sched.Neighbor.make ?at ~task ~to_ ())
+      in
+      for step = 1 to 40 do
+        match Prng.Xoshiro.int rng 4 with
+        | 0 -> (
+          (* accept: the last probe, or nothing to accept *)
+          match !pending with
+          | None ->
+            (try
+               Makespan.Engine.accept session;
+               Alcotest.failf "step %d: accept without a pending probe" step
+             with Invalid_argument _ -> ());
+            check_base step
+          | Some (sched', ev) ->
+            Makespan.Engine.accept session;
+            pending := None;
+            base := sched';
+            check_base step;
+            eval_bits_equal (Printf.sprintf "step %d accepted" step) ev
+              (Makespan.Engine.session_evaluation session))
+        | k -> (
+          let mv = draw () in
+          let commit = k = 3 in
+          let max_cone = if Prng.Xoshiro.int rng 4 = 0 then Some 0 else None in
+          match Sched.Neighbor.apply_any_opt !base mv with
+          | None ->
+            (try
+               ignore (Makespan.Engine.reevaluate_any ~commit ?max_cone session mv);
+               Alcotest.failf "step %d: deadlocking move evaluated" step
+             with Invalid_argument _ -> ());
+            pending := None;
+            check_base step
+          | Some sched' ->
+            let ev = Makespan.Engine.reevaluate_any ~commit ?max_cone session mv in
+            eval_bits_equal (Printf.sprintf "step %d probe" step) (fresh sched') ev;
+            if commit then begin
+              base := Makespan.Engine.session_schedule session;
+              pending := None;
+              eval_bits_equal (Printf.sprintf "step %d committed" step) (fresh sched')
+                (Makespan.Engine.session_evaluation session)
+            end
+            else pending := Some (sched', ev);
+            check_base step)
+      done;
+      true)
+
+(* The session memo's reuse on a fixed walk of the perfbench annealing
+   case (random30 on 8 processors, from HEFT): every fourth probe is
+   accepted. The counts are a deterministic function of the walk; a
+   change here means the memo's key, write rule or invalidation
+   changed. *)
+let session_sum_counts () =
+  let module C = Experiments.Case in
+  let inst =
+    C.instantiate (C.make ~seed:1L ~n_procs:8 ~kind:C.Random_graph ~n_target:30 ~ul:1.1 ())
+  in
+  let graph = inst.C.graph and platform = inst.C.platform in
+  let init =
+    match Sched.Registry.parse "HEFT" with
+    | Ok e -> e.Sched.Registry.run graph platform
+    | Error e -> failwith e
+  in
+  let walk () =
+    let engine = Makespan.Engine.create ~graph ~platform ~model:inst.C.model in
+    let session = Makespan.Engine.start_session engine init in
+    let rng = Tutil.rng_of_seed 7 in
+    let probes = ref 0 in
+    while !probes < 120 do
+      let base = Makespan.Engine.session_schedule session in
+      match Sched.Neighbor.random_swap ~rng base with
+      | Some s when Prng.Xoshiro.int rng 4 = 0 ->
+        incr probes;
+        ignore (Makespan.Engine.reevaluate_swap ~commit:false ~max_cone:30 session
+                  ~a:s.Sched.Neighbor.a ~b:s.Sched.Neighbor.b);
+        if !probes mod 4 = 0 then Makespan.Engine.accept session
+      | _ ->
+        let m = Sched.Neighbor.random ~rng base in
+        if not (Sched.Neighbor.is_noop base m) then begin
+          incr probes;
+          ignore (Makespan.Engine.reevaluate_move ~commit:false ~max_cone:30 session m);
+          if !probes mod 4 = 0 then Makespan.Engine.accept session
+        end
+    done;
+    let st = Makespan.Engine.stats engine in
+    (st.Makespan.Engine.reeval_sum_hits, st.Makespan.Engine.reeval_sum_misses)
+  in
+  let ((hits, _) as counts) = walk () in
+  Alcotest.(check bool) "sums reused" true (hits > 0);
+  Alcotest.(check (pair int int)) "counts repeat" counts (walk ());
+  Alcotest.(check (pair int int)) "pinned counts" (9128, 12201) counts
 
 (* CI allocation bound: re-evaluating a small-cone one-move neighbor
    must allocate at most a fifth of a full evaluation (it should be far
@@ -582,6 +718,10 @@ let () =
             (reevaluate_walk Makespan.Engine.Spelde 200);
           Alcotest.test_case "dodin walk == analyze (bitwise)" `Slow
             (reevaluate_walk Makespan.Engine.Dodin 200);
+          accept_walk Makespan.Engine.Classical;
+          accept_walk Makespan.Engine.Spelde;
+          accept_walk Makespan.Engine.Dodin;
+          Alcotest.test_case "session memo counts pinned" `Quick session_sum_counts;
           Alcotest.test_case "cone cutoff falls back bitwise" `Quick
             cutoff_forces_full_fallback;
           Alcotest.test_case "reset_stats clears reeval counters" `Quick

@@ -461,6 +461,43 @@ let engine_arrival_counters_mirror_stats () =
         (st.Makespan.Engine.arrival_hits, st.Makespan.Engine.arrival_misses)
         (counters ()))
 
+(* Same contract for the session memo's counters, on a walk of probes
+   with every other one accepted. *)
+let engine_session_sum_counters_mirror_stats () =
+  let rng = Tutil.rng_of_seed 5 in
+  let graph = Workloads.Random_dag.generate ~rng ~n:16 () in
+  let platform =
+    Platform.Gen.uniform_minval ~rng ~n_tasks:(Dag.Graph.n_tasks graph) ~n_procs:3 ()
+  in
+  let model = Workloads.Stochastify.make ~ul:1.1 () in
+  let sched = Sched.Random_sched.generate ~rng ~graph ~n_procs:3 in
+  let engine = Makespan.Engine.create ~graph ~platform ~model in
+  let counters () =
+    let snap = Obs.Metrics.snapshot () in
+    let get name = Option.value ~default:0 (Obs.Metrics.find_counter snap name) in
+    (get "engine.reeval_sum_hits", get "engine.reeval_sum_misses")
+  in
+  let walk () =
+    let session = Makespan.Engine.start_session engine sched in
+    for i = 1 to 30 do
+      let m = Sched.Neighbor.random ~rng (Makespan.Engine.session_schedule session) in
+      ignore (Makespan.Engine.reevaluate_move ~commit:false session m);
+      if i mod 2 = 0 then Makespan.Engine.accept session
+    done
+  in
+  with_flags ~metrics:false ~spans:false ~progress:false (fun () ->
+      walk ();
+      Alcotest.(check (pair int int)) "off: untouched" (0, 0) (counters ()));
+  Makespan.Engine.reset_stats engine;
+  with_flags ~metrics:true ~spans:false ~progress:false (fun () ->
+      walk ();
+      let st = Makespan.Engine.stats engine in
+      Alcotest.(check bool) "replays computed sums" true
+        (st.Makespan.Engine.reeval_sum_misses > 0);
+      Alcotest.(check (pair int int)) "on: mirrors stats"
+        (st.Makespan.Engine.reeval_sum_hits, st.Makespan.Engine.reeval_sum_misses)
+        (counters ()))
+
 let engine_output_independent_of_sinks () =
   let engine, sched = small_engine () in
   let reference = Makespan.Engine.eval engine sched in
@@ -848,6 +885,8 @@ let () =
         [
           tc "per-backend counts" `Quick engine_counts_per_backend;
           tc "arrival counters mirror stats" `Quick engine_arrival_counters_mirror_stats;
+          tc "session memo counters mirror stats" `Quick
+            engine_session_sum_counters_mirror_stats;
           tc "sinks do not affect output" `Quick engine_output_independent_of_sinks;
         ] );
       ( "trace",

@@ -203,6 +203,11 @@ let deadlocking_swap_leaves_session_intact () =
   let engine = engine_of (graph, platform) in
   let sched = Sched.Random_sched.generate ~rng ~graph ~n_procs:1 in
   let session = Makespan.Engine.start_session engine sched in
+  (* a pending probe (the no-op reinsertion of the last task) that the
+     raising swap below must drop *)
+  ignore
+    (Makespan.Engine.reevaluate ~commit:false ~at:3 session ~moved:3
+       ~to_:sched.Sched.Schedule.proc_of.(3));
   let before = Makespan.Engine.stats engine in
   (* task 1 depends on task 0 and both sit on the single processor, so
      the exchange reverses a dependency *)
@@ -216,6 +221,14 @@ let deadlocking_swap_leaves_session_intact () =
   Alcotest.(check int) "no re-evaluation counted" before.Makespan.Engine.reevals
     after.Makespan.Engine.reevals;
   eval_bits_equal "session still serves the base schedule"
+    (Makespan.Engine.analyze engine sched)
+    (Makespan.Engine.session_evaluation session);
+  (* the move that raised leaves no probe to install *)
+  (try
+     Makespan.Engine.accept session;
+     Alcotest.fail "accept installed a probe across a raising move"
+   with Invalid_argument _ -> ());
+  eval_bits_equal "session unchanged by the refused accept"
     (Makespan.Engine.analyze engine sched)
     (Makespan.Engine.session_evaluation session)
 
@@ -258,7 +271,14 @@ let anneal_improves_and_stays_incremental () =
   let frac = Search.Anneal.incremental_fraction outcome.Search.Anneal.stats in
   if frac < 0.8 then
     Alcotest.failf "incremental fraction %.3f below the 80%% bound" frac;
-  Alcotest.(check int) "all steps ran" 80 outcome.Search.Anneal.stats.Search.Anneal.steps_done
+  Alcotest.(check int) "all steps ran" 80 outcome.Search.Anneal.stats.Search.Anneal.steps_done;
+  (* one re-evaluation per session probe: an accepted move is installed,
+     not replayed *)
+  let st = outcome.Search.Anneal.stats in
+  Alcotest.(check bool) "some session moves accepted" true
+    (st.Search.Anneal.accepted > st.Search.Anneal.priority_moves);
+  Alcotest.(check int) "reevals + priority moves = probes" st.Search.Anneal.probes
+    (st.Search.Anneal.reevals + st.Search.Anneal.priority_moves)
 
 let anneal_objective_matches_fresh_analyze () =
   let graph, platform, init = Lazy.force fixture in
