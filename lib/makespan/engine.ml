@@ -584,8 +584,9 @@ let replay_cone dirty order ~state ~aside update result =
 
 (* Shared probe core: [sched'] is the already-patched (hence feasible)
    schedule, [seeds] the tasks whose timing the patch certainly changed.
-   Callers construct [sched'] *before* this runs, so an infeasible move
-   raises [Invalid_argument] without touching any session state. *)
+   [reevaluate_patched] constructs [sched'] *before* this runs, so an
+   infeasible move raises [Invalid_argument] without touching the
+   session's schedule or state. *)
 let probe ~max_cone session ~seeds sched' =
   let t = session.engine in
   let n = t.n_tasks in
@@ -692,24 +693,26 @@ let accept session =
     session.dgraph <- p.p_dgraph;
     session.last <- p.p_eval
 
-let reevaluate_patched ~commit ~max_cone session ~seeds sched' =
-  let ev = probe ~max_cone session ~seeds sched' in
+(* [patch] builds the neighbor and raises on a deadlocking move, after
+   the last probe has been dropped: a move that raises leaves nothing
+   to accept. *)
+let reevaluate_patched ~commit ~max_cone session ~seeds patch =
+  session.pending <- None;
+  let ev = probe ~max_cone session ~seeds (patch session.sched) in
   if commit then accept session;
   ev
 
 let reevaluate ?(commit = true) ?max_cone ?at session ~moved ~to_ =
-  session.pending <- None;
-  let sched' = Sched.Schedule.reassign ?at session.sched ~task:moved ~to_ in
-  reevaluate_patched ~commit ~max_cone session ~seeds:[ moved ] sched'
+  reevaluate_patched ~commit ~max_cone session ~seeds:[ moved ] (fun sched ->
+      Sched.Schedule.reassign ?at sched ~task:moved ~to_)
 
 let reevaluate_move ?commit ?max_cone session (m : Sched.Neighbor.move) =
   reevaluate ?commit ?max_cone ?at:m.Sched.Neighbor.at session ~moved:m.Sched.Neighbor.task
     ~to_:m.Sched.Neighbor.to_
 
 let reevaluate_swap ?(commit = true) ?max_cone session ~a ~b =
-  session.pending <- None;
-  let sched' = Sched.Schedule.swap session.sched ~a ~b in
-  reevaluate_patched ~commit ~max_cone session ~seeds:[ a; b ] sched'
+  reevaluate_patched ~commit ~max_cone session ~seeds:[ a; b ] (fun sched ->
+      Sched.Schedule.swap sched ~a ~b)
 
 let reevaluate_any ?commit ?max_cone session (m : Sched.Neighbor.any) =
   match m with

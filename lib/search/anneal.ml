@@ -105,9 +105,9 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
   (* The engine's default cone cutoff is n/2. Search defaults to the
      whole graph, falling back only on non-incremental backends: with
      the session's arrival-sum memo a replay costs less than a fresh
-     analyze at every cone size on random30/p8, 10.6 against 11.8 ms for
-     cones of 26–30 nodes (CHANGES.md). Without the memo the two were
-     level there. *)
+     analyze at every cone size on random30/p8: 9.9–10.6 ms against
+     11.1–11.8 ms for cones of 26–30 nodes (BENCH_anneal.json,
+     cone_costs). Without the memo the two were level there. *)
   let max_cone =
     match config.max_cone with Some c -> c | None -> Dag.Graph.n_tasks graph
   in
