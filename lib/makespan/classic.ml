@@ -120,7 +120,8 @@ let forget_sums e graph ~changed ~seeds =
   for v = 0 to Array.length e.base - 2 do
     let seed = List.mem v seeds in
     Array.iteri
-      (fun j (p, _) -> if seed || changed.(p) then Array.fill e.sums (3 * (e.base.(v) + j)) 3 vacant)
+      (fun j (p, _) ->
+        if seed || changed.(p) then Array.fill e.sums (3 * (e.base.(v) + j)) 3 vacant)
       (Dag.Graph.preds graph v)
   done
 

@@ -667,7 +667,8 @@ let probe ~max_cone session ~seeds sched' =
   let slack = slack_of t session.slack_mode ~dgraph:dgraph' sched' in
   let ev = { makespan; slack } in
   session.pending <-
-    Some { p_sched = sched'; p_dgraph = dgraph'; p_eval = ev; p_seeds = seeds; p_cone = incremental };
+    Some
+      { p_sched = sched'; p_dgraph = dgraph'; p_eval = ev; p_seeds = seeds; p_cone = incremental };
   ev
 
 let accept session =
