@@ -1,59 +1,20 @@
 (* Kernel benchmark harness.
 
-   Running `dune exec bench/main.exe` times, with Bechamel, one kernel
-   per table/figure of the paper — the computational core that
-   regenerates it — plus the substrate kernels they are built from
-   (packed-FFT convolution, distribution sum/max, Monte-Carlo batches,
-   the scheduling heuristics, series-parallel reduction), and writes the
-   BENCH_*.json records to the current directory. REPRO_SCALE (default
-   "smoke" here) only labels the records. The figures themselves are
-   reproduced by `repro all`; `--perf-smoke` is the short CI subset. *)
+   Running `dune exec bench/main.exe` times, with Bechamel, the kernels
+   that a committed BENCH record reports: the distribution, convolution
+   and pool kernels, the one-move re-evaluation and the annealing search.
+   It writes BENCH_dist.json and BENCH_search.json to the current
+   directory. The figures themselves are reproduced by `repro all`. *)
 
 open Bechamel
 open Toolkit
 module E = Experiments
 
-let scale =
-  match Sys.getenv_opt "REPRO_SCALE" with
-  | Some _ -> E.Scale.of_env ()
-  | None -> E.Scale.smoke
-
 (* shared fixtures, built once *)
-let model = Workloads.Stochastify.make ~ul:1.1 ()
-
-let fixture kind n_target n_procs ul =
-  let case = E.Case.make ~kind ~n_target ~n_procs ~ul () in
-  let inst = E.Case.instantiate case in
-  let rng = Prng.Xoshiro.create 99L in
-  let sched = Sched.Random_sched.generate ~rng ~graph:inst.E.Case.graph ~n_procs in
-  (inst, sched)
-
-let cholesky10 = lazy (fixture E.Case.Cholesky 10 3 1.01)
-let random30 = lazy (fixture E.Case.Random_graph 30 8 1.01)
-let gauss103 = lazy (fixture E.Case.Gauss_elim 103 16 1.1)
-
-(* a fresh engine per call: the cold, single-schedule cost *)
-let fresh_engine ?model inst =
-  Makespan.Engine.create ~graph:inst.E.Case.graph ~platform:inst.E.Case.platform
-    ~model:(Option.value model ~default:inst.E.Case.model)
-
-let metric_vector (inst, sched) =
-  Metrics.Robustness.to_array (Metrics.Robustness.of_engine (fresh_engine inst) sched)
-
-let precomputed_rows =
+let random30 =
   lazy
-    (let inst, _ = Lazy.force cholesky10 in
-     let rng = Prng.Xoshiro.create 4L in
-     let scheds =
-       Sched.Random_sched.generate_many ~rng ~graph:inst.E.Case.graph ~n_procs:3 ~count:64
-     in
-     let engine = fresh_engine inst in
-     Array.of_list
-       (List.map
-          (fun s -> Metrics.Robustness.to_array (Metrics.Robustness.of_engine engine s))
-          scheds))
-
-let special = lazy (Distribution.Family.special ())
+    (E.Case.instantiate
+       (E.Case.make ~kind:E.Case.Random_graph ~n_target:30 ~n_procs:8 ~ul:1.01 ()))
 
 (* engine batch fixtures: a batch of schedules of ONE case, the usage
    pattern of the experiment sweeps (the engine is created once per case
@@ -62,17 +23,17 @@ let batch_size = 8
 
 let sched_batch =
   lazy
-    (let inst, _ = Lazy.force random30 in
+    (let inst = Lazy.force random30 in
      let rng = Prng.Xoshiro.create 31L in
      let scheds =
        Sched.Random_sched.generate_many ~rng ~graph:inst.E.Case.graph ~n_procs:8
          ~count:batch_size
      in
-     (inst, Array.of_list scheds))
+     Array.of_list scheds)
 
 let shared_engine =
   lazy
-    (let inst, _ = Lazy.force random30 in
+    (let inst = Lazy.force random30 in
      Makespan.Engine.create ~graph:inst.E.Case.graph ~platform:inst.E.Case.platform
        ~model:inst.E.Case.model)
 
@@ -83,8 +44,8 @@ let shared_engine =
    disjunctive tail of the target row) *)
 let reeval_fixture =
   lazy
-    (let inst, _ = Lazy.force random30 in
-     let _, scheds = Lazy.force sched_batch in
+    (let inst = Lazy.force random30 in
+     let scheds = Lazy.force sched_batch in
      let sched = scheds.(0) in
      let session = Makespan.Engine.start_session (Lazy.force shared_engine) sched in
      let exits = Dag.Graph.exits inst.E.Case.graph in
@@ -93,180 +54,7 @@ let reeval_fixture =
      ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_);
      (session, moved, to_))
 
-(* one domain: the Monte-Carlo kernels run inline on the caller *)
-let serial_pool = Parallel.Pool.create ~domains:1 ()
-
-let mc_batch fx count =
-  let inst, sched = fx in
-  Makespan.Montecarlo.realizations ~pool:serial_pool ~rng:(Prng.Xoshiro.create 7L) ~count
-    sched inst.E.Case.platform inst.E.Case.model
-
-(* one Test.make per table/figure *)
-let figure_tests =
-  [
-    Test.make ~name:"fig1:classical-vs-mc-ks"
-      (Staged.stage (fun () ->
-           let inst, sched = Lazy.force cholesky10 in
-           let d = Makespan.Engine.eval (fresh_engine ~model inst) sched in
-           let samples = mc_batch (Lazy.force cholesky10) 500 in
-           ignore
-             (Stats.Distance.ks (Analytic d)
-                (Sampled (Distribution.Empirical.of_samples samples)))));
-    Test.make ~name:"fig2:empirical-density"
-      (Staged.stage (fun () ->
-           let samples = mc_batch (Lazy.force cholesky10) 1000 in
-           let e = Distribution.Empirical.of_samples samples in
-           ignore (Distribution.Empirical.to_dist e)));
-    Test.make ~name:"fig3:metric-vector-cholesky10"
-      (Staged.stage (fun () -> ignore (metric_vector (Lazy.force cholesky10))));
-    Test.make ~name:"fig4:metric-vector-random30"
-      (Staged.stage (fun () -> ignore (metric_vector (Lazy.force random30))));
-    Test.make ~name:"fig5:metric-vector-gauss103"
-      (Staged.stage (fun () -> ignore (metric_vector (Lazy.force gauss103))));
-    Test.make ~name:"fig6:pearson-matrix-8x8"
-      (Staged.stage (fun () -> ignore (E.Correlate.matrix (Lazy.force precomputed_rows))));
-    Test.make ~name:"fig7:special-distribution"
-      (Staged.stage (fun () ->
-           let d = Distribution.Family.special () in
-           ignore (Distribution.Dist.mean d, Distribution.Dist.std d)));
-    Test.make ~name:"fig8:self-sum-plus-ks"
-      (Staged.stage (fun () ->
-           let s = Lazy.force special in
-           let sum = Distribution.Dist.add s s in
-           let n =
-             Distribution.Family.normal ~mean:(Distribution.Dist.mean sum)
-               ~std:(Distribution.Dist.std sum) ()
-           in
-           ignore (Stats.Distance.ks (Analytic sum) (Analytic n))));
-    Test.make ~name:"fig9:four-join-schedules"
-      (Staged.stage (fun () -> ignore (E.Fig9.run ~n_tasks:8 ())));
-    Test.make ~name:"intext:relprob-pearson"
-      (Staged.stage (fun () ->
-           let rows = Lazy.force precomputed_rows in
-           let xs = Array.map (fun r -> r.(0) /. Float.max 1e-12 r.(7)) rows in
-           let ys = Array.map (fun r -> r.(1)) rows in
-           ignore (Stats.Correlation.pearson xs ys)));
-  ]
-
-(* full metric vectors and classical distributions for a batch of
-   schedules of one case through the shared engine *)
-let engine_tests =
-  [
-    Test.make ~name:"engine:metrics-batch8"
-      (Staged.stage (fun () ->
-           let _, scheds = Lazy.force sched_batch in
-           let engine = Lazy.force shared_engine in
-           Array.iter
-             (fun s ->
-               ignore
-                 (Metrics.Robustness.to_array (Metrics.Robustness.of_engine engine s)))
-             scheds));
-    Test.make ~name:"engine:classical-batch8"
-      (Staged.stage (fun () ->
-           let _, scheds = Lazy.force sched_batch in
-           let engine = Lazy.force shared_engine in
-           Array.iter (fun s -> ignore (Makespan.Engine.eval engine s)) scheds));
-  ]
-
-(* telemetry overhead: the identical warm-cache engine eval with sinks
-   off, metrics on, and tracing on. The Obs contract is that the off
-   state costs one atomic load per probe, so "obs:eval-sinks-off"
-   should stay within noise (< 2%) of the untouched baseline. *)
-(* a small warm-cache fixture: per-run cost is tens of µs, so Bechamel
-   gets thousands of samples inside its quota and the ±% columns in
-   BENCH_obs.json measure probe cost rather than run-to-run noise *)
-let obs_fixture =
-  lazy
-    (let inst, sched = Lazy.force cholesky10 in
-     let engine =
-       Makespan.Engine.create ~graph:inst.E.Case.graph ~platform:inst.E.Case.platform
-         ~model:inst.E.Case.model
-     in
-     ignore (Makespan.Engine.eval engine sched);
-     (engine, sched))
-
-let eval_batch () =
-  let engine, sched = Lazy.force obs_fixture in
-  ignore (Makespan.Engine.eval engine sched)
-
-let with_sinks ~metrics ~spans f () =
-  Obs.Metrics.set_enabled metrics;
-  Obs.Span.set_enabled spans;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Span.set_enabled false)
-    f
-
-let obs_tests =
-  [
-    Test.make ~name:"obs:eval-baseline" (Staged.stage eval_batch);
-    Test.make ~name:"obs:eval-sinks-off"
-      (Staged.stage (with_sinks ~metrics:false ~spans:false eval_batch));
-    Test.make ~name:"obs:eval-metrics-on"
-      (Staged.stage (with_sinks ~metrics:true ~spans:false eval_batch));
-    Test.make ~name:"obs:eval-trace-on"
-      (Staged.stage (with_sinks ~metrics:true ~spans:true eval_batch));
-  ]
-
-(* substrate kernels *)
-let substrate_tests =
-  let u = Distribution.Family.uncertain ~ul:1.1 20. in
-  [
-    Test.make ~name:"substrate:fft-conv-256"
-      (let a = Array.init 256 (fun i -> sin (float_of_int i)) in
-       Staged.stage (fun () -> ignore (Numerics.Convolution.fft_packed a a)));
-    Test.make ~name:"substrate:dist-add"
-      (Staged.stage (fun () -> ignore (Distribution.Dist.add u u)));
-    Test.make ~name:"substrate:dist-max"
-      (Staged.stage (fun () -> ignore (Distribution.Dist.max_indep u u)));
-    Test.make ~name:"substrate:mc-100-realizations"
-      (Staged.stage (fun () -> ignore (mc_batch (Lazy.force cholesky10) 100)));
-    Test.make ~name:"substrate:heft"
-      (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (Sched.Heft.schedule inst.E.Case.graph inst.E.Case.platform)));
-    Test.make ~name:"substrate:bil"
-      (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (Sched.Bil.schedule inst.E.Case.graph inst.E.Case.platform)));
-    Test.make ~name:"substrate:bmct"
-      (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (Sched.Bmct.schedule inst.E.Case.graph inst.E.Case.platform)));
-    Test.make ~name:"substrate:random-schedule"
-      (let rng = Prng.Xoshiro.create 1L in
-       Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (Sched.Random_sched.generate ~rng ~graph:inst.E.Case.graph ~n_procs:8)));
-    Test.make ~name:"substrate:dodin-reduce"
-      (Staged.stage (fun () ->
-           let inst, sched = Lazy.force cholesky10 in
-           ignore
-             (Makespan.Engine.eval ~backend:Makespan.Engine.Dodin
-                (fresh_engine ~model inst)
-                sched)));
-    Test.make ~name:"substrate:slack"
-      (Staged.stage (fun () ->
-           let inst, sched = Lazy.force gauss103 in
-           ignore (Sched.Slack.compute sched inst.E.Case.platform inst.E.Case.model)));
-  ]
-
-(* one kernel per scheduler registry entry *)
-let sched_tests =
-  let on_random30 name run =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
-           ignore (run inst.E.Case.graph inst.E.Case.platform)))
-  in
-  List.map
-    (fun e -> on_random30 ("sched:" ^ e.Sched.Registry.name) e.Sched.Registry.run)
-    Sched.Registry.entries
-
-(* distribution/convolution/pool kernels: the zero-allocation hot layer.
-   These run both in the full bench and in `--perf-smoke` (the CI step
-   that writes BENCH_dist.json without reproducing every figure). *)
+(* distribution/convolution/pool kernels: the zero-allocation hot layer *)
 let uncertain = lazy (Distribution.Family.uncertain ~ul:1.1 20.)
 
 (* a wide partial like the mid-sweep completion distributions: ~12× the
@@ -359,7 +147,7 @@ let heft_init inst =
 
 let search_engine =
   lazy
-    (let inst, _ = Lazy.force random30 in
+    (let inst = Lazy.force random30 in
      Makespan.Engine.create ~graph:inst.E.Case.graph ~platform:inst.E.Case.platform
        ~model:inst.E.Case.model)
 
@@ -367,7 +155,7 @@ let search_engine =
    reeval_fixture *)
 let swap_fixture =
   lazy
-    (let _, scheds = Lazy.force sched_batch in
+    (let scheds = Lazy.force sched_batch in
      let sched = scheds.(0) in
      let session = Makespan.Engine.start_session (Lazy.force search_engine) sched in
      let rng = Prng.Xoshiro.create 17L in
@@ -391,7 +179,7 @@ let search_tests =
                 ~a:swap.Sched.Neighbor.a ~b:swap.Sched.Neighbor.b)));
     Test.make ~name:"search:anneal-32step"
       (Staged.stage (fun () ->
-           let inst, _ = Lazy.force random30 in
+           let inst = Lazy.force random30 in
            let engine = Lazy.force search_engine in
            let init = heft_init inst in
            ignore
@@ -461,26 +249,6 @@ let run_kernels cfg tests =
         (Test.elements test))
     tests
 
-let run_benchmarks () =
-  Printf.printf "\n================ Bechamel kernels ================\n\n";
-  Printf.printf "%-36s  %14s\n" "kernel" "time/run";
-  Printf.printf "%s\n" (String.make 52 '-');
-  let figures =
-    run_kernels
-      (Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~kde:None ())
-      (figure_tests @ engine_tests @ substrate_tests @ sched_tests @ dist_tests
-     @ conv_tests @ pool_tests @ reeval_tests @ search_tests)
-  in
-  (* the obs kernels measure overheads expected to sit near zero, so
-     they get a longer quota and GC stabilization to push sampling noise
-     below the effect we are looking for *)
-  let obs =
-    run_kernels
-      (Benchmark.cfg ~limit:3000 ~quota:(Time.second 1.5) ~stabilize:true ~kde:None ())
-      obs_tests
-  in
-  figures @ obs
-
 (* BENCH files: kernel results are (name, ns/run) pairs, a NaN estimate
    meaning Bechamel could not fit one. Every file is one Experiments.Json
    document. *)
@@ -513,44 +281,6 @@ let write_json file fields =
   output_char oc '\n';
   close_out oc;
   Printf.printf "[wrote %s]\n%!" file
-
-(* BENCH_engine.json: every kernel of the full run. *)
-let write_bench_json results =
-  write_json "BENCH_engine.json"
-    [
-      ("scale", J.Str scale.E.Scale.name);
-      ("unit", J.Str "ns/run");
-      ("kernels", kernel_records results);
-    ]
-
-(* BENCH_obs.json: telemetry overhead record. "overhead_sinks_off_pct"
-   compares flag-toggling-off against the untouched baseline eval and is
-   the figure the < 2% acceptance bound applies to; the *_on columns are
-   relative to sinks-off. *)
-let write_obs_json results =
-  let ns = ns_of results in
-  let pct_vs base name =
-    match (ns base, ns name) with
-    | Some b, Some a -> fixed 2 ((a -. b) /. b *. 100.)
-    | _ -> J.Null
-  in
-  (* the spans/counters accumulated while benching are scratch: clear
-     them, and exercise the per-engine reset while we are at it *)
-  Makespan.Engine.reset_stats (Lazy.force shared_engine);
-  Obs.Metrics.reset ();
-  Obs.Span.reset ();
-  write_json "BENCH_obs.json"
-    [
-      ("scale", J.Str scale.E.Scale.name);
-      ("unit", J.Str "ns/run");
-      ("eval_baseline_ns", opt_fixed 3 (ns "obs:eval-baseline"));
-      ("eval_sinks_off_ns", opt_fixed 3 (ns "obs:eval-sinks-off"));
-      ("eval_metrics_on_ns", opt_fixed 3 (ns "obs:eval-metrics-on"));
-      ("eval_trace_on_ns", opt_fixed 3 (ns "obs:eval-trace-on"));
-      ("overhead_sinks_off_pct", pct_vs "obs:eval-baseline" "obs:eval-sinks-off");
-      ("overhead_metrics_on_pct", pct_vs "obs:eval-sinks-off" "obs:eval-metrics-on");
-      ("overhead_trace_on_pct", pct_vs "obs:eval-sinks-off" "obs:eval-trace-on");
-    ]
 
 (* BENCH_dist.json: the before/after record of the pooled-arena kernel
    layer. The headline speedup and its allocation twin are the committed
@@ -592,9 +322,9 @@ let allocated f =
   (minor1 -. minor0, major1 -. major0 -. (promoted1 -. promoted0))
 
 (* live warm-engine classical eval: ns and minor words per schedule on
-   the same random30/p8 batch the engine benches use *)
+   the random30/p8 batch of [sched_batch] *)
 let measure_live_eval () =
-  let _, scheds = Lazy.force sched_batch in
+  let scheds = Lazy.force sched_batch in
   let engine = Lazy.force shared_engine in
   let eval_all () =
     Array.iter (fun s -> ignore (Makespan.Engine.eval engine s)) scheds
@@ -670,25 +400,15 @@ let write_dist_json results =
         kernel_records (with_prefixes [ "dist:"; "conv:"; "pool:"; "engine:" ] results) );
     ]
 
-(* BENCH_sched.json: per-scheduler times on the random30 case. *)
-let write_sched_json results =
-  write_json "BENCH_sched.json"
-    [
-      ("unit", J.Str "ns/run");
-      ("case", J.Str "random30/p8");
-      ("framework_heft_ns", opt_fixed 3 (ns_of results "sched:HEFT"));
-      ("kernels", kernel_records (with_prefixes [ "sched:" ] results));
-    ]
-
 (* BENCH_search.json: the stochastic-optimizer throughput record. The
-   headline is moves/sec through the full annealing loop (probes, commit
-   replays, frontier bookkeeping) on random30/p8; "incremental_pct" is
+   headline is moves/sec through the full annealing loop (probes,
+   accepts, frontier bookkeeping) on random30/p8; "incremental_pct" is
    the share of all evaluation work served by dirty-cone replay during a
    deterministic 256-step run — the ≥ 80% acceptance bound applies to
    it. *)
 let write_search_json results =
   let ns = ns_of results in
-  let inst, _ = Lazy.force random30 in
+  let inst = Lazy.force random30 in
   let outcome =
     Search.Anneal.run ~engine:(Lazy.force search_engine) ~init:(heft_init inst)
       { Search.Anneal.default with steps = 256 }
@@ -721,34 +441,14 @@ let write_search_json results =
       ("kernels", kernel_records (with_prefixes [ "search:" ] results));
     ]
 
-(* `--perf-smoke`: the CI fast path — only the dist/conv/pool/sched/search
-   kernels, short quotas, no figure reproduction. Still writes
-   BENCH_dist.json, BENCH_sched.json and BENCH_search.json. *)
-let perf_smoke () =
-  Printf.printf
-    "================ perf smoke (dist/conv/pool/sched/reeval/search) ================\n\n";
+let () =
   Printf.printf "%-36s  %14s\n" "kernel" "time/run";
   Printf.printf "%s\n" (String.make 52 '-');
   let kernels =
     run_kernels
       (Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~kde:None ())
-      (dist_tests @ conv_tests @ pool_tests @ sched_tests @ reeval_tests @ search_tests)
+      (dist_tests @ conv_tests @ pool_tests @ reeval_tests @ search_tests)
   in
   write_dist_json kernels;
-  write_sched_json kernels;
   write_search_json kernels;
-  Parallel.Pool.shutdown (Lazy.force bench_pool);
-  Parallel.Pool.shutdown serial_pool
-
-let () =
-  if Array.exists (fun a -> a = "--perf-smoke") Sys.argv then perf_smoke ()
-  else begin
-    let results = run_benchmarks () in
-    write_bench_json results;
-    write_obs_json results;
-    write_dist_json results;
-    write_sched_json results;
-    write_search_json results;
-    Parallel.Pool.shutdown (Lazy.force bench_pool);
-    Parallel.Pool.shutdown serial_pool
-  end
+  Parallel.Pool.shutdown (Lazy.force bench_pool)

@@ -562,136 +562,6 @@ let serve_cmd =
       $ host_arg $ port_arg 8123 $ queue_arg $ conns_arg $ workers_arg $ grace_arg
       $ slow_ms_arg)
 
-let loadgen_cmd =
-  let concurrency_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "concurrency" ] ~docv:"N" ~doc:"Concurrent client connections.")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"N" ~doc:"Total synchronous /eval requests.")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Report file (JSON).")
-  in
-  let arrival_arg =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "closed" -> Ok Service.Loadgen.Closed
-      | s -> (
-        match String.split_on_char ':' s with
-        | [ "poisson"; rate ] -> (
-          match float_of_string_opt rate with
-          | Some r when r > 0. -> Ok (Service.Loadgen.Poisson r)
-          | _ -> Error (`Msg (Printf.sprintf "bad poisson rate %S" rate)))
-        | _ -> Error (`Msg (Printf.sprintf "unknown arrival %S (closed|poisson:RATE)" s)))
-    in
-    let print fmt a =
-      Format.pp_print_string fmt
-        (match a with
-        | Service.Loadgen.Closed -> "closed"
-        | Service.Loadgen.Poisson r -> Printf.sprintf "poisson:%g" r)
-    in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Service.Loadgen.Closed
-      & info [ "arrival" ] ~docv:"MODE"
-          ~doc:
-            "Arrival discipline: $(b,closed) (back-to-back) or $(b,poisson:RATE) \
-             (open loop at RATE req/s; latency measured from scheduled arrival, \
-             so backlog shows up as latency — no coordinated omission).")
-  in
-  let slo_ms_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slo-ms" ] ~docv:"MS"
-          ~doc:
-            "Latency budget; the report gains slo_ms/slo_attained (errors count \
-             as misses).")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "After the load, send one traced request (traceparent header) and \
-             save its Chrome trace from /debug/requests to $(docv).")
-  in
-  let sweep_arg =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "workers-sweep" ] ~docv:"N,N,..."
-          ~doc:
-            "Instead of hitting a running server, drive the whole 1→N worker \
-             scaling curve in-process: one fresh server per worker count, \
-             closed-loop load over \
-             --keys distinct cases, admit-stage p99 from the metrics snapshot, \
-             and a byte-for-byte check of every response against repro eval. \
-             --concurrency and --requests apply per point; --host/--port are \
-             ignored.")
-  in
-  let keys_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "keys" ] ~docv:"N"
-          ~doc:"Sweep only: distinct cases (batch keys) in the job mix.")
-  in
-  let task_n_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "task-n" ] ~docv:"N"
-          ~doc:"Sweep only: target task count per case (sizes the admit cost).")
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Load generator against a running $(b,repro serve): closed-loop or \
-          open-loop Poisson arrivals; reports throughput, client latency \
-          quantiles, optional SLO attainment and the server's own counters.")
-    Term.(
-      const
-        (fun host port concurrency requests out arrival slo_ms trace_out sweep keys
-             task_n ->
-          let report =
-            match sweep with
-            | Some worker_counts ->
-              Service.Loadgen.sweep
-                {
-                  Service.Loadgen.worker_counts;
-                  sweep_concurrency = concurrency;
-                  sweep_requests = requests;
-                  keys;
-                  task_n;
-                }
-            | None ->
-              Service.Loadgen.run
-                {
-                  Service.Loadgen.host;
-                  port;
-                  concurrency;
-                  requests;
-                  job = Service.Loadgen.default_job ();
-                  arrival;
-                  slo_ms;
-                  trace_out;
-                }
-          in
-          print_string report;
-          let oc = open_out out in
-          output_string oc report;
-          close_out oc;
-          Printf.eprintf "[wrote %s]\n%!" out)
-      $ host_arg $ port_arg 8123 $ concurrency_arg $ requests_arg $ bench_out_arg
-      $ arrival_arg $ slo_ms_arg $ trace_out_arg $ sweep_arg $ keys_arg $ task_n_arg)
-
 let top_cmd =
   let interval_arg =
     Arg.(
@@ -1286,7 +1156,6 @@ let () =
         run_bounds;
       eval_cmd;
       serve_cmd;
-      loadgen_cmd;
       top_cmd;
       check_metrics_cmd;
     ]

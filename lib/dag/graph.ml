@@ -103,18 +103,3 @@ let topo_order t = t.topo
 let add_edges t extra =
   let current = Array.to_list (edges t) in
   make ~n:t.n ~edges:(current @ extra)
-
-let transitive_closure_mem t ~src ~dst =
-  if src = dst then true
-  else begin
-    let visited = Array.make t.n false in
-    let rec dfs v =
-      v = dst
-      || (not visited.(v)
-         && begin
-              visited.(v) <- true;
-              Array.exists (fun (w, _) -> dfs w) t.succs.(v)
-            end)
-    in
-    dfs src
-  end

@@ -46,7 +46,3 @@ val topo_order : t -> task array
 val add_edges : t -> (task * task * float) list -> t
 (** A new DAG with extra edges (same validation as {!make}); used to build
     disjunctive graphs. Edges already present are rejected. *)
-
-val transitive_closure_mem : t -> src:task -> dst:task -> bool
-(** [transitive_closure_mem t ~src ~dst] is [true] iff a (possibly empty)
-    directed path leads from [src] to [dst]. O(V+E) per query. *)

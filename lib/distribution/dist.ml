@@ -737,8 +737,6 @@ let max_comonotone ?(points = default_points) d1 d2 =
       finish ~points ~depth:1 ~err:(g1.err +. g2.err) ~lo ~dx ~n:points buf
     end
 
-let add_list ?points ds = List.fold_left (fun acc d -> add ?points acc d) (Const 0.) ds
-
 let max_list ?points = function
   | [] -> invalid_arg "Dist.max_list: empty list"
   | d :: ds -> List.fold_left (fun acc d -> max_indep ?points acc d) d ds

@@ -161,8 +161,5 @@ val max_comonotone : ?points:int -> t -> t -> t
     the Kleindorfer-style bracket whose independent end is
     {!max_indep}. Note [max_comonotone d d = d]. *)
 
-val add_list : ?points:int -> t list -> t
-(** Fold of {!add}; the empty list is [const 0.]. *)
-
 val max_list : ?points:int -> t list -> t
 (** Fold of {!max_indep}; raises [Invalid_argument] on the empty list. *)

@@ -84,7 +84,7 @@ val json : ?limit:int -> unit -> string
 
 val chrome : ?limit:int -> ?trace_id:string -> unit -> string
 (** Chrome trace_event JSON ("X" events, one row per request), optionally
-    filtered to a single trace id — the [repro loadgen --trace] artifact. *)
+    filtered to a single trace id — one traced request's stage tree. *)
 
 val reset : unit -> unit
 (** Clear the ring (tests/benches only; not safe under concurrent

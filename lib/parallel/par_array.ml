@@ -12,6 +12,3 @@ let init ?pool ?(chunk_size = 64) n f =
         parts.(c) <- Array.init (Int.min n (lo + chunk_size) - lo) (fun j -> f (lo + j)));
     Array.concat (Array.to_list parts)
   end
-
-let map ?pool ?chunk_size f a =
-  init ?pool ?chunk_size (Array.length a) (fun i -> f a.(i))

@@ -7,6 +7,3 @@ val init : ?pool:Pool.t -> ?chunk_size:int -> int -> (int -> 'a) -> 'a array
     run concurrently for distinct indices. Runs on [?pool], or on the
     shared persistent pool (see {!Pool.run}); the first exception raised
     by [f] is re-raised after all domains drain. *)
-
-val map : ?pool:Pool.t -> ?chunk_size:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]. *)

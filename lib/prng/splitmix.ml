@@ -4,7 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
 
 (* Finalizer from Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators" (OOPSLA 2014). *)

@@ -11,9 +11,6 @@ type t
 val create : int64 -> t
 (** [create seed] builds a generator from an arbitrary 64-bit seed. *)
 
-val copy : t -> t
-(** [copy t] is an independent clone with identical current state. *)
-
 val next : t -> int64
 (** [next t] advances the state and returns 64 uniformly distributed bits. *)
 

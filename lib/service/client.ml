@@ -3,13 +3,14 @@ module Json = Experiments.Json
 type t = {
   host : string;
   port : int;
-  timeout_s : float;
   mutable conn : (Unix.file_descr * Http.reader) option;
 }
 
-let connect ?(host = "127.0.0.1") ?(timeout_s = 30.) ~port () =
+let recv_timeout_s = 30.
+
+let connect ?(host = "127.0.0.1") ~port () =
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
-  { host; port; timeout_s; conn = None }
+  { host; port; conn = None }
 
 let close t =
   match t.conn with
@@ -33,8 +34,7 @@ let dial t =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
        Unix.connect fd (Unix.ADDR_INET (resolve t.host, t.port));
-       if t.timeout_s > 0. then
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.timeout_s
+       Unix.setsockopt_float fd Unix.SO_RCVTIMEO recv_timeout_s
      with e ->
        (try Unix.close fd with _ -> ());
        raise e);

@@ -1,13 +1,13 @@
 (** Blocking HTTP client for the evaluation service — the test suite's
-    and [repro loadgen]'s view of the daemon. One [t] is one keep-alive
+    and the benchmark's view of the daemon. One [t] is one keep-alive
     connection (lazily dialed, transparently redialed once if the
     server closed it); not thread-safe — give each domain its own. *)
 
 type t
 
-val connect : ?host:string -> ?timeout_s:float -> port:int -> unit -> t
-(** [timeout_s] arms [SO_RCVTIMEO] on the socket (default 30 s) so a
-    hung server surfaces as [`Timeout] instead of blocking forever.
+val connect : ?host:string -> port:int -> unit -> t
+(** Arms a 30 s [SO_RCVTIMEO] on the socket so a hung server surfaces
+    as [`Timeout] instead of blocking forever.
     Also ignores [SIGPIPE] process-wide (idempotent). Dialing happens
     on first use. *)
 

@@ -71,7 +71,7 @@ val validate : job -> (unit, string) result
     reports for the same value. *)
 
 val job_to_json : job -> string
-(** Inverse of {!job_of_json} (used by the client, [repro loadgen] and
+(** Inverse of {!job_of_json} (used by the client and
     [repro eval --emit-request]); round-trips. *)
 
 type context = {

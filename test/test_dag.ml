@@ -65,12 +65,6 @@ let add_edges_rejects_cycle () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let reachability () =
-  let g = diamond () in
-  Alcotest.(check bool) "0 reaches 3" true (Dag.Graph.transitive_closure_mem g ~src:0 ~dst:3);
-  Alcotest.(check bool) "1 not to 2" false (Dag.Graph.transitive_closure_mem g ~src:1 ~dst:2);
-  Alcotest.(check bool) "self" true (Dag.Graph.transitive_closure_mem g ~src:2 ~dst:2)
-
 (* --- Levels --- *)
 
 let unit_weights = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ -> 0.) }
@@ -285,7 +279,6 @@ let () =
           topo_order_is_permutation;
           tc "add_edges" `Quick add_edges_extends;
           tc "add_edges cycle" `Quick add_edges_rejects_cycle;
-          tc "reachability" `Quick reachability;
         ] );
       ( "levels",
         [

@@ -228,11 +228,6 @@ let add_narrow_wide_preserves_variance () =
   check_close ~eps:1e-3 "mean" (100. +. Dist.mean narrow) (Dist.mean s);
   check_close ~eps:1e-3 "std" (sqrt ((5. *. 5.) +. Dist.variance narrow)) (Dist.std s)
 
-let add_list_empty_is_zero () =
-  match Dist.add_list [] with
-  | d when Dist.is_const d -> check_close "zero" 0. (Dist.mean d)
-  | _ -> Alcotest.fail "empty sum should be const 0"
-
 (* --- max algebra --- *)
 
 let max_consts () =
@@ -658,7 +653,6 @@ let () =
           tc "triangular" `Quick add_uniforms_triangular;
           tc "50-fold chain CLT" `Quick add_long_chain_clt;
           tc "narrow+wide variance" `Quick add_narrow_wide_preserves_variance;
-          tc "empty list" `Quick add_list_empty_is_zero;
         ] );
       ( "max",
         [

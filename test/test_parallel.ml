@@ -36,11 +36,6 @@ let par_array_matches_sequential =
       Tutil.with_pool domains (fun pool -> Parallel.Par_array.init ~pool ~chunk_size:13 n f)
       = Array.init n f)
 
-let par_array_map () =
-  let a = Array.init 257 float_of_int in
-  let got = Tutil.with_pool 2 (fun pool -> Parallel.Par_array.map ~pool (fun x -> x *. 2.) a) in
-  Alcotest.(check bool) "doubles" true (got = Array.map (fun x -> x *. 2.) a)
-
 let par_array_empty () =
   Alcotest.(check int) "empty" 0 (Array.length (Parallel.Par_array.init 0 (fun _ -> 0)))
 
@@ -183,7 +178,6 @@ let () =
       ( "par_array",
         [
           par_array_matches_sequential;
-          tc "map" `Quick par_array_map;
           tc "empty" `Quick par_array_empty;
           tc "domain independence" `Quick par_array_domain_count_irrelevant;
           tc "explicit pool" `Quick par_array_explicit_pool;

@@ -16,16 +16,6 @@ let splitmix_seed_sensitivity () =
   Alcotest.(check bool) "different seeds differ" false
     (Prng.Splitmix.next a = Prng.Splitmix.next b)
 
-let splitmix_copy_independent () =
-  let a = Prng.Splitmix.create 7L in
-  let b = Prng.Splitmix.copy a in
-  let va = Prng.Splitmix.next a in
-  let vb = Prng.Splitmix.next b in
-  Alcotest.(check int64) "copy continues identically" va vb;
-  ignore (Prng.Splitmix.next a);
-  let vb2 = Prng.Splitmix.next b in
-  Alcotest.(check bool) "streams advance independently" true (vb2 <> 0L)
-
 let splitmix_split_differs () =
   let a = Prng.Splitmix.create 9L in
   let child = Prng.Splitmix.split a in
@@ -227,7 +217,6 @@ let () =
         [
           tc "deterministic" `Quick splitmix_deterministic;
           tc "seed sensitivity" `Quick splitmix_seed_sensitivity;
-          tc "copy" `Quick splitmix_copy_independent;
           tc "split differs" `Quick splitmix_split_differs;
           tc "float range" `Quick splitmix_float_range;
         ] );

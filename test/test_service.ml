@@ -310,18 +310,44 @@ let with_client t f =
   let c = Client.connect ~port:(Server.port t) () in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
-let server_sync_eval_matches_local () =
-  with_server (fun t ->
+(* Served bodies equal the offline [Proto.eval] bytes at every worker
+   count: two client domains, each on its own keep-alive connection,
+   cycle over four distinct keys while the worker domains run. *)
+let server_sync_eval_matches_local workers =
+  let config = { Server.default_config with Server.workers } in
+  let jobs =
+    Array.init 4 (fun i ->
+        named_job ~seed:(Int64.of_int (1 + i))
+          ~schedules:[ Proto.Heuristic "HEFT"; Proto.Random { count = 3; seed = 5L } ]
+          ())
+  in
+  let local =
+    Array.map (fun job -> match Proto.eval job with Ok b -> b | Error e -> Alcotest.fail e) jobs
+  in
+  let per_client = 6 in
+  with_server ~config (fun t ->
+      let client d =
+        Domain.spawn (fun () ->
+            with_client t (fun c ->
+                List.init per_client (fun i ->
+                    let k = (d + i) mod Array.length jobs in
+                    (k, Client.eval c jobs.(k)))))
+      in
+      let served = List.concat_map Domain.join [ client 0; client 1 ] in
+      Alcotest.(check int)
+        (Printf.sprintf "workers=%d: every request answered" workers)
+        (2 * per_client) (List.length served);
+      List.iter
+        (fun (k, r) ->
+          match r with
+          | Ok body ->
+            Alcotest.(check string)
+              (Printf.sprintf "workers=%d key %d: served = local bytes" workers k)
+              local.(k) body
+          | Error e -> Alcotest.failf "workers=%d key %d: %s" workers k e)
+        served;
+      Alcotest.(check int) "shard count" workers (Server.stats t).Server.workers;
       with_client t (fun c ->
-          let job =
-            named_job ~schedules:[ Proto.Heuristic "HEFT"; Proto.Random { count = 3; seed = 5L } ] ()
-          in
-          let local =
-            match Proto.eval job with Ok b -> b | Error e -> Alcotest.fail e
-          in
-          (match Client.eval c job with
-          | Ok served -> Alcotest.(check string) "served = local bytes" local served
-          | Error e -> Alcotest.fail e);
           match Client.healthz c with
           | Ok body ->
             Alcotest.(check bool) "healthz has version" true
@@ -809,7 +835,8 @@ let () =
         ] );
       ( "server",
         [
-          tc "sync eval = local bytes" `Quick server_sync_eval_matches_local;
+          tc "sync eval = local bytes" `Quick (fun () ->
+              List.iter server_sync_eval_matches_local [ 1; 2 ]);
           tc "batches same-key jobs" `Quick server_batches_same_key_jobs;
           tc "shards by key" `Quick server_shards_by_key;
           tc "drain with workers" `Quick server_drain_with_workers;
