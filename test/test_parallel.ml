@@ -36,6 +36,13 @@ let par_array_matches_sequential =
       Tutil.with_pool domains (fun pool -> Parallel.Par_array.init ~pool ~chunk_size:13 n f)
       = Array.init n f)
 
+let par_array_rejects_bad_arguments () =
+  Alcotest.check_raises "negative size" (Invalid_argument "Par_array.init: negative size")
+    (fun () -> ignore (Parallel.Par_array.init (-1) Fun.id));
+  Alcotest.check_raises "zero chunk_size"
+    (Invalid_argument "Par_array.init: chunk_size must be positive") (fun () ->
+      ignore (Parallel.Par_array.init ~chunk_size:0 4 Fun.id))
+
 let par_array_empty () =
   Alcotest.(check int) "empty" 0 (Array.length (Parallel.Par_array.init 0 (fun _ -> 0)))
 
@@ -178,6 +185,7 @@ let () =
       ( "par_array",
         [
           par_array_matches_sequential;
+          tc "bad arguments" `Quick par_array_rejects_bad_arguments;
           tc "empty" `Quick par_array_empty;
           tc "domain independence" `Quick par_array_domain_count_irrelevant;
           tc "explicit pool" `Quick par_array_explicit_pool;
