@@ -57,9 +57,8 @@ let reeval_fixture =
 (* distribution/convolution/pool kernels: the zero-allocation hot layer *)
 let uncertain = lazy (Distribution.Family.uncertain ~ul:1.1 20.)
 
-(* a wide partial like the mid-sweep completion distributions: ~12× the
-   support of one operand, so summing one more operand takes the k-point
-   path *)
+(* a wide partial like the mid-sweep completion distributions: a 13-fold
+   sum of [uncertain], trimmed to about 6× its support *)
 let wide_partial =
   lazy
     (let u = Lazy.force uncertain in
@@ -69,15 +68,40 @@ let wide_partial =
      done;
      !d)
 
+(* a grid 50× wider than [uncertain]: the sum of the two takes the
+   k-point path, which needs the narrow support below 1/16 of the
+   combined range (the 6× wide partial takes the FFT path) *)
+let kpoint_wide = lazy (Distribution.Family.uncertain ~ul:2. 100.)
+
+(* the uncertain grid's knots and its spline, for the two per-cell
+   kernels every sum and maximum runs: one 64-point spline scan and one
+   64-sample density construction (clamp, mass, normalization, CDF) *)
+let uncertain_knots =
+  lazy
+    (let xs, pdf = Distribution.Dist.to_arrays (Lazy.force uncertain) in
+     (xs, pdf, Numerics.Spline.fit ~xs ~ys:pdf))
+
+let sample_out = Array.make 64 0.
+
 let dist_tests =
   [
+    Test.make ~name:"dist:spline-sample-64"
+      (Staged.stage (fun () ->
+           let xs, _, s = Lazy.force uncertain_knots in
+           let lo = xs.(0) and hi = xs.(Array.length xs - 1) in
+           Numerics.Spline.sample_into s ~x0:lo ~dx:((hi -. lo) /. 63.) ~shift:0. ~clip_lo:lo
+             ~clip_hi:hi ~n:64 sample_out));
+    Test.make ~name:"dist:density-64"
+      (Staged.stage (fun () ->
+           let xs, pdf, _ = Lazy.force uncertain_knots in
+           ignore (Distribution.Dist.of_samples_pdf ~lo:xs.(0) ~dx:(xs.(1) -. xs.(0)) pdf)));
     Test.make ~name:"dist:add-full-64x64"
       (Staged.stage (fun () ->
            let u = Lazy.force uncertain in
            ignore (Distribution.Dist.add u u)));
     Test.make ~name:"dist:add-kpoint"
       (Staged.stage (fun () ->
-           let w = Lazy.force wide_partial and u = Lazy.force uncertain in
+           let w = Lazy.force kpoint_wide and u = Lazy.force uncertain in
            ignore (Distribution.Dist.add w u)));
     Test.make ~name:"dist:max-indep-64x64"
       (Staged.stage (fun () ->

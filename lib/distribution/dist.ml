@@ -103,30 +103,18 @@ let grid_spline g =
     s
 
 (* The steps every grid construction shares, over the first [n] cells of
-   possibly oversized buffers. Clamp [src] into [pdf] (the same buffer
-   is fine), normalize it by its trapezoid mass, integrate it into [cdf]
-   — the operation order of the historical map/map/cumulative pipeline,
-   so stored pdf/cdf are bit-identical to it. *)
+   possibly oversized buffers: clamp [src] into [pdf] (the same buffer is
+   fine), normalize it by its trapezoid mass, integrate it into [cdf] and
+   renormalize that by its last cell. Two C passes
+   ({!Numerics.Density}) with the bits of the OCaml loops they replaced;
+   the split lets the no-mass error come before any cell is normalized. *)
 let density_into ~dx ~n src ~pdf ~cdf =
   if n < 2 then invalid_arg "Dist: grid needs at least 2 samples";
   if dx <= 0. || not (Float.is_finite dx) then invalid_arg "Dist: dx must be positive";
   if Array.length src < n then invalid_arg "Dist: fewer samples than requested";
-  for i = 0 to n - 1 do
-    let v = Array.unsafe_get src i in
-    Array.unsafe_set pdf i (if Float.is_finite v && v > 0. then v else 0.)
-  done;
-  let total = Numerics.Integrate.trapezoid_prefix ~dx ~n pdf in
-  if total <= 0. then invalid_arg "Dist: density has no mass";
-  for i = 0 to n - 1 do
-    Array.unsafe_set pdf i (Array.unsafe_get pdf i /. total)
-  done;
-  Numerics.Integrate.cumulative_into ~dx ~n pdf cdf;
-  (* kill the last-ulp drift so quantile/cdf_at see an exact CDF *)
-  let last = Array.unsafe_get cdf (n - 1) in
-  if last > 0. then
-    for i = 0 to n - 1 do
-      Array.unsafe_set cdf i (Float.min 1. (Array.unsafe_get cdf i /. last))
-    done
+  let mass = Numerics.Density.clamp_mass ~dx ~n src ~pdf in
+  if mass <= 0. then invalid_arg "Dist: density has no mass";
+  Numerics.Density.normalize ~dx ~n ~mass ~pdf ~cdf
 
 (* A grid from the first [n] cells of [src] ([src] is read, never kept),
    with the given chain metadata. *)
@@ -396,8 +384,9 @@ let scale d c =
          ~n:(grid_n g) pdf)
 
 (* Sample grid [g]'s density at [(lo + k·dx) − shift] for k < n into
-   [out], zero outside the support of [g] — one unboxed batch scan (see
-   {!Numerics.Spline.sample_into}), bit-identical to a cursor walk. *)
+   [out], zero outside the support of [g]: one call of the C scan
+   {!Numerics.Spline.sample_into}, whose values are [grid_pdf_at]'s bits
+   at each query inside the support. *)
 let sample_shifted ~lo ~dx ~shift ~n g out =
   Numerics.Spline.sample_into (grid_spline g) ~x0:lo ~dx ~shift ~clip_lo:g.lo
     ~clip_hi:(grid_hi g) ~n out
@@ -497,8 +486,11 @@ let max_work_samples = 2048
    below the combined range but above the working cell): convolve [gw]
    with a mass-binned discretization of [gn] — [k] atoms at bin centers
    carrying exact CDF masses, recentered so the mean is preserved
-   exactly. Replaces a full FFT convolution at ~1/20 of the cost with
-   sub-percent moment error.
+   exactly. Replaces a full FFT convolution at ~1/20 of the cost. On
+   2 000 random Beta-shaped pairs (test_distribution's "k-point moment
+   error", which bounds both at 0.05 σ) the worst errors of the sum's
+   mean and σ were 0.021 σ and 0.0043 σ, σ = √(v₁ + v₂); the exact
+   convolution of the same pairs gave 0.019 σ and 0.0040 σ.
 
    The discretization (centers, masses) depends only on the narrow grid
    itself, so it is computed once and published through the [atoms]
@@ -532,26 +524,15 @@ let kp_atoms gn =
 
 let k_point_sum ~points ~depth ~err gw gn =
   let centers, masses = kp_atoms gn in
-  let k = Array.length masses in
   let lo = gw.lo +. gn.lo and hi = grid_hi gw +. grid_hi gn in
   let dx = (hi -. lo) /. float_of_int (points - 1) in
   let buf = scratch slot_work points in
-  Array.fill buf 0 points 0.;
-  let f = scratch slot_op1 points in
-  (* Atom-outer accumulation: per output cell this performs the same
-     left-associated sum over atoms 0..k−1 as a cell-outer loop would
-     (skipped zero-mass atoms contribute nothing either way), so the
-     result is bit-identical — but each atom is one batch scan of [gw]'s
-     density at the increasing queries x − cᵢ. *)
-  for i = 0 to k - 1 do
-    let mi = Array.unsafe_get masses i in
-    if mi > 0. then begin
-      sample_shifted ~lo ~dx ~shift:(Array.unsafe_get centers i) ~n:points gw f;
-      for j = 0 to points - 1 do
-        Array.unsafe_set buf j (Array.unsafe_get buf j +. (mi *. Array.unsafe_get f j))
-      done
-    end
-  done;
+  (* Atom-outer accumulation in one C pass per atom: per output cell the
+     same left-associated sum over atoms 0..k−1 as a cell-outer loop
+     (skipped zero-mass atoms contribute nothing either way), each atom a
+     scan of [gw]'s density at the increasing queries x − cᵢ. *)
+  Numerics.Spline.sample_mixture_into (grid_spline gw) ~x0:lo ~dx ~shifts:centers
+    ~weights:masses ~clip_lo:gw.lo ~clip_hi:(grid_hi gw) ~n:points buf;
   finish ~points ~depth ~err ~lo ~dx ~n:points buf
 
 (* Sum of a wide grid [gw] and a narrow one [gn] whose support is below
@@ -686,21 +667,15 @@ let max_indep ?(points = default_points) d1 d2 =
     let hi = Float.max (grid_hi g1) (grid_hi g2) in
     if hi <= lo then Const lo
     else begin
-      (* f₁F₂ + f₂F₁: both densities in one batch scan each, then the
-         O(1) linear-interp CDF reads, inlined so nothing is boxed *)
+      (* f₁F₂ + f₂F₁: both densities in one batch scan each, then one C
+         pass with the linear-interpolation CDF reads of [grid_cdf_at] *)
       let dx = (hi -. lo) /. float_of_int (points - 1) in
       let f1 = scratch slot_op1 points and f2 = scratch slot_op2 points in
       sample_shifted ~lo ~dx ~shift:0. ~n:points g1 f1;
       sample_shifted ~lo ~dx ~shift:0. ~n:points g2 f2;
       let buf = scratch slot_work points in
-      let kf = ref 0. in
-      for k = 0 to points - 1 do
-        let x = lo +. (!kf *. dx) in
-        kf := !kf +. 1.;
-        Array.unsafe_set buf k
-          ((Array.unsafe_get f1 k *. grid_cdf_at g2 x)
-          +. (Array.unsafe_get f2 k *. grid_cdf_at g1 x))
-      done;
+      Numerics.Density.max_indep_into ~f1 ~f2 ~lo1:g1.lo ~dx1:g1.dx ~cdf1:g1.cdf ~lo2:g2.lo
+        ~dx2:g2.dx ~cdf2:g2.cdf ~lo ~dx ~n:points buf;
       (* P(max ≤ lo) can be positive when one support starts below the
          other: fold that atom into the first cell as above. Sync point:
          depth resets to 1, operand error bounds add. *)

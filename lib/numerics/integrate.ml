@@ -1,17 +1,14 @@
-(* Quadrature over pre-sampled uniform grids. These run inside every
-   distribution construction, so the loops use unsafe accesses — indices
-   are bounded by the length checks on entry. *)
+(* Quadrature over pre-sampled uniform grids. The loops use unsafe
+   accesses — indices are bounded by the length checks on entry. *)
 
-let trapezoid_prefix ~dx ~n ys =
+let trapezoid_sampled ~dx ys =
+  let n = Array.length ys in
   if n < 2 then invalid_arg "Integrate.trapezoid_sampled: need >= 2 samples";
-  if Array.length ys < n then invalid_arg "Integrate.trapezoid_prefix: fewer than n samples";
   let s = ref ((ys.(0) +. ys.(n - 1)) /. 2.) in
   for i = 1 to n - 2 do
     s := !s +. Array.unsafe_get ys i
   done;
   !s *. dx
-
-let trapezoid_sampled ~dx ys = trapezoid_prefix ~dx ~n:(Array.length ys) ys
 
 let simpson_sampled ~dx ys =
   let n = Array.length ys in
@@ -41,14 +38,3 @@ let simpson ~f ~a ~b ~n =
   let dx = (b -. a) /. float_of_int n in
   let ys = Array.init (n + 1) (fun i -> f (a +. (float_of_int i *. dx))) in
   simpson_sampled ~dx ys
-
-let cumulative_into ~dx ~n ys out =
-  if n < 1 then invalid_arg "Integrate.cumulative_into: empty input";
-  if Array.length ys < n || Array.length out < n then
-    invalid_arg "Integrate.cumulative_into: buffer shorter than n";
-  Array.unsafe_set out 0 0.;
-  for i = 1 to n - 1 do
-    Array.unsafe_set out i
-      (Array.unsafe_get out (i - 1)
-      +. ((Array.unsafe_get ys (i - 1) +. Array.unsafe_get ys i) /. 2. *. dx))
-  done

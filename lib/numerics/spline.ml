@@ -56,14 +56,6 @@ let segment t x =
   done;
   !lo
 
-(* Linear advance from segment [s] for a query at or past [xs.(s)]: the
-   largest [i] with [xs.(i) <= x], clamped to [n − 2]. *)
-let[@inline] advance t s x =
-  let xs = t.xs and last = t.n - 2 in
-  let c = ref s in
-  while !c < last && Array.unsafe_get xs (!c + 1) <= x do incr c done;
-  !c
-
 let[@inline] eval_at t i x =
   let xs = t.xs and ys = t.ys and y2 = t.y2 in
   let x_i = Array.unsafe_get xs i and x_i1 = Array.unsafe_get xs (i + 1) in
@@ -78,54 +70,49 @@ let[@inline] eval_at t i x =
 
 let eval t x = eval_at t (segment t x) x
 
-(* A cursor serves query sequences that are mostly increasing (grid
-   resampling scans): it keeps the last segment index and advances
-   linearly, falling back to the binary search only when a query
-   regresses. The segment chosen is identical to [segment]'s — the
-   largest [i] with [xs.(i) <= x], clamped to [n − 2] — so a walk
-   returns bit-identical values to [eval], just without the O(log n)
-   search per point. *)
-type cursor = { mutable seg : int }
+(* The scans run in C (density_stubs.c), over the knot arrays of [t]:
+   [fit_into] guarantees [n >= 2] and that each holds [n] cells, so only
+   the output needs a check. *)
+external sample_scan :
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (int[@untagged]) ->
+  float array ->
+  unit = "numerics_spline_sample_byte" "numerics_spline_sample"
+[@@noalloc]
 
-let cursor () = { seg = 0 }
+external mixture_scan :
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (float[@unboxed]) ->
+  (int[@untagged]) ->
+  float array ->
+  unit = "numerics_spline_mixture_byte" "numerics_spline_mixture"
+[@@noalloc]
 
-let eval_walk t cur x =
-  let s = cur.seg in
-  let s = if x < Array.unsafe_get t.xs s then segment t x else advance t s x in
-  cur.seg <- s;
-  eval_at t s x
-
-(* [eval_walk]'s scan over a whole uniform query grid, with the cursor
-   and every intermediate kept in registers: no float is boxed. The
-   abscissa counter is a float ([kf +. 1.] is exact below 2⁵³, so
-   [x0 +. kf *. dx] is the same value as with [float_of_int k]); an
-   int→float conversion per point would carry a false dependency on the
-   previous point's result and serialize the loop. *)
 let sample_into t ~x0 ~dx ~shift ~clip_lo ~clip_hi ~n out =
   if Array.length out < n then invalid_arg "Spline.sample_into: buffer shorter than n";
-  let xs = t.xs in
-  let seg = ref 0 in
-  let kf = ref 0. in
-  for k = 0 to n - 1 do
-    let x = x0 +. (!kf *. dx) -. shift in
-    kf := !kf +. 1.;
-    if x < clip_lo || x > clip_hi then Array.unsafe_set out k 0.
-    else begin
-      let s = !seg in
-      let s = if x < Array.unsafe_get xs s then segment t x else advance t s x in
-      seg := s;
-      let v = eval_at t s x in
-      (* Float.max 0. v: NaN propagates, −0. becomes 0. *)
-      Array.unsafe_set out k (if v > 0. || v <> v then v else 0.)
-    end
-  done
+  sample_scan t.xs t.ys t.y2 t.n x0 dx shift clip_lo clip_hi n out
 
-let eval_clamped t x =
-  let n = t.n in
-  if x <= t.xs.(0) then t.ys.(0)
-  else if x >= t.xs.(n - 1) then t.ys.(n - 1)
-  else eval t x
-
-let resample ~xs ~ys ~onto =
-  let s = fit ~xs ~ys in
-  Array.map (eval_clamped s) onto
+let sample_mixture_into t ~x0 ~dx ~shifts ~weights ~clip_lo ~clip_hi ~n out =
+  let m = Array.length weights in
+  if Array.length shifts <> m then
+    invalid_arg "Spline.sample_mixture_into: shifts/weights length mismatch";
+  if Array.length out < n then
+    invalid_arg "Spline.sample_mixture_into: buffer shorter than n";
+  mixture_scan t.xs t.ys t.y2 t.n x0 dx shifts weights m clip_lo clip_hi n out

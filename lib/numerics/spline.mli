@@ -2,8 +2,9 @@
 
     The paper samples every probability density with 64 points and
     reconstructs intermediate values by cubic splines; this module provides
-    that reconstruction, plus a resampling helper used whenever a
-    distribution changes support after a sum or maximum. *)
+    that reconstruction: the fit (serial, in OCaml), a point evaluation,
+    and the batch scans over a uniform query grid that resample a density
+    whenever it changes support after a sum or maximum (in C). *)
 
 type t
 (** A fitted spline over strictly increasing knots. It records its knot
@@ -29,20 +30,6 @@ val eval : t -> float -> float
 (** [eval s x] evaluates the spline. Outside the knot range the boundary
     cubic is extrapolated. *)
 
-type cursor
-(** Mutable knot-segment position for mostly-increasing query sequences.
-    One cursor per scan; never share one across domains. *)
-
-val cursor : unit -> cursor
-(** A fresh cursor at the first segment. *)
-
-val eval_walk : t -> cursor -> float -> float
-(** [eval_walk s c x] evaluates the spline at [x], advancing [c]
-    linearly from its last segment instead of binary-searching per
-    point, and falling back to the search on a regressing query. Returns
-    values bit-identical to {!eval}. Each call returns a boxed float:
-    scans over a uniform grid use {!sample_into} instead. *)
-
 val sample_into :
   t ->
   x0:float ->
@@ -54,18 +41,30 @@ val sample_into :
   float array ->
   unit
 (** [sample_into s ~x0 ~dx ~shift ~clip_lo ~clip_hi ~n out] writes
-    [max 0 (s x)] at [x = (x0 +. k·dx) −. shift] into [out.(k)] for every
-    [k < n], and [0.] where [x] falls outside [\[clip_lo, clip_hi\]]. Each
-    value is bit-identical to {!eval_walk} over the same increasing
-    queries passed through [Float.max 0.]; the scan keeps the cursor and
-    every intermediate unboxed, so it allocates nothing. [out] must hold
-    at least [n] cells. *)
+    [Float.max 0. (eval s x)] at [x = (x0 +. k·dx) −. shift] into
+    [out.(k)] for every [k < n], and [0.] where [x] falls outside
+    [\[clip_lo, clip_hi\]]; cells past [n] are not touched. [out] must
+    hold at least [n] cells. The scan runs in C ([density_stubs.c]), two
+    queries per 128-bit vector, allocates nothing, and keeps the bits of
+    the scalar OCaml loop it replaced: each query's segment is the one
+    {!eval} picks and its cubic is evaluated by the same operations in the
+    same order. *)
 
-val eval_clamped : t -> float -> float
-(** Like {!eval} but returns the boundary ordinate outside the knot range —
-    the right choice for densities, which must not oscillate when
-    extrapolated. *)
-
-val resample : xs:float array -> ys:float array -> onto:float array -> float array
-(** [resample ~xs ~ys ~onto] fits a spline to [(xs, ys)] and evaluates it
-    (clamped) at every point of [onto]. *)
+val sample_mixture_into :
+  t ->
+  x0:float ->
+  dx:float ->
+  shifts:float array ->
+  weights:float array ->
+  clip_lo:float ->
+  clip_hi:float ->
+  n:int ->
+  float array ->
+  unit
+(** [sample_mixture_into s ~x0 ~dx ~shifts ~weights ~clip_lo ~clip_hi ~n
+    out] sets [out.(k)] to [0.] and then, for each [i] in order whose
+    weight is positive, to [out.(k) +. weights.(i) *. v], where [v] is
+    what {!sample_into} would write at cell [k] with [~shift:shifts.(i)].
+    One pass of the kernel per component and no sample buffer; the sums
+    are those of the per-component loop. [shifts] and [weights] have the
+    same length; [out] holds at least [n] cells. *)

@@ -400,23 +400,36 @@ let spline_interpolates_knots =
       let s = Numerics.Spline.fit ~xs ~ys in
       Array.for_all2 (fun x y -> Float.abs (Numerics.Spline.eval s x -. y) < 1e-9) xs ys)
 
-(* Random knots, plus the same spline fit by [fit_into] on oversized
-   buffers pre-filled with garbage: both must evaluate identically.
-   [poison] puts a NaN ordinate on one knot. *)
-let random_splines ?(poison = false) rng n =
-  let xs = Array.init n (fun i -> float_of_int i +. Prng.Sampler.uniform rng ~lo:0. ~hi:0.5) in
-  let ys = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3.) in
-  if poison then ys.(Prng.Xoshiro.int rng n) <- Float.nan;
+(* Random knots and the splines fit through them three ways: by the
+   frozen oracle, by [Spline.fit], and by [Spline.fit_into] on oversized
+   buffers pre-filled with garbage. Knots are either jittered integers or
+   a uniform grid built like Dist's ([lo +. i·h]), so queries can land on
+   them exactly. [specials] mixes zeros, -0., subnormals, NaN and ±∞ into
+   the ordinates. *)
+let random_splines ?(specials = false) rng n =
+  let uniform = Prng.Xoshiro.int rng 2 = 0 in
+  let lo = Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3. in
+  let h = Prng.Sampler.uniform rng ~lo:0.05 ~hi:2. in
+  let xs =
+    Array.init n (fun i ->
+        if uniform then lo +. (float_of_int i *. h)
+        else float_of_int i +. Prng.Sampler.uniform rng ~lo:0. ~hi:0.5)
+  in
+  let ys =
+    if specials then gen_values rng n
+    else Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3.)
+  in
   let pad = 1 + Prng.Xoshiro.int rng 7 in
   let junk () = Array.init (n + pad) (fun _ -> Prng.Sampler.uniform rng ~lo:(-9.) ~hi:9.) in
   let big_xs = junk () and big_ys = junk () in
   Array.blit xs 0 big_xs 0 n;
   Array.blit ys 0 big_ys 0 n;
+  let oracle = Spline_oracle.fit ~xs ~ys in
   let s = Numerics.Spline.fit ~xs ~ys in
   let s_into =
     Numerics.Spline.fit_into ~xs:big_xs ~ys:big_ys ~n ~y2:(junk ()) ~u:(junk ())
   in
-  (s, s_into)
+  (xs, oracle, s, s_into)
 
 let bits = Int64.bits_of_float
 
@@ -425,68 +438,144 @@ let spline_walk_matches_eval =
     QCheck2.Gen.(pair (int_range 2 30) (int_range 0 100000))
     (fun (n, seed) ->
       let rng = Tutil.rng_of_seed seed in
-      let s, s_into = random_splines rng n in
-      let cur = Numerics.Spline.cursor () and cur_into = Numerics.Spline.cursor () in
-      (* mostly-increasing scan with deliberate regressions: both the
-         linear-advance and the fallback-search paths must match [eval]
-         bit for bit, on either fit *)
+      let xs, oracle, s, s_into = random_splines rng n in
+      let cur = Spline_oracle.cursor () in
+      (* the oracle's mostly-increasing scan with deliberate regressions:
+         both its linear-advance and its fallback-search paths must match
+         the library's [eval] bit for bit, on either fit, knots included *)
       let ok = ref true in
       for k = 0 to 199 do
         let x =
           if k mod 13 = 0 then Prng.Sampler.uniform rng ~lo:(-1.) ~hi:(float_of_int n)
+          else if k mod 7 = 0 then xs.(Prng.Xoshiro.int rng n)
           else (float_of_int k /. 200. *. float_of_int n) -. 0.5
         in
         let e = bits (Numerics.Spline.eval s x) in
         if
-          bits (Numerics.Spline.eval_walk s cur x) <> e
-          || bits (Numerics.Spline.eval_walk s_into cur_into x) <> e
+          bits (Spline_oracle.eval_walk oracle cur x) <> e
           || bits (Numerics.Spline.eval s_into x) <> e
         then ok := false
       done;
       !ok)
 
-(* The batch sampler against the boxed cursor loop it replaces: random
-   knots and shifts, clip windows that are empty, partial, cover the
-   whole scan or end exactly on its first and last abscissas, NaN
-   ordinates ([Float.max 0.] propagates them), n down to 1, on oversized
-   output buffers. *)
+(* A query grid for a batch scan over knots [xs]: random, or starting on a
+   knot with the knot spacing as step (every query a knot), with clip
+   windows that are empty, partial, cover the whole scan, are the knot
+   range or end exactly on the scan's first and last abscissas. *)
+let random_scan rng xs n =
+  let knots = Array.length xs in
+  let span = xs.(knots - 1) -. xs.(0) in
+  let x0, dx, shift =
+    match Prng.Xoshiro.int rng 4 with
+    | 0 -> (xs.(Prng.Xoshiro.int rng knots), xs.(1) -. xs.(0), 0.)
+    | 1 ->
+      ( Prng.Sampler.uniform rng ~lo:(xs.(0) -. 2.) ~hi:xs.(knots - 1),
+        Prng.Sampler.uniform rng ~lo:0.01 ~hi:(0.01 +. (2. *. span /. float_of_int n)),
+        0. )
+    | _ ->
+      ( Prng.Sampler.uniform rng ~lo:(xs.(0) -. 2.) ~hi:xs.(knots - 1),
+        Prng.Sampler.uniform rng ~lo:0.01 ~hi:(0.01 +. (2. *. span /. float_of_int n)),
+        Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3. )
+  in
+  let clip_lo, clip_hi =
+    match Prng.Xoshiro.int rng 5 with
+    | 0 -> (1., 0.)
+    | 1 -> (Float.neg_infinity, Float.infinity)
+    | 2 -> (xs.(0), xs.(knots - 1))
+    | 3 -> (x0 -. shift, x0 +. (float_of_int (n - 1) *. dx) -. shift)
+    | _ ->
+      let a = Prng.Sampler.uniform rng ~lo:(xs.(0) -. 1.) ~hi:xs.(knots - 1) in
+      (a, a +. Prng.Sampler.uniform rng ~lo:0. ~hi:span)
+  in
+  (x0, dx, shift, clip_lo, clip_hi)
+
+(* The C scan against the frozen OCaml scan, bit for bit (a NaN meets a
+   NaN), on both fits, over oversized output buffers whose cells past n
+   must be left alone; n runs down to 0 and through odd lengths, so the
+   scalar tail is covered. *)
 let spline_sample_into_matches_walk =
-  Tutil.qcheck ~count:200 "sample_into = eval_walk scan bitwise"
-    QCheck2.Gen.(triple (int_range 2 30) (int_range 1 80) (int_range 0 100000))
+  Tutil.qcheck ~count:300 "sample_into = eval_walk scan bitwise"
+    QCheck2.Gen.(triple (int_range 2 30) (int_range 0 80) (int_range 0 100000))
     (fun (knots, n, seed) ->
       let rng = Tutil.rng_of_seed seed in
-      let s, s_into = random_splines ~poison:(seed mod 7 = 0) rng knots in
-      let span = float_of_int knots in
-      let x0 = Prng.Sampler.uniform rng ~lo:(-2.) ~hi:span in
-      let dx = Prng.Sampler.uniform rng ~lo:0.01 ~hi:(2. *. span /. float_of_int n) in
-      let shift = Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3. in
-      let clip_lo, clip_hi =
-        match seed mod 5 with
-        | 0 -> (1., 0.) (* empty *)
-        | 1 -> (Float.neg_infinity, Float.infinity) (* full *)
-        | 2 -> (0., span -. 1.) (* the knot range *)
-        | 3 -> (x0 -. shift, x0 +. (float_of_int (n - 1) *. dx) -. shift) (* scan ends *)
-        | _ ->
-          let a = Prng.Sampler.uniform rng ~lo:(-1.) ~hi:span in
-          (a, a +. Prng.Sampler.uniform rng ~lo:0. ~hi:span)
-      in
+      let xs, oracle, s, s_into = random_splines ~specials:(seed mod 3 = 0) rng knots in
+      let x0, dx, shift, clip_lo, clip_hi = random_scan rng xs (Int.max n 1) in
+      let want = Array.make (n + 3) Float.nan in
+      Spline_oracle.sample_into oracle ~x0 ~dx ~shift ~clip_lo ~clip_hi ~n want;
       List.for_all
         (fun s ->
           let out = Array.make (n + 3) Float.nan in
           Numerics.Spline.sample_into s ~x0 ~dx ~shift ~clip_lo ~clip_hi ~n out;
-          let cur = Numerics.Spline.cursor () in
-          let ok = ref true in
-          for k = 0 to n - 1 do
-            let x = x0 +. (float_of_int k *. dx) -. shift in
-            let want =
-              if x < clip_lo || x > clip_hi then 0.
-              else Float.max 0. (Numerics.Spline.eval_walk s cur x)
-            in
-            if bits out.(k) <> bits want then ok := false
-          done;
-          (* cells past n are left alone *)
-          !ok && Float.is_nan out.(n))
+          same_bits want out)
         [ s; s_into ])
+
+(* Special query grids: a NaN or infinite origin, step or shift. Every
+   cell must still match the oracle (here a NaN query evaluates to NaN
+   whatever segment it lands in). *)
+let spline_sample_into_special_queries () =
+  let rng = Tutil.rng_of_seed 7 in
+  let _, oracle, s, _ = random_splines rng 9 in
+  let specials = [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; 4.9e-324 ] in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun (x0, dx, shift) ->
+          let want = Array.make 7 1. and got = Array.make 7 1. in
+          Spline_oracle.sample_into oracle ~x0 ~dx ~shift ~clip_lo:Float.neg_infinity
+            ~clip_hi:Float.infinity ~n:7 want;
+          Numerics.Spline.sample_into s ~x0 ~dx ~shift ~clip_lo:Float.neg_infinity
+            ~clip_hi:Float.infinity ~n:7 got;
+          if not (same_bits want got) then
+            Alcotest.failf "x0 %h dx %h shift %h: C scan differs from the oracle" x0 dx shift)
+        [ (v, 0.5, 0.); (0.5, v, 0.); (0.5, 0.5, v) ])
+    specials
+
+(* k_point_sum's accumulation: atoms with zero, negative and NaN masses
+   (skipped), shifts that push the scan in and out of the clip window. *)
+let spline_mixture_matches_oracle =
+  Tutil.qcheck ~count:200 "sample_mixture_into = oracle, bit for bit"
+    QCheck2.Gen.(quad (int_range 2 30) (int_range 0 80) (int_range 0 20) (int_range 0 100000))
+    (fun (knots, n, m, seed) ->
+      let rng = Tutil.rng_of_seed seed in
+      let xs, oracle, s, s_into = random_splines ~specials:(seed mod 3 = 0) rng knots in
+      let x0, dx, _, clip_lo, clip_hi = random_scan rng xs (Int.max n 1) in
+      let shifts = Array.init m (fun _ -> Prng.Sampler.uniform rng ~lo:(-4.) ~hi:4.) in
+      let weights =
+        Array.init m (fun _ ->
+            match Prng.Xoshiro.int rng 6 with
+            | 0 -> 0.
+            | 1 -> -0.5
+            | 2 -> Float.nan
+            | _ -> Prng.Sampler.uniform rng ~lo:0. ~hi:1.)
+      in
+      let want = Array.make (n + 3) Float.nan in
+      Spline_oracle.sample_mixture_into oracle ~x0 ~dx ~shifts ~weights ~clip_lo ~clip_hi ~n
+        want;
+      List.for_all
+        (fun s ->
+          let out = Array.make (n + 3) Float.nan in
+          Numerics.Spline.sample_mixture_into s ~x0 ~dx ~shifts ~weights ~clip_lo ~clip_hi ~n
+            out;
+          same_bits want out)
+        [ s; s_into ])
+
+let spline_scans_reject_bad_buffers () =
+  let s = Numerics.Spline.fit ~xs:[| 0.; 1.; 2. |] ~ys:[| 1.; 4.; 9. |] in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  let out = Array.make 4 7. in
+  raises "short out" (fun () ->
+      Numerics.Spline.sample_into s ~x0:0. ~dx:0.5 ~shift:0. ~clip_lo:0. ~clip_hi:2. ~n:5 out);
+  raises "mixture short out" (fun () ->
+      Numerics.Spline.sample_mixture_into s ~x0:0. ~dx:0.5 ~shifts:[| 0. |] ~weights:[| 1. |]
+        ~clip_lo:0. ~clip_hi:2. ~n:5 out);
+  raises "mixture length mismatch" (fun () ->
+      Numerics.Spline.sample_mixture_into s ~x0:0. ~dx:0.5 ~shifts:[| 0.; 1. |]
+        ~weights:[| 1. |] ~clip_lo:0. ~clip_hi:2. ~n:4 out);
+  Alcotest.(check bool) "nothing written" true (Array.for_all (fun v -> v = 7.) out)
 
 let spline_exact_on_lines =
   Tutil.qcheck ~count:50 "spline reproduces straight lines"
@@ -510,11 +599,6 @@ let spline_smooth_function_accuracy () =
     (fun x -> check_close_abs ~eps:1e-3 "sin approx" (sin x) (Numerics.Spline.eval s x))
     [ 0.1; 0.7; 1.3; 2.2; 3.0 ]
 
-let spline_clamped_outside () =
-  let s = Numerics.Spline.fit ~xs:[| 0.; 1.; 2. |] ~ys:[| 1.; 4.; 9. |] in
-  check_close "below" 1. (Numerics.Spline.eval_clamped s (-5.));
-  check_close "above" 9. (Numerics.Spline.eval_clamped s 100.)
-
 let spline_rejects_bad_knots () =
   let expect_invalid f =
     match f () with
@@ -524,12 +608,6 @@ let spline_rejects_bad_knots () =
   expect_invalid (fun () -> Numerics.Spline.fit ~xs:[| 0.; 0. |] ~ys:[| 1.; 2. |]);
   expect_invalid (fun () -> Numerics.Spline.fit ~xs:[| 1. |] ~ys:[| 1. |]);
   expect_invalid (fun () -> Numerics.Spline.fit ~xs:[| 0.; 1. |] ~ys:[| 1. |])
-
-let spline_resample_identity () =
-  let xs = Numerics.Array_ops.linspace 0. 1. 11 in
-  let ys = Array.map (fun x -> x *. x) xs in
-  let got = Numerics.Spline.resample ~xs ~ys ~onto:xs in
-  Array.iteri (fun i v -> check_close "same grid" ys.(i) v) got
 
 (* --- Integrate --- *)
 
@@ -554,7 +632,7 @@ let simpson_sampled_odd_intervals () =
 let cumulative_matches_total () =
   let ys = [| 1.; 3.; 2.; 5. |] in
   let c = Array.make 4 Float.nan in
-  Numerics.Integrate.cumulative_into ~dx:0.5 ~n:4 ys c;
+  Density_oracle.cumulative_into ~dx:0.5 ~n:4 ys c;
   check_close "starts at 0" 0. c.(0);
   check_close "total" (Numerics.Integrate.trapezoid_sampled ~dx:0.5 ys) c.(3)
 
@@ -565,12 +643,115 @@ let cumulative_monotone_for_positive =
       let rng = Tutil.rng_of_seed seed in
       let ys = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:0. ~hi:3.) in
       let c = Array.make n Float.nan in
-      Numerics.Integrate.cumulative_into ~dx:0.1 ~n ys c;
+      Density_oracle.cumulative_into ~dx:0.1 ~n ys c;
       let ok = ref true in
       for i = 1 to n - 1 do
         if c.(i) < c.(i - 1) then ok := false
       done;
       !ok)
+
+(* --- Density passes --- *)
+
+(* Raw density samples: mostly positive, per case with zeros, -0.,
+   subnormals, negatives, NaN and ±∞ mixed in, or all non-positive. *)
+let gen_samples rng n =
+  match Prng.Xoshiro.int rng 5 with
+  | 0 -> Array.init n (fun _ -> -.Prng.Sampler.uniform rng ~lo:0. ~hi:2.)
+  | 1 -> Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:0. ~hi:2.)
+  | 2 -> Array.map Float.abs (gen_values rng n)
+  | _ -> gen_values rng n
+
+(* Both passes against the frozen OCaml ones, bit for bit: the returned
+   mass, the clamped pdf, and — when the mass is positive — the
+   normalized pdf and the CDF; in place ([pdf] = [src]) and into a second
+   buffer, with cells past n untouched. *)
+let density_passes_match_oracle =
+  Tutil.qcheck ~count:300 "clamp_mass and normalize = oracle, bit for bit"
+    QCheck2.Gen.(triple (int_range 2 300) bool (int_range 0 100000))
+    (fun (n, in_place, seed) ->
+      let rng = Tutil.rng_of_seed seed in
+      let src = gen_samples rng (n + 2) in
+      let dx =
+        match Prng.Xoshiro.int rng 4 with
+        | 0 -> 4.9e-324
+        | 1 -> 1e300
+        | _ -> Prng.Sampler.uniform rng ~lo:1e-3 ~hi:3.
+      in
+      let run clamp_mass normalize =
+        let src = Array.copy src in
+        let pdf = if in_place then src else Array.make (n + 2) Float.nan in
+        let cdf = Array.make (n + 2) Float.nan in
+        let mass = clamp_mass ~dx ~n src ~pdf in
+        if mass > 0. then normalize ~dx ~n ~mass ~pdf ~cdf;
+        (mass, pdf, cdf)
+      in
+      let m, p, c = run Density_oracle.clamp_mass Density_oracle.normalize in
+      let m', p', c' =
+        run
+          (fun ~dx ~n src ~pdf -> Numerics.Density.clamp_mass ~dx ~n src ~pdf)
+          Numerics.Density.normalize
+      in
+      same_bits [| m |] [| m' |] && same_bits p p' && same_bits c c')
+
+(* f1·F2 + f2·F1 against the frozen loop: random CDF grids (monotone, or
+   arbitrary values with specials), densities with specials, and query
+   grids that start on either grid's origin with its step, or anywhere. *)
+let max_indep_into_matches_oracle =
+  Tutil.qcheck ~count:300 "max_indep_into = oracle, bit for bit"
+    QCheck2.Gen.(quad (int_range 2 80) (int_range 2 80) (int_range 0 100) (int_range 0 100000))
+    (fun (n1, n2, n, seed) ->
+      let rng = Tutil.rng_of_seed seed in
+      let grid k =
+        let lo = Prng.Sampler.uniform rng ~lo:(-2.) ~hi:2. in
+        let dx = Prng.Sampler.uniform rng ~lo:0.01 ~hi:0.2 in
+        let cdf =
+          if Prng.Xoshiro.int rng 3 = 0 then gen_values rng k
+          else begin
+            let c = Array.init k (fun _ -> Prng.Sampler.uniform rng ~lo:0. ~hi:1.) in
+            Array.sort compare c;
+            c
+          end
+        in
+        (lo, dx, cdf)
+      in
+      let lo1, dx1, cdf1 = grid n1 and lo2, dx2, cdf2 = grid n2 in
+      let lo, dx =
+        match Prng.Xoshiro.int rng 3 with
+        | 0 -> (lo1, dx1)
+        | 1 -> (lo2, dx2)
+        | _ ->
+          (Prng.Sampler.uniform rng ~lo:(-3.) ~hi:3., Prng.Sampler.uniform rng ~lo:0.01 ~hi:0.3)
+      in
+      let f1 = gen_values rng (n + 1) and f2 = gen_values rng (n + 1) in
+      let want = Array.make (n + 2) Float.nan and got = Array.make (n + 2) Float.nan in
+      Density_oracle.max_indep_into ~f1 ~f2 ~lo1 ~dx1 ~cdf1 ~lo2 ~dx2 ~cdf2 ~lo ~dx ~n want;
+      Numerics.Density.max_indep_into ~f1 ~f2 ~lo1 ~dx1 ~cdf1 ~lo2 ~dx2 ~cdf2 ~lo ~dx ~n got;
+      same_bits want got)
+
+let density_rejects_bad_buffers () =
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  let a = Array.make 4 7. and b = Array.make 4 7. in
+  raises "one sample" (fun () -> Numerics.Density.clamp_mass ~dx:1. ~n:1 a ~pdf:b);
+  raises "short src" (fun () -> Numerics.Density.clamp_mass ~dx:1. ~n:5 a ~pdf:(Array.make 5 7.));
+  raises "short pdf" (fun () -> Numerics.Density.clamp_mass ~dx:1. ~n:5 (Array.make 5 7.) ~pdf:a);
+  raises "normalize short cdf" (fun () ->
+      Numerics.Density.normalize ~dx:1. ~n:5 ~mass:1. ~pdf:(Array.make 5 7.) ~cdf:a);
+  raises "normalize aliased" (fun () -> Numerics.Density.normalize ~dx:1. ~n:4 ~mass:1. ~pdf:a ~cdf:a);
+  raises "normalize one sample" (fun () ->
+      Numerics.Density.normalize ~dx:1. ~n:1 ~mass:1. ~pdf:a ~cdf:b);
+  let max_into ?(f1 = a) ?(cdf1 = a) ~n out =
+    Numerics.Density.max_indep_into ~f1 ~f2:a ~lo1:0. ~dx1:1. ~cdf1 ~lo2:0. ~dx2:1. ~cdf2:a
+      ~lo:0. ~dx:0.5 ~n out
+  in
+  raises "max short out" (fun () -> max_into ~n:4 [| 0. |]);
+  raises "max short f1" (fun () -> max_into ~f1:[| 1. |] ~n:4 b);
+  raises "max one-cell cdf" (fun () -> max_into ~cdf1:[| 1. |] ~n:4 b);
+  Alcotest.(check bool) "nothing written" true
+    (Array.for_all (fun v -> v = 7.) a && Array.for_all (fun v -> v = 7.) b)
 
 (* --- Special --- *)
 
@@ -740,9 +921,10 @@ let () =
           spline_sample_into_matches_walk;
           spline_exact_on_lines;
           tc "smooth accuracy" `Quick spline_smooth_function_accuracy;
-          tc "clamped" `Quick spline_clamped_outside;
+          spline_mixture_matches_oracle;
+          tc "special queries" `Quick spline_sample_into_special_queries;
+          tc "short buffers rejected" `Quick spline_scans_reject_bad_buffers;
           tc "bad knots" `Quick spline_rejects_bad_knots;
-          tc "resample identity" `Quick spline_resample_identity;
         ] );
       ( "integrate",
         [
@@ -751,6 +933,12 @@ let () =
           tc "odd intervals" `Quick simpson_sampled_odd_intervals;
           tc "cumulative total" `Quick cumulative_matches_total;
           cumulative_monotone_for_positive;
+        ] );
+      ( "density",
+        [
+          density_passes_match_oracle;
+          max_indep_into_matches_oracle;
+          tc "short buffers rejected" `Quick density_rejects_bad_buffers;
         ] );
       ( "special",
         [
