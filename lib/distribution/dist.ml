@@ -105,9 +105,9 @@ let grid_spline g =
 (* The steps every grid construction shares, over the first [n] cells of
    possibly oversized buffers: clamp [src] into [pdf] (the same buffer is
    fine), normalize it by its trapezoid mass, integrate it into [cdf] and
-   renormalize that by its last cell. Two C passes
-   ({!Numerics.Density}) with the bits of the OCaml loops they replaced;
-   the split lets the no-mass error come before any cell is normalized. *)
+   renormalize that by its last cell, so quantile/cdf_at see an exact
+   CDF. Two C passes ({!Numerics.Density}): the split raises the no-mass
+   error before any cell is normalized. *)
 let density_into ~dx ~n src ~pdf ~cdf =
   if n < 2 then invalid_arg "Dist: grid needs at least 2 samples";
   if dx <= 0. || not (Float.is_finite dx) then invalid_arg "Dist: dx must be positive";

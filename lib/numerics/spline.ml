@@ -5,9 +5,8 @@ type t = {
   y2 : float array; (* second derivatives at the knots *)
 }
 
-(* Hot path: spline fit/eval dominates distribution resampling, so the
-   loops below use unsafe accesses — every index is bounded by [n],
-   validated on entry. *)
+(* The fit runs once per resampled grid, so its loops use unsafe
+   accesses — every index is bounded by [n], validated on entry. *)
 
 let fit_into ~xs ~ys ~n ~y2 ~u =
   if n < 2 then invalid_arg "Spline.fit: need at least 2 knots";
@@ -56,7 +55,8 @@ let segment t x =
   done;
   !lo
 
-let[@inline] eval_at t i x =
+let eval t x =
+  let i = segment t x in
   let xs = t.xs and ys = t.ys and y2 = t.y2 in
   let x_i = Array.unsafe_get xs i and x_i1 = Array.unsafe_get xs (i + 1) in
   let h = x_i1 -. x_i in
@@ -67,8 +67,6 @@ let[@inline] eval_at t i x =
   +. ((((a *. a *. a) -. a) *. Array.unsafe_get y2 i)
      +. (((b *. b *. b) -. b) *. Array.unsafe_get y2 (i + 1)))
      *. h *. h /. 6.
-
-let eval t x = eval_at t (segment t x) x
 
 (* The scans run in C (density_stubs.c), over the knot arrays of [t]:
    [fit_into] guarantees [n >= 2] and that each holds [n] cells, so only
