@@ -50,6 +50,18 @@ static inline void store2(double *p, v2d v)
   memcpy(p, &v, sizeof v);
 }
 
+/* the first min(m, 2) cells of p as a vector (a missing lane reads 0) */
+static inline v2d load2_upto(const double *p, intnat m)
+{
+  return m >= 2 ? load2(p) : (v2d) { p[0], 0. };
+}
+
+static inline void store2_upto(double *p, intnat m, v2d v)
+{
+  if (m >= 2) store2(p, v);
+  else p[0] = v[0];
+}
+
 static inline v2d splat(double x)
 {
   return (v2d) { x, x };
@@ -93,17 +105,7 @@ static inline intnat spline_walk(const struct spline *s, intnat c, double x)
   return c;
 }
 
-static inline double spline_eval(const struct spline *s, intnat i, double x)
-{
-  double x_i = s->xs[i], x_i1 = s->xs[i + 1];
-  double h = x_i1 - x_i;
-  double a = (x_i1 - x) / h;
-  double b = (x - x_i) / h;
-  return (a * s->ys[i] + b * s->ys[i + 1])
-         + (((a * a * a) - a) * s->y2[i] + ((b * b * b) - b) * s->y2[i + 1]) * h * h / 6.;
-}
-
-/* [spline_eval] at two queries, segment [i0] in lane 0 and [i1] in lane 1 */
+/* The spline at two queries, segment [i0] in lane 0 and [i1] in lane 1 */
 static inline v2d spline_eval2(const struct spline *s, intnat i0, intnat i1, v2d x)
 {
   const double *xs = s->xs, *ys = s->ys, *y2 = s->y2;
@@ -132,7 +134,8 @@ spline_scan(const struct spline *s, double x0, double dx, double shift, double c
   const v2d two = splat(2.), x0v = splat(x0), dxv = splat(dx), shiftv = splat(shift);
   const v2d lo = splat(clip_lo), hi = splat(clip_hi), zero = splat(0.);
   const v2d w = splat(weight);
-  for (; k + 1 < n; k += 2) {
+  /* an odd n computes a lane past the end and does not store it */
+  for (; k < n; k += 2) {
     v2d x = (x0v + kf * dxv) - shiftv;
     kf = kf + two;
     v2i inside = ~((x < lo) | (x > hi));
@@ -142,18 +145,8 @@ spline_scan(const struct spline *s, double x0, double dx, double shift, double c
     i1 = c;
     v2d v = spline_eval2(s, i0, i1, x);
     v = keep_or_zero(v, inside & ((v > zero) | (v != v)));
-    if (accumulate) store2(out + k, load2(out + k) + w * v);
-    else store2(out + k, v);
-  }
-  if (k < n) {
-    double x = (x0 + kf[0] * dx) - shift;
-    double v = 0.;
-    if (!(x < clip_lo || x > clip_hi)) {
-      double e = spline_eval(s, spline_walk(s, c, x), x);
-      v = (e > 0. || e != e) ? e : 0.;
-    }
-    if (accumulate) out[k] = out[k] + weight * v;
-    else out[k] = v;
+    if (accumulate) v = load2_upto(out + k, n - k) + w * v;
+    store2_upto(out + k, n - k, v);
   }
 }
 

@@ -41,7 +41,7 @@ let of_samples_negative_clamped () =
 (* Pinned bits of the clamp, the trapezoid normalization and the CDF on
    hand-checkable samples: NaN, ±∞, -0., negatives and subnormals all
    clamp to +0. (bit for bit, so -0. must not survive), on an odd length
-   (the kernel's scalar tail holds -∞) and an even one (+∞ last). With
+   (the clamp's scalar last cell holds -∞) and an even one (+∞ last). With
    lo = 0 and dx = 1, [cdf_at] at an integer reads the stored CDF cell
    itself. *)
 let pinned_bits name ~n d ~pdf ~cdf =

@@ -491,8 +491,8 @@ let random_scan rng xs n =
 
 (* The C scan against the frozen OCaml scan, bit for bit (a NaN meets a
    NaN), on both fits, over oversized output buffers whose cells past n
-   must be left alone; n runs down to 0 and through odd lengths, so the
-   scalar tail is covered. *)
+   must be left alone; n runs down to 0 and through odd lengths, whose
+   last vector has a lane past n. *)
 let spline_sample_into_matches_walk =
   Tutil.qcheck ~count:300 "sample_into = eval_walk scan bitwise"
     QCheck2.Gen.(triple (int_range 2 30) (int_range 0 80) (int_range 0 100000))
