@@ -51,8 +51,9 @@ let reeval_fixture =
      let exits = Dag.Graph.exits inst.E.Case.graph in
      let moved = exits.(Array.length exits - 1) in
      let to_ = (sched.Sched.Schedule.proc_of.(moved) + 1) mod 8 in
-     ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_);
-     (session, moved, to_))
+     let move = Sched.Neighbor.Reassign (Sched.Neighbor.make ~task:moved ~to_ ()) in
+     ignore (Makespan.Engine.reevaluate_any ~commit:false session move);
+     (session, move))
 
 (* distribution/convolution/pool kernels: the zero-allocation hot layer *)
 let uncertain = lazy (Distribution.Family.uncertain ~ul:1.1 20.)
@@ -153,8 +154,8 @@ let reeval_tests =
   [
     Test.make ~name:"engine:reeval-1move"
       (Staged.stage (fun () ->
-           let session, moved, to_ = Lazy.force reeval_fixture in
-           ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_)));
+           let session, move = Lazy.force reeval_fixture in
+           ignore (Makespan.Engine.reevaluate_any ~commit:false session move)));
   ]
 
 (* robustness-aware search: one short annealing run per Bechamel run (the
@@ -185,12 +186,10 @@ let swap_fixture =
      let rng = Prng.Xoshiro.create 17L in
      let swap =
        match Sched.Neighbor.random_swap ~rng sched with
-       | Some s -> s
+       | Some s -> Sched.Neighbor.Swap s
        | None -> failwith "bench: no feasible swap on random30"
      in
-     ignore
-       (Makespan.Engine.reevaluate_swap ~commit:false session ~a:swap.Sched.Neighbor.a
-          ~b:swap.Sched.Neighbor.b);
+     ignore (Makespan.Engine.reevaluate_any ~commit:false session swap);
      (session, swap))
 
 let search_tests =
@@ -198,9 +197,7 @@ let search_tests =
     Test.make ~name:"search:probe-swap"
       (Staged.stage (fun () ->
            let session, swap = Lazy.force swap_fixture in
-           ignore
-             (Makespan.Engine.reevaluate_swap ~commit:false session
-                ~a:swap.Sched.Neighbor.a ~b:swap.Sched.Neighbor.b)));
+           ignore (Makespan.Engine.reevaluate_any ~commit:false session swap)));
     Test.make ~name:"search:anneal-32step"
       (Staged.stage (fun () ->
            let inst = Lazy.force random30 in
@@ -370,10 +367,8 @@ let measure_live_eval () =
    re-evaluated schedule, same case and protocol as [measure_live_eval]
    (40 warm iterations) so the two numbers are directly comparable *)
 let measure_live_reeval () =
-  let session, moved, to_ = Lazy.force reeval_fixture in
-  let reeval () =
-    ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_)
-  in
+  let session, move = Lazy.force reeval_fixture in
+  let reeval () = ignore (Makespan.Engine.reevaluate_any ~commit:false session move) in
   reeval ();
   let iters = 5 * batch_size in
   let t0 = Unix.gettimeofday () in

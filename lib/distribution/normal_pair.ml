@@ -6,8 +6,6 @@ let make ~mean ~std =
   if std < 0. then invalid_arg "Normal_pair.make: std must be non-negative";
   { mean; std }
 
-let of_dist d = { mean = Dist.mean d; std = Dist.std d }
-
 let to_normal ?points t = Family.normal ?points ~mean:t.mean ~std:t.std ()
 
 let add a b =

@@ -13,9 +13,6 @@ val const : float -> t
 val make : mean:float -> std:float -> t
 (** Requires [std >= 0]. *)
 
-val of_dist : Dist.t -> t
-(** Collapse a full distribution to its first two moments. *)
-
 val to_normal : ?points:int -> t -> Dist.t
 (** The normal distribution with these moments (a point mass if σ = 0). *)
 

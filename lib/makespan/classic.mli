@@ -50,7 +50,7 @@ val update_node :
   unit
 (** Recompute one node's completion distribution in place from its
     predecessors' entries in the given array — the single-node body of
-    {!completion_dists_with}, exposed so {!Engine.reevaluate} can replay
+    {!completion_dists_with}, exposed so {!Engine.reevaluate_any} can replay
     just a dirty cone and still produce bitwise-identical results (the
     fold order over [Dag.Graph.preds] is the deterministic sorted
     order). Each arrival sum is read from [sums] first. A computed sum

@@ -65,27 +65,75 @@ type stats = {
   reeval_sum_misses : int;  (** arrival sums dirty-cone replays computed *)
 }
 
-(* Global observability mirrors of the per-engine counters: every engine
-   feeds the same process-wide registry, so `repro --metrics` sees the
-   whole sweep without holding on to engines. No-ops (one atomic load)
-   unless metrics are enabled. *)
-let m_task_hits = Obs.Metrics.counter "engine.task_hits"
-let m_task_misses = Obs.Metrics.counter "engine.task_misses"
-let m_comm_hits = Obs.Metrics.counter "engine.comm_hits"
-let m_comm_misses = Obs.Metrics.counter "engine.comm_misses"
-let m_arrival_hits = Obs.Metrics.counter "engine.arrival_hits"
-let m_arrival_misses = Obs.Metrics.counter "engine.arrival_misses"
-let m_evals_classical = Obs.Metrics.counter "engine.evals.classical"
-let m_evals_dodin = Obs.Metrics.counter "engine.evals.dodin"
-let m_evals_spelde = Obs.Metrics.counter "engine.evals.spelde"
-let m_evals_montecarlo = Obs.Metrics.counter "engine.evals.montecarlo"
-let m_reeval_incremental = Obs.Metrics.counter "engine.reeval_incremental"
-let m_reeval_full = Obs.Metrics.counter "engine.reeval_full"
-let m_reeval_full_cone = Obs.Metrics.counter "engine.reeval_full_cone"
-let m_reeval_full_backend = Obs.Metrics.counter "engine.reeval_full_backend"
-let m_reeval_cone_nodes = Obs.Metrics.counter "engine.reeval_cone_nodes"
-let m_reeval_sum_hits = Obs.Metrics.counter "engine.reeval_sum_hits"
-let m_reeval_sum_misses = Obs.Metrics.counter "engine.reeval_sum_misses"
+(* Every engine counter has one cell in its engine's [counts] table
+   and a process-wide Obs mirror that every engine feeds, so `repro
+   --metrics` and the service's /metrics see the whole sweep, dropped
+   engines included, without holding on to engines. The mirrors are
+   no-ops (one atomic load) unless metrics are enabled. [stats] derives
+   [evals], [reevals] and [reeval_full] from these cells. *)
+type counter =
+  | Task_hits
+  | Task_misses
+  | Comm_hits
+  | Comm_misses
+  | Arrival_hits
+  | Arrival_misses
+  | Evals_classical
+  | Evals_dodin
+  | Evals_spelde
+  | Evals_montecarlo
+  | Reeval_incremental
+  | Reeval_full_cone
+  | Reeval_full_backend
+  | Reeval_cone_nodes
+  | Reeval_sum_hits
+  | Reeval_sum_misses
+  | Reeval_max_cone
+
+let slot = function
+  | Task_hits -> 0
+  | Task_misses -> 1
+  | Comm_hits -> 2
+  | Comm_misses -> 3
+  | Arrival_hits -> 4
+  | Arrival_misses -> 5
+  | Evals_classical -> 6
+  | Evals_dodin -> 7
+  | Evals_spelde -> 8
+  | Evals_montecarlo -> 9
+  | Reeval_incremental -> 10
+  | Reeval_full_cone -> 11
+  | Reeval_full_backend -> 12
+  | Reeval_cone_nodes -> 13
+  | Reeval_sum_hits -> 14
+  | Reeval_sum_misses -> 15
+  | Reeval_max_cone -> 16
+
+(* The Obs families each slot adds to, registered in slot order: both
+   fallback kinds also add to [engine.reeval_full]; the largest cone is
+   a maximum, not a sum, and has no mirror. *)
+let mirrors =
+  Array.map
+    (List.map (fun name -> Obs.Metrics.counter ("engine." ^ name)))
+    [|
+      [ "task_hits" ];
+      [ "task_misses" ];
+      [ "comm_hits" ];
+      [ "comm_misses" ];
+      [ "arrival_hits" ];
+      [ "arrival_misses" ];
+      [ "evals.classical" ];
+      [ "evals.dodin" ];
+      [ "evals.spelde" ];
+      [ "evals.montecarlo" ];
+      [ "reeval_incremental" ];
+      [ "reeval_full"; "reeval_full_cone" ];
+      [ "reeval_full"; "reeval_full_backend" ];
+      [ "reeval_cone_nodes" ];
+      [ "reeval_sum_hits" ];
+      [ "reeval_sum_misses" ];
+      [];
+    |]
 
 let span_name = function
   | Classical -> "engine.eval.classical"
@@ -119,29 +167,8 @@ type t = {
   task_tbl : Distribution.Dist.t option array array;
   comm_tbl : (float, Distribution.Dist.t) Hashtbl.t;
   lock : Mutex.t;
-  task_hits : int Atomic.t;
-  task_misses : int Atomic.t;
-  comm_hits : int Atomic.t;
-  comm_misses : int Atomic.t;
-  arrival_hits : int Atomic.t;
-  arrival_misses : int Atomic.t;
-  evals : int Atomic.t;
-  evals_by_backend : int Atomic.t array; (* Classical, Dodin, Spelde, Montecarlo *)
-  reevals : int Atomic.t;
-  reeval_incremental : int Atomic.t;
-  reeval_full_cone : int Atomic.t;
-  reeval_full_backend : int Atomic.t;
-  reeval_cone_nodes : int Atomic.t;
-  reeval_max_cone : int Atomic.t;
-  reeval_sum_hits : int Atomic.t;
-  reeval_sum_misses : int Atomic.t;
+  counts : int Atomic.t array;  (* by [slot] *)
 }
-
-let backend_slot = function
-  | Classical -> 0
-  | Dodin -> 1
-  | Spelde -> 2
-  | Montecarlo _ -> 3
 
 let create ~graph ~platform ~model =
   let n_tasks = Dag.Graph.n_tasks graph in
@@ -166,70 +193,61 @@ let create ~graph ~platform ~model =
     task_tbl = Array.init n_tasks (fun _ -> Array.make n_procs None);
     comm_tbl = Hashtbl.create 64;
     lock = Mutex.create ();
-    task_hits = Atomic.make 0;
-    task_misses = Atomic.make 0;
-    comm_hits = Atomic.make 0;
-    comm_misses = Atomic.make 0;
-    arrival_hits = Atomic.make 0;
-    arrival_misses = Atomic.make 0;
-    evals = Atomic.make 0;
-    evals_by_backend = Array.init 4 (fun _ -> Atomic.make 0);
-    reevals = Atomic.make 0;
-    reeval_incremental = Atomic.make 0;
-    reeval_full_cone = Atomic.make 0;
-    reeval_full_backend = Atomic.make 0;
-    reeval_cone_nodes = Atomic.make 0;
-    reeval_max_cone = Atomic.make 0;
-    reeval_sum_hits = Atomic.make 0;
-    reeval_sum_misses = Atomic.make 0;
+    counts = Array.init (Array.length mirrors) (fun _ -> Atomic.make 0);
   }
 
 let graph t = t.graph
 let platform t = t.platform
-let stats t =
-  {
-    task_hits = Atomic.get t.task_hits;
-    task_misses = Atomic.get t.task_misses;
-    comm_hits = Atomic.get t.comm_hits;
-    comm_misses = Atomic.get t.comm_misses;
-    arrival_hits = Atomic.get t.arrival_hits;
-    arrival_misses = Atomic.get t.arrival_misses;
-    evals = Atomic.get t.evals;
-    evals_classical = Atomic.get t.evals_by_backend.(0);
-    evals_dodin = Atomic.get t.evals_by_backend.(1);
-    evals_spelde = Atomic.get t.evals_by_backend.(2);
-    evals_montecarlo = Atomic.get t.evals_by_backend.(3);
-    reevals = Atomic.get t.reevals;
-    reeval_incremental = Atomic.get t.reeval_incremental;
-    reeval_full = Atomic.get t.reeval_full_cone + Atomic.get t.reeval_full_backend;
-    reeval_full_cone = Atomic.get t.reeval_full_cone;
-    reeval_full_backend = Atomic.get t.reeval_full_backend;
-    reeval_cone_nodes = Atomic.get t.reeval_cone_nodes;
-    reeval_max_cone = Atomic.get t.reeval_max_cone;
-    reeval_sum_hits = Atomic.get t.reeval_sum_hits;
-    reeval_sum_misses = Atomic.get t.reeval_sum_misses;
-  }
 
-let reset_stats t =
-  Atomic.set t.task_hits 0;
-  Atomic.set t.task_misses 0;
-  Atomic.set t.comm_hits 0;
-  Atomic.set t.comm_misses 0;
-  Atomic.set t.arrival_hits 0;
-  Atomic.set t.arrival_misses 0;
-  Atomic.set t.evals 0;
-  Array.iter (fun a -> Atomic.set a 0) t.evals_by_backend;
-  (* the reeval/cone counters are part of the same phase measurement and
-     must reset with the rest, or back-to-back benchmark phases inherit
-     ghost cone totals *)
-  Atomic.set t.reevals 0;
-  Atomic.set t.reeval_incremental 0;
-  Atomic.set t.reeval_full_cone 0;
-  Atomic.set t.reeval_full_backend 0;
-  Atomic.set t.reeval_cone_nodes 0;
-  Atomic.set t.reeval_max_cone 0;
-  Atomic.set t.reeval_sum_hits 0;
-  Atomic.set t.reeval_sum_misses 0
+(* a plain recursion: [List.iter] would build a closure over [k] on
+   every bump *)
+let rec add_all k = function
+  | [] -> ()
+  | m :: rest ->
+    Obs.Metrics.add m k;
+    add_all k rest
+
+let bump t c k =
+  let i = slot c in
+  ignore (Atomic.fetch_and_add t.counts.(i) k : int);
+  add_all k mirrors.(i)
+
+let rec raise_max a v =
+  let cur = Atomic.get a in
+  if v > cur && not (Atomic.compare_and_set a cur v) then raise_max a v
+
+let stats t =
+  let get c = Atomic.get t.counts.(slot c) in
+  let evals_classical = get Evals_classical
+  and evals_dodin = get Evals_dodin
+  and evals_spelde = get Evals_spelde
+  and evals_montecarlo = get Evals_montecarlo in
+  let reeval_incremental = get Reeval_incremental
+  and reeval_full_cone = get Reeval_full_cone
+  and reeval_full_backend = get Reeval_full_backend in
+  let reeval_full = reeval_full_cone + reeval_full_backend in
+  {
+    task_hits = get Task_hits;
+    task_misses = get Task_misses;
+    comm_hits = get Comm_hits;
+    comm_misses = get Comm_misses;
+    arrival_hits = get Arrival_hits;
+    arrival_misses = get Arrival_misses;
+    evals = evals_classical + evals_dodin + evals_spelde + evals_montecarlo;
+    evals_classical;
+    evals_dodin;
+    evals_spelde;
+    evals_montecarlo;
+    reevals = reeval_incremental + reeval_full;
+    reeval_incremental;
+    reeval_full;
+    reeval_full_cone;
+    reeval_full_backend;
+    reeval_cone_nodes = get Reeval_cone_nodes;
+    reeval_max_cone = get Reeval_max_cone;
+    reeval_sum_hits = get Reeval_sum_hits;
+    reeval_sum_misses = get Reeval_sum_misses;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Cached distribution views                                           *)
@@ -239,12 +257,10 @@ let task_dist t ~task ~proc =
   let cell = Mutex.protect t.lock (fun () -> t.task_tbl.(task).(proc)) in
   match cell with
   | Some d ->
-    Atomic.incr t.task_hits;
-    Obs.Metrics.incr m_task_hits;
+    bump t Task_hits 1;
     d
   | None ->
-    Atomic.incr t.task_misses;
-    Obs.Metrics.incr m_task_misses;
+    bump t Task_misses 1;
     let d = Workloads.Stochastify.task_dist t.model t.platform ~task ~proc in
     Mutex.protect t.lock (fun () ->
         match t.task_tbl.(task).(proc) with
@@ -264,12 +280,10 @@ let comm_dist t ~volume ~src ~dst =
     let cached = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.comm_tbl w) in
     match cached with
     | Some d ->
-      Atomic.incr t.comm_hits;
-      Obs.Metrics.incr m_comm_hits;
+      bump t Comm_hits 1;
       d
     | None ->
-      Atomic.incr t.comm_misses;
-      Obs.Metrics.incr m_comm_misses;
+      bump t Comm_misses 1;
       let d = Workloads.Stochastify.dist t.model w in
       Mutex.protect t.lock (fun () ->
           match Hashtbl.find_opt t.comm_tbl w with
@@ -344,11 +358,8 @@ let sweep t backend ~dgraph ~completion ~moments sched =
       Classic.completion_dists_with ~arrivals ~points:t.points ~dgraph ~completion
         ~task_dist:(task_dist t) ~comm_dist:(comm_dist t) sched
     in
-    let hits = Classic.arrival_hits arrivals and misses = Classic.arrival_misses arrivals in
-    ignore (Atomic.fetch_and_add t.arrival_hits hits : int);
-    ignore (Atomic.fetch_and_add t.arrival_misses misses : int);
-    Obs.Metrics.add m_arrival_hits hits;
-    Obs.Metrics.add m_arrival_misses misses;
+    bump t Arrival_hits (Classic.arrival_hits arrivals);
+    bump t Arrival_misses (Classic.arrival_misses arrivals);
     Classic.makespan_of_exits ~points:t.points dgraph completion
   | Dodin ->
     (Dodin.evaluate_with ~points:t.points ~dgraph ~task_dist:(task_dist t)
@@ -370,13 +381,13 @@ let sweep_scratch t backend ~dgraph sched =
   sweep t backend ~dgraph ~completion ~moments sched
 
 let count_eval t backend =
-  Atomic.incr t.evals;
-  Atomic.incr t.evals_by_backend.(backend_slot backend);
-  match backend with
-  | Classical -> Obs.Metrics.incr m_evals_classical
-  | Dodin -> Obs.Metrics.incr m_evals_dodin
-  | Spelde -> Obs.Metrics.incr m_evals_spelde
-  | Montecarlo _ -> Obs.Metrics.incr m_evals_montecarlo
+  bump t
+    (match backend with
+    | Classical -> Evals_classical
+    | Dodin -> Evals_dodin
+    | Spelde -> Evals_spelde
+    | Montecarlo _ -> Evals_montecarlo)
+    1
 
 let eval_dist t backend sched =
   sweep_scratch t backend ~dgraph:(Sched.Disjunctive.graph_of sched) sched
@@ -439,7 +450,7 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
    the sequence comparison (pred arrays are sorted by task id, so the
    comparison — and the downstream fold order — is deterministic).
    Everything else sees bitwise-identical inputs and keeps its stored
-   value, which is why [reevaluate] agrees bitwise with a fresh
+   value, which is why [reevaluate_any] agrees bitwise with a fresh
    [analyze] of the patched schedule.
 
    A re-evaluation is a probe: it replays the cone in the session's
@@ -524,10 +535,6 @@ let same_pred_seq a b =
   let rec eq i = i >= n || (fst a.(i) = fst b.(i) && eq (i + 1)) in
   eq 0
 
-let rec bump_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then bump_max a v
-
 (* Mark dirty nodes in [session.dirty]; returns the cone size. [seeds]
    are the tasks whose own timing certainly changed (the moved task for a
    reassign, both tasks for a swap); every node whose disjunctive pred
@@ -584,7 +591,7 @@ let replay_cone dirty order ~state ~aside update result =
 
 (* Shared probe core: [sched'] is the already-patched (hence feasible)
    schedule, [seeds] the tasks whose timing the patch certainly changed.
-   [reevaluate_patched] constructs [sched'] *before* this runs, so an
+   [reevaluate_any] constructs [sched'] *before* this runs, so an
    infeasible move raises [Invalid_argument] without touching the
    session's schedule or state. *)
 let probe ~max_cone session ~seeds sched' =
@@ -593,7 +600,6 @@ let probe ~max_cone session ~seeds sched' =
   let max_cone = match max_cone with Some c -> c | None -> max 1 (n / 2) in
   let dgraph' = Sched.Disjunctive.graph_of sched' in
   count_eval t session.backend;
-  Atomic.incr t.reevals;
   Array.fill session.p_completion 0 (Array.length session.p_completion) vacant_dist;
   Array.fill session.p_moments 0 (Array.length session.p_moments) vacant_pair;
   let incremental_backend =
@@ -602,23 +608,11 @@ let probe ~max_cone session ~seeds sched' =
   let cone = if incremental_backend then mark_dirty_cone session ~seeds ~dgraph' else n in
   let incremental = incremental_backend && cone <= max_cone in
   if incremental then begin
-    Atomic.incr t.reeval_incremental;
-    ignore (Atomic.fetch_and_add t.reeval_cone_nodes cone : int);
-    bump_max t.reeval_max_cone cone;
-    Obs.Metrics.incr m_reeval_incremental;
-    Obs.Metrics.add m_reeval_cone_nodes cone
+    bump t Reeval_incremental 1;
+    bump t Reeval_cone_nodes cone;
+    raise_max t.counts.(slot Reeval_max_cone) cone
   end
-  else begin
-    if incremental_backend then begin
-      Atomic.incr t.reeval_full_cone;
-      Obs.Metrics.incr m_reeval_full_cone
-    end
-    else begin
-      Atomic.incr t.reeval_full_backend;
-      Obs.Metrics.incr m_reeval_full_backend
-    end;
-    Obs.Metrics.incr m_reeval_full
-  end;
+  else bump t (if incremental_backend then Reeval_full_cone else Reeval_full_backend) 1;
   let order = Dag.Graph.topo_order dgraph' in
   let makespan =
     if incremental then begin
@@ -635,12 +629,8 @@ let probe ~max_cone session ~seeds sched' =
                 session.s_completion v)
             (Classic.makespan_of_exits ~points:t.points dgraph')
         in
-        let hits = Classic.sum_hits sums - hits0
-        and misses = Classic.sum_misses sums - misses0 in
-        ignore (Atomic.fetch_and_add t.reeval_sum_hits hits : int);
-        ignore (Atomic.fetch_and_add t.reeval_sum_misses misses : int);
-        Obs.Metrics.add m_reeval_sum_hits hits;
-        Obs.Metrics.add m_reeval_sum_misses misses;
+        bump t Reeval_sum_hits (Classic.sum_hits sums - hits0);
+        bump t Reeval_sum_misses (Classic.sum_misses sums - misses0);
         makespan
       | Spelde ->
         replay_cone dirty order ~state:session.s_moments ~aside:session.p_moments
@@ -694,29 +684,17 @@ let accept session =
     session.dgraph <- p.p_dgraph;
     session.last <- p.p_eval
 
-(* [patch] builds the neighbor and raises on a deadlocking move, after
-   the last probe has been dropped: a move that raises leaves nothing
-   to accept. *)
-let reevaluate_patched ~commit ~max_cone session ~seeds patch =
+(* The neighbor is built, and a deadlocking move raises, after the last
+   probe has been dropped and before [probe] touches the session: a move
+   that raises leaves nothing to accept. *)
+let reevaluate_any ?(commit = true) ?max_cone session (m : Sched.Neighbor.any) =
   session.pending <- None;
-  let ev = probe ~max_cone session ~seeds (patch session.sched) in
+  let seeds, sched' =
+    match m with
+    | Sched.Neighbor.Reassign { task; to_; at } ->
+      ([ task ], Sched.Schedule.reassign ?at session.sched ~task ~to_)
+    | Sched.Neighbor.Swap { a; b } -> ([ a; b ], Sched.Schedule.swap session.sched ~a ~b)
+  in
+  let ev = probe ~max_cone session ~seeds sched' in
   if commit then accept session;
   ev
-
-let reevaluate ?(commit = true) ?max_cone ?at session ~moved ~to_ =
-  reevaluate_patched ~commit ~max_cone session ~seeds:[ moved ] (fun sched ->
-      Sched.Schedule.reassign ?at sched ~task:moved ~to_)
-
-let reevaluate_move ?commit ?max_cone session (m : Sched.Neighbor.move) =
-  reevaluate ?commit ?max_cone ?at:m.Sched.Neighbor.at session ~moved:m.Sched.Neighbor.task
-    ~to_:m.Sched.Neighbor.to_
-
-let reevaluate_swap ?(commit = true) ?max_cone session ~a ~b =
-  reevaluate_patched ~commit ~max_cone session ~seeds:[ a; b ] (fun sched ->
-      Sched.Schedule.swap sched ~a ~b)
-
-let reevaluate_any ?commit ?max_cone session (m : Sched.Neighbor.any) =
-  match m with
-  | Sched.Neighbor.Reassign mv -> reevaluate_move ?commit ?max_cone session mv
-  | Sched.Neighbor.Swap s ->
-    reevaluate_swap ?commit ?max_cone session ~a:s.Sched.Neighbor.a ~b:s.Sched.Neighbor.b

@@ -86,7 +86,7 @@ val analyze :
     disjunctive graph's successors, of the moved task plus every node
     whose predecessor sequence changed; nodes outside it see
     bitwise-identical inputs and keep their stored values, so
-    {!reevaluate} agrees {e bitwise} with a fresh {!analyze} of the
+    {!reevaluate_any} agrees {e bitwise} with a fresh {!analyze} of the
     patched schedule. Cones above [max_cone] (default: half the task
     count), [Dodin] (a global series–parallel reduction) and
     [Montecarlo] fall back to a full evaluation — same bits, no
@@ -127,37 +127,20 @@ val session_schedule : session -> Sched.Schedule.t
 val session_evaluation : session -> evaluation
 (** The evaluation of {!session_schedule}. *)
 
-val reevaluate :
-  ?commit:bool ->
-  ?max_cone:int ->
-  ?at:int ->
-  session ->
-  moved:int ->
-  to_:int ->
-  evaluation
-(** Evaluation of the one-move neighbor [Schedule.reassign ?at sched
-    ~task:moved ~to_], recomputing only the dirty cone when the backend
-    allows it. [commit:false] probes: the session stays on its schedule,
-    so many neighbors can be probed off one base, and the last probe can
-    be installed by {!accept}. [commit] (default true) probes and
-    accepts. Raises [Invalid_argument] if the move would deadlock the
-    eager execution; the session's schedule and state are then
-    untouched, and no probe is left to accept. *)
-
-val reevaluate_move :
-  ?commit:bool -> ?max_cone:int -> session -> Sched.Neighbor.move -> evaluation
-(** {!reevaluate} on a packaged {!Sched.Neighbor.move}. *)
-
-val reevaluate_swap :
-  ?commit:bool -> ?max_cone:int -> session -> a:int -> b:int -> evaluation
-(** Like {!reevaluate} for the two-task exchange [Schedule.swap ~a ~b].
-    The dirty cone is seeded from both tasks, so swaps replay exactly
-    the nodes either exchange disturbs. Same [commit] contract; raises
-    [Invalid_argument] (session state untouched) on deadlocking swaps. *)
-
 val reevaluate_any :
   ?commit:bool -> ?max_cone:int -> session -> Sched.Neighbor.any -> evaluation
-(** Dispatch on either move class. *)
+(** Evaluation of the session schedule's neighbor under a move of either
+    class: [Reassign m] is [Schedule.reassign ?at sched ~task ~to_],
+    whose dirty cone is seeded from the moved task; [Swap { a; b }] is
+    [Schedule.swap sched ~a ~b], seeded from both tasks, so a swap
+    replays exactly the nodes either exchange disturbs. Only the dirty
+    cone is recomputed when the backend allows it. [commit:false]
+    probes: the session stays on its schedule, so many neighbors can be
+    probed off one base, and the last probe can be installed by
+    {!accept}. [commit] (default true) probes and accepts. Raises
+    [Invalid_argument] if the move would deadlock the eager execution;
+    the session's schedule and state are then untouched, and no probe is
+    left to accept. *)
 
 val accept : session -> unit
 (** Advance the session to the neighbor of its last re-evaluation,
@@ -180,12 +163,16 @@ type stats = {
       (** arrival sums [C(p) + comm(p→v)] a classical full sweep reused
           from the same predecessor's earlier sum in that sweep *)
   arrival_misses : int;  (** arrival sums classical full sweeps computed *)
-  evals : int;  (** total [eval]/[analyze]/[reevaluate] calls *)
+  evals : int;
+      (** total {!eval}/{!analyze}/{!start_session}/{!reevaluate_any}
+          calls; always the sum of the four per-backend counts *)
   evals_classical : int;
   evals_dodin : int;
   evals_spelde : int;
   evals_montecarlo : int;
-  reevals : int;  (** total {!reevaluate} calls *)
+  reevals : int;
+      (** total {!reevaluate_any} calls; always
+          [reeval_incremental + reeval_full] *)
   reeval_incremental : int;  (** served by a dirty-cone replay *)
   reeval_full : int;
       (** fell back to a full sweep; always
@@ -201,9 +188,14 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Snapshot of the cache counters (atomic reads; approximate under
-    concurrent evaluation). *)
-
-val reset_stats : t -> unit
-(** Zero every counter, so benchmarks can measure phases independently.
-    Call between phases, not under concurrent evaluation. *)
+(** Snapshot of this engine's counters since {!create} (atomic reads;
+    approximate under concurrent evaluation). Every summed counter also
+    feeds a process-wide {!Obs.Metrics} counter that all engines share
+    and that never falls: [engine.task_hits], [engine.task_misses],
+    [engine.comm_hits], [engine.comm_misses], [engine.arrival_hits],
+    [engine.arrival_misses], [engine.evals.<backend>],
+    [engine.reeval_incremental], [engine.reeval_full],
+    [engine.reeval_full_cone], [engine.reeval_full_backend],
+    [engine.reeval_cone_nodes], [engine.reeval_sum_hits] and
+    [engine.reeval_sum_misses]. [evals], [reevals] and [reeval_max_cone]
+    have no mirror. *)

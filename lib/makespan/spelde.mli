@@ -13,7 +13,7 @@ val update_node :
   unit
 (** Recompute one node's completion moments in place from its
     predecessors' entries — the single-node body of {!moments_with},
-    exposed for {!Engine.reevaluate}'s dirty-cone replay (same
+    exposed for {!Engine.reevaluate_any}'s dirty-cone replay (same
     [List.map]/[max_list] fold order, so results stay bitwise equal). *)
 
 val moments_of_exits :

@@ -15,31 +15,6 @@ let sum a =
   done;
   !s
 
-let dot a b =
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Array_ops.dot: length mismatch";
-  let s = ref 0. in
-  for i = 0 to n - 1 do
-    s := !s +. (a.(i) *. b.(i))
-  done;
-  !s
-
-let max_elt a =
-  if Array.length a = 0 then invalid_arg "Array_ops.max_elt: empty array";
-  Array.fold_left Float.max a.(0) a
-
-let min_elt a =
-  if Array.length a = 0 then invalid_arg "Array_ops.min_elt: empty array";
-  Array.fold_left Float.min a.(0) a
-
-let argmax a =
-  if Array.length a = 0 then invalid_arg "Array_ops.argmax: empty array";
-  let best = ref 0 in
-  for i = 1 to Array.length a - 1 do
-    if a.(i) > a.(!best) then best := i
-  done;
-  !best
-
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1

@@ -7,17 +7,5 @@ val linspace : float -> float -> int -> float array
 val sum : float array -> float
 (** Kahan-compensated sum. *)
 
-val dot : float array -> float array -> float
-(** Dot product; arrays must have equal length. *)
-
-val max_elt : float array -> float
-(** Maximum of a non-empty array. *)
-
-val min_elt : float array -> float
-(** Minimum of a non-empty array. *)
-
-val argmax : float array -> int
-(** Index of the first maximum of a non-empty array. *)
-
 val next_pow2 : int -> int
 (** [next_pow2 n] is the smallest power of two [>= max 1 n]. *)

@@ -86,6 +86,7 @@ val chrome : ?limit:int -> ?trace_id:string -> unit -> string
 (** Chrome trace_event JSON ("X" events, one row per request), optionally
     filtered to a single trace id — one traced request's stage tree. *)
 
+(**/**)
+
 val reset : unit -> unit
-(** Clear the ring (tests/benches only; not safe under concurrent
-    publication). *)
+(** Clear the ring. A test seam: not safe under concurrent publication. *)

@@ -22,10 +22,7 @@ val capacity : int
 (** Ring capacity per domain (spans beyond it overwrite the oldest). *)
 
 val dropped : unit -> int
-(** Total spans overwritten across all domains since the last {!reset}. *)
-
-val reset : unit -> unit
-(** Empty every ring buffer (call while no other domain is recording). *)
+(** Total spans overwritten across all domains since the last [reset]. *)
 
 (** {1 Export} *)
 
@@ -71,3 +68,7 @@ val summary : unit -> stat list
 
 val json_escape : string -> string
 (** JSON string-body escaping, shared with {!Report}. *)
+
+val reset : unit -> unit
+(** Empty every ring buffer. A test seam: call while no other domain is
+    recording. *)

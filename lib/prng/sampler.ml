@@ -4,10 +4,6 @@ let uniform rng ~lo ~hi =
   if lo > hi then invalid_arg "Sampler.uniform: lo > hi";
   lo +. ((hi -. lo) *. Xoshiro.next_float rng)
 
-let exponential rng ~rate =
-  if rate <= 0. then invalid_arg "Sampler.exponential: rate must be positive";
-  -.log (Xoshiro.next_float_pos rng) /. rate
-
 let rec standard_normal rng =
   let u = (2. *. Xoshiro.next_float rng) -. 1. in
   let v = (2. *. Xoshiro.next_float rng) -. 1. in
@@ -75,6 +71,3 @@ let shuffle rng a =
     a.(j) <- tmp
   done
 
-let choose rng a =
-  if Array.length a = 0 then invalid_arg "Sampler.choose: empty array";
-  a.(Xoshiro.int rng (Array.length a))

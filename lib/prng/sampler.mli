@@ -10,9 +10,6 @@ type rng = Xoshiro.t
 val uniform : rng -> lo:float -> hi:float -> float
 (** [uniform rng ~lo ~hi] is uniform on [\[lo, hi)]. Requires [lo <= hi]. *)
 
-val exponential : rng -> rate:float -> float
-(** [exponential rng ~rate] has density [rate · exp(−rate·x)]. *)
-
 val normal : rng -> mean:float -> std:float -> float
 (** [normal rng ~mean ~std] via the Marsaglia polar method. [std >= 0]. *)
 
@@ -32,5 +29,3 @@ val gamma_mean_cv : rng -> mean:float -> cv:float -> float
 val shuffle : rng -> 'a array -> unit
 (** [shuffle rng a] permutes [a] uniformly in place (Fisher–Yates). *)
 
-val choose : rng -> 'a array -> 'a
-(** [choose rng a] is a uniform element of the non-empty array [a]. *)

@@ -1,7 +1,7 @@
 (* Single-move neighborhood over schedules: reassign one task to a
    (processor, position). This is the move type shared by the bench
    reeval probes, the service's neighbor fast path, and the (future)
-   robustness-aware local search — [Engine.reevaluate] consumes exactly
+   robustness-aware local search — [Engine.reevaluate_any] consumes exactly
    one of these per step. *)
 
 type move = {

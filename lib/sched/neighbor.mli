@@ -3,7 +3,7 @@
     A {!move} reassigns one task to a (processor, position); applying it
     patches the schedule in O(row) via {!Schedule.reassign} instead of a
     full rebuild. This is the currency of incremental re-evaluation
-    ([Makespan.Engine.reevaluate]), the service's neighbor job specs,
+    ([Makespan.Engine.reevaluate_any]), the service's neighbor job specs,
     and local-search schedulers. *)
 
 type move = {

@@ -120,7 +120,7 @@ let validate t =
    affected rows are rebuilt; all other rows, [graph], and the untouched
    prefix of the invariants are shared with the original value — this is
    the cheap patched constructor behind [Sched.Neighbor] and
-   [Engine.reevaluate]. Acyclicity must still be re-checked (a move can
+   [Engine.reevaluate_any]. Acyclicity must still be re-checked (a move can
    create an order/precedence deadlock), which is O(V+E) scalar work. *)
 let reassign ?at t ~task ~to_ =
   let n = Dag.Graph.n_tasks t.graph in

@@ -36,7 +36,7 @@ type config = {
   restarts : int;  (** extra runs re-seeded from the incumbent best *)
   init : string;  (** registry name of the initial scheduler *)
   mix : move_mix;
-  max_cone : int option;  (** forwarded to [Engine.reevaluate] *)
+  max_cone : int option;  (** forwarded to [Engine.reevaluate_any] *)
   delta : float option;  (** A(δ) bound; [None] calibrates from the initial schedule *)
   gamma : float option;  (** R(γ) bound; same convention *)
   axis : Archive.axis;  (** frontier y-coordinate: σ_M or −slack *)

@@ -639,7 +639,7 @@ let run_job ?flight ?shard ?pool ~engine job =
         let n = Array.length labeled in
         (* Neighbor rows first, through one incremental session per
            distinct base: the base is evaluated once in full, then every
-           neighbor is an uncommitted [reevaluate] against it. Response
+           neighbor is an uncommitted [reevaluate_any] against it. Response
            bytes cannot change — the session path agrees bitwise with a
            fresh full evaluation of the patched schedule (property-tested
            in test_engine) — only the repeated full sweeps go away. *)
@@ -661,7 +661,8 @@ let run_job ?flight ?shard ?pool ~engine job =
                   Hashtbl.add sessions base s;
                   s
               in
-              pre.(i) <- Some (Engine.reevaluate_move ~commit:false session move))
+              pre.(i) <-
+                Some (Engine.reevaluate_any ~commit:false session (Sched.Neighbor.Reassign move)))
             rows);
         let eval_row i =
           match pre.(i) with

@@ -37,7 +37,7 @@ type sched_spec =
           serves all neighbors of one base through a single incremental
           engine session ({!Makespan.Engine.start_session}) — the base
           is evaluated once in full and each neighbor by an uncommitted
-          {!Makespan.Engine.reevaluate}, which agrees bitwise with a
+          {!Makespan.Engine.reevaluate_any}, which agrees bitwise with a
           full evaluation of the patched schedule, so response bytes are
           unchanged by the fast path. *)
 

@@ -79,17 +79,6 @@ type stats = {
   batches : int;
   max_batch : int;
   engines_created : int;
-  engine_task_hits : int;
-  engine_task_misses : int;
-  engine_arrival_hits : int;
-  engine_arrival_misses : int;
-  engine_reevals : int;
-  engine_reeval_incremental : int;
-  engine_reeval_full : int;
-  engine_reeval_full_cone : int;
-  engine_reeval_full_backend : int;
-  engine_reeval_cone_nodes : int;
-  engine_reeval_max_cone : int;
   queue_depth : int;
   workers : int;
   shard_jobs : int array;
@@ -99,15 +88,13 @@ type stats = {
 (* One evaluation shard: a private job queue, a private engine LRU and
    (multi-worker auto mode) a private slice of the evaluation pool.
    Nothing here is shared between worker domains, so N workers never
-   contend on a queue mutex, an engine mutex or the shared pool's
-   submit lock. *)
+   contend on a queue mutex or the shared pool's submit lock. *)
 type shard = {
   index : int;
   mu : Mutex.t;
   cond : Condition.t;
   jobs : jrec Queue.t;
-  emu : Mutex.t;  (* engine LRU, MRU first *)
-  mutable engines : (string * Engine.t) list;
+  mutable engines : (string * Engine.t) list;  (* LRU, MRU first; worker-only *)
   mutable pool : Parallel.Pool.t option;  (* None → Pool.shared *)
   sc_jobs : int Atomic.t;  (* jobs evaluated on this shard *)
   sc_engines : int Atomic.t;  (* engines built on this shard *)
@@ -291,17 +278,14 @@ let pop_batch_locked sh =
 (* Engine acquisition IS admission now: on an LRU hit it is a few list
    operations; on a miss the worker materializes the context (the
    expensive generation step deferred off the connection domain) and
-   builds the engine. Only this shard's worker touches this LRU, the
-   mutex is for [stats] readers. *)
+   builds the engine. Only this shard's worker (or [step], when no
+   worker runs) touches this LRU. *)
 let engine_for t sh j =
-  Mutex.lock sh.emu;
   match List.assoc_opt j.key sh.engines with
   | Some e ->
     sh.engines <- (j.key, e) :: List.remove_assoc j.key sh.engines;
-    Mutex.unlock sh.emu;
     Ok (e, true)
   | None -> (
-    Mutex.unlock sh.emu;
     match Proto.context_of_job j.spec with
     | Error e -> Error e
     | Ok context ->
@@ -311,10 +295,8 @@ let engine_for t sh j =
       in
       Atomic.incr t.c.c_engines_created;
       Atomic.incr sh.sc_engines;
-      Mutex.lock sh.emu;
       let keep = List.filteri (fun i _ -> i < t.config.engine_cache - 1) sh.engines in
       sh.engines <- (j.key, e) :: keep;
-      Mutex.unlock sh.emu;
       Ok (e, false))
 
 let run_batch t sh batch =
@@ -409,39 +391,6 @@ let worker_loop t sh =
 (* ------------------------------------------------------------------ *)
 
 let stats t =
-  let ( task_hits,
-        task_misses,
-        arrival_hits,
-        arrival_misses,
-        reevals,
-        reeval_inc,
-        reeval_full_cone,
-        reeval_full_backend,
-        cone_nodes,
-        max_cone ) =
-    Array.fold_left
-      (fun acc sh ->
-        Mutex.lock sh.emu;
-        let totals =
-          List.fold_left
-            (fun (h, m, ah, am, r, ri, rfc, rfb, cn, mc) (_, e) ->
-              let s = Engine.stats e in
-              ( h + s.Engine.task_hits,
-                m + s.Engine.task_misses,
-                ah + s.Engine.arrival_hits,
-                am + s.Engine.arrival_misses,
-                r + s.Engine.reevals,
-                ri + s.Engine.reeval_incremental,
-                rfc + s.Engine.reeval_full_cone,
-                rfb + s.Engine.reeval_full_backend,
-                cn + s.Engine.reeval_cone_nodes,
-                Int.max mc s.Engine.reeval_max_cone ))
-            acc sh.engines
-        in
-        Mutex.unlock sh.emu;
-        totals)
-      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0) t.shards
-  in
   let shard_depth =
     Array.map
       (fun sh ->
@@ -464,17 +413,6 @@ let stats t =
     batches = Atomic.get t.c.c_batches;
     max_batch = Atomic.get t.c.c_max_batch;
     engines_created = Atomic.get t.c.c_engines_created;
-    engine_task_hits = task_hits;
-    engine_task_misses = task_misses;
-    engine_arrival_hits = arrival_hits;
-    engine_arrival_misses = arrival_misses;
-    engine_reevals = reevals;
-    engine_reeval_incremental = reeval_inc;
-    engine_reeval_full = reeval_full_cone + reeval_full_backend;
-    engine_reeval_full_cone = reeval_full_cone;
-    engine_reeval_full_backend = reeval_full_backend;
-    engine_reeval_cone_nodes = cone_nodes;
-    engine_reeval_max_cone = max_cone;
     queue_depth = Array.fold_left ( + ) 0 shard_depth;
     workers = Array.length t.shards;
     shard_jobs = Array.map (fun sh -> Atomic.get sh.sc_jobs) t.shards;
@@ -504,7 +442,8 @@ let healthz_body t =
    disjoint from the families the obs snapshot already owns
    ([service_request_seconds], [service_batch_size],
    [service_queue_depth], [service_stage_seconds]), or the exposition
-   would carry a duplicate [# TYPE]. *)
+   would carry a duplicate [# TYPE]. Engine counters have no row: the
+   obs snapshot carries them process-wide as [engine.*]. *)
 type stat_row = {
   key : string option;
   family : string option;
@@ -516,7 +455,6 @@ type stat_row = {
 let stat_rows t (s : stats) =
   let row ?key ?family kind help value = { key; family; kind; help; value } in
   let std key kind help v = row ~key ~family:("service_" ^ key) kind help (`One v) in
-  let engine key family help v = row ~key ~family `Counter help (`One v) in
   [
     std "requests" `Counter "HTTP requests parsed (any route)" s.requests;
     std "jobs_submitted" `Counter "Jobs admitted to the queue" s.jobs_submitted;
@@ -543,32 +481,6 @@ let stat_rows t (s : stats) =
     row ~key:"shard_depth" ~family:"service_shard_depth" `Gauge "Queued jobs per shard"
       (`Per_shard s.shard_depth);
     std "engines_created" `Counter "Engines built (LRU misses)" s.engines_created;
-    std "engine_task_hits" `Counter "Task-level cache hits over live engines"
-      s.engine_task_hits;
-    std "engine_task_misses" `Counter "Task-level cache misses over live engines"
-      s.engine_task_misses;
-    std "engine_arrival_hits" `Counter
-      "Arrival sums reused within a classical sweep over live engines"
-      s.engine_arrival_hits;
-    std "engine_arrival_misses" `Counter
-      "Arrival sums computed by classical sweeps over live engines"
-      s.engine_arrival_misses;
-    std "engine_reevals" `Counter "Single-move re-evaluations over live engines"
-      s.engine_reevals;
-    engine "engine_reeval_incremental" "service_engine_reevals_incremental"
-      "Re-evaluations served by a dirty-cone replay" s.engine_reeval_incremental;
-    engine "engine_reeval_full" "service_engine_reevals_full"
-      "Re-evaluations that fell back to a full sweep" s.engine_reeval_full;
-    engine "engine_reeval_full_cone" "service_engine_reevals_full_cone"
-      "Full-sweep fallbacks whose dirty cone exceeded the cutoff"
-      s.engine_reeval_full_cone;
-    engine "engine_reeval_full_backend" "service_engine_reevals_full_backend"
-      "Full-sweep fallbacks on non-incremental backends" s.engine_reeval_full_backend;
-    std "engine_reeval_cone_nodes" `Counter
-      "Dirty nodes recomputed across incremental re-evaluations"
-      s.engine_reeval_cone_nodes;
-    std "engine_reeval_max_cone" `Gauge "Largest incremental dirty cone seen"
-      s.engine_reeval_max_cone;
   ]
 
 let metrics_body t =
@@ -901,7 +813,6 @@ let start (config : config) =
           mu = Mutex.create ();
           cond = Condition.create ();
           jobs = Queue.create ();
-          emu = Mutex.create ();
           engines = [];
           pool = None;
           sc_jobs = Atomic.make 0;

@@ -102,8 +102,7 @@ val port : t -> int
 
 val shard_of_key : t -> string -> int
 (** The shard that owns a batch key (consistent: equal keys always land
-    on the same shard). Exposed for affinity tests and the load
-    generator's key planning. *)
+    on the same shard). Exposed so tests can predict placement. *)
 
 val stop : t -> unit
 (** Graceful drain: stop accepting, let queued jobs finish (up to
@@ -131,17 +130,6 @@ type stats = {
   batches : int;
   max_batch : int;
   engines_created : int;
-  engine_task_hits : int;  (** summed over live engines, all shards *)
-  engine_task_misses : int;
-  engine_arrival_hits : int;  (** arrival sums reused within classical sweeps *)
-  engine_arrival_misses : int;
-  engine_reevals : int;  (** single-move re-evaluations, summed over live engines *)
-  engine_reeval_incremental : int;  (** served by a dirty-cone replay *)
-  engine_reeval_full : int;  (** fell back to a full sweep (= cone + backend) *)
-  engine_reeval_full_cone : int;  (** fallbacks whose dirty cone exceeded the cutoff *)
-  engine_reeval_full_backend : int;  (** fallbacks on non-incremental backends *)
-  engine_reeval_cone_nodes : int;  (** dirty nodes recomputed, summed *)
-  engine_reeval_max_cone : int;  (** largest incremental cone over live engines *)
   queue_depth : int;  (** current, summed over shards *)
   workers : int;  (** number of shards *)
   shard_jobs : int array;  (** jobs evaluated, per shard *)
@@ -149,7 +137,12 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Always-on counters (plain atomics — independent of {!Obs} gating). *)
+(** Always-on service counters (plain atomics — independent of {!Obs}
+    gating). Engine counters are not here: every engine feeds the
+    process-wide [engine.*] counters of {!Obs.Metrics} (see
+    {!Makespan.Engine.stats}), which both [/metrics] forms carry and
+    which, unlike a sum over the engines still cached, never fall when
+    an engine is evicted. *)
 
 val serve_forever : config -> unit
 (** {!start}, then block inside an {!Experiments.Stop} scope until

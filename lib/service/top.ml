@@ -61,6 +61,9 @@ let sample_of_metrics body =
   | Error _ -> None
   | Ok doc ->
     let service = Option.value (Json.mem "service" doc) ~default:Json.Null in
+    let counters =
+      Option.value (Option.bind (Json.mem "obs" doc) (Json.mem "counters")) ~default:Json.Null
+    in
     let histograms =
       match Option.bind (Json.mem "obs" doc) (Json.mem "histograms") with
       | Some (Json.Obj fields) -> fields
@@ -107,8 +110,8 @@ let sample_of_metrics body =
         jobs_failed = ints_of "jobs_failed" service;
         queue_depth = ints_of "queue_depth" service;
         queue_capacity = None;
-        task_hits = ints_of "engine_task_hits" service;
-        task_misses = ints_of "engine_task_misses" service;
+        task_hits = ints_of "engine.task_hits" counters;
+        task_misses = ints_of "engine.task_misses" counters;
         stages;
         request_hist;
       }

@@ -492,12 +492,6 @@ let clark_matches_grid_max =
       Float.abs (clark.Normal_pair.mean -. Dist.mean grid) < 0.02
       && Float.abs (clark.Normal_pair.std -. Dist.std grid) < 0.05)
 
-let of_dist_roundtrip () =
-  let d = Family.normal ~mean:7. ~std:1.5 () in
-  let p = Normal_pair.of_dist d in
-  check_close ~eps:1e-4 "mean" 7. p.Normal_pair.mean;
-  check_close ~eps:1e-3 "std" 1.5 p.Normal_pair.std
-
 (* --- performance contracts of the fused kernels --- *)
 
 (* The sum/max/moment kernels run on per-domain arenas and write results
@@ -763,7 +757,6 @@ let () =
           tc "max dominated" `Quick clark_max_dominated;
           tc "max consts" `Quick clark_max_consts;
           clark_matches_grid_max;
-          tc "of_dist" `Quick of_dist_roundtrip;
         ] );
       ( "chain",
         [

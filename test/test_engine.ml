@@ -222,7 +222,7 @@ let eval_bits_equal name (a : Makespan.Engine.evaluation) (b : Makespan.Engine.e
   dist_bits_equal (name ^ " makespan") a.Makespan.Engine.makespan b.Makespan.Engine.makespan;
   slack_bits_equal name a.Makespan.Engine.slack b.Makespan.Engine.slack
 
-(* The tentpole property: a session's [reevaluate] must agree BITWISE
+(* The tentpole property: a session's [reevaluate_any] must agree BITWISE
    with a fresh full [analyze] of the patched schedule, over a long
    random walk of committed single moves — including moves that grow or
    shrink the disjunctive graph, explicit no-op (same proc, same
@@ -254,7 +254,9 @@ let reevaluate_walk backend steps () =
     (* probe without committing, then verify the session still serves
        the base schedule's bits *)
     if step mod 7 = 0 then begin
-      let probe = Makespan.Engine.reevaluate_move ~commit:false session m in
+      let probe =
+        Makespan.Engine.reevaluate_any ~commit:false session (Sched.Neighbor.Reassign m)
+      in
       eval_bits_equal
         (Printf.sprintf "step %d probe" step)
         (Makespan.Engine.analyze ~backend engine (Sched.Neighbor.apply !sched m))
@@ -264,7 +266,7 @@ let reevaluate_walk backend steps () =
         (Makespan.Engine.analyze ~backend engine !sched)
         (Makespan.Engine.session_evaluation session)
     end;
-    let ev = Makespan.Engine.reevaluate_move session m in
+    let ev = Makespan.Engine.reevaluate_any session (Sched.Neighbor.Reassign m) in
     sched := Sched.Neighbor.apply !sched m;
     eval_bits_equal
       (Printf.sprintf "step %d (%d->p%d)" step m.Sched.Neighbor.task m.Sched.Neighbor.to_)
@@ -289,36 +291,13 @@ let cutoff_forces_full_fallback () =
   let session = Makespan.Engine.start_session engine s1 in
   let rng = Tutil.rng_of_seed 19 in
   let m = Sched.Neighbor.random ~rng s1 in
-  let ev = Makespan.Engine.reevaluate_move ~max_cone:0 session m in
+  let ev = Makespan.Engine.reevaluate_any ~max_cone:0 session (Sched.Neighbor.Reassign m) in
   eval_bits_equal "cutoff fallback bits"
     (Makespan.Engine.analyze engine (Sched.Neighbor.apply s1 m))
     ev;
   let st = Makespan.Engine.stats engine in
   Alcotest.(check int) "counted as full" 1 st.Makespan.Engine.reeval_full;
   Alcotest.(check int) "not counted as incremental" 0 st.Makespan.Engine.reeval_incremental
-
-let reset_stats_clears_reeval_counters () =
-  let graph, platform, s1, _ = fixture () in
-  let engine = engine_of (graph, platform) in
-  let session = Makespan.Engine.start_session engine s1 in
-  let rng = Tutil.rng_of_seed 23 in
-  ignore (Makespan.Engine.reevaluate_move ~commit:false session (Sched.Neighbor.random ~rng s1));
-  ignore
-    (Makespan.Engine.reevaluate_move ~commit:false ~max_cone:0 session
-       (Sched.Neighbor.random ~rng s1));
-  let st = Makespan.Engine.stats engine in
-  Alcotest.(check bool) "reevals counted before reset" true (st.Makespan.Engine.reevals = 2);
-  Alcotest.(check bool) "cone nodes accumulated" true
-    (st.Makespan.Engine.reeval_cone_nodes > 0 || st.Makespan.Engine.reeval_incremental = 0);
-  Makespan.Engine.reset_stats engine;
-  let st = Makespan.Engine.stats engine in
-  Alcotest.(check int) "reevals cleared" 0 st.Makespan.Engine.reevals;
-  Alcotest.(check int) "incremental cleared" 0 st.Makespan.Engine.reeval_incremental;
-  Alcotest.(check int) "full cleared" 0 st.Makespan.Engine.reeval_full;
-  Alcotest.(check int) "cone nodes cleared" 0 st.Makespan.Engine.reeval_cone_nodes;
-  Alcotest.(check int) "max cone cleared" 0 st.Makespan.Engine.reeval_max_cone;
-  Alcotest.(check (pair int int)) "session memo counts cleared" (0, 0)
-    (st.Makespan.Engine.reeval_sum_hits, st.Makespan.Engine.reeval_sum_misses)
 
 (* [accept] against a model: any interleaving of rejected probes,
    accepted probes, committing re-evaluations, reassigns and swaps
@@ -435,14 +414,17 @@ let session_sum_counts () =
       match Sched.Neighbor.random_swap ~rng base with
       | Some s when Prng.Xoshiro.int rng 4 = 0 ->
         incr probes;
-        ignore (Makespan.Engine.reevaluate_swap ~commit:false ~max_cone:30 session
-                  ~a:s.Sched.Neighbor.a ~b:s.Sched.Neighbor.b);
+        ignore
+          (Makespan.Engine.reevaluate_any ~commit:false ~max_cone:30 session
+             (Sched.Neighbor.Swap s));
         if !probes mod 4 = 0 then Makespan.Engine.accept session
       | _ ->
         let m = Sched.Neighbor.random ~rng base in
         if not (Sched.Neighbor.is_noop base m) then begin
           incr probes;
-          ignore (Makespan.Engine.reevaluate_move ~commit:false ~max_cone:30 session m);
+          ignore
+            (Makespan.Engine.reevaluate_any ~commit:false ~max_cone:30 session
+               (Sched.Neighbor.Reassign m));
           if !probes mod 4 = 0 then Makespan.Engine.accept session
         end
     done;
@@ -468,8 +450,9 @@ let reeval_allocation_bound () =
   let exits = Dag.Graph.exits graph in
   let moved = exits.(Array.length exits - 1) in
   let to_ = (sched.Sched.Schedule.proc_of.(moved) + 1) mod 8 in
+  let move = Sched.Neighbor.Reassign (Sched.Neighbor.make ~task:moved ~to_ ()) in
   (* warm both paths (duration/comm caches, scratch growth) *)
-  ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_);
+  ignore (Makespan.Engine.reevaluate_any ~commit:false session move);
   ignore (Makespan.Engine.analyze engine sched);
   let iters = 5 in
   let words_of f =
@@ -481,7 +464,7 @@ let reeval_allocation_bound () =
   in
   let reeval_words =
     words_of (fun () ->
-        ignore (Makespan.Engine.reevaluate ~commit:false session ~moved ~to_))
+        ignore (Makespan.Engine.reevaluate_any ~commit:false session move))
   in
   let full_words = words_of (fun () -> ignore (Makespan.Engine.analyze engine sched)) in
   Alcotest.(check bool) "probe served incrementally" true
@@ -586,11 +569,13 @@ let gauss_elim_arrival_hits_pinned () =
   ignore (Makespan.Engine.analyze engine heft);
   let first = arrival_counts engine in
   Alcotest.(check (pair int int)) "HEFT on ge104" (66, 115) first;
-  Makespan.Engine.reset_stats engine;
   ignore (Makespan.Engine.analyze engine heft);
-  Alcotest.(check (pair int int)) "counts repeat exactly" first (arrival_counts engine);
-  Makespan.Engine.reset_stats engine;
-  Alcotest.(check (pair int int)) "reset_stats zeroes them" (0, 0) (arrival_counts engine)
+  Alcotest.(check (pair int int)) "a second sweep adds the same counts" (132, 230)
+    (arrival_counts engine);
+  let fresh = Makespan.Engine.create ~graph ~platform ~model:inst.C.model in
+  Alcotest.(check (pair int int)) "a fresh engine starts at zero" (0, 0) (arrival_counts fresh);
+  ignore (Makespan.Engine.analyze fresh heft);
+  Alcotest.(check (pair int int)) "counts repeat exactly" first (arrival_counts fresh)
 
 (* Scratch lives under one module-level DLS key: dropped engines must
    leave nothing reachable. With a key per engine, every engine's last
@@ -724,8 +709,6 @@ let () =
           Alcotest.test_case "session memo counts pinned" `Quick session_sum_counts;
           Alcotest.test_case "cone cutoff falls back bitwise" `Quick
             cutoff_forces_full_fallback;
-          Alcotest.test_case "reset_stats clears reeval counters" `Quick
-            reset_stats_clears_reeval_counters;
           Alcotest.test_case "1-move reeval allocation bound" `Slow
             reeval_allocation_bound;
         ] );

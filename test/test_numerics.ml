@@ -23,15 +23,6 @@ let next_pow2_values () =
       Alcotest.(check int) (string_of_int n) want (Numerics.Array_ops.next_pow2 n))
     [ (0, 1); (1, 1); (2, 2); (3, 4); (4, 4); (5, 8); (1000, 1024); (1024, 1024) ]
 
-let argmax_max_min () =
-  let a = [| 3.; -1.; 7.; 7.; 0. |] in
-  Alcotest.(check int) "argmax first" 2 (Numerics.Array_ops.argmax a);
-  check_close "max" 7. (Numerics.Array_ops.max_elt a);
-  check_close "min" (-1.) (Numerics.Array_ops.min_elt a)
-
-let dot_product () =
-  check_close "dot" 32. (Numerics.Array_ops.dot [| 1.; 2.; 3. |] [| 4.; 5.; 6. |])
-
 (* --- FFT --- *)
 
 let fft_matches_naive =
@@ -885,8 +876,6 @@ let () =
           tc "linspace" `Quick linspace_endpoints;
           tc "kahan sum" `Quick kahan_sum_precision;
           tc "next_pow2" `Quick next_pow2_values;
-          tc "argmax/max/min" `Quick argmax_max_min;
-          tc "dot" `Quick dot_product;
         ] );
       ( "fft",
         [

@@ -422,15 +422,18 @@ let engine_counts_per_backend () =
   Alcotest.(check int) "montecarlo" 1 s.Makespan.Engine.evals_montecarlo;
   Alcotest.(check int) "dodin" 0 s.Makespan.Engine.evals_dodin;
   Alcotest.(check int) "total" 4 s.Makespan.Engine.evals;
-  Makespan.Engine.reset_stats engine;
-  let z = Makespan.Engine.stats engine in
-  Alcotest.(check int) "evals zeroed" 0 z.Makespan.Engine.evals;
-  Alcotest.(check int) "hits zeroed" 0 z.Makespan.Engine.task_hits;
-  Alcotest.(check int) "misses zeroed" 0 z.Makespan.Engine.task_misses;
-  (* counters keep working after a reset *)
-  eval Makespan.Engine.Classical;
-  Alcotest.(check int) "counts resume" 1
-    (Makespan.Engine.stats engine).Makespan.Engine.evals_classical
+  (* counters are per engine: a fresh engine of the same case starts at
+     zero and counts only its own evaluations *)
+  let fresh, _ = small_engine () in
+  let z = Makespan.Engine.stats fresh in
+  Alcotest.(check int) "fresh evals" 0 z.Makespan.Engine.evals;
+  Alcotest.(check int) "fresh hits" 0 z.Makespan.Engine.task_hits;
+  Alcotest.(check int) "fresh misses" 0 z.Makespan.Engine.task_misses;
+  ignore (Makespan.Engine.eval fresh sched);
+  Alcotest.(check int) "fresh engine counts its own" 1
+    (Makespan.Engine.stats fresh).Makespan.Engine.evals_classical;
+  Alcotest.(check int) "first engine unchanged" 4
+    (Makespan.Engine.stats engine).Makespan.Engine.evals
 
 (* The arrival-memo counters mirror [Engine.stats] when metrics are on
    and stay untouched when they are off. One processor makes every data
@@ -452,14 +455,14 @@ let engine_arrival_counters_mirror_stats () =
   with_flags ~metrics:false ~spans:false ~progress:false (fun () ->
       ignore (Makespan.Engine.eval engine sched);
       Alcotest.(check (pair int int)) "off: untouched" (0, 0) (counters ()));
-  Makespan.Engine.reset_stats engine;
+  let before = Makespan.Engine.stats engine in
   with_flags ~metrics:true ~spans:false ~progress:false (fun () ->
       ignore (Makespan.Engine.eval engine sched);
       let st = Makespan.Engine.stats engine in
-      Alcotest.(check bool) "fork arrivals reused" true (st.Makespan.Engine.arrival_hits > 0);
-      Alcotest.(check (pair int int)) "on: mirrors stats"
-        (st.Makespan.Engine.arrival_hits, st.Makespan.Engine.arrival_misses)
-        (counters ()))
+      let hits = st.Makespan.Engine.arrival_hits - before.Makespan.Engine.arrival_hits
+      and misses = st.Makespan.Engine.arrival_misses - before.Makespan.Engine.arrival_misses in
+      Alcotest.(check bool) "fork arrivals reused" true (hits > 0);
+      Alcotest.(check (pair int int)) "on: mirrors stats" (hits, misses) (counters ()))
 
 (* Same contract for the session memo's counters, on a walk of probes
    with every other one accepted. *)
@@ -481,22 +484,23 @@ let engine_session_sum_counters_mirror_stats () =
     let session = Makespan.Engine.start_session engine sched in
     for i = 1 to 30 do
       let m = Sched.Neighbor.random ~rng (Makespan.Engine.session_schedule session) in
-      ignore (Makespan.Engine.reevaluate_move ~commit:false session m);
+      ignore (Makespan.Engine.reevaluate_any ~commit:false session (Sched.Neighbor.Reassign m));
       if i mod 2 = 0 then Makespan.Engine.accept session
     done
   in
   with_flags ~metrics:false ~spans:false ~progress:false (fun () ->
       walk ();
       Alcotest.(check (pair int int)) "off: untouched" (0, 0) (counters ()));
-  Makespan.Engine.reset_stats engine;
+  let before = Makespan.Engine.stats engine in
   with_flags ~metrics:true ~spans:false ~progress:false (fun () ->
       walk ();
       let st = Makespan.Engine.stats engine in
-      Alcotest.(check bool) "replays computed sums" true
-        (st.Makespan.Engine.reeval_sum_misses > 0);
-      Alcotest.(check (pair int int)) "on: mirrors stats"
-        (st.Makespan.Engine.reeval_sum_hits, st.Makespan.Engine.reeval_sum_misses)
-        (counters ()))
+      let hits = st.Makespan.Engine.reeval_sum_hits - before.Makespan.Engine.reeval_sum_hits
+      and misses =
+        st.Makespan.Engine.reeval_sum_misses - before.Makespan.Engine.reeval_sum_misses
+      in
+      Alcotest.(check bool) "replays computed sums" true (misses > 0);
+      Alcotest.(check (pair int int)) "on: mirrors stats" (hits, misses) (counters ()))
 
 let engine_output_independent_of_sinks () =
   let engine, sched = small_engine () in

@@ -108,11 +108,6 @@ let uniform_moments () =
   check_close ~eps:0.02 "mean" 4. mean;
   check_close ~eps:0.05 "var" (16. /. 12.) var
 
-let exponential_moments () =
-  let mean, var = sample_moments ~n:100000 (fun r -> Prng.Sampler.exponential r ~rate:2.) in
-  check_close ~eps:0.03 "mean" 0.5 mean;
-  check_close ~eps:0.05 "var" 0.25 var
-
 let normal_moments () =
   let mean, var =
     sample_moments ~n:100000 (fun r -> Prng.Sampler.normal r ~mean:3. ~std:2.)
@@ -182,17 +177,6 @@ let shuffle_moves_elements () =
   done;
   Alcotest.(check bool) "position 0 varied" true (Hashtbl.length seen > 4)
 
-let choose_uniformish () =
-  let rng = Prng.Xoshiro.create 8L in
-  let counts = Array.make 4 0 in
-  for _ = 1 to 40000 do
-    let v = Prng.Sampler.choose rng [| 0; 1; 2; 3 |] in
-    counts.(v) <- counts.(v) + 1
-  done;
-  Array.iter
-    (fun c -> Alcotest.(check bool) "near uniform" true (abs (c - 10000) < 1000))
-    counts
-
 let invalid_args () =
   let rng = Prng.Xoshiro.create 1L in
   let expect_invalid name f =
@@ -201,12 +185,10 @@ let invalid_args () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
   expect_invalid "uniform" (fun () -> Prng.Sampler.uniform rng ~lo:2. ~hi:1.);
-  expect_invalid "exponential" (fun () -> Prng.Sampler.exponential rng ~rate:0.);
   expect_invalid "normal" (fun () -> Prng.Sampler.normal rng ~mean:0. ~std:(-1.));
   expect_invalid "gamma shape" (fun () -> Prng.Sampler.gamma rng ~shape:0. ~scale:1.);
   expect_invalid "gamma scale" (fun () -> Prng.Sampler.gamma rng ~shape:1. ~scale:0.);
   expect_invalid "beta" (fun () -> Prng.Sampler.beta rng ~alpha:0. ~beta:1.);
-  expect_invalid "choose" (fun () -> Prng.Sampler.choose rng [||]);
   ignore (check_close_abs, ())
 
 let () =
@@ -233,7 +215,6 @@ let () =
       ( "samplers",
         [
           tc "uniform moments" `Quick uniform_moments;
-          tc "exponential moments" `Quick exponential_moments;
           tc "normal moments" `Quick normal_moments;
           tc "gamma moments" `Quick gamma_moments;
           tc "beta moments" `Quick beta_moments;
@@ -242,7 +223,6 @@ let () =
           tc "gamma_mean_cv degenerate" `Quick gamma_mean_cv_degenerate;
           shuffle_is_permutation;
           tc "shuffle moves" `Quick shuffle_moves_elements;
-          tc "choose uniform" `Quick choose_uniformish;
           tc "invalid args" `Quick invalid_args;
         ] );
     ]

@@ -176,7 +176,8 @@ let swap_reevaluate_walk () =
       incr swaps;
       let sched' = Sched.Schedule.swap !sched ~a ~b in
       (* probe, then verify the base schedule's bits still served *)
-      let probe = Makespan.Engine.reevaluate_swap ~commit:false session ~a ~b in
+      let swap = Sched.Neighbor.Swap { a; b } in
+      let probe = Makespan.Engine.reevaluate_any ~commit:false session swap in
       eval_bits_equal
         (Printf.sprintf "step %d probe" step)
         (Makespan.Engine.analyze engine sched')
@@ -187,7 +188,7 @@ let swap_reevaluate_walk () =
         (Makespan.Engine.session_evaluation session);
       (* commit every third feasible swap *)
       if !swaps mod 3 = 0 then begin
-        let ev = Makespan.Engine.reevaluate_swap session ~a ~b in
+        let ev = Makespan.Engine.reevaluate_any session swap in
         sched := sched';
         eval_bits_equal (Printf.sprintf "step %d commit" step)
           (Makespan.Engine.analyze engine !sched)
@@ -206,15 +207,16 @@ let deadlocking_swap_leaves_session_intact () =
   (* a pending probe (the no-op reinsertion of the last task) that the
      raising swap below must drop *)
   ignore
-    (Makespan.Engine.reevaluate ~commit:false ~at:3 session ~moved:3
-       ~to_:sched.Sched.Schedule.proc_of.(3));
+    (Makespan.Engine.reevaluate_any ~commit:false session
+       (Sched.Neighbor.Reassign
+          (Sched.Neighbor.make ~at:3 ~task:3 ~to_:sched.Sched.Schedule.proc_of.(3) ())));
   let before = Makespan.Engine.stats engine in
   (* task 1 depends on task 0 and both sit on the single processor, so
      the exchange reverses a dependency *)
   Alcotest.(check bool) "apply_swap_opt rejects" true
     (Sched.Neighbor.apply_swap_opt sched { Sched.Neighbor.a = 0; b = 1 } = None);
   (try
-     ignore (Makespan.Engine.reevaluate_swap session ~a:0 ~b:1);
+     ignore (Makespan.Engine.reevaluate_any session (Sched.Neighbor.Swap { a = 0; b = 1 }));
      Alcotest.fail "deadlocking swap accepted"
    with Invalid_argument _ -> ());
   let after = Makespan.Engine.stats engine in
@@ -240,14 +242,16 @@ let fallback_counters_split () =
   let session = Makespan.Engine.start_session engine init in
   let rng = Tutil.rng_of_seed 19 in
   let m = Sched.Neighbor.random ~rng init in
-  ignore (Makespan.Engine.reevaluate_move ~commit:false ~max_cone:0 session m);
+  ignore
+    (Makespan.Engine.reevaluate_any ~commit:false ~max_cone:0 session
+       (Sched.Neighbor.Reassign m));
   let st = Makespan.Engine.stats engine in
   Alcotest.(check int) "cone overflow under full_cone" 1 st.Makespan.Engine.reeval_full_cone;
   Alcotest.(check int) "no backend fallback yet" 0 st.Makespan.Engine.reeval_full_backend;
   (* a non-incremental backend falls back regardless of cone size *)
   let dodin = Makespan.Engine.start_session ~backend:Makespan.Engine.Dodin engine init in
   let m2 = Sched.Neighbor.random ~rng init in
-  ignore (Makespan.Engine.reevaluate_move ~commit:false dodin m2);
+  ignore (Makespan.Engine.reevaluate_any ~commit:false dodin (Sched.Neighbor.Reassign m2));
   let st = Makespan.Engine.stats engine in
   Alcotest.(check int) "backend fallback under full_backend" 1
     st.Makespan.Engine.reeval_full_backend;

@@ -302,6 +302,26 @@ let proto_inline_key_stable () =
 
 (* --- Server ------------------------------------------------------ *)
 
+(* Engine counters live only in the process-wide Obs registry (which
+   [Server.start] turns on); tests read them as deltas across a request. *)
+let obs_counter name =
+  Option.value ~default:0 (Obs.Metrics.find_counter (Obs.Metrics.snapshot ()) name)
+
+(* The [_total] samples of an OpenMetrics exposition, keyed by series
+   (name and labels). *)
+let om_totals body =
+  List.filter_map
+    (fun line ->
+      match String.rindex_opt line ' ' with
+      | Some i when line.[0] <> '#' ->
+        let series = String.sub line 0 i in
+        let value = String.sub line (i + 1) (String.length line - i - 1) in
+        let name = List.hd (String.split_on_char '{' series) in
+        if String.ends_with ~suffix:"_total" name then Some (series, float_of_string value)
+        else None
+      | _ -> None)
+    (String.split_on_char '\n' body)
+
 let with_server ?(config = Server.default_config) f =
   let t = Server.start config in
   Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f t)
@@ -365,6 +385,10 @@ let server_batches_same_key_jobs () =
           let id1 = match Client.submit c j1 with Ok id -> id | Error e -> Alcotest.fail e in
           let id2 = match Client.submit c j2 with Ok id -> id | Error e -> Alcotest.fail e in
           Alcotest.(check int) "both queued" 2 (Server.stats t).Server.queue_depth;
+          let engine_counts () =
+            List.map obs_counter [ "engine.task_hits"; "engine.arrival_misses" ]
+          in
+          let before = engine_counts () in
           let processed = Server.step t in
           Alcotest.(check int) "one step ran both" 2 processed;
           let s = Server.stats t in
@@ -372,9 +396,11 @@ let server_batches_same_key_jobs () =
           Alcotest.(check int) "batch of two" 2 s.Server.max_batch;
           Alcotest.(check int) "one engine" 1 s.Server.engines_created;
           Alcotest.(check int) "both done" 2 s.Server.jobs_done;
-          Alcotest.(check bool) "shared caches hit" true (s.Server.engine_task_hits > 0);
-          Alcotest.(check bool) "arrival sums counted" true
-            (s.Server.engine_arrival_misses > 0);
+          (match List.map2 ( - ) (engine_counts ()) before with
+          | [ task_hits; arrival_misses ] ->
+            Alcotest.(check bool) "shared caches hit" true (task_hits > 0);
+            Alcotest.(check bool) "arrival sums counted" true (arrival_misses > 0)
+          | _ -> assert false);
           (* batching must not change response bytes *)
           List.iter
             (fun (id, job) ->
@@ -569,6 +595,12 @@ let server_rejects_invalid_requests () =
               (fun key ->
                 Alcotest.(check bool) (key ^ " in metrics json") true
                   (contains ~needle:(Printf.sprintf "\"%s\"" key) resp.Http.body))
+              [ "engine.task_hits"; "engine.arrival_hits"; "engine.arrival_misses" ];
+            (* engine counters appear once, in the obs snapshot *)
+            List.iter
+              (fun key ->
+                Alcotest.(check bool) (key ^ " not a service key") false
+                  (contains ~needle:(Printf.sprintf "\"%s\"" key) resp.Http.body))
               [ "engine_task_hits"; "engine_arrival_hits"; "engine_arrival_misses" ]
           | Error e -> Alcotest.fail (Http.error_to_string e)))
 
@@ -664,6 +696,7 @@ let server_propagates_trace () =
 let server_exposes_openmetrics () =
   with_server (fun t ->
       with_client t (fun c ->
+          let evals_before = obs_counter "engine.evals.classical" in
           (match Client.eval c (named_job ()) with
           | Ok _ -> ()
           | Error e -> Alcotest.fail e);
@@ -686,16 +719,33 @@ let server_exposes_openmetrics () =
                 "service_requests_total";
                 "service_jobs_done_total";
                 "service_rejected_draining_total";
-                "service_engine_reevals_total";
-                "service_engine_reeval_max_cone";
-                "service_engine_arrival_hits_total";
-                "service_engine_arrival_misses_total";
+                "engine_task_hits_total";
+                "engine_reeval_incremental_total";
+                "engine_reeval_full_total";
+                "engine_arrival_hits_total";
+                "engine_arrival_misses_total";
                 "service_request_seconds_bucket";
                 "service_stage_seconds_bucket{stage=\"eval\",shard=\"0\"";
                 "service_shard_jobs_total{shard=\"0\"";
                 "service_queue_depth{shard=\"0\"";
                 "# EOF";
-              ]
+              ];
+            (* engine counters appear once, under engine_*, and count
+               the request just served *)
+            Alcotest.(check bool) "no service_engine_ family" false
+              (contains ~needle:"service_engine_" resp.Http.body);
+            List.iter
+              (fun family ->
+                let typ = Printf.sprintf "# TYPE %s counter" family in
+                let lines = String.split_on_char '\n' resp.Http.body in
+                let n = List.length (List.filter (String.equal typ) lines) in
+                Alcotest.(check int) (family ^ " declared once") 1 n)
+              [ "engine_task_hits"; "engine_arrival_hits"; "engine_reeval_full" ];
+            (match List.assoc_opt "engine_evals_classical_total" (om_totals resp.Http.body) with
+            | Some v ->
+              Alcotest.(check bool) "the served job's evaluations counted" true
+                (v >= float_of_int (evals_before + 1))
+            | None -> Alcotest.fail "engine_evals_classical_total missing")
           | Error e -> Alcotest.fail (Http.error_to_string e));
           (* Accept-header negotiation selects the same representation *)
           (match
@@ -715,7 +765,7 @@ let server_exposes_openmetrics () =
           | Error e -> Alcotest.fail (Http.error_to_string e)))
 
 (* Serving a neighbor job must route through engine sessions: the
-   always-on stats expose the reevaluation counters. *)
+   engine's Obs counters count one re-evaluation per neighbor row. *)
 let server_counts_neighbor_reevals () =
   with_server (fun t ->
       with_client t (fun c ->
@@ -737,17 +787,63 @@ let server_counts_neighbor_reevals () =
                 ];
             }
           in
+          let counts () =
+            List.map obs_counter
+              [
+                "engine.reeval_incremental";
+                "engine.reeval_full";
+                "engine.reeval_full_cone";
+                "engine.reeval_full_backend";
+                "engine.reeval_cone_nodes";
+              ]
+          in
+          let before = counts () in
           (match Client.eval c job with
           | Ok _ -> ()
           | Error e -> Alcotest.fail e);
-          let s = Server.stats t in
-          Alcotest.(check bool) "reevals counted" true (s.Server.engine_reevals >= 2);
-          Alcotest.(check int) "every reeval is incremental or full"
-            s.Server.engine_reevals
-            (s.Server.engine_reeval_incremental + s.Server.engine_reeval_full);
-          Alcotest.(check bool) "cone stats coherent" true
-            (s.Server.engine_reeval_cone_nodes >= 0
-            && s.Server.engine_reeval_max_cone >= 0)))
+          match List.map2 ( - ) (counts ()) before with
+          | [ incremental; full; full_cone; full_backend; cone_nodes ] ->
+            Alcotest.(check int) "one re-evaluation per neighbor, incremental or full" 2
+              (incremental + full);
+            Alcotest.(check int) "full = cone + backend fallbacks" full
+              (full_cone + full_backend);
+            Alcotest.(check bool) "cone stats coherent" true (cone_nodes >= incremental)
+          | _ -> assert false))
+
+(* Counters never fall. With a one-engine LRU, the second key evicts the
+   first key's engine; every [_total] sample of the exposition must
+   still be at least what it was before. *)
+let server_totals_survive_eviction () =
+  let config = { Server.default_config with Server.auto_worker = false; engine_cache = 1 } in
+  with_server ~config (fun t ->
+      with_client t (fun c ->
+          let scrape () =
+            match Client.get c "/metrics?format=openmetrics" with
+            | Ok resp -> om_totals resp.Http.body
+            | Error e -> Alcotest.fail (Http.error_to_string e)
+          in
+          let run seed schedules =
+            (match Client.submit c (named_job ~seed ~schedules ()) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e);
+            Alcotest.(check int) "one job stepped" 1 (Server.step t);
+            scrape ()
+          in
+          (* the first key evaluates more schedules than the second, so a
+             sum over the cached engines would fall *)
+          let first = run 1L [ Proto.Heuristic "HEFT"; Proto.Random { count = 8; seed = 3L } ] in
+          let second = run 2L [ Proto.Heuristic "HEFT" ] in
+          Alcotest.(check int) "the second key evicted the first" 2
+            (Server.stats t).Server.engines_created;
+          Alcotest.(check bool) "engine hits exposed" true
+            (List.mem_assoc "engine_task_hits_total" second);
+          List.iter
+            (fun (series, v1) ->
+              match List.assoc_opt series second with
+              | Some v2 ->
+                if v2 < v1 then Alcotest.failf "%s fell from %g to %g" series v1 v2
+              | None -> ())
+            first))
 
 let proto_trace_field_roundtrip () =
   let tid = (Obs.Trace.mint ()).Obs.Trace.trace_id in
@@ -849,6 +945,7 @@ let () =
           tc "trace propagation end to end" `Quick server_propagates_trace;
           tc "openmetrics exposition" `Quick server_exposes_openmetrics;
           tc "neighbor jobs count reevals" `Quick server_counts_neighbor_reevals;
+          tc "totals survive eviction" `Quick server_totals_survive_eviction;
         ] );
       ( "stop",
         [
