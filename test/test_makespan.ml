@@ -168,6 +168,51 @@ let quantile_sampling_matches_support =
       let x2 = Workloads.Stochastify.sample_quantile model ~u:u2 w in
       x1 >= w && x1 <= w *. 1.4 && (u1 <= u2) = (x1 <= x2))
 
+(* golden/montecarlo__*.txt hold the %h bits of 2 000 realizations of
+   each case's HEFT schedule, written at commit a16899b, when every
+   realization went through closures and an edge Hashtbl. They must
+   replay on pools of 1 and 2 domains. random30's file also holds 96
+   antithetic realizations in chunks of 32: a quantile draw inverts the
+   Beta CDF and costs about 100 plain draws. *)
+let mc_golden_cases =
+  let module C = Experiments.Case in
+  [
+    ("random30", C.make ~kind:C.Random_graph ~n_target:30 ~n_procs:8 ~ul:1.1 ~seed:1L ());
+    ("chol10", C.make ~kind:C.Cholesky ~n_target:10 ~n_procs:3 ~ul:1.1 ~seed:1L ());
+    ("ge104", C.make ~kind:C.Gauss_elim ~n_target:104 ~n_procs:16 ~ul:1.1 ~seed:1L ());
+  ]
+
+let render_mc_golden pool cname case =
+  let inst = Experiments.Case.instantiate case in
+  let platform = inst.Experiments.Case.platform in
+  let sched = Sched.Heft.schedule inst.Experiments.Case.graph platform in
+  let section antithetic =
+    let count, chunk_size = if antithetic then (96, 32) else (2000, 256) in
+    let xs =
+      Makespan.Montecarlo.realizations ~pool ~chunk_size ~antithetic
+        ~rng:(Prng.Xoshiro.create 11L) ~count sched platform inst.Experiments.Case.model
+    in
+    (if antithetic then "# antithetic\n" else "# plain\n")
+    ^ String.concat "" (Array.to_list (Array.map (Printf.sprintf "%h\n") xs))
+  in
+  section false ^ if cname = "random30" then section true else ""
+
+let montecarlo_golden () =
+  List.iter
+    (fun domains ->
+      Tutil.with_pool domains (fun pool ->
+          List.iter
+            (fun (cname, case) ->
+              let label = "montecarlo__" ^ cname in
+              let expected =
+                Tutil.read_file (Filename.concat (Tutil.golden_dir ()) (label ^ ".txt"))
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s on %d domains" label domains)
+                expected (render_mc_golden pool cname case))
+            mc_golden_cases))
+    [ 1; 2 ]
+
 (* --- Spelde --- *)
 
 let spelde_chain_exact_moments () =
@@ -334,6 +379,7 @@ let () =
           tc "antithetic marginals" `Quick antithetic_preserves_distribution;
           tc "antithetic variance" `Quick antithetic_reduces_estimator_variance;
           quantile_sampling_matches_support;
+          tc "golden realizations" `Quick montecarlo_golden;
         ] );
       ( "spelde",
         [ tc "chain exact" `Quick spelde_chain_exact_moments; spelde_close_to_classic ] );

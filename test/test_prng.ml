@@ -90,6 +90,41 @@ let xoshiro_float_pos_never_zero () =
     Alcotest.(check bool) "positive" true (Prng.Xoshiro.next_float_pos a > 0.)
   done
 
+(* golden/xoshiro.txt holds, for seeds 0, 42 and -1, eight outputs of
+   each entry point: [next] from the seed, after one [jump], from a
+   [split] child and its parent, then [next_float], [next_float_pos] and
+   [int 7]. It was written at commit a16899b, when the state was four
+   boxed int64 fields; every later representation must replay it. *)
+let render_xoshiro_golden () =
+  let b = Buffer.create 4096 in
+  let line label draw =
+    Buffer.add_string b label;
+    for _ = 1 to 8 do
+      Buffer.add_char b ' ';
+      Buffer.add_string b (draw ())
+    done;
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun seed ->
+      let t = Prng.Xoshiro.create seed in
+      let bits t () = Printf.sprintf "%016Lx" (Prng.Xoshiro.next t) in
+      line (Printf.sprintf "seed %Ld next" seed) (bits t);
+      Prng.Xoshiro.jump t;
+      line "jump next" (bits t);
+      let child = Prng.Xoshiro.split t in
+      line "split child" (bits child);
+      line "split parent" (bits t);
+      line "next_float" (fun () -> Printf.sprintf "%h" (Prng.Xoshiro.next_float t));
+      line "next_float_pos" (fun () -> Printf.sprintf "%h" (Prng.Xoshiro.next_float_pos t));
+      line "int 7" (fun () -> string_of_int (Prng.Xoshiro.int t 7)))
+    [ 0L; 42L; -1L ];
+  Buffer.contents b
+
+let xoshiro_golden () =
+  let expected = Tutil.read_file (Filename.concat (Tutil.golden_dir ()) "xoshiro.txt") in
+  Alcotest.(check string) "xoshiro streams" expected (render_xoshiro_golden ())
+
 (* --- Samplers: moment checks over large samples --- *)
 
 let sample_moments ~n draw =
@@ -211,6 +246,7 @@ let () =
           tc "int rejects non-positive" `Quick xoshiro_int_rejects_nonpositive;
           tc "int uniformity" `Quick xoshiro_int_uniformity;
           tc "float pos" `Quick xoshiro_float_pos_never_zero;
+          tc "golden streams" `Quick xoshiro_golden;
         ] );
       ( "samplers",
         [
