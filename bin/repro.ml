@@ -454,6 +454,9 @@ let run_eval job emit =
     | Ok body -> print_string body
     | Error e ->
       prerr_endline ("repro eval: " ^ e);
+      Stdlib.exit 2
+    | exception exn ->
+      prerr_endline ("repro eval: " ^ Printexc.to_string exn);
       Stdlib.exit 1
 
 let eval_cmd =

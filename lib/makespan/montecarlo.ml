@@ -19,11 +19,8 @@ let realizations ?pool ?(chunk_size = 256) ?(antithetic = false) ~rng ~count sch
   let graph = sched.Sched.Schedule.graph in
   let proc_of = sched.Sched.Schedule.proc_of in
   let n = Dag.Graph.n_tasks graph in
-  (* Pre-resolve edges once; sampling and lookup then avoid the graph. *)
   let edges = Dag.Graph.edges graph in
   let n_edges = Array.length edges in
-  let edge_index = Hashtbl.create n_edges in
-  Array.iteri (fun i (u, v, _) -> Hashtbl.add edge_index (u, v) i) edges;
   let chunks = (count + chunk_size - 1) / chunk_size in
   (* one deterministic stream per chunk, independent of the domain count *)
   let streams = Array.init chunks (fun _ -> Prng.Xoshiro.split rng) in
@@ -33,31 +30,27 @@ let realizations ?pool ?(chunk_size = 256) ?(antithetic = false) ~rng ~count sch
       let chunk_rng = streams.(c) in
       let lo = c * chunk_size in
       let hi = Int.min count (lo + chunk_size) in
-      (* per-realization duration tables, reused across the chunk *)
-      let task_dur = Array.make n 0. in
-      let comm_dur = Array.make n_edges 0. in
-      let task_dur_fn v = task_dur.(v) in
-      let comm_dur_fn u v =
-        match Hashtbl.find_opt edge_index (u, v) with
-        | Some i -> comm_dur.(i)
-        | None -> invalid_arg "Montecarlo: comm on non-edge"
-      in
+      (* per-realization durations and times, reused across the chunk *)
+      let task_dur = Array.make n 0. and comm_dur = Array.make n_edges 0. in
+      let start = Array.make n 0. and finish = Array.make n 0. in
+      let replay () = Sched.Simulator.replay plan ~task_dur ~comm_dur ~start ~finish in
       if antithetic then begin
-        (* negatively correlated pairs through the quantile map *)
-        let task_u = Array.make n 0. in
-        let comm_u = Array.make n_edges 0. in
+        (* negatively correlated pairs through the quantile map: draw every
+           u first, then fill the durations from u and from 1 - u *)
+        let task_u = Array.make n 0. and comm_u = Array.make n_edges 0. in
         let fill_from_u flip =
-          let q u = if flip then 1. -. u else u in
           for v = 0 to n - 1 do
+            let u = if flip then 1. -. task_u.(v) else task_u.(v) in
             task_dur.(v) <-
-              Workloads.Stochastify.task_sample_quantile model ~u:(q task_u.(v)) platform
-                ~task:v ~proc:proc_of.(v)
+              Workloads.Stochastify.task_sample_quantile model ~u platform ~task:v
+                ~proc:proc_of.(v)
           done;
           for i = 0 to n_edges - 1 do
-            let u_, v_, volume = edges.(i) in
+            let src, dst, volume = edges.(i) in
+            let u = if flip then 1. -. comm_u.(i) else comm_u.(i) in
             comm_dur.(i) <-
-              Workloads.Stochastify.comm_sample_quantile model ~u:(q comm_u.(i)) platform
-                ~volume ~src:proc_of.(u_) ~dst:proc_of.(v_)
+              Workloads.Stochastify.comm_sample_quantile model ~u platform ~volume
+                ~src:proc_of.(src) ~dst:proc_of.(dst)
           done
         in
         let r = ref lo in
@@ -69,14 +62,10 @@ let realizations ?pool ?(chunk_size = 256) ?(antithetic = false) ~rng ~count sch
             comm_u.(i) <- Prng.Xoshiro.next_float chunk_rng
           done;
           fill_from_u false;
-          out.(!r) <-
-            (Sched.Simulator.run plan ~task_dur:task_dur_fn ~comm_dur:comm_dur_fn)
-              .Sched.Simulator.makespan;
+          out.(!r) <- replay ();
           if !r + 1 < hi then begin
             fill_from_u true;
-            out.(!r + 1) <-
-              (Sched.Simulator.run plan ~task_dur:task_dur_fn ~comm_dur:comm_dur_fn)
-                .Sched.Simulator.makespan
+            out.(!r + 1) <- replay ()
           end;
           r := !r + 2
         done
@@ -89,15 +78,12 @@ let realizations ?pool ?(chunk_size = 256) ?(antithetic = false) ~rng ~count sch
                 ~proc:proc_of.(v)
           done;
           for i = 0 to n_edges - 1 do
-            let u, v, volume = edges.(i) in
+            let src, dst, volume = edges.(i) in
             comm_dur.(i) <-
               Workloads.Stochastify.comm_sample model chunk_rng platform ~volume
-                ~src:proc_of.(u) ~dst:proc_of.(v)
+                ~src:proc_of.(src) ~dst:proc_of.(dst)
           done;
-          let times =
-            Sched.Simulator.run plan ~task_dur:task_dur_fn ~comm_dur:comm_dur_fn
-          in
-          out.(r) <- times.Sched.Simulator.makespan
+          out.(r) <- replay ()
         done)
   in
   if Obs.Span.enabled () then Obs.Span.with_ ~name:"montecarlo.run" run_chunks

@@ -1,32 +1,34 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four state words s0..s3 live unboxed in 32 bytes: a record of
+   mutable int64 fields would box a fresh int64 on every write. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_ne t (8 * i)
+let set t i x = Bytes.set_int64_ne t (8 * i) x
 
 let of_splitmix sm =
-  let s0 = Splitmix.next sm in
-  let s1 = Splitmix.next sm in
-  let s2 = Splitmix.next sm in
-  let s3 = Splitmix.next sm in
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (Splitmix.next sm)
+  done;
   (* An all-zero state is the single forbidden point of xoshiro; SplitMix64
      cannot emit four consecutive zeros, but guard anyway. *)
-  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1; s2; s3 }
-  else { s0; s1; s2; s3 }
+  if Bytes.for_all (fun c -> c = '\000') t then set t 0 1L;
+  t
 
 let create seed = of_splitmix (Splitmix.create seed)
-
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] next t =
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 1 (Int64.logxor s1 s2);
+  set t 2 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
 
 let next_float t =
@@ -53,25 +55,20 @@ let jump_table =
   [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
 let jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
+  let acc = Bytes.make 32 '\000' in
   Array.iter
     (fun word ->
       for b = 0 to 63 do
-        if Int64.logand word (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 t.s0;
-          s1 := Int64.logxor !s1 t.s1;
-          s2 := Int64.logxor !s2 t.s2;
-          s3 := Int64.logxor !s3 t.s3
-        end;
+        if Int64.logand word (Int64.shift_left 1L b) <> 0L then
+          for i = 0 to 3 do
+            set acc i (Int64.logxor (get acc i) (get t i))
+          done;
         ignore (next t)
       done)
     jump_table;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
+  Bytes.blit acc 0 t 0 32
 
 let split t =
-  let child = copy t in
+  let child = Bytes.copy t in
   jump t;
   child

@@ -1,6 +1,7 @@
 type plan = {
-  sched : Schedule.t;
-  topo : int array; (* execution order respecting DAG + processor order *)
+  order : int array; (* execution order respecting DAG + processor order *)
+  proc_pred : int array; (* -1 for the first task on its processor *)
+  preds : (int * int) array array; (* (pred, edge index), ascending pred *)
 }
 
 type times = {
@@ -12,17 +13,19 @@ type times = {
 let prepare sched =
   let graph = sched.Schedule.graph in
   let n = Dag.Graph.n_tasks graph in
-  let indeg = Array.init n (fun v -> Array.length (Dag.Graph.preds graph v)) in
-  Array.iteri
-    (fun v _ -> if Schedule.proc_pred sched v <> None then indeg.(v) <- indeg.(v) + 1)
-    indeg;
+  let proc_pred =
+    Array.init n (fun v -> Option.value (Schedule.proc_pred sched v) ~default:(-1))
+  in
+  let indeg =
+    Array.mapi (fun v q -> Array.length (Dag.Graph.preds graph v) + Bool.to_int (q >= 0)) proc_pred
+  in
   let queue = Queue.create () in
   Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
-  let topo = Array.make n (-1) in
+  let order = Array.make n (-1) in
   let filled = ref 0 in
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
-    topo.(!filled) <- v;
+    order.(!filled) <- v;
     incr filled;
     let release w =
       indeg.(w) <- indeg.(w) - 1;
@@ -32,63 +35,56 @@ let prepare sched =
     (match Schedule.proc_succ sched v with Some w -> release w | None -> ())
   done;
   assert (!filled = n) (* Schedule.make already rejected cyclic orders *);
-  { sched; topo }
+  (* edges come in (src, dst) order, so each task's list ends up sorted by
+     predecessor *)
+  let edges = Dag.Graph.edges graph in
+  let preds = Array.make n [] in
+  for i = Array.length edges - 1 downto 0 do
+    let u, v, _ = edges.(i) in
+    preds.(v) <- (u, i) :: preds.(v)
+  done;
+  { order; proc_pred; preds = Array.map Array.of_list preds }
 
-let run plan ~task_dur ~comm_dur =
-  let sched = plan.sched in
-  let graph = sched.Schedule.graph in
+let replay plan ~task_dur ~comm_dur ~start ~finish =
+  for i = 0 to Array.length plan.order - 1 do
+    let v = plan.order.(i) in
+    let q = plan.proc_pred.(v) in
+    let ready = ref (if q < 0 then 0. else finish.(q)) in
+    let preds = plan.preds.(v) in
+    for k = 0 to Array.length preds - 1 do
+      let p, e = preds.(k) in
+      let arrival = finish.(p) +. comm_dur.(e) in
+      if arrival > !ready then ready := arrival
+    done;
+    start.(v) <- !ready;
+    let d = task_dur.(v) in
+    if d < 0. then invalid_arg "Simulator.replay: negative duration";
+    finish.(v) <- !ready +. d
+  done;
+  let makespan = ref 0. in
+  for v = 0 to Array.length finish - 1 do
+    makespan := Float.max !makespan finish.(v)
+  done;
+  !makespan
+
+let times_of sched ~task_dur ~comm_dur =
+  let graph = sched.Schedule.graph and proc_of = sched.Schedule.proc_of in
   let n = Dag.Graph.n_tasks graph in
+  let task_dur = Array.init n (fun v -> task_dur ~task:v ~proc:proc_of.(v)) in
+  let comm_dur =
+    Array.map
+      (fun (u, v, volume) -> comm_dur ~volume ~src:proc_of.(u) ~dst:proc_of.(v))
+      (Dag.Graph.edges graph)
+  in
   let start = Array.make n 0. and finish = Array.make n 0. in
-  Array.iter
-    (fun v ->
-      let ready = ref 0. in
-      (match Schedule.proc_pred sched v with
-      | Some u -> ready := finish.(u)
-      | None -> ());
-      Array.iter
-        (fun (p, _) ->
-          let arrival = finish.(p) +. comm_dur p v in
-          if arrival > !ready then ready := arrival)
-        (Dag.Graph.preds graph v);
-      start.(v) <- !ready;
-      let d = task_dur v in
-      if d < 0. then invalid_arg "Simulator.run: negative duration";
-      finish.(v) <- !ready +. d)
-    plan.topo;
-  let makespan = Array.fold_left Float.max 0. finish in
+  let makespan = replay (prepare sched) ~task_dur ~comm_dur ~start ~finish in
   { start; finish; makespan }
 
-let comm_volume graph u v =
-  match Dag.Graph.volume graph ~src:u ~dst:v with
-  | Some vol -> vol
-  | None -> invalid_arg "Simulator: comm_dur queried on a non-edge"
-
 let deterministic sched platform =
-  let plan = prepare sched in
-  let graph = sched.Schedule.graph in
-  run plan
-    ~task_dur:(fun v -> Platform.etc platform ~task:v ~proc:sched.Schedule.proc_of.(v))
-    ~comm_dur:(fun u v ->
-      Platform.comm_time platform ~src:sched.Schedule.proc_of.(u)
-        ~dst:sched.Schedule.proc_of.(v) ~volume:(comm_volume graph u v))
+  times_of sched ~task_dur:(Platform.etc platform) ~comm_dur:(fun ~volume ~src ~dst ->
+      Platform.comm_time platform ~src ~dst ~volume)
 
 let mean_times sched platform model =
-  let plan = prepare sched in
-  let graph = sched.Schedule.graph in
-  run plan
-    ~task_dur:(fun v ->
-      Workloads.Stochastify.task_mean model platform ~task:v ~proc:sched.Schedule.proc_of.(v))
-    ~comm_dur:(fun u v ->
-      Workloads.Stochastify.comm_mean model platform ~volume:(comm_volume graph u v)
-        ~src:sched.Schedule.proc_of.(u) ~dst:sched.Schedule.proc_of.(v))
-
-let sampled sched platform model ~rng =
-  let plan = prepare sched in
-  let graph = sched.Schedule.graph in
-  run plan
-    ~task_dur:(fun v ->
-      Workloads.Stochastify.task_sample model rng platform ~task:v
-        ~proc:sched.Schedule.proc_of.(v))
-    ~comm_dur:(fun u v ->
-      Workloads.Stochastify.comm_sample model rng platform ~volume:(comm_volume graph u v)
-        ~src:sched.Schedule.proc_of.(u) ~dst:sched.Schedule.proc_of.(v))
+  times_of sched
+    ~task_dur:(Workloads.Stochastify.task_mean model platform)
+    ~comm_dur:(Workloads.Stochastify.comm_mean model platform)

@@ -1,11 +1,17 @@
 (** Eager execution of a schedule under arbitrary duration assignments.
 
-    One {!prepare}d plan (a topological order of the disjunctive
-    constraints) serves any number of {!run}s — deterministic weights,
-    mean weights, or the tens of thousands of sampled realizations of the
-    Monte-Carlo evaluator. *)
+    One {!prepare}d plan serves any number of {!replay}s: deterministic
+    weights, mean weights, or the tens of thousands of sampled
+    realizations of the Monte-Carlo evaluator. A replay reads durations
+    from flat arrays (one per task, one per edge in {!Dag.Graph.edges}
+    order) and writes caller-owned start/finish arrays, so a caller that
+    replays many realizations allocates nothing per realization. *)
 
 type plan
+(** The execution order implied by precedence plus processor order,
+    each task's processor predecessor, and each task's incoming data
+    edges as (predecessor, edge index) pairs in {!Dag.Graph.edges}
+    order — which is also ascending predecessor order. *)
 
 type times = {
   start : float array;
@@ -14,19 +20,26 @@ type times = {
 }
 
 val prepare : Schedule.t -> plan
-(** Precompute the execution order implied by precedence plus processor
-    order. *)
+(** Precompute the execution order and the per-task arrival sources. *)
 
-val run :
+val replay :
   plan ->
-  task_dur:(Dag.Graph.task -> float) ->
-  comm_dur:(Dag.Graph.task -> Dag.Graph.task -> float) ->
-  times
-(** [run plan ~task_dur ~comm_dur] computes eager start/finish times:
+  task_dur:float array ->
+  comm_dur:float array ->
+  start:float array ->
+  finish:float array ->
+  float
+(** [replay plan ~task_dur ~comm_dur ~start ~finish] computes eager
+    start/finish times into [start] and [finish] (length [n_tasks]) and
+    returns the makespan, the maximum finish time:
     [start t = max(finish (proc-predecessor t),
-                   max over DAG preds p (finish p + comm_dur p t))].
-    [comm_dur] receives every DAG edge (including co-located pairs, for
-    which it should return 0). Durations must be non-negative. *)
+                   max over DAG preds p (finish p + comm_dur.(e p t)))].
+    [task_dur.(t)] is task [t]'s duration; [comm_dur.(i)] is the
+    duration of the [i]-th edge of {!Dag.Graph.edges} (co-located pairs
+    included, for which it should be 0). The arrival fold starts from
+    the processor predecessor's finish (0 if none) and takes each data
+    arrival, in ascending predecessor order, only if strictly later.
+    Raises [Invalid_argument] on a negative task duration. *)
 
 val deterministic :
   Schedule.t -> Platform.t -> times
@@ -36,8 +49,3 @@ val deterministic :
 val mean_times : Schedule.t -> Platform.t -> Workloads.Stochastify.t -> times
 (** Times under the exact mean durations of the uncertainty model — the
     paper's approximation basis for the slack metrics. *)
-
-val sampled :
-  Schedule.t -> Platform.t -> Workloads.Stochastify.t -> rng:Prng.Xoshiro.t -> times
-(** One random realization (convenience wrapper; for repeated sampling,
-    {!prepare} once and call {!run} with sampling closures). *)

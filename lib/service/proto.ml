@@ -567,6 +567,25 @@ let neighbor_label ~base ~task ~to_ ~at =
   | None -> Printf.sprintf "neighbor:%s:%d:%d" base task to_
   | Some a -> Printf.sprintf "neighbor:%s:%d:%d:%d" base task to_ a
 
+exception Invalid_job of string
+
+(* A neighbor move can only be checked against its base schedule, so
+   this is where a bad index or a deadlocking move shows up. Both are
+   the client's error: the message is shaped like a [validate] one. *)
+let neighbor_schedule ~base ~task ~to_ ~at (b : Sched.Schedule.t) =
+  let check = function Ok _ -> () | Error e -> raise (Invalid_job e) in
+  check (in_range "schedules[].neighbor.task" 0 (Dag.Graph.n_tasks b.graph - 1) task);
+  check (in_range "schedules[].neighbor.to" 0 (b.n_procs - 1) to_);
+  let row = Array.length b.order.(to_) - if b.proc_of.(task) = to_ then 1 else 0 in
+  Option.iter (fun a -> check (in_range "schedules[].neighbor.at" 0 row a)) at;
+  match Sched.Schedule.reassign ?at b ~task ~to_ with
+  | s -> s
+  | exception Invalid_argument _ ->
+    raise
+      (Invalid_job
+         (Printf.sprintf "schedules[].neighbor: %s deadlocks its base schedule"
+            (neighbor_label ~base ~task ~to_ ~at)))
+
 (* Labeled schedules in spec order. Each random spec owns one RNG, so
    schedule [i] of a seed is stable whatever else the job asks for. *)
 let expand_schedules job graph platform =
@@ -582,7 +601,7 @@ let expand_schedules job graph platform =
         List.mapi (fun i s -> (Printf.sprintf "random:%Ld:%d" seed i, s)) scheds
       | Neighbor { base; task; to_; at } ->
         let b = run_base base graph platform in
-        [ (neighbor_label ~base ~task ~to_ ~at, Sched.Schedule.reassign ?at b ~task ~to_) ])
+        [ (neighbor_label ~base ~task ~to_ ~at, neighbor_schedule ~base ~task ~to_ ~at b) ])
     job.schedules
 
 (* Rows coming from Neighbor specs: (row index, base name, move). The
@@ -705,14 +724,8 @@ let run_job ?flight ?shard ?pool ~engine job =
   Obs.Flight.timed ?record:flight ?shard ~stage:"encode" (fun () -> Json.to_string doc ^ "\n")
 
 let eval job =
-  match context_of_job job with
-  | Error _ as e -> e
-  | Ok ctx -> (
-    match
-      let engine =
-        Engine.create ~graph:ctx.graph ~platform:ctx.platform ~model:ctx.model
-      in
-      run_job ~engine job
-    with
-    | body -> Ok body
-    | exception exn -> Error (Printexc.to_string exn))
+  Result.bind (context_of_job job) (fun ctx ->
+      let engine = Engine.create ~graph:ctx.graph ~platform:ctx.platform ~model:ctx.model in
+      match run_job ~engine job with
+      | body -> Ok body
+      | exception Invalid_job e -> Error e)

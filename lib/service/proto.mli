@@ -98,6 +98,12 @@ val context_of_job : job -> (context, string) result
     generation); the sharded server runs it on the job's owning worker
     domain (the ["admit"] stage), never on a connection domain. *)
 
+exception Invalid_job of string
+(** Raised by {!run_job} when a neighbor spec names a move its base
+    schedule cannot take: a task, processor or position out of range,
+    or a move that deadlocks the eager execution. The message has the
+    shape of a {!validate} error and is safe to echo in a 422. *)
+
 val run_job :
   ?flight:Obs.Flight.record ->
   ?shard:int ->
@@ -122,4 +128,6 @@ val run_job :
 val eval : job -> (string, string) result
 (** One-shot local evaluation: context + fresh engine + {!run_job}.
     This is the [repro eval] path the CI smoke test compares the served
-    bytes against. *)
+    bytes against. [Error] is the client's error, the class a server
+    answers with 422: a case {!context_of_job} cannot build, or
+    {!Invalid_job}. Any other exception from the evaluation propagates. *)

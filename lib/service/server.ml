@@ -34,7 +34,7 @@ type jstate =
   | Running
   | Done of string
   | Failed of string
-  | Invalid of string  (* context build failed on the worker; 422 *)
+  | Invalid of string  (* context or neighbor move refused on the worker; 422 *)
   | Expired
   | Cancelled
 
@@ -339,6 +339,9 @@ let run_batch t sh batch =
                 Atomic.set j.state (Done body);
                 Atomic.incr t.c.c_done;
                 Atomic.incr sh.sc_jobs
+              | exception Proto.Invalid_job msg ->
+                Atomic.set j.state (Invalid msg);
+                Atomic.incr t.c.c_rejected_invalid
               | exception exn ->
                 Atomic.set j.state (Failed (Printexc.to_string exn));
                 Atomic.incr t.c.c_failed);

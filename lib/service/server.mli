@@ -125,7 +125,7 @@ type stats = {
   jobs_expired : int;
   jobs_cancelled : int;  (** cancelled by drain *)
   rejected_full : int;  (** 503s from a full shard queue *)
-  rejected_invalid : int;  (** 400/422s (decode + context failures) *)
+  rejected_invalid : int;  (** 400/422s (decode, context and neighbor-move failures) *)
   rejected_draining : int;  (** 503s because the server was draining *)
   batches : int;
   max_batch : int;

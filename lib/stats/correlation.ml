@@ -38,15 +38,3 @@ let spearman xs ys =
   if Array.length xs <> Array.length ys then
     invalid_arg "Correlation.spearman: length mismatch";
   pearson (ranks xs) (ranks ys)
-
-let pearson_matrix cols =
-  let k = Array.length cols in
-  let m = Array.make_matrix k k 1. in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      let r = pearson cols.(i) cols.(j) in
-      m.(i).(j) <- r;
-      m.(j).(i) <- r
-    done
-  done;
-  m

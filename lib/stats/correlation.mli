@@ -11,7 +11,3 @@ val pearson : float array -> float array -> float
 
 val spearman : float array -> float array -> float
 (** Spearman rank correlation (Pearson on average ranks, handling ties). *)
-
-val pearson_matrix : float array array -> float array array
-(** [pearson_matrix cols] — each element of [cols] is one variable's
-    sample — returns the symmetric correlation matrix. *)

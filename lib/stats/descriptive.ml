@@ -41,10 +41,3 @@ let quantile a p =
     let frac = pos -. float_of_int i in
     xs.(i) +. (frac *. (xs.(i + 1) -. xs.(i)))
   end
-
-let standardize a =
-  check_nonempty "standardize" a;
-  let m = mean a in
-  let s = sqrt (population_variance a) in
-  if s = 0. then Array.make (Array.length a) 0.
-  else Array.map (fun x -> (x -. m) /. s) a

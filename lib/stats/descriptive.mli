@@ -11,7 +11,3 @@ val population_variance : float array -> float
 
 val quantile : float array -> float -> float
 (** Linear-interpolated order-statistic quantile, [p ∈ \[0,1\]]. *)
-
-val standardize : float array -> float array
-(** Subtract the mean and divide by the (population) standard deviation;
-    a zero-variance sample maps to all zeros. *)

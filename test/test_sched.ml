@@ -173,8 +173,9 @@ let sampled_within_bounds =
       let model = Workloads.Stochastify.make ~ul () in
       let rng = Tutil.rng_of_seed 5 in
       let det = (Sched.Simulator.deterministic sched platform).Sched.Simulator.makespan in
-      let s = (Sched.Simulator.sampled sched platform model ~rng).Sched.Simulator.makespan in
-      s >= det -. 1e-9 && s <= (det *. ul) +. 1e-9)
+      Array.for_all
+        (fun s -> s >= det -. 1e-9 && s <= (det *. ul) +. 1e-9)
+        (Makespan.Montecarlo.realizations ~rng ~count:4 sched platform model))
 
 (* --- Disjunctive --- *)
 

@@ -604,6 +604,51 @@ let server_rejects_invalid_requests () =
               [ "engine_task_hits"; "engine_arrival_hits"; "engine_arrival_misses" ]
           | Error e -> Alcotest.fail (Http.error_to_string e)))
 
+(* A neighbor move its base schedule cannot take is the client's error:
+   [Proto.eval] reports it like a [validate] failure, and served it is a
+   422 counted in [rejected_invalid], never a 500 in [jobs_failed]. On
+   random30/p8, moving HEFT's task 5 to processor 3 deadlocks; on a
+   three-processor Cholesky case, processor 3 does not exist. *)
+let invalid_neighbor_is_client_error () =
+  let job kind procs =
+    {
+      (named_job
+         ~schedules:
+           [
+             Proto.Heuristic "HEFT";
+             Proto.Neighbor { base = "HEFT"; task = 5; to_ = 3; at = None };
+           ]
+         ())
+      with
+      Proto.workload = Proto.Named { kind; n = 30; procs; seed = 1L };
+    }
+  in
+  let deadlock = job Experiments.Case.Random_graph 8 in
+  let no_proc = job Experiments.Case.Cholesky 3 in
+  List.iter
+    (fun (job, want) ->
+      (match Proto.validate job with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "validate needs the case to see this move: %s" e);
+      match Proto.eval job with
+      | Ok _ -> Alcotest.fail "an invalid move evaluated"
+      | Error e -> Alcotest.(check string) "validate-style error" want e)
+    [
+      (deadlock, "schedules[].neighbor: neighbor:HEFT:5:3 deadlocks its base schedule");
+      (no_proc, "schedules[].neighbor.to: 3 out of range [0, 2]");
+    ];
+  with_server (fun t ->
+      with_client t (fun c ->
+          List.iter
+            (fun job ->
+              match Client.post c "/eval" (Proto.job_to_json job) with
+              | Ok resp -> Alcotest.(check int) "served as 422" 422 resp.Http.status
+              | Error e -> Alcotest.fail (Http.error_to_string e))
+            [ deadlock; no_proc ];
+          let s = Server.stats t in
+          Alcotest.(check int) "counted as invalid" 2 s.Server.rejected_invalid;
+          Alcotest.(check int) "not counted as failed" 0 s.Server.jobs_failed))
+
 let server_drain_cancels_queued () =
   let config = { Server.default_config with Server.auto_worker = false } in
   let t = Server.start config in
@@ -945,6 +990,7 @@ let () =
           tc "trace propagation end to end" `Quick server_propagates_trace;
           tc "openmetrics exposition" `Quick server_exposes_openmetrics;
           tc "neighbor jobs count reevals" `Quick server_counts_neighbor_reevals;
+          tc "invalid neighbor is a client error" `Quick invalid_neighbor_is_client_error;
           tc "totals survive eviction" `Quick server_totals_survive_eviction;
         ] );
       ( "stop",

@@ -26,21 +26,6 @@ let quantile_interpolation () =
   check_close "q0.25" 2.5 (Stats.Descriptive.quantile a 0.25);
   check_close "q0.5" 5. (Stats.Descriptive.quantile a 0.5)
 
-let standardize_properties =
-  Tutil.qcheck ~count:50 "standardized sample has mean 0, std 1"
-    QCheck2.Gen.(pair (int_range 3 100) (int_range 0 10000))
-    (fun (n, seed) ->
-      let rng = Tutil.rng_of_seed seed in
-      let a = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:(-10.) ~hi:50.) in
-      let z = Stats.Descriptive.standardize a in
-      let m = Stats.Descriptive.mean z in
-      let v = Stats.Descriptive.population_variance z in
-      Float.abs m < 1e-9 && (v = 0. || Float.abs (v -. 1.) < 1e-9))
-
-let standardize_constant () =
-  let z = Stats.Descriptive.standardize [| 5.; 5.; 5. |] in
-  Array.iter (fun v -> check_close "zero" 0. v) z
-
 (* --- Correlation --- *)
 
 let pearson_perfect_line =
@@ -94,19 +79,6 @@ let spearman_monotone_is_one () =
 let spearman_handles_ties () =
   let xs = [| 1.; 1.; 2.; 3. |] and ys = [| 1.; 1.; 2.; 3. |] in
   check_close ~eps:1e-9 "ties" 1. (Stats.Correlation.spearman xs ys)
-
-let pearson_matrix_properties () =
-  let rng = Tutil.rng_of_seed 5 in
-  let cols =
-    Array.init 4 (fun _ -> Array.init 30 (fun _ -> Prng.Sampler.uniform rng ~lo:0. ~hi:1.))
-  in
-  let m = Stats.Correlation.pearson_matrix cols in
-  for i = 0 to 3 do
-    check_close "diag" 1. m.(i).(i);
-    for j = 0 to 3 do
-      check_close ~eps:1e-12 "symmetric" m.(i).(j) m.(j).(i)
-    done
-  done
 
 (* --- Distance --- *)
 
@@ -270,8 +242,6 @@ let () =
           tc "singleton" `Quick descriptive_single;
           tc "rejects empty" `Quick descriptive_rejects_empty;
           tc "quantile interp" `Quick quantile_interpolation;
-          standardize_properties;
-          tc "standardize const" `Quick standardize_constant;
         ] );
       ( "correlation",
         [
@@ -282,7 +252,6 @@ let () =
           pearson_bounded;
           tc "spearman monotone" `Quick spearman_monotone_is_one;
           tc "spearman ties" `Quick spearman_handles_ties;
-          tc "matrix" `Quick pearson_matrix_properties;
         ] );
       ( "distance",
         [
