@@ -5,7 +5,7 @@
     realizations of the Monte-Carlo evaluator. A replay reads durations
     from flat arrays (one per task, one per edge in {!Dag.Graph.edges}
     order) and writes caller-owned start/finish arrays, so a caller that
-    replays many realizations allocates nothing per realization. *)
+    replays many realizations reuses the same four arrays for all. *)
 
 type plan
 (** The execution order implied by precedence plus processor order,
