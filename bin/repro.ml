@@ -148,7 +148,9 @@ let run_fig6 ctx =
   let t = E.Fig6.run ?pool:ctx.pool ~scale:ctx.scale () in
   print_string (E.Fig6.render t);
   print_newline ();
-  print_string (E.Intext.render_rel_prob (E.Intext.rel_prob_vs_std t.E.Fig6.results));
+  print_string
+    (E.Intext.render_rel_prob
+       (E.Intext.rel_prob_vs_std (List.map E.Runner.random_rows t.E.Fig6.results)));
   save ctx "fig6.csv" (E.Export.fig6_csv t)
 
 let run_fig7 ctx =
@@ -851,21 +853,15 @@ let run_campaign limit schedulers ctx =
   | t ->
     print_string (E.Campaign.render t);
     print_newline ();
-    let results =
-      (* reuse the §VII in-text computation over campaign rows *)
+    let random_rows =
+      (* the §VII in-text computation over campaign rows *)
       List.map
         (fun (r : E.Campaign.case_result) ->
-          {
-            E.Runner.instance = E.Case.instantiate r.E.Campaign.case;
-            delta = 0.;
-            gamma = 1.;
-            sources = r.E.Campaign.sources;
-            rows = r.E.Campaign.rows;
-          })
+          E.Runner.random_rows_of ~sources:r.E.Campaign.sources ~rows:r.E.Campaign.rows)
         t.E.Campaign.results
     in
-    if results <> [] then
-      print_string (E.Intext.render_rel_prob (E.Intext.rel_prob_vs_std results));
+    if random_rows <> [] then
+      print_string (E.Intext.render_rel_prob (E.Intext.rel_prob_vs_std random_rows));
     if t.E.Campaign.failures = [] then 0 else 2
 
 let run_all ctx =

@@ -28,6 +28,12 @@ let compute_topo ~n ~succs ~preds =
   if !filled <> n then invalid_arg "Dag.Graph: graph has a cycle";
   order
 
+let of_adjacency ~succs ~preds =
+  let n = Array.length succs in
+  let topo = compute_topo ~n ~succs ~preds in
+  let n_edges = Array.fold_left (fun acc row -> acc + Array.length row) 0 succs in
+  { n; succs; preds; topo; n_edges }
+
 let make ~n ~edges =
   if n <= 0 then invalid_arg "Dag.Graph.make: need at least one task";
   let succ_lists = Array.make n [] and pred_lists = Array.make n [] in
@@ -50,10 +56,8 @@ let make ~n ~edges =
     Array.sort by_task a;
     a
   in
-  let succs = Array.map to_sorted_array succ_lists in
-  let preds = Array.map to_sorted_array pred_lists in
-  let topo = compute_topo ~n ~succs ~preds in
-  { n; succs; preds; topo; n_edges = List.length edges }
+  of_adjacency ~succs:(Array.map to_sorted_array succ_lists)
+    ~preds:(Array.map to_sorted_array pred_lists)
 
 let n_tasks t = t.n
 let n_edges t = t.n_edges
@@ -99,7 +103,3 @@ let exits t =
   Array.of_list !l
 
 let topo_order t = t.topo
-
-let add_edges t extra =
-  let current = Array.to_list (edges t) in
-  make ~n:t.n ~edges:(current @ extra)

@@ -17,6 +17,16 @@ val make : n:int -> edges:(task * task * float) list -> t
     out-of-range endpoints, self-loops, duplicate edges, negative volumes,
     or cycles. *)
 
+val of_adjacency :
+  succs:(task * float) array array -> preds:(task * float) array array -> t
+(** [of_adjacency ~succs ~preds] is the DAG whose successor and
+    predecessor arrays are [succs] and [preds], as {!make} would build
+    them: one row per task, each sorted by task, every edge listed once
+    in each direction, volumes finite and [>= 0]. Nothing of that is
+    re-checked and the rows are not copied; only the topological order
+    is computed (raises [Invalid_argument] on a cycle). Used to build a
+    schedule's disjunctive graph by merging rows. *)
+
 val n_tasks : t -> int
 val n_edges : t -> int
 
@@ -43,6 +53,3 @@ val exits : t -> task array
 val topo_order : t -> task array
 (** A topological order, computed once at construction (do not mutate). *)
 
-val add_edges : t -> (task * task * float) list -> t
-(** A new DAG with extra edges (same validation as {!make}); used to build
-    disjunctive graphs. Edges already present are rejected. *)

@@ -1,6 +1,6 @@
 type weights = {
   task : Graph.task -> float;
-  edge : Graph.task -> Graph.task -> float;
+  edge : Graph.task -> Graph.task -> float -> float;
 }
 
 let top_levels g w =
@@ -10,8 +10,8 @@ let top_levels g w =
     (fun v ->
       let best = ref 0. in
       Array.iter
-        (fun (p, _) ->
-          let via = tl.(p) +. w.task p +. w.edge p v in
+        (fun (p, volume) ->
+          let via = tl.(p) +. w.task p +. w.edge p v volume in
           if via > !best then best := via)
         (Graph.preds g v);
       tl.(v) <- !best)
@@ -26,8 +26,8 @@ let bottom_levels g w =
     let v = topo.(i) in
     let best = ref 0. in
     Array.iter
-      (fun (s, _) ->
-        let via = w.edge v s +. bl.(s) in
+      (fun (s, volume) ->
+        let via = w.edge v s volume +. bl.(s) in
         if via > !best then best := via)
       (Graph.succs g v);
     bl.(v) <- w.task v +. !best
@@ -57,8 +57,8 @@ let critical_path g w =
     let acc = v :: acc in
     let next = ref None in
     Array.iter
-      (fun (s, _) ->
-        let via = w.task v +. w.edge v s +. bl.(s) in
+      (fun (s, volume) ->
+        let via = w.task v +. w.edge v s volume +. bl.(s) in
         if Float.abs (via -. bl.(v)) <= 1e-9 *. Float.max 1. (Float.abs bl.(v)) then
           match !next with
           | Some best when bl.(s) <= bl.(best) -> ()

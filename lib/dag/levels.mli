@@ -11,7 +11,9 @@
 
 type weights = {
   task : Graph.task -> float;  (** execution weight of a task *)
-  edge : Graph.task -> Graph.task -> float;  (** weight of an edge *)
+  edge : Graph.task -> Graph.task -> float -> float;
+      (** [edge u v volume]: weight of the edge [u → v], whose
+          communication volume (as the graph stores it) is [volume] *)
 }
 
 val top_levels : Graph.t -> weights -> float array

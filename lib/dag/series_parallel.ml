@@ -88,9 +88,13 @@ let of_task_dag g ~task ~edge ~zero =
   for v = 0 to nt - 1 do
     edges := (start_of v, end_of v, task v) :: !edges
   done;
-  Array.iter
-    (fun (u, v, _) -> edges := (end_of u, start_of v, edge u v) :: !edges)
-    (Graph.edges g);
+  (* preds are sorted, so each node's adjacency lists come out in
+     (source, destination) order, which the reduction order rests on *)
+  for v = 0 to nt - 1 do
+    Array.iteri
+      (fun k (u, _) -> edges := (end_of u, start_of v, edge v k) :: !edges)
+      (Graph.preds g v)
+  done;
   Array.iter (fun e -> edges := (source, start_of e, zero) :: !edges) (Graph.entries g);
   Array.iter (fun e -> edges := (end_of e, sink, zero) :: !edges) (Graph.exits g);
   of_edges ~n:((2 * nt) + 2) ~source ~sink !edges

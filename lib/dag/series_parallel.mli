@@ -33,13 +33,15 @@ val of_edges : n:int -> source:int -> sink:int -> (int * int * 'w) list -> 'w ne
 val of_task_dag :
   Graph.t ->
   task:(Graph.task -> 'w) ->
-  edge:(Graph.task -> Graph.task -> 'w) ->
+  edge:(Graph.task -> int -> 'w) ->
   zero:'w ->
   'w network
 (** Activity-on-node to activity-on-arc conversion: each task becomes an
     edge carrying its weight between fresh start/end nodes, each
-    dependency an edge carrying its weight, and a super-source/super-sink
-    with [zero]-weight edges close the network. *)
+    dependency an edge carrying its weight ([edge v k] weighs the edge
+    from [v]'s [k]-th entry of {!Graph.preds}), and a
+    super-source/super-sink with [zero]-weight edges close the
+    network. *)
 
 type 'w result = {
   weight : 'w;  (** weight of the fully reduced source–sink edge *)

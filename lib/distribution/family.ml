@@ -12,15 +12,6 @@ let beta_scaled ?points ~alpha ~beta:b ~lo ~hi () =
   let d = beta ?points ~alpha ~beta:b () in
   Dist.shift (Dist.scale d (hi -. lo)) lo
 
-let gamma ?points ~shape ~scale () =
-  if shape < 1. || scale <= 0. then
-    invalid_arg "Family.gamma: requires shape >= 1 and scale > 0";
-  (* support truncated where the density has become negligible *)
-  let mean = shape *. scale in
-  let std = sqrt shape *. scale in
-  let hi = mean +. (10. *. std) in
-  Dist.of_fn ?points ~lo:0. ~hi (Numerics.Special.gamma_pdf ~shape ~scale)
-
 let normal ?points ~mean ~std () =
   if std < 0. then invalid_arg "Family.normal: std must be non-negative";
   if std = 0. then Dist.const mean

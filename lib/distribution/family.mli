@@ -1,9 +1,8 @@
 (** Analytic distribution families, discretized onto {!Dist.t} grids.
 
-    Includes the paper's two workhorses — the right-skewed Beta(2, 5)
-    uncertainty perturbation of §V and the Gamma weights of the CVB
-    heterogeneity generator — plus the multi-modal “special” distribution
-    of Fig. 7 used to probe CLT convergence. *)
+    Includes the paper's workhorse — the right-skewed Beta(2, 5)
+    uncertainty perturbation of §V — plus the multi-modal “special”
+    distribution of Fig. 7 used to probe CLT convergence. *)
 
 val uniform : ?points:int -> lo:float -> hi:float -> unit -> Dist.t
 (** Uniform density on [\[lo, hi\]], [lo < hi]. *)
@@ -15,9 +14,6 @@ val beta : ?points:int -> alpha:float -> beta:float -> unit -> Dist.t
 val beta_scaled :
   ?points:int -> alpha:float -> beta:float -> lo:float -> hi:float -> unit -> Dist.t
 (** Beta(α, β) affinely mapped onto [\[lo, hi\]]. *)
-
-val gamma : ?points:int -> shape:float -> scale:float -> unit -> Dist.t
-(** Gamma distribution truncated at a far upper quantile. [shape >= 1]. *)
 
 val normal : ?points:int -> mean:float -> std:float -> unit -> Dist.t
 (** Normal(mean, std) truncated at ±8σ; [std = 0] yields a point mass. *)

@@ -81,8 +81,8 @@ val run :
     the requested scale. [?attempts] bounds evaluation tries per case
     (default 3); [?backoff] is the initial retry delay in seconds,
     doubled per retry (default 0.5; pass [0.] in tests).
-    [?pool]/[?pool] select sweep workers as in {!Runner.run}; by
-    default every case shares one persistent pool.
+    [?pool] selects the sweep workers as in {!Runner.run}; by default
+    every case shares one persistent pool.
 
     [?schedulers] names the heuristic schedules swept next to the random
     ones — registry names, aliases, or [rank=...,select=...]

@@ -9,12 +9,11 @@ let idx_makespan = 0
 let idx_mk_std = 1
 let idx_rel_prob = 7
 
-let rel_prob_vs_std results =
-  if results = [] then invalid_arg "Intext.rel_prob_vs_std: no results";
+let rel_prob_vs_std cases =
+  if cases = [] then invalid_arg "Intext.rel_prob_vs_std: no results";
   let per_case =
     List.filter_map
-      (fun result ->
-        let rows = Runner.random_rows result in
+      (fun rows ->
         let xs =
           Array.map
             (fun row ->
@@ -27,7 +26,7 @@ let rel_prob_vs_std results =
         let ys = Array.map (fun row -> row.(idx_mk_std)) rows in
         let r = Stats.Correlation.pearson xs ys in
         if Float.is_nan r then None else Some r)
-      results
+      cases
   in
   (match per_case with [] -> invalid_arg "Intext.rel_prob_vs_std: all degenerate" | _ -> ());
   let a = Array.of_list per_case in

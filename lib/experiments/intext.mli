@@ -15,8 +15,9 @@ type rel_prob = {
   std : float;
 }
 
-val rel_prob_vs_std : Runner.result list -> rel_prob
-(** Computed from already-run cases (e.g. {!Fig6.run}'s results). *)
+val rel_prob_vs_std : float array array list -> rel_prob
+(** Computed from already-run cases: each case's random-schedule metric
+    rows ({!Runner.random_rows}, {!Metrics.Robustness.labels} order). *)
 
 val render_rel_prob : rel_prob -> string
 

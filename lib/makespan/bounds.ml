@@ -7,24 +7,23 @@ type t = {
 let sweep ~max_op sched platform model =
   let open Distribution in
   let points = model.Workloads.Stochastify.points in
-  let dgraph = Sched.Disjunctive.graph_of sched in
-  let graph = sched.Sched.Schedule.graph in
+  let { Sched.Disjunctive.graph = dgraph; data } = Sched.Disjunctive.graph_of sched in
   let proc_of = sched.Sched.Schedule.proc_of in
   let n = Dag.Graph.n_tasks dgraph in
   let completion = Array.make n (Dist.const 0.) in
   Array.iter
     (fun v ->
+      let preds = Dag.Graph.preds dgraph v in
       let arrivals =
-        Array.to_list (Dag.Graph.preds dgraph v)
-        |> List.map (fun (p, _) ->
-               match Dag.Graph.volume graph ~src:p ~dst:v with
-               | None -> completion.(p)
-               | Some volume ->
-                 let comm =
-                   Workloads.Stochastify.comm_dist model platform ~volume
-                     ~src:proc_of.(p) ~dst:proc_of.(v)
-                 in
-                 Dist.add ~points completion.(p) comm)
+        List.init (Array.length preds) (fun k ->
+            let p, volume = preds.(k) in
+            if data.(v).(k) < 0 then completion.(p)
+            else
+              let comm =
+                Workloads.Stochastify.comm_dist model platform ~volume ~src:proc_of.(p)
+                  ~dst:proc_of.(v)
+              in
+              Dist.add ~points completion.(p) comm)
       in
       let ready =
         match arrivals with

@@ -11,7 +11,9 @@
 
 type edge_sums
 (** Arrival-sum memo of one incremental session ({!Engine.session}):
-    one slot per data edge [p→v] of the case graph, holding
+    one slot per data edge [p→v] of the case graph, indexed by its
+    {!Dag.Graph.edges} position (the numbering of
+    {!Sched.Disjunctive.t}'s [data]), holding
     [(C(p), comm(p→v), C(p) + comm(p→v))]. A slot hits only when both
     operands are physically the objects it holds, so a hit is the value
     of the identical [Dist.add] call and replays keep their bits. It is
@@ -38,7 +40,7 @@ val clear_sums : edge_sums -> unit
 
 val update_node :
   points:int ->
-  dgraph:Dag.Graph.t ->
+  dgraph:Sched.Disjunctive.t ->
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
   sums:edge_sums ->
@@ -52,7 +54,7 @@ val update_node :
     predecessors' entries in the given array — the single-node body of
     {!completion_dists_with}, exposed so {!Engine.reevaluate_any} can replay
     just a dirty cone and still produce bitwise-identical results (the
-    fold order over [Dag.Graph.preds] is the deterministic sorted
+    fold order over the disjunctive predecessors is the deterministic sorted
     order). Each arrival sum is read from [sums] first. A computed sum
     is written back only when its operands are committed state: the
     predecessor is not [dirty] (so its completion is the session's) and
@@ -82,7 +84,7 @@ val arrival_misses : arrivals -> int
 val completion_dists_with :
   ?arrivals:arrivals ->
   points:int ->
-  dgraph:Dag.Graph.t ->
+  dgraph:Sched.Disjunctive.t ->
   completion:Distribution.Dist.t array ->
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
@@ -97,5 +99,5 @@ val completion_dists_with :
     returning, so no sum outlives it. *)
 
 val makespan_of_exits :
-  points:int -> Dag.Graph.t -> Distribution.Dist.t array -> Distribution.Dist.t
+  points:int -> Sched.Disjunctive.t -> Distribution.Dist.t array -> Distribution.Dist.t
 (** Maximum of the exit tasks' completion distributions. *)

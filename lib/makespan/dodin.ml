@@ -3,19 +3,20 @@ type outcome = {
   duplications : int;
 }
 
-let evaluate_with ~points ~dgraph
+let evaluate_with ~points ~(dgraph : Sched.Disjunctive.t)
     ~(task_dist : task:int -> proc:int -> Distribution.Dist.t)
     ~(comm_dist : volume:float -> src:int -> dst:int -> Distribution.Dist.t) sched =
   let open Distribution in
-  let graph = sched.Sched.Schedule.graph in
   let proc_of = sched.Sched.Schedule.proc_of in
   let task v = task_dist ~task:v ~proc:proc_of.(v) in
-  let edge u v =
-    match Dag.Graph.volume graph ~src:u ~dst:v with
-    | None -> Dist.const 0.
-    | Some volume -> comm_dist ~volume ~src:proc_of.(u) ~dst:proc_of.(v)
+  let edge v k =
+    let u, volume = (Dag.Graph.preds dgraph.graph v).(k) in
+    if dgraph.data.(v).(k) < 0 then Dist.const 0.
+    else comm_dist ~volume ~src:proc_of.(u) ~dst:proc_of.(v)
   in
-  let network = Dag.Series_parallel.of_task_dag dgraph ~task ~edge ~zero:(Dist.const 0.) in
+  let network =
+    Dag.Series_parallel.of_task_dag dgraph.graph ~task ~edge ~zero:(Dist.const 0.)
+  in
   let algebra =
     {
       Dag.Series_parallel.series = (fun a b -> Dist.add ~points a b);

@@ -14,7 +14,7 @@ type outcome = {
 
 val evaluate_with :
   points:int ->
-  dgraph:Dag.Graph.t ->
+  dgraph:Sched.Disjunctive.t ->
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
   Sched.Schedule.t ->

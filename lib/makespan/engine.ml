@@ -301,15 +301,13 @@ let comm_mean t ~volume ~src ~dst =
 let comm_std t ~volume ~src ~dst =
   Workloads.Stochastify.comm_std t.model t.platform ~volume ~src ~dst
 
+(* a processor-order edge (volume 0, one processor) weighs 0 like any
+   co-located communication *)
 let mean_weights t sched =
   let proc_of = sched.Sched.Schedule.proc_of in
   {
     Dag.Levels.task = (fun v -> t.task_means.(v).(proc_of.(v)));
-    edge =
-      (fun u v ->
-        match Dag.Graph.volume sched.Sched.Schedule.graph ~src:u ~dst:v with
-        | None -> 0.
-        | Some volume -> comm_mean t ~volume ~src:proc_of.(u) ~dst:proc_of.(v));
+    edge = (fun u v volume -> comm_mean t ~volume ~src:proc_of.(u) ~dst:proc_of.(v));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -375,7 +373,7 @@ let sweep t backend ~dgraph ~completion ~moments sched =
       (Montecarlo.run ~rng ~count sched t.platform t.model)
 
 let sweep_scratch t backend ~dgraph sched =
-  let n = Dag.Graph.n_tasks dgraph in
+  let n = t.n_tasks in
   let completion = match backend with Classical -> scratch_dists n | _ -> [||] in
   let moments = match backend with Spelde -> scratch_pairs n | _ -> [||] in
   sweep t backend ~dgraph ~completion ~moments sched
@@ -407,7 +405,8 @@ type evaluation = {
 let slack_of t slack_mode ~dgraph sched =
   let slack () =
     match slack_mode with
-    | `Disjunctive -> Sched.Slack.of_weighted_graph dgraph (mean_weights t sched)
+    | `Disjunctive ->
+      Sched.Slack.of_weighted_graph dgraph.Sched.Disjunctive.graph (mean_weights t sched)
     | `Precedence -> Sched.Slack.compute ~mode:`Precedence sched t.platform t.model
   in
   if Obs.Span.enabled () then Obs.Span.with_ ~name:"engine.slack" slack else slack ()
@@ -473,7 +472,7 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
 (* The last probe of a session, until the next re-evaluation. *)
 type probe = {
   p_sched : Sched.Schedule.t;
-  p_dgraph : Dag.Graph.t;
+  p_dgraph : Sched.Disjunctive.t;
   p_eval : evaluation;
   p_seeds : int list;
   p_cone : bool;  (* values kept at the dirty nodes only, else all n *)
@@ -484,7 +483,7 @@ type session = {
   backend : backend;
   slack_mode : Sched.Slack.graph_mode;
   mutable sched : Sched.Schedule.t;
-  mutable dgraph : Dag.Graph.t;
+  mutable dgraph : Sched.Disjunctive.t;
   s_completion : Distribution.Dist.t array;  (* Classical; [||] otherwise *)
   s_moments : Distribution.Normal_pair.t array;  (* Spelde; [||] otherwise *)
   p_completion : Distribution.Dist.t array;  (* the probe's values, same shapes *)
@@ -540,6 +539,7 @@ let same_pred_seq a b =
    reassign, both tasks for a swap); every node whose disjunctive pred
    sequence changed is seeded too, then the set is closed downward. *)
 let mark_dirty_cone session ~seeds ~dgraph' =
+  let g = session.dgraph.Sched.Disjunctive.graph and g' = dgraph'.Sched.Disjunctive.graph in
   let dirty = session.dirty in
   Array.fill dirty 0 (Array.length dirty) false;
   List.iter (fun v -> dirty.(v) <- true) seeds;
@@ -547,18 +547,18 @@ let mark_dirty_cone session ~seeds ~dgraph' =
   for v = 0 to n - 1 do
     if
       (not dirty.(v))
-      && not (same_pred_seq (Dag.Graph.preds session.dgraph v) (Dag.Graph.preds dgraph' v))
+      && not (same_pred_seq (Dag.Graph.preds g v) (Dag.Graph.preds g' v))
     then dirty.(v) <- true
   done;
   let cone = ref 0 in
   Array.iter
     (fun v ->
       if not dirty.(v) then begin
-        if Array.exists (fun (p, _) -> dirty.(p)) (Dag.Graph.preds dgraph' v) then
+        if Array.exists (fun (p, _) -> dirty.(p)) (Dag.Graph.preds g' v) then
           dirty.(v) <- true
       end;
       if dirty.(v) then incr cone)
-    (Dag.Graph.topo_order dgraph');
+    (Dag.Graph.topo_order g');
   !cone
 
 (* Replay the dirty nodes of [state] in topological order with
@@ -613,7 +613,7 @@ let probe ~max_cone session ~seeds sched' =
     raise_max t.counts.(slot Reeval_max_cone) cone
   end
   else bump t (if incremental_backend then Reeval_full_cone else Reeval_full_backend) 1;
-  let order = Dag.Graph.topo_order dgraph' in
+  let order = Dag.Graph.topo_order dgraph'.Sched.Disjunctive.graph in
   let makespan =
     if incremental then begin
       let dirty = session.dirty in

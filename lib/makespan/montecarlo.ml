@@ -15,7 +15,7 @@ let realizations ?pool ?(chunk_size = 256) ?(antithetic = false) ~rng ~count sch
   let t_start = if instrumented then Unix.gettimeofday () else 0. in
   let count = if antithetic && count mod 2 = 1 then count + 1 else count in
   let chunk_size = if antithetic && chunk_size mod 2 = 1 then chunk_size + 1 else chunk_size in
-  let plan = Sched.Simulator.prepare sched in
+  let dg = Sched.Disjunctive.graph_of sched in
   let graph = sched.Sched.Schedule.graph in
   let proc_of = sched.Sched.Schedule.proc_of in
   let n = Dag.Graph.n_tasks graph in
@@ -33,7 +33,7 @@ let realizations ?pool ?(chunk_size = 256) ?(antithetic = false) ~rng ~count sch
       (* per-realization durations and times, reused across the chunk *)
       let task_dur = Array.make n 0. and comm_dur = Array.make n_edges 0. in
       let start = Array.make n 0. and finish = Array.make n 0. in
-      let replay () = Sched.Simulator.replay plan ~task_dur ~comm_dur ~start ~finish in
+      let replay () = Sched.Simulator.replay dg ~task_dur ~comm_dur ~start ~finish in
       if antithetic then begin
         (* negatively correlated pairs through the quantile map: draw every
            u first, then fill the durations from u and from 1 - u *)

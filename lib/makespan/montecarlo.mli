@@ -9,7 +9,7 @@
     of the number of domains used. The chunks run on [?pool], or on the
     shared pool (see {!Parallel.Pool.run}).
 
-    The schedule is {!Sched.Simulator.prepare}d once. Each chunk owns
+    The schedule's {!Sched.Disjunctive} graph is built once. Each chunk owns
     one task-duration array, one edge-duration array and the start and
     finish arrays, and reuses them for every realization it computes,
     which is one {!Sched.Simulator.replay}. A realization draws task

@@ -4,7 +4,7 @@
     The result is a normal approximation of the makespan distribution. *)
 
 val update_node :
-  dgraph:Dag.Graph.t ->
+  dgraph:Sched.Disjunctive.t ->
   task_moments:(task:int -> proc:int -> Distribution.Normal_pair.t) ->
   comm_moments:(volume:float -> src:int -> dst:int -> Distribution.Normal_pair.t) ->
   Sched.Schedule.t ->
@@ -17,11 +17,11 @@ val update_node :
     [List.map]/[max_list] fold order, so results stay bitwise equal). *)
 
 val moments_of_exits :
-  dgraph:Dag.Graph.t -> Distribution.Normal_pair.t array -> Distribution.Normal_pair.t
+  dgraph:Sched.Disjunctive.t -> Distribution.Normal_pair.t array -> Distribution.Normal_pair.t
 (** Clark-max over the exit tasks' completion moments. *)
 
 val moments_with :
-  dgraph:Dag.Graph.t ->
+  dgraph:Sched.Disjunctive.t ->
   completion:Distribution.Normal_pair.t array ->
   task_moments:(task:int -> proc:int -> Distribution.Normal_pair.t) ->
   comm_moments:(volume:float -> src:int -> dst:int -> Distribution.Normal_pair.t) ->

@@ -14,10 +14,6 @@ val normal_pdf : float -> float
 val normal_cdf : float -> float
 (** Standard normal distribution Φ(x). *)
 
-val normal_quantile : float -> float
-(** Inverse of Φ (Acklam's rational approximation, refined by one Halley
-    step). Requires an argument in (0, 1). *)
-
 val log_gamma : float -> float
 (** ln Γ(x) for [x > 0] (Lanczos). *)
 

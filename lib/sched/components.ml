@@ -27,7 +27,7 @@ let collapse_name = function `Mean -> "mean" | `Best -> "best" | `Worst -> "wors
 
 (* Task weight = the [rank]-collapsed ETC row; edge weight = mean
    latency + volume × mean τ (off-diagonal averages). *)
-let average_weights ?(rank = `Mean) graph platform =
+let average_weights ?(rank = `Mean) platform =
   let mean_tau = Platform.mean_tau platform in
   let mean_latency = Platform.mean_latency platform in
   let m = Platform.n_procs platform in
@@ -38,20 +38,16 @@ let average_weights ?(rank = `Mean) graph platform =
     | `Best -> Array.fold_left Float.min row.(0) row
     | `Worst -> Array.fold_left Float.max row.(0) row
   in
-  let edge u v =
-    match Dag.Graph.volume graph ~src:u ~dst:v with
-    | Some volume -> mean_latency +. (volume *. mean_tau)
-    | None -> 0.
-  in
+  let edge _ _ volume = mean_latency +. (volume *. mean_tau) in
   { Dag.Levels.task = collapse; edge }
 
 (* rank_u(t) = w̄(t) + max over succs (c̄(t,s) + rank_u(s)): the bottom
    levels under [average_weights]. *)
 let upward_ranks ?rank graph platform =
-  Dag.Levels.bottom_levels graph (average_weights ?rank graph platform)
+  Dag.Levels.bottom_levels graph (average_weights ?rank platform)
 
 let downward_ranks ?rank graph platform =
-  Dag.Levels.top_levels graph (average_weights ?rank graph platform)
+  Dag.Levels.top_levels graph (average_weights ?rank platform)
 
 (* Static whole-graph priority order (HEFT's list): descending upward
    rank, ties to the lower task id. *)
@@ -65,7 +61,7 @@ let rank_order ?rank graph platform =
   tasks
 
 let critical_path graph platform =
-  Dag.Levels.critical_path graph (average_weights graph platform)
+  Dag.Levels.critical_path graph (average_weights platform)
 
 (* DLS static level: median execution cost, communication ignored
    (Sih & Lee 1993, DL1 characterization). *)
@@ -81,7 +77,7 @@ let static_levels graph platform =
     {
       Dag.Levels.task =
         (fun v -> median (Array.init m (fun p -> Platform.etc platform ~task:v ~proc:p)));
-      edge = (fun _ _ -> 0.);
+      edge = (fun _ _ _ -> 0.);
     }
   in
   Dag.Levels.bottom_levels graph w
@@ -153,9 +149,9 @@ let oct_table graph platform =
    execution cost inflated by its coefficient of variation across
    processors, w'(t) = mean(t) · (1 + std(t)/mean(t)) — heterogeneous
    tasks rank higher so their placement is decided earlier. *)
-let heterogeneity_weights graph platform =
+let heterogeneity_weights platform =
   let m = Platform.n_procs platform in
-  let mean = average_weights graph platform in
+  let mean = average_weights platform in
   let task v =
     let row = Array.init m (fun p -> Platform.etc platform ~task:v ~proc:p) in
     let mu = Array.fold_left ( +. ) 0. row /. float_of_int m in
@@ -168,7 +164,7 @@ let heterogeneity_weights graph platform =
   { Dag.Levels.task; edge = mean.Dag.Levels.edge }
 
 let heterogeneity_ranks graph platform =
-  Dag.Levels.bottom_levels graph (heterogeneity_weights graph platform)
+  Dag.Levels.bottom_levels graph (heterogeneity_weights platform)
 
 (* ------------------------------------------------------------------ *)
 (* Placement state                                                     *)

@@ -1,7 +1,7 @@
 let check_kappa kappa =
   if kappa < 0. then invalid_arg "Robust_heft: kappa must be >= 0"
 
-let risk_adjusted_weights ~kappa graph platform model =
+let risk_adjusted_weights ~kappa platform model =
   check_kappa kappa;
   let m = Platform.n_procs platform in
   let mean_tau = Platform.mean_tau platform in
@@ -17,18 +17,15 @@ let risk_adjusted_weights ~kappa graph platform model =
     done;
     !acc /. float_of_int m
   in
-  let edge u v =
-    match Dag.Graph.volume graph ~src:u ~dst:v with
-    | None -> 0.
-    | Some volume ->
-      let w = mean_latency +. (volume *. mean_tau) in
-      Workloads.Stochastify.mean model w +. (kappa *. Workloads.Stochastify.std model w)
+  let edge _ _ volume =
+    let w = mean_latency +. (volume *. mean_tau) in
+    Workloads.Stochastify.mean model w +. (kappa *. Workloads.Stochastify.std model w)
   in
   { Dag.Levels.task; edge }
 
 let schedule ?(kappa = 1.0) graph platform model =
   check_kappa kappa;
-  let ranks = Dag.Levels.bottom_levels graph (risk_adjusted_weights ~kappa graph platform model) in
+  let ranks = Dag.Levels.bottom_levels graph (risk_adjusted_weights ~kappa platform model) in
   let order = Array.init (Dag.Graph.n_tasks graph) (fun i -> i) in
   Array.sort
     (fun a b ->
@@ -45,16 +42,13 @@ let schedule ?(kappa = 1.0) graph platform model =
     Workloads.Stochastify.task_mean model platform ~task ~proc
     +. (kappa *. Workloads.Stochastify.task_std model platform ~task ~proc)
   in
-  let risk_comm u v proc =
-    match Dag.Graph.volume graph ~src:u ~dst:v with
-    | None -> 0.
-    | Some volume ->
-      let w = Platform.comm_time platform ~src:placed_proc.(u) ~dst:proc ~volume in
-      Workloads.Stochastify.mean model w +. (kappa *. Workloads.Stochastify.std model w)
+  let risk_comm u ~volume proc =
+    let w = Platform.comm_time platform ~src:placed_proc.(u) ~dst:proc ~volume in
+    Workloads.Stochastify.mean model w +. (kappa *. Workloads.Stochastify.std model w)
   in
   let ready_time task proc =
     Array.fold_left
-      (fun acc (p, _) -> Float.max acc (placed_finish.(p) +. risk_comm p task proc))
+      (fun acc (p, volume) -> Float.max acc (placed_finish.(p) +. risk_comm p ~volume proc))
       0. (Dag.Graph.preds graph task)
   in
   let find_slot proc ~ready ~dur =

@@ -13,6 +13,6 @@ val schedule :
 (** [schedule ~kappa g p model] — default κ = 1.0. Requires [kappa >= 0]. *)
 
 val risk_adjusted_weights :
-  kappa:float -> Dag.Graph.t -> Platform.t -> Workloads.Stochastify.t -> Dag.Levels.weights
+  kappa:float -> Platform.t -> Workloads.Stochastify.t -> Dag.Levels.weights
 (** The averaged [mean + κ·std] costs used for ranking (exposed for
     tests and ablation benchmarks). *)

@@ -30,7 +30,7 @@ let of_weighted_graph g w =
 let compute ?(mode = `Disjunctive) sched platform model =
   let w = Disjunctive.weights sched platform model in
   match mode with
-  | `Disjunctive -> of_weighted_graph (Disjunctive.graph_of sched) w
+  | `Disjunctive -> of_weighted_graph (Disjunctive.graph_of sched).Disjunctive.graph w
   | `Precedence ->
     (* §IV read literally: levels on the precedence DAG, but M is the
        schedule's actual (mean-duration, eager) makespan, so idle time

@@ -21,21 +21,6 @@ let percentile_interval ~confidence ~estimate values =
       hi = Descriptive.quantile a (1. -. tail);
     }
 
-let ci ~rng ?(replicates = 1000) ?(confidence = 0.95) ~stat xs =
-  check_params replicates confidence;
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Bootstrap.ci: empty sample";
-  let resampled = Array.make n 0. in
-  let values = ref [] in
-  for _ = 1 to replicates do
-    for i = 0 to n - 1 do
-      resampled.(i) <- xs.(Prng.Xoshiro.int rng n)
-    done;
-    let v = stat resampled in
-    if not (Float.is_nan v) then values := v :: !values
-  done;
-  percentile_interval ~confidence ~estimate:(stat xs) !values
-
 let pearson_ci ~rng ?(replicates = 1000) ?(confidence = 0.95) xs ys =
   check_params replicates confidence;
   let n = Array.length xs in

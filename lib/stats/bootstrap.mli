@@ -11,17 +11,6 @@ type interval = {
   hi : float;  (** upper percentile bound *)
 }
 
-val ci :
-  rng:Prng.Xoshiro.t ->
-  ?replicates:int ->
-  ?confidence:float ->
-  stat:(float array -> float) ->
-  float array ->
-  interval
-(** [ci ~rng ~stat xs] — percentile bootstrap of an arbitrary statistic
-    over a non-empty sample. Defaults: 1000 replicates, 95% confidence.
-    Replicates where [stat] returns [nan] are dropped. *)
-
 val pearson_ci :
   rng:Prng.Xoshiro.t ->
   ?replicates:int ->

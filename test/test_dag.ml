@@ -51,33 +51,35 @@ let topo_order_is_permutation =
       Array.sort compare order;
       order = Array.init (Dag.Graph.n_tasks g) Fun.id)
 
-let add_edges_extends () =
-  let g = mk 3 [ (0, 1, 1.) ] in
-  let g' = Dag.Graph.add_edges g [ (1, 2, 5.) ] in
+let of_adjacency_matches_make () =
+  let g = mk 3 [ (0, 1, 1.); (1, 2, 5.) ] in
+  let g' =
+    Dag.Graph.of_adjacency
+      ~succs:[| [| (1, 1.) |]; [| (2, 5.) |]; [||] |]
+      ~preds:[| [||]; [| (0, 1.) |]; [| (1, 5.) |] |]
+  in
   Alcotest.(check int) "edges" 2 (Dag.Graph.n_edges g');
-  Alcotest.(check int) "original untouched" 1 (Dag.Graph.n_edges g);
-  Alcotest.(check bool) "new edge" true (Dag.Graph.has_edge g' ~src:1 ~dst:2)
+  Alcotest.(check bool) "edge present" true (Dag.Graph.has_edge g' ~src:1 ~dst:2);
+  Alcotest.(check bool) "same edges" true (Dag.Graph.edges g = Dag.Graph.edges g');
+  Alcotest.(check (array int)) "same order" (Dag.Graph.topo_order g) (Dag.Graph.topo_order g')
 
-let add_edges_rejects_cycle () =
-  let g = mk 2 [ (0, 1, 1.) ] in
+let of_adjacency_rejects_cycle () =
   Alcotest.(check bool) "cycle rejected" true
-    (match Dag.Graph.add_edges g [ (1, 0, 1.) ] with
+    (match
+       Dag.Graph.of_adjacency
+         ~succs:[| [| (1, 1.) |]; [| (0, 1.) |] |]
+         ~preds:[| [| (1, 1.) |]; [| (0, 1.) |] |]
+     with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 (* --- Levels --- *)
 
-let unit_weights = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ -> 0.) }
+let unit_weights = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ _ -> 0.) }
 
 let diamond_weights =
   (* task weights 1, edge weights = volumes *)
-  let g = diamond () in
-  {
-    Dag.Levels.task = (fun _ -> 1.);
-    edge =
-      (fun u v ->
-        match Dag.Graph.volume g ~src:u ~dst:v with Some v -> v | None -> 0.);
-  }
+  { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ volume -> volume) }
 
 let levels_on_diamond () =
   let g = diamond () in
@@ -137,7 +139,9 @@ let critical_path_consistent =
         | [] -> 0.
         | [ v ] -> w.Dag.Levels.task v
         | u :: (v :: _ as rest) ->
-          w.Dag.Levels.task u +. w.Dag.Levels.edge u v +. length rest
+          w.Dag.Levels.task u
+          +. w.Dag.Levels.edge u v (Option.get (Dag.Graph.volume g ~src:u ~dst:v))
+          +. length rest
       in
       Float.abs (length cp -. Dag.Levels.makespan g w) < 1e-9)
 
@@ -196,7 +200,9 @@ let sp_scalar_reduction_equals_longest_path =
       let net =
         Dag.Series_parallel.of_task_dag g
           ~task:(fun v -> w.Dag.Levels.task v)
-          ~edge:(fun u v -> w.Dag.Levels.edge u v)
+          ~edge:(fun v k ->
+            let u, volume = (Dag.Graph.preds g v).(k) in
+            w.Dag.Levels.edge u v volume)
           ~zero:0.
       in
       let r = Dag.Series_parallel.reduce scalar_algebra net in
@@ -210,13 +216,15 @@ let sp_of_task_dag_weighted =
       let w =
         {
           Dag.Levels.task = (fun v -> 1. +. (0.1 *. float_of_int v));
-          edge = (fun u v -> 0.01 *. float_of_int (u + v));
+          edge = (fun u v _ -> 0.01 *. float_of_int (u + v));
         }
       in
       let net =
         Dag.Series_parallel.of_task_dag g
           ~task:(fun v -> w.Dag.Levels.task v)
-          ~edge:(fun u v -> w.Dag.Levels.edge u v)
+          ~edge:(fun v k ->
+            let u, volume = (Dag.Graph.preds g v).(k) in
+            w.Dag.Levels.edge u v volume)
           ~zero:0.
       in
       let r = Dag.Series_parallel.reduce scalar_algebra net in
@@ -277,8 +285,8 @@ let () =
           tc "validation" `Quick graph_rejects_invalid;
           topo_order_is_valid;
           topo_order_is_permutation;
-          tc "add_edges" `Quick add_edges_extends;
-          tc "add_edges cycle" `Quick add_edges_rejects_cycle;
+          tc "of_adjacency" `Quick of_adjacency_matches_make;
+          tc "of_adjacency cycle" `Quick of_adjacency_rejects_cycle;
         ] );
       ( "levels",
         [

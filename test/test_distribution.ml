@@ -108,11 +108,6 @@ let normal_family_moments () =
 let normal_zero_std_is_const () =
   Alcotest.(check bool) "const" true (Dist.is_const (Family.normal ~mean:3. ~std:0. ()))
 
-let gamma_family_moments () =
-  let d = Family.gamma ~shape:4. ~scale:2. ~points:256 () in
-  check_close ~eps:1e-3 "mean" 8. (Dist.mean d);
-  check_close ~eps:2e-2 "var" 16. (Dist.variance d)
-
 let uncertain_model_moments () =
   let w = 20. and ul = 1.1 in
   let d = Family.uncertain ~ul w in
@@ -693,7 +688,6 @@ let () =
           tc "beta params" `Quick beta_rejects_spiky_params;
           tc "normal" `Quick normal_family_moments;
           tc "normal zero std" `Quick normal_zero_std_is_const;
-          tc "gamma" `Quick gamma_family_moments;
           tc "uncertain" `Quick uncertain_model_moments;
           tc "uncertain degenerate" `Quick uncertain_degenerate;
           tc "special multimodal" `Quick special_is_multimodal;

@@ -263,7 +263,7 @@ let dodin_duplications_iff_not_sp =
       let o = Tutil.Reference.dodin sched platform model11 in
       let dgraph = Sched.Disjunctive.graph_of sched in
       let network =
-        Dag.Series_parallel.of_task_dag dgraph
+        Dag.Series_parallel.of_task_dag dgraph.Sched.Disjunctive.graph
           ~task:(fun _ -> ())
           ~edge:(fun _ _ -> ())
           ~zero:()

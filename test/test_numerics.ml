@@ -762,16 +762,6 @@ let normal_cdf_symmetry =
       Float.abs (Numerics.Special.normal_cdf x +. Numerics.Special.normal_cdf (-.x) -. 1.)
       < 1e-10)
 
-let normal_quantile_roundtrip =
-  Tutil.qcheck ~count:100 "Φ(Φ⁻¹(p)) = p" QCheck2.Gen.(float_range 0.001 0.999) (fun p ->
-      Float.abs (Numerics.Special.normal_cdf (Numerics.Special.normal_quantile p) -. p)
-      < 1e-6)
-
-let normal_quantile_known () =
-  check_close_abs ~eps:1e-6 "median" 0. (Numerics.Special.normal_quantile 0.5);
-  check_close_abs ~eps:1e-4 "97.5%" 1.959964 (Numerics.Special.normal_quantile 0.975);
-  check_close_abs ~eps:1e-4 "1%" (-2.326348) (Numerics.Special.normal_quantile 0.01)
-
 let log_gamma_known () =
   List.iter
     (fun (x, want) ->
@@ -934,8 +924,6 @@ let () =
           tc "erf values" `Quick erf_known_values;
           erfc_complement;
           normal_cdf_symmetry;
-          normal_quantile_roundtrip;
-          tc "quantile values" `Quick normal_quantile_known;
           tc "log_gamma values" `Quick log_gamma_known;
           log_gamma_recurrence;
           tc "beta pdf mass" `Quick beta_pdf_integrates_to_one;

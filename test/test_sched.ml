@@ -184,7 +184,7 @@ let disjunctive_adds_proc_edges () =
     Sched.Schedule.make ~graph:diamond ~n_procs:2 ~proc_of:[| 0; 0; 1; 0 |]
       ~order:[| [| 0; 1; 3 |]; [| 2 |] |]
   in
-  let dg = Sched.Disjunctive.graph_of s in
+  let dg = (Sched.Disjunctive.graph_of s).Sched.Disjunctive.graph in
   (* 0→1 and 1→3 already exist as DAG edges, so only... 0→1 exists, 1→3 exists:
      no new edges on proc 0; proc 1 has a single task *)
   Alcotest.(check int) "no duplicate edges" 4 (Dag.Graph.n_edges dg);
@@ -192,7 +192,7 @@ let disjunctive_adds_proc_edges () =
     Sched.Schedule.make ~graph:diamond ~n_procs:2 ~proc_of:[| 0; 0; 0; 0 |]
       ~order:[| [| 0; 2; 1; 3 |]; [||] |]
   in
-  let dg2 = Sched.Disjunctive.graph_of s2 in
+  let dg2 = (Sched.Disjunctive.graph_of s2).Sched.Disjunctive.graph in
   (* adds 2→1 (not a DAG edge); 0→2 and 1→3 already exist *)
   Alcotest.(check int) "adds 2->1" 5 (Dag.Graph.n_edges dg2);
   Alcotest.(check bool) "edge present" true (Dag.Graph.has_edge dg2 ~src:2 ~dst:1)
@@ -202,11 +202,116 @@ let disjunctive_makespan_matches_simulator =
     Tutil.random_scheduled_gen
     (fun (_, platform, sched) ->
       let model = Workloads.Stochastify.deterministic in
-      let dg = Sched.Disjunctive.graph_of sched in
+      let dg = (Sched.Disjunctive.graph_of sched).Sched.Disjunctive.graph in
       let w = Sched.Disjunctive.weights sched platform model in
       let lp = Dag.Levels.makespan dg w in
       let sim = (Sched.Simulator.deterministic sched platform).Sched.Simulator.makespan in
       Float.abs (lp -. sim) < 1e-6)
+
+(* The merged graph against [Dag.Graph.make] of both edge sets, field by
+   field, and every data-edge record against a volume lookup in the
+   schedule's own DAG. *)
+let disjunctive_equals_reference sched =
+  let base = sched.Sched.Schedule.graph in
+  let n = Dag.Graph.n_tasks base in
+  let order_edges =
+    Array.to_list sched.Sched.Schedule.order
+    |> List.concat_map (fun row ->
+           List.init
+             (max 0 (Array.length row - 1))
+             (fun i -> (row.(i), row.(i + 1), 0.))
+           |> List.filter (fun (u, v, _) -> not (Dag.Graph.has_edge base ~src:u ~dst:v)))
+  in
+  let reference =
+    Dag.Graph.make ~n ~edges:(Array.to_list (Dag.Graph.edges base) @ order_edges)
+  in
+  let { Sched.Disjunctive.graph = g; data } = Sched.Disjunctive.graph_of sched in
+  let base_edges = Dag.Graph.edges base in
+  let rows_equal f = List.for_all (fun v -> f g v = f reference v) (List.init n Fun.id) in
+  rows_equal Dag.Graph.preds && rows_equal Dag.Graph.succs
+  && Dag.Graph.topo_order g = Dag.Graph.topo_order reference
+  && Dag.Graph.exits g = Dag.Graph.exits reference
+  && Dag.Graph.n_edges g = Dag.Graph.n_edges reference
+  && Dag.Graph.edges g = Dag.Graph.edges reference
+  && List.for_all
+       (fun v ->
+         let preds = Dag.Graph.preds g v in
+         Array.length data.(v) = Array.length preds
+         && Array.for_all2
+              (fun (p, volume) e ->
+                match Dag.Graph.volume base ~src:p ~dst:v with
+                | None -> e = -1
+                | Some vol -> e >= 0 && vol = volume && base_edges.(e) = (p, v, vol))
+              preds data.(v))
+       (List.init n Fun.id)
+
+(* HEFT, a few random schedules and a chain of random moves and swaps
+   from each *)
+let disjunctive_schedules ~rng graph platform =
+  let n_procs = Platform.n_procs platform in
+  let starts =
+    Sched.Heft.schedule graph platform
+    :: List.init 3 (fun _ -> Sched.Random_sched.generate ~rng ~graph ~n_procs)
+  in
+  List.concat_map
+    (fun s0 ->
+      let rec walk s k acc =
+        if k = 0 then acc
+        else
+          let s' =
+            if k mod 2 = 0 then Sched.Neighbor.apply s (Sched.Neighbor.random ~rng s)
+            else
+              match Sched.Neighbor.random_swap ~rng s with
+              | Some sw -> Option.value (Sched.Neighbor.apply_swap_opt s sw) ~default:s
+              | None -> s
+          in
+          walk s' (k - 1) (s' :: acc)
+      in
+      walk s0 6 [ s0 ])
+    starts
+
+let disjunctive_cases =
+  let module C = Experiments.Case in
+  [
+    ("random30/p8", C.make ~kind:C.Random_graph ~n_target:30 ~n_procs:8 ~ul:1.1 ~seed:1L ());
+    ("cholesky10/p3", C.make ~kind:C.Cholesky ~n_target:10 ~n_procs:3 ~ul:1.1 ~seed:1L ());
+    ("gauss104/p16", C.make ~kind:C.Gauss_elim ~n_target:104 ~n_procs:16 ~ul:1.1 ~seed:1L ());
+  ]
+
+let disjunctive_merge_on_cases () =
+  let rng = Tutil.rng_of_seed 27 in
+  List.iter
+    (fun (name, case) ->
+      let inst = Experiments.Case.instantiate case in
+      List.iteri
+        (fun i s ->
+          Alcotest.(check bool) (Printf.sprintf "%s schedule %d" name i) true
+            (disjunctive_equals_reference s))
+        (disjunctive_schedules ~rng inst.Experiments.Case.graph
+           inst.Experiments.Case.platform))
+    disjunctive_cases
+
+let disjunctive_merge_on_random_dags =
+  Tutil.qcheck ~count:100 "merged graph = make of both edge sets" Tutil.random_scheduled_gen
+    (fun (graph, platform, sched) ->
+      let rng = Tutil.rng_of_seed (Dag.Graph.n_edges graph) in
+      disjunctive_equals_reference sched
+      && List.for_all disjunctive_equals_reference
+           (disjunctive_schedules ~rng graph platform))
+
+(* Blocks above the minor heap's size limit go straight to the major
+   heap; building the disjunctive graph should allocate none. *)
+let disjunctive_no_direct_major_words () =
+  let inst = Experiments.Case.instantiate (List.assoc "random30/p8" disjunctive_cases) in
+  let sched = Sched.Heft.schedule inst.Experiments.Case.graph inst.Experiments.Case.platform in
+  ignore (Sys.opaque_identity (Sched.Disjunctive.graph_of sched));
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to 20 do
+    ignore (Sys.opaque_identity (Sched.Disjunctive.graph_of sched))
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  Alcotest.(check (float 0.)) "direct major words" 0.
+    (major1 -. major0 -. (promoted1 -. promoted0))
 
 (* --- Slack --- *)
 
@@ -397,12 +502,11 @@ let heft_rank_policies_all_valid =
 
 let heft_rank_policies_order_weights () =
   (* on each task: best <= mean <= worst collapsed cost *)
-  let g = diamond in
   let rng = Tutil.rng_of_seed 20 in
   let p = Platform.Gen.uniform_minval ~rng ~n_tasks:4 ~n_procs:3 () in
-  let wb = Sched.Components.average_weights ~rank:`Best g p in
-  let wm = Sched.Components.average_weights ~rank:`Mean g p in
-  let ww = Sched.Components.average_weights ~rank:`Worst g p in
+  let wb = Sched.Components.average_weights ~rank:`Best p in
+  let wm = Sched.Components.average_weights ~rank:`Mean p in
+  let ww = Sched.Components.average_weights ~rank:`Worst p in
   for v = 0 to 3 do
     Alcotest.(check bool) "ordering" true
       (wb.Dag.Levels.task v <= wm.Dag.Levels.task v
@@ -493,12 +597,13 @@ let robust_heft_weights_grow_with_kappa () =
   let g = diamond in
   let p = two_proc_platform () in
   let model = Workloads.Stochastify.make ~ul:1.5 () in
-  let w0 = Sched.Robust_heft.risk_adjusted_weights ~kappa:0. g p model in
-  let w2 = Sched.Robust_heft.risk_adjusted_weights ~kappa:2. g p model in
+  let w0 = Sched.Robust_heft.risk_adjusted_weights ~kappa:0. p model in
+  let w2 = Sched.Robust_heft.risk_adjusted_weights ~kappa:2. p model in
+  let volume = Option.get (Dag.Graph.volume g ~src:0 ~dst:1) in
   Alcotest.(check bool) "task cost grows" true
     (w2.Dag.Levels.task 0 > w0.Dag.Levels.task 0);
   Alcotest.(check bool) "edge cost grows" true
-    (w2.Dag.Levels.edge 0 1 > w0.Dag.Levels.edge 0 1)
+    (w2.Dag.Levels.edge 0 1 volume > w0.Dag.Levels.edge 0 1 volume)
 
 let robust_heft_rejects_negative_kappa () =
   let g = diamond in
@@ -815,6 +920,10 @@ let () =
         [
           tc "adds proc edges" `Quick disjunctive_adds_proc_edges;
           disjunctive_makespan_matches_simulator;
+          tc "merged graph = make on paper cases" `Quick disjunctive_merge_on_cases;
+          disjunctive_merge_on_random_dags;
+          tc "graph_of allocates nothing in the major heap" `Quick
+            disjunctive_no_direct_major_words;
         ] );
       ( "slack",
         [

@@ -143,29 +143,18 @@ let ks_symmetric =
 
 (* --- Bootstrap --- *)
 
-let bootstrap_mean_interval () =
-  let rng = Tutil.rng_of_seed 33 in
-  let xs = Array.init 400 (fun _ -> Prng.Sampler.normal rng ~mean:10. ~std:2.) in
-  let iv =
-    Stats.Bootstrap.ci ~rng ~replicates:500 ~stat:Stats.Descriptive.mean xs
-  in
-  Alcotest.(check bool) "estimate near 10" true (Float.abs (iv.Stats.Bootstrap.estimate -. 10.) < 0.4);
-  Alcotest.(check bool) "interval brackets estimate" true
-    (iv.Stats.Bootstrap.lo <= iv.Stats.Bootstrap.estimate
-    && iv.Stats.Bootstrap.estimate <= iv.Stats.Bootstrap.hi);
-  (* ±2σ/√n ≈ 0.2: the interval should be about that wide *)
-  Alcotest.(check bool) "interval width sane" true
-    (iv.Stats.Bootstrap.hi -. iv.Stats.Bootstrap.lo < 1.)
+(* a noisy linear pair: Pearson ≈ 0.7, so the interval has room to shrink *)
+let noisy_pair rng n =
+  let xs = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:0. ~hi:1.) in
+  (xs, Array.map (fun x -> x +. (0.3 *. Prng.Sampler.normal rng ~mean:0. ~std:1.)) xs)
 
 let bootstrap_ci_narrows_with_n =
   Tutil.qcheck ~count:5 "more data, narrower interval" QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
       let rng = Tutil.rng_of_seed seed in
-      let draw n = Array.init n (fun _ -> Prng.Sampler.uniform rng ~lo:0. ~hi:1.) in
       let width n =
-        let iv =
-          Stats.Bootstrap.ci ~rng ~replicates:300 ~stat:Stats.Descriptive.mean (draw n)
-        in
+        let xs, ys = noisy_pair rng n in
+        let iv = Stats.Bootstrap.pearson_ci ~rng ~replicates:300 xs ys in
         iv.Stats.Bootstrap.hi -. iv.Stats.Bootstrap.lo
       in
       width 1000 < width 30)
@@ -180,11 +169,8 @@ let bootstrap_pearson_interval () =
   Alcotest.(check bool) "excludes zero" true (iv.Stats.Bootstrap.lo > 0.5)
 
 let bootstrap_deterministic () =
-  let xs = Array.init 50 float_of_int in
-  let run seed =
-    Stats.Bootstrap.ci ~rng:(Tutil.rng_of_seed seed) ~replicates:200
-      ~stat:(fun a -> Stats.Descriptive.quantile a 0.5) xs
-  in
+  let xs, ys = noisy_pair (Tutil.rng_of_seed 35) 50 in
+  let run seed = Stats.Bootstrap.pearson_ci ~rng:(Tutil.rng_of_seed seed) ~replicates:200 xs ys in
   Alcotest.(check bool) "same seed same interval" true (run 7 = run 7)
 
 let bootstrap_rejects_bad_params () =
@@ -194,11 +180,11 @@ let bootstrap_rejects_bad_params () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
-  expect (fun () ->
-      Stats.Bootstrap.ci ~rng ~replicates:5 ~stat:Stats.Descriptive.mean [| 1. |]);
-  expect (fun () ->
-      Stats.Bootstrap.ci ~rng ~confidence:1.5 ~stat:Stats.Descriptive.mean [| 1. |]);
-  expect (fun () -> Stats.Bootstrap.ci ~rng ~stat:Stats.Descriptive.mean [||])
+  let pair = [| 1.; 2. |] in
+  expect (fun () -> Stats.Bootstrap.pearson_ci ~rng ~replicates:5 pair pair);
+  expect (fun () -> Stats.Bootstrap.pearson_ci ~rng ~confidence:1.5 pair pair);
+  expect (fun () -> Stats.Bootstrap.pearson_ci ~rng [| 1. |] [| 1. |]);
+  expect (fun () -> Stats.Bootstrap.pearson_ci ~rng pair [| 1. |])
 
 (* --- Matrix_render --- *)
 
@@ -266,7 +252,6 @@ let () =
         ] );
       ( "bootstrap",
         [
-          tc "mean interval" `Quick bootstrap_mean_interval;
           bootstrap_ci_narrows_with_n;
           tc "pearson interval" `Quick bootstrap_pearson_interval;
           tc "deterministic" `Quick bootstrap_deterministic;

@@ -94,7 +94,7 @@ let cholesky_critical_path_depth () =
   (* critical path alternates POTRF/TRSM/UPDATE: length 3(b−1)+1 *)
   let tiles = 4 in
   let g = Workloads.Cholesky.generate ~tiles () in
-  let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ -> 0.) } in
+  let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ _ -> 0.) } in
   check_close "depth" (float_of_int ((3 * (tiles - 1)) + 1)) (Dag.Levels.makespan g w)
 
 (* --- Gauss_elim --- *)
@@ -118,7 +118,7 @@ let gauss_structure () =
   (* PIV(1) is task 0 of the canonical step-by-step order *)
   Alcotest.(check int) "entry" 0 (Dag.Graph.entries g).(0);
   (* depth: pivot and update alternate over n−1 steps: 2(n−1) *)
-  let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ -> 0.) } in
+  let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ _ -> 0.) } in
   check_close "depth" (float_of_int (2 * (n - 1))) (Dag.Levels.makespan g w)
 
 (* --- Classic shapes --- *)
@@ -156,7 +156,7 @@ let diamond_shape () =
   let g = Workloads.Classic.diamond ~rows:4 () in
   Alcotest.(check int) "tasks" 16 (Dag.Graph.n_tasks g);
   Alcotest.(check int) "edges" 24 (Dag.Graph.n_edges g);
-  let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ -> 0.) } in
+  let w = { Dag.Levels.task = (fun _ -> 1.); edge = (fun _ _ _ -> 0.) } in
   check_close "wavefront depth" 7. (Dag.Levels.makespan g w)
 
 (* --- Stochastify --- *)

@@ -70,7 +70,7 @@ module Reference = struct
   let classical sched platform model =
     let points = model.S.points and dgraph = Sched.Disjunctive.graph_of sched in
     let completion =
-      Array.make (Dag.Graph.n_tasks dgraph) (Distribution.Dist.const 0.)
+      Array.make (Sched.Schedule.n_tasks sched) (Distribution.Dist.const 0.)
     in
     Makespan.Classic.makespan_of_exits ~points dgraph
       (Makespan.Classic.completion_dists_with ~points ~dgraph ~completion
@@ -85,7 +85,7 @@ module Reference = struct
   let spelde_moments sched platform model =
     let dgraph = Sched.Disjunctive.graph_of sched in
     Makespan.Spelde.moments_with ~dgraph
-      ~completion:(Array.make (Dag.Graph.n_tasks dgraph) (Np.const 0.))
+      ~completion:(Array.make (Sched.Schedule.n_tasks sched) (Np.const 0.))
       ~task_moments:(fun ~task ~proc ->
         Np.make ~mean:(S.task_mean model platform ~task ~proc)
           ~std:(S.task_std model platform ~task ~proc))
