@@ -930,9 +930,9 @@ let () =
           tc "gamma pdf mass" `Quick gamma_pdf_integrates_to_one;
           tc "normal pdf peak" `Quick normal_pdf_peak;
           betainc_matches_quadrature;
-          betainc_symmetry;
           tc "betainc endpoints" `Quick betainc_endpoints;
           betainc_inv_roundtrip;
+          betainc_symmetry;
           tc "betainc_inv median" `Quick betainc_inv_median_beta25;
         ] );
       ( "rootfind",
