@@ -117,14 +117,57 @@ let forget_sums e graph ~changed ~seeds =
   for u = 0 to Dag.Graph.n_tasks graph - 1 do
     Array.iter
       (fun (v, _) ->
-        if changed.(u) || List.mem v seeds then Array.fill e.sums (3 * !i) 3 vacant;
+        if changed.(u) || seeds.(v) then Array.fill e.sums (3 * !i) 3 vacant;
         incr i)
       (Dag.Graph.succs graph u)
   done
 
 let clear_sums e = Array.fill e.sums 0 (Array.length e.sums) vacant
 
-let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~dirty ~seed sched completion v =
+(* Per-session cache of committed running maxima for dirty-cone
+   replays. [maxima.(v).(k)] is m_k = max(a_0 … a_k) over [v]'s first
+   k + 1 disjunctive arrivals in the session's committed state, held
+   for k < [len.(v)]. A replay fills it only below [v]'s first dirty
+   predecessor, where every arrival is committed state: the predecessor
+   keeps its committed completion and, since [v] is not fresh (its
+   processor and its predecessor sequence are the committed ones), the
+   same communication. A stored maximum is the value of the identical
+   left fold over identical operands, so resuming from it keeps the
+   bits. An accepted probe changes [v]'s arrivals from its first dirty
+   predecessor on, so [truncate_prefixes] cuts the cache there, and at
+   a fresh node it cuts it to nothing. *)
+type prefixes = {
+  maxima : Dist.t array array;
+  len : int array;
+  mutable fold_skips : int;
+}
+
+let prefixes n = { maxima = Array.make n [||]; len = Array.make n 0; fold_skips = 0 }
+let fold_skips p = p.fold_skips
+
+let truncate p v k =
+  let len = p.len.(v) in
+  if k < len then begin
+    Array.fill p.maxima.(v) k (len - k) vacant;
+    p.len.(v) <- k
+  end
+
+let first_dirty preds dirty =
+  let np = Array.length preds in
+  let rec go k = if k < np && not dirty.(fst preds.(k)) then go (k + 1) else k in
+  go 0
+
+let truncate_prefixes p (dgraph : Sched.Disjunctive.t) ~dirty ~fresh =
+  Array.iteri
+    (fun v d ->
+      if d then
+        truncate p v (if fresh.(v) then 0 else first_dirty (Dag.Graph.preds dgraph.graph v) dirty))
+    dirty
+
+let clear_prefixes p = Array.iteri (fun v _ -> truncate p v 0) p.len
+
+let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~prefixes ~dirty ~fresh ~seed sched
+    completion v =
   let proc_of = sched.Sched.Schedule.proc_of in
   let s = sums.sums in
   let arrival p e volume =
@@ -149,7 +192,48 @@ let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~dirty ~seed sched c
       sum
     end
   in
-  finish ~points ~dgraph ~task_dist ~proc:proc_of.(v) completion v arrival
+  let preds = Dag.Graph.preds dgraph.Sched.Disjunctive.graph v and data = dgraph.data.(v) in
+  let np = Array.length preds in
+  let ready =
+    if np = 0 then Dist.const 0.
+    else begin
+      (* arrivals [0, committed) are committed state; the fold resumes
+         from the longest cached maximum among them *)
+      let committed = if fresh then 0 else first_dirty preds dirty in
+      let len = prefixes.len.(v) in
+      let start = if committed < len then committed else len in
+      let store k acc =
+        if k >= len && k < committed then begin
+          let m = prefixes.maxima.(v) in
+          if k >= Array.length m then begin
+            (* [committed] < np at a dirty node that is not fresh *)
+            let m' = Array.make (np - 1) vacant in
+            Array.blit m 0 m' 0 len;
+            prefixes.maxima.(v) <- m'
+          end;
+          prefixes.maxima.(v).(k) <- acc;
+          prefixes.len.(v) <- k + 1
+        end
+      in
+      let acc =
+        if start = 0 then begin
+          let a = arrive completion preds data arrival 0 in
+          store 0 a;
+          ref a
+        end
+        else begin
+          prefixes.fold_skips <- prefixes.fold_skips + start - 1;
+          ref prefixes.maxima.(v).(start - 1)
+        end
+      in
+      for k = max 1 start to np - 1 do
+        acc := Dist.max_indep ~points !acc (arrive completion preds data arrival k);
+        store k !acc
+      done;
+      !acc
+    end
+  in
+  completion.(v) <- Dist.add ~points ready (task_dist ~task:v ~proc:proc_of.(v))
 
 let completion_dists_with ?arrivals ~points ~dgraph ~completion
     ~(task_dist : task:int -> proc:int -> Dist.t)

@@ -29,14 +29,39 @@ val sum_hits : edge_sums -> int
 val sum_misses : edge_sums -> int
 (** Arrival sums {!update_node} has computed so far. *)
 
-val forget_sums : edge_sums -> Dag.Graph.t -> changed:bool array -> seeds:int list -> unit
+val forget_sums : edge_sums -> Dag.Graph.t -> changed:bool array -> seeds:bool array -> unit
 (** Empty the slots of every data edge out of a [changed] node and into
-    a seed, after the session installed a probe that changed those
-    completions and the seeds' processors. The slots would never hit
-    again; emptying them frees their grids. *)
+    a node of [seeds], after the session installed a probe that changed
+    those completions and the seeds' processors. The slots would never
+    hit again; emptying them frees their grids. *)
 
 val clear_sums : edge_sums -> unit
 (** Empty every slot. *)
+
+type prefixes
+(** Committed running maxima of one incremental session: per node [v],
+    m_k = max(a_0 … a_k) of its first disjunctive arrivals in the
+    session's committed state, the partial results of the left fold
+    {!update_node} runs. It starts empty and is filled lazily by
+    {!update_node}, only below the node's first dirty predecessor and
+    only at nodes that are not fresh. A resumed fold is the identical
+    fold over identical operands, so the bits hold. Not thread-safe. *)
+
+val prefixes : int -> prefixes
+(** An empty cache for the given task count. *)
+
+val fold_skips : prefixes -> int
+(** [Dist.max_indep] calls {!update_node} has taken from the cache so far. *)
+
+val truncate_prefixes :
+  prefixes -> Sched.Disjunctive.t -> dirty:bool array -> fresh:bool array -> unit
+(** After the session installed a cone probe whose patched disjunctive
+    graph, dirty cone and fresh nodes are given: cut each non-fresh
+    dirty node's maxima at its first dirty predecessor, whose arrival
+    the probe changed, and empty each fresh node's. *)
+
+val clear_prefixes : prefixes -> unit
+(** Empty every node's maxima. *)
 
 val update_node :
   points:int ->
@@ -44,7 +69,9 @@ val update_node :
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
   sums:edge_sums ->
+  prefixes:prefixes ->
   dirty:bool array ->
+  fresh:bool ->
   seed:bool ->
   Sched.Schedule.t ->
   Distribution.Dist.t array ->
@@ -58,8 +85,12 @@ val update_node :
     order). Each arrival sum is read from [sums] first. A computed sum
     is written back only when its operands are committed state: the
     predecessor is not [dirty] (so its completion is the session's) and
-    the node is not a [seed] (the moved or swapped task, whose incoming
-    communications are the probe's own). *)
+    the node is not a [seed] (a task the probe moved, so its incoming
+    communications may be the probe's own). Unless the node
+    is [fresh] (a seed, or a node whose predecessor sequence the probe
+    changed), the fold resumes from the longest maximum [prefixes] holds
+    below the first dirty predecessor, and stores the maxima it computes
+    there. *)
 
 type arrivals
 (** Domain-local scratch for the arrival-sum memo of a full sweep:

@@ -63,6 +63,7 @@ type stats = {
   reeval_max_cone : int;
   reeval_sum_hits : int;  (** arrival sums a dirty-cone replay took from its session's memo *)
   reeval_sum_misses : int;  (** arrival sums dirty-cone replays computed *)
+  reeval_fold_skips : int;  (** [max_indep] calls dirty-cone replays took from their session's maxima *)
 }
 
 (* Every engine counter has one cell in its engine's [counts] table
@@ -88,6 +89,7 @@ type counter =
   | Reeval_cone_nodes
   | Reeval_sum_hits
   | Reeval_sum_misses
+  | Reeval_fold_skips
   | Reeval_max_cone
 
 let slot = function
@@ -107,7 +109,8 @@ let slot = function
   | Reeval_cone_nodes -> 13
   | Reeval_sum_hits -> 14
   | Reeval_sum_misses -> 15
-  | Reeval_max_cone -> 16
+  | Reeval_fold_skips -> 16
+  | Reeval_max_cone -> 17
 
 (* The Obs families each slot adds to, registered in slot order: both
    fallback kinds also add to [engine.reeval_full]; the largest cone is
@@ -132,6 +135,7 @@ let mirrors =
       [ "reeval_cone_nodes" ];
       [ "reeval_sum_hits" ];
       [ "reeval_sum_misses" ];
+      [ "reeval_fold_skips" ];
       [];
     |]
 
@@ -247,6 +251,7 @@ let stats t =
     reeval_max_cone = get Reeval_max_cone;
     reeval_sum_hits = get Reeval_sum_hits;
     reeval_sum_misses = get Reeval_sum_misses;
+    reeval_fold_skips = get Reeval_fold_skips;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -437,20 +442,25 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
    copies its n results out) and are NOT thread-safe: use one session
    per domain.
 
-   Dirty cone, for a move of task [m] from processor rows (o → d) with
-   old disjunctive graph G and patched graph G':
-     seeds  = { m } ∪ { v | preds_G'(v) ≠ preds_G(v) as task sequences }
-     dirty  = downward closure of seeds under G' successors
-   Seeds cover every input change of the classical recursion: the moved
-   task's duration and incoming-comm processors change at [m] itself;
-   outgoing-comm source-processor changes surface at successors of [m],
-   which the closure marks dirty because [m] is; and any node whose
-   disjunctive predecessor list grew, shrank, or reordered is a seed by
-   the sequence comparison (pred arrays are sorted by task id, so the
-   comparison — and the downstream fold order — is deterministic).
-   Everything else sees bitwise-identical inputs and keeps its stored
-   value, which is why [reevaluate_any] agrees bitwise with a fresh
-   [analyze] of the patched schedule.
+   Dirty cone, for any schedule S' of the case probed against the
+   session's schedule S, with disjunctive graphs G and G':
+     seeds  = { v | proc_S'(v) ≠ proc_S(v) } ∪ the move's tasks
+     fresh  = seeds ∪ { v | preds_G'(v) ≠ preds_G(v) as task sequences }
+     dirty  = downward closure of fresh under G' successors
+   Fresh nodes cover every input change of the classical recursion: a
+   seed's duration and incoming-comm processors change at the seed
+   itself; outgoing-comm source-processor changes surface at the seed's
+   successors, which the closure marks dirty because the seed is; and
+   any node whose disjunctive predecessor list grew, shrank, or
+   reordered is fresh by the sequence comparison (pred arrays are
+   sorted by task id, so the comparison — and the downstream fold order
+   — is deterministic). A reassign's seed is the moved task, a swap's
+   the two exchanged ones, even within one processor, and a schedule's
+   ([reevaluate_schedule], say a priority rebuild) every task it moved
+   to another processor. Everything
+   else sees bitwise-identical inputs and keeps its stored value, which
+   is why a re-evaluation agrees bitwise with a fresh [analyze] of the
+   patched schedule.
 
    A re-evaluation is a probe: it replays the cone in the session's
    arrays, puts the committed values back, and keeps the probe's own
@@ -462,19 +472,28 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
    Arrival-sum memo ([sums], Classical only): a replay reads the sum
    C(p) + comm(p→v) of every data edge from the session's memo and
    writes back only sums of committed state — [p] outside the cone, [v]
-   not a seed (the moved or swapped tasks, whose incoming
-   communications are the probe's own). Those sums stay valid until an
-   accepted probe changes C(p) or v's processor, so [accept] empties
-   the slots out of the cone and into the seeds (a fallback empties them
-   all). The memo is never filled by [start_session]: a 30-task session
-   would hold every edge's grid, where probes touch a few. *)
+   not a seed (a task the probe moved, whose incoming communications
+   may be the probe's own). Those sums stay valid
+   until an accepted probe changes C(p) or v's processor, so [accept]
+   empties the slots out of the cone and into the seeds (a fallback
+   empties them all). The memo is never filled by [start_session]: a
+   30-task session would hold every edge's grid, where probes touch a
+   few.
+
+   Committed prefix maxima ([prefixes], Classical only): at a dirty node
+   that is not fresh, the arrivals before its first dirty predecessor
+   are committed state, so a replay resumes the node's max fold from
+   the longest committed running maximum the session holds there, and
+   stores the ones it computes below that predecessor. [accept] cuts
+   each installed node's maxima at its first dirty predecessor (a fresh
+   node's to nothing; a fallback empties them all). Like the memo, the
+   cache is filled only by replays, never by [start_session]. *)
 
 (* The last probe of a session, until the next re-evaluation. *)
 type probe = {
   p_sched : Sched.Schedule.t;
   p_dgraph : Sched.Disjunctive.t;
   p_eval : evaluation;
-  p_seeds : int list;
   p_cone : bool;  (* values kept at the dirty nodes only, else all n *)
 }
 
@@ -489,6 +508,10 @@ type session = {
   p_completion : Distribution.Dist.t array;  (* the probe's values, same shapes *)
   p_moments : Distribution.Normal_pair.t array;
   sums : Classic.edge_sums;
+  prefixes : Classic.prefixes;
+  (* the last probe's node sets, read by [accept] *)
+  seeds : bool array;
+  fresh : bool array;
   dirty : bool array;
   mutable pending : probe option;
   mutable last : evaluation;
@@ -520,6 +543,9 @@ let start_session ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
     p_completion = dists ();
     p_moments = pairs ();
     sums = Classic.edge_sums t.graph;
+    prefixes = Classic.prefixes (match backend with Classical -> n | _ -> 0);
+    seeds = Array.make n false;
+    fresh = Array.make n false;
     dirty = Array.make n false;
     pending = None;
     last = { makespan; slack };
@@ -534,21 +560,19 @@ let same_pred_seq a b =
   let rec eq i = i >= n || (fst a.(i) = fst b.(i) && eq (i + 1)) in
   eq 0
 
-(* Mark dirty nodes in [session.dirty]; returns the cone size. [seeds]
-   are the tasks whose own timing certainly changed (the moved task for a
-   reassign, both tasks for a swap); every node whose disjunctive pred
-   sequence changed is seeded too, then the set is closed downward. *)
-let mark_dirty_cone session ~seeds ~dgraph' =
+(* Mark the seeds, fresh and dirty nodes of a probe of [sched'] in the
+   session's arrays; returns the cone size. [moved] are the tasks a move
+   names, seeds even where their processor stays. *)
+let mark_dirty_cone session ~moved sched' ~dgraph' =
   let g = session.dgraph.Sched.Disjunctive.graph and g' = dgraph'.Sched.Disjunctive.graph in
-  let dirty = session.dirty in
-  Array.fill dirty 0 (Array.length dirty) false;
-  List.iter (fun v -> dirty.(v) <- true) seeds;
-  let n = Array.length dirty in
-  for v = 0 to n - 1 do
-    if
-      (not dirty.(v))
-      && not (same_pred_seq (Dag.Graph.preds g v) (Dag.Graph.preds g' v))
-    then dirty.(v) <- true
+  let proc_of = session.sched.Sched.Schedule.proc_of
+  and proc_of' = sched'.Sched.Schedule.proc_of in
+  let { seeds; fresh; dirty; _ } = session in
+  for v = 0 to Array.length dirty - 1 do
+    seeds.(v) <- proc_of.(v) <> proc_of'.(v) || List.mem v moved;
+    fresh.(v) <-
+      seeds.(v) || not (same_pred_seq (Dag.Graph.preds g v) (Dag.Graph.preds g' v));
+    dirty.(v) <- fresh.(v)
   done;
   let cone = ref 0 in
   Array.iter
@@ -589,12 +613,12 @@ let replay_cone dirty order ~state ~aside update result =
     restore ();
     raise e
 
-(* Shared probe core: [sched'] is the already-patched (hence feasible)
-   schedule, [seeds] the tasks whose timing the patch certainly changed.
-   [reevaluate_any] constructs [sched'] *before* this runs, so an
-   infeasible move raises [Invalid_argument] without touching the
-   session's schedule or state. *)
-let probe ~max_cone session ~seeds sched' =
+(* Shared probe core: [sched'] is a feasible schedule of the session's
+   case, [moved] the tasks of the move that built it, if any. The entry
+   points build it *before* this runs, so an infeasible move raises
+   [Invalid_argument] without touching the session's schedule or
+   state. *)
+let probe ~max_cone ~moved session sched' =
   let t = session.engine in
   let n = t.n_tasks in
   let max_cone = match max_cone with Some c -> c | None -> max 1 (n / 2) in
@@ -605,7 +629,7 @@ let probe ~max_cone session ~seeds sched' =
   let incremental_backend =
     match session.backend with Classical | Spelde -> true | Dodin | Montecarlo _ -> false
   in
-  let cone = if incremental_backend then mark_dirty_cone session ~seeds ~dgraph' else n in
+  let cone = if incremental_backend then mark_dirty_cone session ~moved sched' ~dgraph' else n in
   let incremental = incremental_backend && cone <= max_cone in
   if incremental then begin
     bump t Reeval_incremental 1;
@@ -619,18 +643,20 @@ let probe ~max_cone session ~seeds sched' =
       let dirty = session.dirty in
       match session.backend with
       | Classical ->
-        let sums = session.sums in
+        let sums = session.sums and prefixes = session.prefixes in
         let hits0 = Classic.sum_hits sums and misses0 = Classic.sum_misses sums in
+        let skips0 = Classic.fold_skips prefixes in
         let makespan =
           replay_cone dirty order ~state:session.s_completion ~aside:session.p_completion
             (fun v ->
               Classic.update_node ~points:t.points ~dgraph:dgraph' ~task_dist:(task_dist t)
-                ~comm_dist:(comm_dist t) ~sums ~dirty ~seed:(List.mem v seeds) sched'
-                session.s_completion v)
+                ~comm_dist:(comm_dist t) ~sums ~prefixes ~dirty ~fresh:session.fresh.(v)
+                ~seed:session.seeds.(v) sched' session.s_completion v)
             (Classic.makespan_of_exits ~points:t.points dgraph')
         in
         bump t Reeval_sum_hits (Classic.sum_hits sums - hits0);
         bump t Reeval_sum_misses (Classic.sum_misses sums - misses0);
+        bump t Reeval_fold_skips (Classic.fold_skips prefixes - skips0);
         makespan
       | Spelde ->
         replay_cone dirty order ~state:session.s_moments ~aside:session.p_moments
@@ -657,8 +683,7 @@ let probe ~max_cone session ~seeds sched' =
   let slack = slack_of t session.slack_mode ~dgraph:dgraph' sched' in
   let ev = { makespan; slack } in
   session.pending <-
-    Some
-      { p_sched = sched'; p_dgraph = dgraph'; p_eval = ev; p_seeds = seeds; p_cone = incremental };
+    Some { p_sched = sched'; p_dgraph = dgraph'; p_eval = ev; p_cone = incremental };
   ev
 
 let accept session =
@@ -674,10 +699,16 @@ let accept session =
     (match session.backend with
     | Classical ->
       install session.s_completion session.p_completion;
-      if p.p_cone then
+      if p.p_cone then begin
         Classic.forget_sums session.sums session.engine.graph ~changed:session.dirty
-          ~seeds:p.p_seeds
-      else Classic.clear_sums session.sums
+          ~seeds:session.seeds;
+        Classic.truncate_prefixes session.prefixes p.p_dgraph ~dirty:session.dirty
+          ~fresh:session.fresh
+      end
+      else begin
+        Classic.clear_sums session.sums;
+        Classic.clear_prefixes session.prefixes
+      end
     | Spelde -> install session.s_moments session.p_moments
     | Dodin | Montecarlo _ -> ());
     session.sched <- p.p_sched;
@@ -689,12 +720,19 @@ let accept session =
    that raises leaves nothing to accept. *)
 let reevaluate_any ?(commit = true) ?max_cone session (m : Sched.Neighbor.any) =
   session.pending <- None;
-  let seeds, sched' =
+  let sched' = Sched.Neighbor.apply_any session.sched m in
+  let moved =
     match m with
-    | Sched.Neighbor.Reassign { task; to_; at } ->
-      ([ task ], Sched.Schedule.reassign ?at session.sched ~task ~to_)
-    | Sched.Neighbor.Swap { a; b } -> ([ a; b ], Sched.Schedule.swap session.sched ~a ~b)
+    | Sched.Neighbor.Reassign { task; _ } -> [ task ]
+    | Sched.Neighbor.Swap { a; b } -> [ a; b ]
   in
-  let ev = probe ~max_cone session ~seeds sched' in
+  let ev = probe ~max_cone ~moved session sched' in
+  if commit then accept session;
+  ev
+
+let reevaluate_schedule ?(commit = true) ?max_cone session sched' =
+  session.pending <- None;
+  check_schedule session.engine sched';
+  let ev = probe ~max_cone ~moved:[] session sched' in
   if commit then accept session;
   ev

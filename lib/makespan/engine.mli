@@ -83,11 +83,15 @@ val analyze :
     so re-evaluating a one-task move only recomputes the dirty
     downstream cone — the difference between local / adversarial search
     being feasible or not. The cone is the closure, under the patched
-    disjunctive graph's successors, of the moved task plus every node
-    whose predecessor sequence changed; nodes outside it see
+    disjunctive graph's successors, of the {e fresh} nodes: the tasks a
+    move names and every task the patch moved to another processor
+    (the {e seeds}), plus every node whose predecessor sequence
+    changed. Nodes outside it see
     bitwise-identical inputs and keep their stored values, so
-    {!reevaluate_any} agrees {e bitwise} with a fresh {!analyze} of the
-    patched schedule. Cones above [max_cone] (default: half the task
+    {!reevaluate_any} and {!reevaluate_schedule} agree {e bitwise} with a
+    fresh {!analyze} of the patched schedule. The cone is derived from
+    the two schedules alone, so any schedule of the case can be probed:
+    {!Search.Anneal} probes its priority rebuilds this way. Cones above [max_cone] (default: half the task
     count), [Dodin] (a global series–parallel reduction) and
     [Montecarlo] fall back to a full evaluation — same bits, no
     speedup — counted under [reeval_full].
@@ -108,6 +112,17 @@ val analyze :
     the installed probe made stale. Its reuse is counted under
     [reeval_sum_hits]/[reeval_sum_misses]. Full sweeps (fallbacks,
     {!analyze}) keep their own sweep-scoped memo.
+
+    It also keeps committed prefix maxima: per node, the running maxima
+    [max(a_0 … a_k)] of its committed arrivals, stored by replays below
+    the node's first dirty predecessor at nodes that are not fresh. A
+    replay of such a node resumes its max fold from the longest one
+    held there, skipping those arrivals and maxima: the identical fold
+    over identical operands, so the bits hold. {!accept} cuts each
+    installed node's maxima at its first dirty predecessor (a fresh
+    node's to nothing). The skipped [Dist.max_indep] calls are counted
+    under [reeval_fold_skips]. Like the memo, the cache is never filled
+    by {!start_session}.
 
     Sessions own their arrays (full {!analyze} calls on the same engine
     are unaffected) but are NOT thread-safe: use one session per
@@ -142,6 +157,18 @@ val reevaluate_any :
     the session's schedule and state are then untouched, and no probe is
     left to accept. *)
 
+val reevaluate_schedule :
+  ?commit:bool -> ?max_cone:int -> session -> Sched.Schedule.t -> evaluation
+(** Evaluation of any feasible schedule of the session's case (a
+    {!Sched.Schedule.validate}d schedule of the same graph), through the
+    same probe core as {!reevaluate_any}: its seeds are the tasks on
+    another processor than in the session's schedule, and only the
+    dirty cone of the fresh nodes is replayed, [commit] and {!accept} as there. A
+    priority-jitter rebuild probed this way costs a replay of the nodes
+    it moved or reordered and their descendants, and keeps the
+    session's memo and maxima. Raises [Invalid_argument] if the schedule
+    has a different task count. *)
+
 val accept : session -> unit
 (** Advance the session to the neighbor of its last re-evaluation,
     installing that probe's schedule, disjunctive graph, evaluation and
@@ -164,15 +191,16 @@ type stats = {
           from the same predecessor's earlier sum in that sweep *)
   arrival_misses : int;  (** arrival sums classical full sweeps computed *)
   evals : int;
-      (** total {!eval}/{!analyze}/{!start_session}/{!reevaluate_any}
-          calls; always the sum of the four per-backend counts *)
+      (** total {!eval}/{!analyze}/{!start_session}/{!reevaluate_any}/
+          {!reevaluate_schedule} calls; always the sum of the four
+          per-backend counts *)
   evals_classical : int;
   evals_dodin : int;
   evals_spelde : int;
   evals_montecarlo : int;
   reevals : int;
-      (** total {!reevaluate_any} calls; always
-          [reeval_incremental + reeval_full] *)
+      (** total {!reevaluate_any} and {!reevaluate_schedule} calls;
+          always [reeval_incremental + reeval_full] *)
   reeval_incremental : int;  (** served by a dirty-cone replay *)
   reeval_full : int;
       (** fell back to a full sweep; always
@@ -185,6 +213,9 @@ type stats = {
   reeval_sum_hits : int;
       (** arrival sums a dirty-cone replay took from its session's memo *)
   reeval_sum_misses : int;  (** arrival sums dirty-cone replays computed *)
+  reeval_fold_skips : int;
+      (** [Dist.max_indep] calls a dirty-cone replay took from its
+          session's committed prefix maxima *)
 }
 
 val stats : t -> stats
@@ -196,6 +227,6 @@ val stats : t -> stats
     [engine.arrival_misses], [engine.evals.<backend>],
     [engine.reeval_incremental], [engine.reeval_full],
     [engine.reeval_full_cone], [engine.reeval_full_backend],
-    [engine.reeval_cone_nodes], [engine.reeval_sum_hits] and
-    [engine.reeval_sum_misses]. [evals], [reevals] and [reeval_max_cone]
+    [engine.reeval_cone_nodes], [engine.reeval_sum_hits],
+    [engine.reeval_sum_misses] and [engine.reeval_fold_skips]. [evals], [reevals] and [reeval_max_cone]
     have no mirror. *)

@@ -2,10 +2,12 @@
    (DESIGN.md §17). The hot loop probes one-task reassigns and task
    swaps through a single incremental engine session
    ([Engine.reevaluate_any ~commit:false]) and installs an accepted
-   probe with [Engine.accept], so every session move costs one dirty-cone
-   replay whether it is accepted or not. Priority-perturbation moves
-   rebuild a schedule through the list-scheduler driver with a jittered
-   rank table — a full evaluation, kept rare by the default move mix. *)
+   probe with [Engine.accept], so every move costs one dirty-cone replay
+   whether it is accepted or not. Priority-perturbation moves rebuild a
+   schedule through the list-scheduler driver with a jittered rank table
+   and probe it through the same session ([Engine.reevaluate_schedule]):
+   the replay covers the tasks the rebuild moved or reordered and their
+   descendants. *)
 
 module Engine = Makespan.Engine
 
@@ -253,15 +255,12 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
              | Some probe ->
                incr probes;
                Obs.Metrics.incr m_probes;
-               let ev, commit =
+               let ev =
                  match probe with
-                 | `Session mv ->
-                   let ev = Engine.reevaluate_any ~commit:false ~max_cone !session mv in
-                   (ev, fun () -> Engine.accept !session)
+                 | `Session mv -> Engine.reevaluate_any ~commit:false ~max_cone !session mv
                  | `Rebuild sched' ->
                    incr priority_moves;
-                   let s' = start_session sched' in
-                   (Engine.session_evaluation s', fun () -> session := s')
+                   Engine.reevaluate_schedule ~commit:false ~max_cone !session sched'
                in
                let obj = value ev in
                let sched' =
@@ -280,7 +279,7 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
                  incr accepted;
                  incr window_accepted;
                  Obs.Metrics.incr m_accepted;
-                 commit ();
+                 Engine.accept !session;
                  cur_obj := obj;
                  if obj < !best_obj then begin
                    best := Engine.session_schedule !session;

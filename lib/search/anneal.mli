@@ -1,9 +1,10 @@
 (** Stochastic local search / simulated annealing over schedules.
 
-    The optimizer walks the schedule neighborhood (one-task reassigns and
-    task swaps probed through an incremental {!Makespan.Engine} session,
-    plus occasional priority-perturbation rebuilds replayed through
-    {!Sched.List_scheduler.run_ranked}), minimizing any {!Objective.t}.
+    The optimizer walks the schedule neighborhood (one-task reassigns,
+    task swaps and occasional priority-perturbation rebuilds by
+    {!Sched.List_scheduler.run_ranked}, all probed through one
+    incremental {!Makespan.Engine} session), minimizing any
+    {!Objective.t}.
     Every accepted incremental objective value is bitwise-equal to a
     fresh [Engine.analyze] of the same schedule — that is the session
     contract this module inherits and the determinism tests enforce.
@@ -36,7 +37,7 @@ type config = {
   restarts : int;  (** extra runs re-seeded from the incumbent best *)
   init : string;  (** registry name of the initial scheduler *)
   mix : move_mix;
-  max_cone : int option;  (** forwarded to [Engine.reevaluate_any] *)
+  max_cone : int option;  (** forwarded to every [Engine] re-evaluation *)
   delta : float option;  (** A(δ) bound; [None] calibrates from the initial schedule *)
   gamma : float option;  (** R(γ) bound; same convention *)
   axis : Archive.axis;  (** frontier y-coordinate: σ_M or −slack *)
@@ -49,15 +50,15 @@ val default : config
 
 type stats = {
   steps_done : int;
-  probes : int;  (** neighbor evaluations, including commit replays *)
+  probes : int;  (** neighbor evaluations, priority rebuilds included *)
   accepted : int;
   infeasible : int;  (** draws rejected by validation before probing *)
   priority_moves : int;
   restarts_done : int;
-  reevals : int;  (** engine re-evaluations issued by this run *)
+  reevals : int;  (** engine re-evaluations issued by this run: one per probe *)
   reeval_incremental : int;
   reeval_full : int;
-  full_evals : int;  (** fresh full sweeps (sessions and priority probes) *)
+  full_evals : int;  (** sessions started: the initial one and one per restart *)
 }
 
 val incremental_fraction : stats -> float

@@ -429,12 +429,174 @@ let session_sum_counts () =
         end
     done;
     let st = Makespan.Engine.stats engine in
-    (st.Makespan.Engine.reeval_sum_hits, st.Makespan.Engine.reeval_sum_misses)
+    ( st.Makespan.Engine.reeval_sum_hits,
+      st.Makespan.Engine.reeval_sum_misses,
+      st.Makespan.Engine.reeval_fold_skips )
   in
-  let ((hits, _) as counts) = walk () in
+  let ((hits, _, skips) as counts) = walk () in
   Alcotest.(check bool) "sums reused" true (hits > 0);
-  Alcotest.(check (pair int int)) "counts repeat" counts (walk ());
-  Alcotest.(check (pair int int)) "pinned counts" (9128, 12201) counts
+  Alcotest.(check bool) "maxima reused" true (skips > 0);
+  Alcotest.(check (triple int int int)) "counts repeat" counts (walk ());
+  Alcotest.(check (triple int int int)) "pinned counts" (1644, 12201, 6505) counts
+
+(* One probe of a mixed walk over a Classical session: a reassign, a
+   swap of any two tasks, a swap of two tasks on one processor, a
+   reorder within one processor, a priority-jitter rebuild (the
+   annealer's), or any random schedule of the case. [None] when the
+   draw deadlocks or changes nothing. *)
+let mixed_candidate ~rng ~graph ~platform ~priority base =
+  let open Sched.Schedule in
+  let n = n_tasks base in
+  let same_proc () =
+    let row = base.order.(Prng.Xoshiro.int rng base.n_procs) in
+    let len = Array.length row in
+    if len < 2 then None
+    else Some (row.(Prng.Xoshiro.int rng len), row.(Prng.Xoshiro.int rng len))
+  in
+  let move mv =
+    Option.map (fun s -> (`Move mv, s)) (Sched.Neighbor.apply_any_opt base mv)
+  in
+  match Prng.Xoshiro.int rng 6 with
+  | 0 -> move (Sched.Neighbor.Reassign (Sched.Neighbor.random ~rng base))
+  | 1 ->
+    let a = Prng.Xoshiro.int rng n and b = Prng.Xoshiro.int rng n in
+    if a = b then None else move (Sched.Neighbor.Swap { Sched.Neighbor.a; b })
+  | 2 -> (
+    match same_proc () with
+    | Some (a, b) when a <> b -> move (Sched.Neighbor.Swap { Sched.Neighbor.a; b })
+    | _ -> None)
+  | 3 -> (
+    match same_proc () with
+    | Some (task, _) ->
+      let at = Prng.Xoshiro.int rng (Array.length base.order.(base.proc_of.(task))) in
+      move (Sched.Neighbor.Reassign (Sched.Neighbor.make ~at ~task ~to_:base.proc_of.(task) ()))
+    | None -> None)
+  | 4 ->
+    let priority =
+      Array.map (fun p -> p *. (1. +. (0.3 *. (Prng.Xoshiro.next_float rng -. 0.5)))) priority
+    in
+    let s = Sched.List_scheduler.run_ranked (Sched.Heft.spec ()) ~priority graph platform in
+    Some (`Schedule s, s)
+  | _ ->
+    let s = Sched.Random_sched.generate ~rng ~graph ~n_procs:base.n_procs in
+    Some (`Schedule s, s)
+
+(* Probe [probes] mixed candidates off one Classical session on the
+   whole-graph cone, accepting every [accept_every]-th: every probe,
+   the session after every probe, and every accepted evaluation equal a
+   fresh [analyze] bit for bit. Returns the engine's stats. *)
+let mixed_walk ~rng ~graph ~platform ~init ~probes ~accept_every =
+  let engine = engine_of (graph, platform) in
+  let n = Dag.Graph.n_tasks graph in
+  let priority =
+    (Sched.List_scheduler.prepare (Sched.Heft.spec ()) graph platform).Sched.List_scheduler.priority
+  in
+  let session = Makespan.Engine.start_session engine init in
+  let fresh sched = Makespan.Engine.analyze engine sched in
+  let done_ = ref 0 in
+  while !done_ < probes do
+    let base = Makespan.Engine.session_schedule session in
+    match mixed_candidate ~rng ~graph ~platform ~priority base with
+    | None -> ()
+    | Some (kind, sched') ->
+      incr done_;
+      let ev =
+        match kind with
+        | `Move mv -> Makespan.Engine.reevaluate_any ~commit:false ~max_cone:n session mv
+        | `Schedule s -> Makespan.Engine.reevaluate_schedule ~commit:false ~max_cone:n session s
+      in
+      eval_bits_equal (Printf.sprintf "probe %d" !done_) (fresh sched') ev;
+      eval_bits_equal
+        (Printf.sprintf "probe %d: session intact" !done_)
+        (fresh base) (Makespan.Engine.session_evaluation session);
+      if !done_ mod accept_every = 0 then begin
+        Makespan.Engine.accept session;
+        eval_bits_equal
+          (Printf.sprintf "probe %d accepted" !done_)
+          (fresh sched') (Makespan.Engine.session_evaluation session)
+      end
+  done;
+  Makespan.Engine.stats engine
+
+let prefix_walk_small =
+  Tutil.qcheck ~count:25 "prefix maxima: mixed walk == analyze (bitwise)"
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 2 4))
+    (fun (seed, accept_every) ->
+      let rng = Tutil.rng_of_seed seed in
+      let graph = Workloads.Random_dag.generate ~rng ~n:(6 + Prng.Xoshiro.int rng 10) () in
+      let n_tasks = Dag.Graph.n_tasks graph in
+      let n_procs = 2 + Prng.Xoshiro.int rng 3 in
+      let platform = Platform.Gen.uniform_minval ~rng ~n_tasks ~n_procs () in
+      let init = Sched.Random_sched.generate ~rng ~graph ~n_procs in
+      ignore (mixed_walk ~rng ~graph ~platform ~init ~probes:30 ~accept_every);
+      true)
+
+(* The same walk on the annealing case (random30 on 8 processors, from
+   HEFT), one accept in three probes. *)
+let prefix_walk_random30 () =
+  let module C = Experiments.Case in
+  let inst =
+    C.instantiate (C.make ~seed:1L ~n_procs:8 ~kind:C.Random_graph ~n_target:30 ~ul:1.1 ())
+  in
+  let graph = inst.C.graph and platform = inst.C.platform in
+  let init = Sched.Heft.schedule graph platform in
+  let st =
+    mixed_walk ~rng:(Tutil.rng_of_seed 11) ~graph ~platform ~init ~probes:60 ~accept_every:3
+  in
+  Alcotest.(check bool) "maxima reused" true (st.Makespan.Engine.reeval_fold_skips > 0)
+
+(* Hand-built cases for the prefix maxima. Tasks 0-3 each feed the
+   join 4 (disjunctive predecessors [0; 1; 2; 3]), 4 feeds 5, and 6 is
+   free; every task starts alone on its own processor, with p7 empty.
+   Each probe is checked bitwise against a fresh analyze, and its
+   [Dist.max_indep] calls taken from the cache are pinned. *)
+let prefix_targeted () =
+  let graph =
+    Dag.Graph.make ~n:7
+      ~edges:[ (0, 4, 1.); (1, 4, 2.); (2, 4, 3.); (3, 4, 1.5); (4, 5, 1.) ]
+  in
+  let platform =
+    Platform.Gen.uniform_minval ~rng:(Tutil.rng_of_seed 5) ~n_tasks:7 ~n_procs:8 ()
+  in
+  let engine = engine_of (graph, platform) in
+  let init =
+    Sched.Schedule.make ~graph ~n_procs:8 ~proc_of:[| 0; 1; 2; 3; 4; 5; 6 |]
+      ~order:[| [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |]; [| 4 |]; [| 5 |]; [| 6 |]; [||] |]
+  in
+  let session = Makespan.Engine.start_session engine init in
+  let skips () = (Makespan.Engine.stats engine).Makespan.Engine.reeval_fold_skips in
+  let probe ?(accept = false) name ~task ~to_ ?at want =
+    let base = Makespan.Engine.session_schedule session in
+    let mv = Sched.Neighbor.Reassign (Sched.Neighbor.make ?at ~task ~to_ ()) in
+    let before = skips () in
+    let ev = Makespan.Engine.reevaluate_any ~commit:false session mv in
+    eval_bits_equal name (Makespan.Engine.analyze engine (Sched.Neighbor.apply_any base mv)) ev;
+    Alcotest.(check int) (name ^ ": max_indep calls skipped") want (skips () - before);
+    if accept then begin
+      Makespan.Engine.accept session;
+      eval_bits_equal (name ^ " accepted") ev (Makespan.Engine.session_evaluation session)
+    end
+  in
+  (* first dirty predecessor at index 0: nothing is committed, nothing
+     stored *)
+  probe "move 0" ~task:0 ~to_:7 0;
+  probe "move 0 again" ~task:0 ~to_:7 0;
+  (* first dirty predecessor at index 3: m_0..m_2 stored, then reused *)
+  probe "move 3" ~task:3 ~to_:7 0;
+  probe "move 3 again" ~task:3 ~to_:7 2;
+  (* an accepted move of task 1 cuts the join's maxima at index 1 *)
+  probe ~accept:true "accept move 1" ~task:1 ~to_:7 0;
+  probe "re-probe 3 after the cut" ~task:3 ~to_:6 0;
+  probe "re-probe 3, refilled" ~task:3 ~to_:6 2;
+  (* task 6 joins the join's processor ahead of it: 4 gains a
+     predecessor, so it is fresh and its maxima are dropped on accept *)
+  probe ~accept:true "grow the join's predecessors" ~task:6 ~to_:4 ~at:0 0;
+  probe "move 3, five predecessors" ~task:3 ~to_:2 0;
+  probe "move 3 again, five predecessors" ~task:3 ~to_:2 2;
+  (* and loses it again *)
+  probe ~accept:true "shrink the join's predecessors" ~task:6 ~to_:6 0;
+  probe "move 2, four predecessors" ~task:2 ~to_:0 0;
+  probe "move 2 again, four predecessors" ~task:2 ~to_:0 1
 
 (* CI allocation bound: re-evaluating a small-cone one-move neighbor
    must allocate at most a fifth of a full evaluation (it should be far
@@ -707,6 +869,10 @@ let () =
           accept_walk Makespan.Engine.Spelde;
           accept_walk Makespan.Engine.Dodin;
           Alcotest.test_case "session memo counts pinned" `Quick session_sum_counts;
+          prefix_walk_small;
+          Alcotest.test_case "prefix maxima: random30/p8 walk == analyze (bitwise)" `Slow
+            prefix_walk_random30;
+          Alcotest.test_case "prefix maxima: targeted cases" `Quick prefix_targeted;
           Alcotest.test_case "cone cutoff falls back bitwise" `Quick
             cutoff_forces_full_fallback;
           Alcotest.test_case "1-move reeval allocation bound" `Slow

@@ -8,8 +8,17 @@ let check_close_abs ?(eps = 1e-9) msg expected actual =
   if not (Float.abs (expected -. actual) <= eps) then
     Alcotest.failf "%s: expected %.10g, got %.10g (abs eps %.1e)" msg expected actual eps
 
+(* Every property draws its cases from one fixed seed, so each run
+   checks the same cases; QCHECK_SEED, when set, picks another. *)
+let qcheck_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some s -> s
+  | None -> 1
+
 let qcheck ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| qcheck_seed |])
+    (QCheck2.Test.make ~count ~name gen prop)
 
 let rng_of_seed seed = Prng.Xoshiro.create (Int64.of_int seed)
 
