@@ -202,16 +202,20 @@ let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~prefixes ~dirty ~fr
       let committed = if fresh then 0 else first_dirty preds dirty in
       let len = prefixes.len.(v) in
       let start = if committed < len then committed else len in
+      let m =
+        let m = prefixes.maxima.(v) in
+        if Array.length m >= committed then m
+        else begin
+          (* [committed] < np at a dirty node that is not fresh *)
+          let m' = Array.make (np - 1) vacant in
+          Array.blit m 0 m' 0 len;
+          prefixes.maxima.(v) <- m';
+          m'
+        end
+      in
       let store k acc =
         if k >= len && k < committed then begin
-          let m = prefixes.maxima.(v) in
-          if k >= Array.length m then begin
-            (* [committed] < np at a dirty node that is not fresh *)
-            let m' = Array.make (np - 1) vacant in
-            Array.blit m 0 m' 0 len;
-            prefixes.maxima.(v) <- m'
-          end;
-          prefixes.maxima.(v).(k) <- acc;
+          m.(k) <- acc;
           prefixes.len.(v) <- k + 1
         end
       in
@@ -223,7 +227,7 @@ let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~prefixes ~dirty ~fr
         end
         else begin
           prefixes.fold_skips <- prefixes.fold_skips + start - 1;
-          ref prefixes.maxima.(v).(start - 1)
+          ref m.(start - 1)
         end
       in
       for k = max 1 start to np - 1 do

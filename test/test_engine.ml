@@ -519,16 +519,16 @@ let mixed_walk ~rng ~graph ~platform ~init ~probes ~accept_every =
   Makespan.Engine.stats engine
 
 let prefix_walk_small =
-  Tutil.qcheck ~count:25 "prefix maxima: mixed walk == analyze (bitwise)"
+  Tutil.qcheck ~count:30 "prefix maxima: mixed walk == analyze (bitwise)"
     QCheck2.Gen.(pair (int_range 0 100_000) (int_range 2 4))
     (fun (seed, accept_every) ->
       let rng = Tutil.rng_of_seed seed in
-      let graph = Workloads.Random_dag.generate ~rng ~n:(6 + Prng.Xoshiro.int rng 10) () in
+      let graph = Workloads.Random_dag.generate ~rng ~n:(6 + Prng.Xoshiro.int rng 16) () in
       let n_tasks = Dag.Graph.n_tasks graph in
       let n_procs = 2 + Prng.Xoshiro.int rng 3 in
       let platform = Platform.Gen.uniform_minval ~rng ~n_tasks ~n_procs () in
       let init = Sched.Random_sched.generate ~rng ~graph ~n_procs in
-      ignore (mixed_walk ~rng ~graph ~platform ~init ~probes:30 ~accept_every);
+      ignore (mixed_walk ~rng ~graph ~platform ~init ~probes:60 ~accept_every);
       true)
 
 (* The same walk on the annealing case (random30 on 8 processors, from
@@ -546,22 +546,25 @@ let prefix_walk_random30 () =
   Alcotest.(check bool) "maxima reused" true (st.Makespan.Engine.reeval_fold_skips > 0)
 
 (* Hand-built cases for the prefix maxima. Tasks 0-3 each feed the
-   join 4 (disjunctive predecessors [0; 1; 2; 3]), 4 feeds 5, and 6 is
-   free; every task starts alone on its own processor, with p7 empty.
-   Each probe is checked bitwise against a fresh analyze, and its
-   [Dist.max_indep] calls taken from the cache are pinned. *)
+   join 4 (disjunctive predecessors [0; 1; 2; 3]), 4 feeds 5 and 7
+   feeds 6; every task starts alone on its own processor, with p8
+   empty. The sources' heavy edges keep the join's arrivals
+   overlapping, so no single arrival dominates the maximum and a wrong
+   cached prefix changes the bits. Each probe is checked bitwise
+   against a fresh analyze, and its [Dist.max_indep] calls taken from
+   the cache are pinned. *)
 let prefix_targeted () =
   let graph =
-    Dag.Graph.make ~n:7
-      ~edges:[ (0, 4, 1.); (1, 4, 2.); (2, 4, 3.); (3, 4, 1.5); (4, 5, 1.) ]
+    Dag.Graph.make ~n:8
+      ~edges:[ (0, 4, 30.); (1, 4, 40.); (2, 4, 50.); (3, 4, 35.); (4, 5, 1.); (7, 6, 0.5) ]
   in
   let platform =
-    Platform.Gen.uniform_minval ~rng:(Tutil.rng_of_seed 5) ~n_tasks:7 ~n_procs:8 ()
+    Platform.Gen.uniform_minval ~rng:(Tutil.rng_of_seed 5) ~n_tasks:8 ~n_procs:9 ()
   in
   let engine = engine_of (graph, platform) in
   let init =
-    Sched.Schedule.make ~graph ~n_procs:8 ~proc_of:[| 0; 1; 2; 3; 4; 5; 6 |]
-      ~order:[| [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |]; [| 4 |]; [| 5 |]; [| 6 |]; [||] |]
+    Sched.Schedule.make ~graph ~n_procs:9 ~proc_of:(Array.init 8 Fun.id)
+      ~order:(Array.init 9 (fun p -> if p < 8 then [| p |] else [||]))
   in
   let session = Makespan.Engine.start_session engine init in
   let skips () = (Makespan.Engine.stats engine).Makespan.Engine.reeval_fold_skips in
@@ -579,20 +582,24 @@ let prefix_targeted () =
   in
   (* first dirty predecessor at index 0: nothing is committed, nothing
      stored *)
-  probe "move 0" ~task:0 ~to_:7 0;
-  probe "move 0 again" ~task:0 ~to_:7 0;
+  probe "move 0" ~task:0 ~to_:8 0;
+  probe "move 0 again" ~task:0 ~to_:8 0;
   (* first dirty predecessor at index 3: m_0..m_2 stored, then reused *)
-  probe "move 3" ~task:3 ~to_:7 0;
-  probe "move 3 again" ~task:3 ~to_:7 2;
+  probe "move 3" ~task:3 ~to_:8 0;
+  probe "move 3 again" ~task:3 ~to_:8 2;
   (* an accepted move of task 1 cuts the join's maxima at index 1 *)
-  probe ~accept:true "accept move 1" ~task:1 ~to_:7 0;
+  probe ~accept:true "accept move 1" ~task:1 ~to_:8 0;
   probe "re-probe 3 after the cut" ~task:3 ~to_:6 0;
   probe "re-probe 3, refilled" ~task:3 ~to_:6 2;
   (* task 6 joins the join's processor ahead of it: 4 gains a
      predecessor, so it is fresh and its maxima are dropped on accept *)
   probe ~accept:true "grow the join's predecessors" ~task:6 ~to_:4 ~at:0 0;
-  probe "move 3, five predecessors" ~task:3 ~to_:2 0;
-  probe "move 3 again, five predecessors" ~task:3 ~to_:2 2;
+  (* moving 7 dirties 6 without making 4 fresh: the first dirty
+     predecessor is now at index 4, past the three maxima the join's
+     cache had room for *)
+  probe "move 7, five predecessors" ~task:7 ~to_:8 0;
+  probe "move 3, five predecessors" ~task:3 ~to_:2 2;
+  probe "move 7 again, five predecessors" ~task:7 ~to_:8 3;
   (* and loses it again *)
   probe ~accept:true "shrink the join's predecessors" ~task:6 ~to_:6 0;
   probe "move 2, four predecessors" ~task:2 ~to_:0 0;
