@@ -12,7 +12,9 @@ module Dist = Distribution.Dist
    counts the data successors of [p] the sweep has still to reach: an
    entry is released at its last use, so a kept sum survives no longer
    than it can be reused (a sum held across a minor collection is
-   promoted to the major heap). *)
+   promoted to the major heap). A dirty-cone replay keeps its
+   probe-only sums here too, with [left.(p)] counting [p]'s dirty data
+   successors. *)
 type arrivals = {
   mutable slots : Dist.t array;
   mutable left : int array;
@@ -28,33 +30,63 @@ let arrivals () = { slots = [||]; left = [||]; hits = 0; misses = 0 }
 let arrival_hits a = a.hits
 let arrival_misses a = a.misses
 
-let memo_sum ~points a p c comm =
+(* [p]'s entry first; a computed sum goes in front when [keep] *)
+let memo_sum ~points a ~keep p c comm =
   let s = a.slots and i = 6 * p in
-  let left = a.left.(p) - 1 in
-  a.left.(p) <- left;
-  let sum =
-    if Array.unsafe_get s i == c && Array.unsafe_get s (i + 1) == comm then begin
-      a.hits <- a.hits + 1;
-      Array.unsafe_get s (i + 2)
+  if Array.unsafe_get s i == c && Array.unsafe_get s (i + 1) == comm then begin
+    a.hits <- a.hits + 1;
+    Array.unsafe_get s (i + 2)
+  end
+  else if Array.unsafe_get s (i + 3) == c && Array.unsafe_get s (i + 4) == comm then begin
+    a.hits <- a.hits + 1;
+    Array.unsafe_get s (i + 5)
+  end
+  else begin
+    a.misses <- a.misses + 1;
+    let sum = Dist.add ~points c comm in
+    if keep then begin
+      Array.blit s i s (i + 3) 3;
+      s.(i) <- c;
+      s.(i + 1) <- comm;
+      s.(i + 2) <- sum
+    end;
+    sum
+  end
+
+let with_arrivals a n f =
+  let len = 6 * n in
+  if Array.length a.slots < len then begin
+    a.slots <- Array.make len vacant;
+    a.left <- Array.make n 0
+  end;
+  a.hits <- 0;
+  a.misses <- 0;
+  (* nothing outlives the sweep: the sums are dropped with it *)
+  Fun.protect ~finally:(fun () -> Array.fill a.slots 0 len vacant) f
+
+let with_cone_arrivals a (dgraph : Sched.Disjunctive.t) ~dirty f =
+  let n = Array.length dirty in
+  with_arrivals a n (fun () ->
+      Array.fill a.left 0 n 0;
+      Array.iteri
+        (fun v d ->
+          if d then
+            Array.iteri
+              (fun k (p, _) -> if dgraph.data.(v).(k) >= 0 then a.left.(p) <- a.left.(p) + 1)
+              (Dag.Graph.preds dgraph.graph v))
+        dirty;
+      f ())
+
+(* after [v]'s replay: drop the probe sums of predecessors it used last *)
+let release_preds a preds data =
+  for k = 0 to Array.length preds - 1 do
+    if data.(k) >= 0 then begin
+      let p = fst preds.(k) in
+      let left = a.left.(p) - 1 in
+      a.left.(p) <- left;
+      if left = 0 then Array.fill a.slots (6 * p) 6 vacant
     end
-    else if Array.unsafe_get s (i + 3) == c && Array.unsafe_get s (i + 4) == comm then begin
-      a.hits <- a.hits + 1;
-      Array.unsafe_get s (i + 5)
-    end
-    else begin
-      a.misses <- a.misses + 1;
-      let sum = Dist.add ~points c comm in
-      if left > 0 then begin
-        Array.blit s i s (i + 3) 3;
-        s.(i) <- c;
-        s.(i + 1) <- comm;
-        s.(i + 2) <- sum
-      end;
-      sum
-    end
-  in
-  if left = 0 then Array.fill s i 6 vacant;
-  sum
+  done
 
 (* C(v) = max over [v]'s disjunctive predecessors of their arrivals,
    plus v's duration: a fused arrival/max loop, the same left fold as
@@ -89,7 +121,12 @@ let node ~points ~dgraph ~task_dist ~comm_dist ~arrivals sched completion v =
     let comm = comm_dist ~volume ~src:proc_of.(p) ~dst:proc_of.(v) in
     match arrivals with
     | None -> Dist.add ~points completion.(p) comm
-    | Some a -> memo_sum ~points a p completion.(p) comm
+    | Some a ->
+      let left = a.left.(p) - 1 in
+      a.left.(p) <- left;
+      let sum = memo_sum ~points a ~keep:(left > 0) p completion.(p) comm in
+      if left = 0 then Array.fill a.slots (6 * p) 6 vacant;
+      sum
   in
   finish ~points ~dgraph ~task_dist ~proc:proc_of.(v) completion v arrival
 
@@ -166,8 +203,8 @@ let truncate_prefixes p (dgraph : Sched.Disjunctive.t) ~dirty ~fresh =
 
 let clear_prefixes p = Array.iteri (fun v _ -> truncate p v 0) p.len
 
-let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~prefixes ~dirty ~fresh ~seed sched
-    completion v =
+let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~arrivals ~prefixes ~dirty ~fresh
+    ~seed sched completion v =
   let proc_of = sched.Sched.Schedule.proc_of in
   let s = sums.sums in
   let arrival p e volume =
@@ -178,17 +215,19 @@ let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~prefixes ~dirty ~fr
       sums.sum_hits <- sums.sum_hits + 1;
       Array.unsafe_get s (i + 2)
     end
+    else if seed || dirty.(p) then
+      (* the probe's own operands: [p]'s completion or the seed's
+         incoming comm, kept while [p]'s other dirty successors may
+         need the same sum *)
+      memo_sum ~points arrivals ~keep:true p c comm
     else begin
+      (* committed operands: [p] outside the cone keeps its committed
+         completion, and [v] its processor *)
       sums.sum_misses <- sums.sum_misses + 1;
       let sum = Dist.add ~points c comm in
-      (* only committed operands: [p] outside the cone keeps its
-         committed completion, and a seed's incoming comm is the
-         probe's own *)
-      if not (seed || dirty.(p)) then begin
-        s.(i) <- c;
-        s.(i + 1) <- comm;
-        s.(i + 2) <- sum
-      end;
+      s.(i) <- c;
+      s.(i + 1) <- comm;
+      s.(i + 2) <- sum;
       sum
     end
   in
@@ -237,6 +276,7 @@ let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~prefixes ~dirty ~fr
       !acc
     end
   in
+  release_preds arrivals preds data;
   completion.(v) <- Dist.add ~points ready (task_dist ~task:v ~proc:proc_of.(v))
 
 let completion_dists_with ?arrivals ~points ~dgraph ~completion
@@ -251,21 +291,12 @@ let completion_dists_with ?arrivals ~points ~dgraph ~completion
   | None -> sweep None
   | Some a ->
     let n = Dag.Graph.n_tasks dgraph.Sched.Disjunctive.graph in
-    let len = 6 * n in
-    if Array.length a.slots < len then begin
-      a.slots <- Array.make len vacant;
-      a.left <- Array.make n 0
-    end;
-    let graph = sched.Sched.Schedule.graph in
-    for p = 0 to n - 1 do
-      a.left.(p) <- Array.length (Dag.Graph.succs graph p)
-    done;
-    a.hits <- 0;
-    a.misses <- 0;
-    (* nothing outlives the sweep: the sums are dropped with it *)
-    Fun.protect
-      ~finally:(fun () -> Array.fill a.slots 0 len vacant)
-      (fun () -> sweep arrivals));
+    with_arrivals a n (fun () ->
+        let graph = sched.Sched.Schedule.graph in
+        for p = 0 to n - 1 do
+          a.left.(p) <- Array.length (Dag.Graph.succs graph p)
+        done;
+        sweep arrivals));
   completion
 
 let makespan_of_exits ~points (dgraph : Sched.Disjunctive.t) completion =

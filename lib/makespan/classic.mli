@@ -63,12 +63,41 @@ val truncate_prefixes :
 val clear_prefixes : prefixes -> unit
 (** Empty every node's maxima. *)
 
+type arrivals
+(** Domain-local scratch for the arrival-sum memo of a full sweep:
+    per predecessor [p], the last two sums [C(p) + comm(p→v)] keyed by
+    the physical identity of both operands. Within one sweep a
+    predecessor whose successors are reached over the same shared
+    communication distribution (one per weight from {!Engine}, one
+    shared zero for same-processor edges) reuses the sum instead of
+    convolving again; a reused sum is the value of the identical
+    [Dist.add] call, so results are bit-identical to the uncached sweep.
+    An entry is released when the sweep reaches [p]'s last data
+    successor. A dirty-cone replay ({!update_node}) keeps its probe-only
+    sums here for the whole replay. Not thread-safe: one per domain. *)
+
+val arrivals : unit -> arrivals
+
+val arrival_hits : arrivals -> int
+(** Arrival sums reused by the last sweep that ran with this memo. *)
+
+val arrival_misses : arrivals -> int
+(** Arrival sums computed by that sweep. *)
+
+val with_cone_arrivals :
+  arrivals -> Sched.Disjunctive.t -> dirty:bool array -> (unit -> 'a) -> 'a
+(** [with_cone_arrivals a dgraph ~dirty f] runs [f], the replay of the
+    [dirty] nodes of [dgraph], on the memo: its counts start at zero, a
+    predecessor's sums are dropped after its last dirty data successor,
+    and the rest when [f] returns or raises. *)
+
 val update_node :
   points:int ->
   dgraph:Sched.Disjunctive.t ->
   task_dist:(task:int -> proc:int -> Distribution.Dist.t) ->
   comm_dist:(volume:float -> src:int -> dst:int -> Distribution.Dist.t) ->
   sums:edge_sums ->
+  arrivals:arrivals ->
   prefixes:prefixes ->
   dirty:bool array ->
   fresh:bool ->
@@ -86,31 +115,14 @@ val update_node :
     is written back only when its operands are committed state: the
     predecessor is not [dirty] (so its completion is the session's) and
     the node is not a [seed] (a task the probe moved, so its incoming
-    communications may be the probe's own). Unless the node
+    communications may be the probe's own). Other sums are the probe's
+    own: they are kept in [arrivals] (run under {!with_cone_arrivals}),
+    so the predecessor's other successors in the replay reuse them, as
+    a full sweep does. Unless the node
     is [fresh] (a seed, or a node whose predecessor sequence the probe
     changed), the fold resumes from the longest maximum [prefixes] holds
     below the first dirty predecessor, and stores the maxima it computes
     there. *)
-
-type arrivals
-(** Domain-local scratch for the arrival-sum memo of a full sweep:
-    per predecessor [p], the last two sums [C(p) + comm(p→v)] keyed by
-    the physical identity of both operands. Within one sweep a
-    predecessor whose successors are reached over the same shared
-    communication distribution (one per weight from {!Engine}, one
-    shared zero for same-processor edges) reuses the sum instead of
-    convolving again; a reused sum is the value of the identical
-    [Dist.add] call, so results are bit-identical to the uncached sweep.
-    An entry is released when the sweep reaches [p]'s last data
-    successor. Not thread-safe: one per domain. *)
-
-val arrivals : unit -> arrivals
-
-val arrival_hits : arrivals -> int
-(** Arrival sums reused by the last sweep that ran with this memo. *)
-
-val arrival_misses : arrivals -> int
-(** Arrival sums computed by that sweep. *)
 
 val completion_dists_with :
   ?arrivals:arrivals ->

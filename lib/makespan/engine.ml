@@ -457,10 +457,9 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
    — is deterministic). A reassign's seed is the moved task, a swap's
    the two exchanged ones, even within one processor, and a schedule's
    ([reevaluate_schedule], say a priority rebuild) every task it moved
-   to another processor. Everything
-   else sees bitwise-identical inputs and keeps its stored value, which
-   is why a re-evaluation agrees bitwise with a fresh [analyze] of the
-   patched schedule.
+   to another processor. Everything else sees bitwise-identical inputs
+   and keeps its stored value, which is why a re-evaluation agrees
+   bitwise with a fresh [analyze] of the patched schedule.
 
    A re-evaluation is a probe: it replays the cone in the session's
    arrays, puts the committed values back, and keeps the probe's own
@@ -473,12 +472,11 @@ let analyze ?(backend = Classical) ?(slack_mode = `Disjunctive) t sched =
    C(p) + comm(p→v) of every data edge from the session's memo and
    writes back only sums of committed state — [p] outside the cone, [v]
    not a seed (a task the probe moved, whose incoming communications
-   may be the probe's own). Those sums stay valid
-   until an accepted probe changes C(p) or v's processor, so [accept]
-   empties the slots out of the cone and into the seeds (a fallback
-   empties them all). The memo is never filled by [start_session]: a
-   30-task session would hold every edge's grid, where probes touch a
-   few.
+   may be the probe's own). Those sums stay valid until an accepted
+   probe changes C(p) or v's processor, so [accept] empties the slots
+   out of the cone and into the seeds (a fallback empties them all).
+   The memo is never filled by [start_session]: a 30-task session would
+   hold every edge's grid, where probes touch a few.
 
    Committed prefix maxima ([prefixes], Classical only): at a dirty node
    that is not fresh, the arrivals before its first dirty predecessor
@@ -644,18 +642,21 @@ let probe ~max_cone ~moved session sched' =
       match session.backend with
       | Classical ->
         let sums = session.sums and prefixes = session.prefixes in
+        let arrivals = (Domain.DLS.get scratch_key).arrivals in
         let hits0 = Classic.sum_hits sums and misses0 = Classic.sum_misses sums in
         let skips0 = Classic.fold_skips prefixes in
         let makespan =
-          replay_cone dirty order ~state:session.s_completion ~aside:session.p_completion
-            (fun v ->
-              Classic.update_node ~points:t.points ~dgraph:dgraph' ~task_dist:(task_dist t)
-                ~comm_dist:(comm_dist t) ~sums ~prefixes ~dirty ~fresh:session.fresh.(v)
-                ~seed:session.seeds.(v) sched' session.s_completion v)
-            (Classic.makespan_of_exits ~points:t.points dgraph')
+          Classic.with_cone_arrivals arrivals dgraph' ~dirty (fun () ->
+              replay_cone dirty order ~state:session.s_completion ~aside:session.p_completion
+                (fun v ->
+                  Classic.update_node ~points:t.points ~dgraph:dgraph' ~task_dist:(task_dist t)
+                    ~comm_dist:(comm_dist t) ~sums ~arrivals ~prefixes ~dirty
+                    ~fresh:session.fresh.(v) ~seed:session.seeds.(v) sched' session.s_completion v)
+                (Classic.makespan_of_exits ~points:t.points dgraph'))
         in
-        bump t Reeval_sum_hits (Classic.sum_hits sums - hits0);
-        bump t Reeval_sum_misses (Classic.sum_misses sums - misses0);
+        bump t Reeval_sum_hits (Classic.sum_hits sums - hits0 + Classic.arrival_hits arrivals);
+        bump t Reeval_sum_misses
+          (Classic.sum_misses sums - misses0 + Classic.arrival_misses arrivals);
         bump t Reeval_fold_skips (Classic.fold_skips prefixes - skips0);
         makespan
       | Spelde ->

@@ -437,7 +437,7 @@ let session_sum_counts () =
   Alcotest.(check bool) "sums reused" true (hits > 0);
   Alcotest.(check bool) "maxima reused" true (skips > 0);
   Alcotest.(check (triple int int int)) "counts repeat" counts (walk ());
-  Alcotest.(check (triple int int int)) "pinned counts" (1644, 12201, 6505) counts
+  Alcotest.(check (triple int int int)) "pinned counts" (1763, 12082, 6505) counts
 
 (* One probe of a mixed walk over a Classical session: a reassign, a
    swap of any two tasks, a swap of two tasks on one processor, a
