@@ -74,7 +74,8 @@ type arrivals
     [Dist.add] call, so results are bit-identical to the uncached sweep.
     An entry is released when the sweep reaches [p]'s last data
     successor. A dirty-cone replay ({!update_node}) keeps its probe-only
-    sums here for the whole replay. Not thread-safe: one per domain. *)
+    sums here too ({!with_cone_arrivals}). Not thread-safe: one per
+    domain. *)
 
 val arrivals : unit -> arrivals
 
@@ -118,11 +119,10 @@ val update_node :
     communications may be the probe's own). Other sums are the probe's
     own: they are kept in [arrivals] (run under {!with_cone_arrivals}),
     so the predecessor's other successors in the replay reuse them, as
-    a full sweep does. Unless the node
-    is [fresh] (a seed, or a node whose predecessor sequence the probe
-    changed), the fold resumes from the longest maximum [prefixes] holds
-    below the first dirty predecessor, and stores the maxima it computes
-    there. *)
+    a full sweep does. Unless the node is [fresh] (a seed, or a node
+    whose predecessor sequence the probe changed), the fold resumes from
+    the longest maximum [prefixes] holds below the first dirty
+    predecessor, and stores the maxima it computes there. *)
 
 val completion_dists_with :
   ?arrivals:arrivals ->
