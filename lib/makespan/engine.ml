@@ -63,7 +63,7 @@ type stats = {
   reeval_max_cone : int;
   reeval_sum_hits : int;  (** arrival sums a dirty-cone replay took from its session's memo *)
   reeval_sum_misses : int;  (** arrival sums dirty-cone replays computed *)
-  reeval_fold_skips : int;  (** [max_indep] calls dirty-cone replays took from their session's maxima *)
+  reeval_fold_skips : int;  (** [max_indep] calls replays took from their session's maxima *)
 }
 
 (* Every engine counter has one cell in its engine's [counts] table
@@ -731,9 +731,7 @@ let reevaluate_any ?(commit = true) ?max_cone session (m : Sched.Neighbor.any) =
   if commit then accept session;
   ev
 
-let reevaluate_schedule ?(commit = true) ?max_cone session sched' =
+let reevaluate_schedule ?max_cone session sched' =
   session.pending <- None;
   check_schedule session.engine sched';
-  let ev = probe ~max_cone ~moved:[] session sched' in
-  if commit then accept session;
-  ev
+  probe ~max_cone ~moved:[] session sched'

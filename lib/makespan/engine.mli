@@ -91,10 +91,10 @@ val analyze :
     {!reevaluate_any} and {!reevaluate_schedule} agree {e bitwise} with a
     fresh {!analyze} of the patched schedule. The cone is derived from
     the two schedules alone, so any schedule of the case can be probed:
-    {!Search.Anneal} probes its priority rebuilds this way. Cones above [max_cone] (default: half the task
-    count), [Dodin] (a global series–parallel reduction) and
-    [Montecarlo] fall back to a full evaluation — same bits, no
-    speedup — counted under [reeval_full].
+    {!Search.Anneal} probes its priority rebuilds this way. Cones above
+    [max_cone] (default: half the task count), [Dodin] (a global
+    series–parallel reduction) and [Montecarlo] fall back to a full
+    evaluation — same bits, no speedup — counted under [reeval_full].
 
     Every re-evaluation is a {e probe}: it leaves the session on its
     schedule and keeps the probe's result aside (its schedule,
@@ -157,17 +157,16 @@ val reevaluate_any :
     the session's schedule and state are then untouched, and no probe is
     left to accept. *)
 
-val reevaluate_schedule :
-  ?commit:bool -> ?max_cone:int -> session -> Sched.Schedule.t -> evaluation
-(** Evaluation of any feasible schedule of the session's case (a
+val reevaluate_schedule : ?max_cone:int -> session -> Sched.Schedule.t -> evaluation
+(** A probe of any feasible schedule of the session's case (a
     {!Sched.Schedule.validate}d schedule of the same graph), through the
-    same probe core as {!reevaluate_any}: its seeds are the tasks on
-    another processor than in the session's schedule, and only the
-    dirty cone of the fresh nodes is replayed, [commit] and {!accept} as there. A
-    priority-jitter rebuild probed this way costs a replay of the nodes
-    it moved or reordered and their descendants, and keeps the
-    session's memo and maxima. Raises [Invalid_argument] if the schedule
-    has a different task count. *)
+    same probe core as {!reevaluate_any} with [commit:false]: its seeds
+    are the tasks on another processor than in the session's schedule,
+    and only the dirty cone of the fresh nodes is replayed. {!accept}
+    installs it. A priority-jitter rebuild probed this way costs a
+    replay of the nodes it moved or reordered and their descendants,
+    and keeps the session's memo and maxima. Raises [Invalid_argument]
+    if the schedule has a different task count. *)
 
 val accept : session -> unit
 (** Advance the session to the neighbor of its last re-evaluation,

@@ -260,7 +260,7 @@ let run ?(should_stop = fun () -> false) ~engine ~init config =
                  | `Session mv -> Engine.reevaluate_any ~commit:false ~max_cone !session mv
                  | `Rebuild sched' ->
                    incr priority_moves;
-                   Engine.reevaluate_schedule ~commit:false ~max_cone !session sched'
+                   Engine.reevaluate_schedule ~max_cone !session sched'
                in
                let obj = value ev in
                let sched' =

@@ -503,7 +503,7 @@ let mixed_walk ~rng ~graph ~platform ~init ~probes ~accept_every =
       let ev =
         match kind with
         | `Move mv -> Makespan.Engine.reevaluate_any ~commit:false ~max_cone:n session mv
-        | `Schedule s -> Makespan.Engine.reevaluate_schedule ~commit:false ~max_cone:n session s
+        | `Schedule s -> Makespan.Engine.reevaluate_schedule ~max_cone:n session s
       in
       eval_bits_equal (Printf.sprintf "probe %d" !done_) (fresh sched') ev;
       eval_bits_equal
