@@ -10,9 +10,9 @@ module Dist = Distribution.Dist
    compare by physical identity, so a hit returns the value of the
    identical [Dist.add] call on the identical operands. [left.(p)]
    counts the data successors of [p] the sweep has still to reach: an
-   entry is released at its last use, so a kept sum survives no longer
-   than it can be reused (a sum held across a minor collection is
-   promoted to the major heap). A dirty-cone replay keeps its
+   entry is released after its last use, so a kept sum survives no
+   longer than it can be reused (a sum held across a minor collection
+   is promoted to the major heap). A dirty-cone replay keeps its
    probe-only sums here too, with [left.(p)] counting [p]'s dirty data
    successors. *)
 type arrivals = {
@@ -30,8 +30,8 @@ let arrivals () = { slots = [||]; left = [||]; hits = 0; misses = 0 }
 let arrival_hits a = a.hits
 let arrival_misses a = a.misses
 
-(* [p]'s entry first; a computed sum goes in front when [keep] *)
-let memo_sum ~points a ~keep p c comm =
+(* [p]'s entry first; a computed sum goes in front *)
+let memo_sum ~points a p c comm =
   let s = a.slots and i = 6 * p in
   if Array.unsafe_get s i == c && Array.unsafe_get s (i + 1) == comm then begin
     a.hits <- a.hits + 1;
@@ -44,12 +44,10 @@ let memo_sum ~points a ~keep p c comm =
   else begin
     a.misses <- a.misses + 1;
     let sum = Dist.add ~points c comm in
-    if keep then begin
-      Array.blit s i s (i + 3) 3;
-      s.(i) <- c;
-      s.(i + 1) <- comm;
-      s.(i + 2) <- sum
-    end;
+    Array.blit s i s (i + 3) 3;
+    s.(i) <- c;
+    s.(i + 1) <- comm;
+    s.(i + 2) <- sum;
     sum
   end
 
@@ -77,7 +75,7 @@ let with_cone_arrivals a (dgraph : Sched.Disjunctive.t) ~dirty f =
         dirty;
       f ())
 
-(* after [v]'s replay: drop the probe sums of predecessors it used last *)
+(* after [v]: drop the sums of the predecessors it used last *)
 let release_preds a preds data =
   for k = 0 to Array.length preds - 1 do
     if data.(k) >= 0 then begin
@@ -121,14 +119,12 @@ let node ~points ~dgraph ~task_dist ~comm_dist ~arrivals sched completion v =
     let comm = comm_dist ~volume ~src:proc_of.(p) ~dst:proc_of.(v) in
     match arrivals with
     | None -> Dist.add ~points completion.(p) comm
-    | Some a ->
-      let left = a.left.(p) - 1 in
-      a.left.(p) <- left;
-      let sum = memo_sum ~points a ~keep:(left > 0) p completion.(p) comm in
-      if left = 0 then Array.fill a.slots (6 * p) 6 vacant;
-      sum
+    | Some a -> memo_sum ~points a p completion.(p) comm
   in
-  finish ~points ~dgraph ~task_dist ~proc:proc_of.(v) completion v arrival
+  finish ~points ~dgraph ~task_dist ~proc:proc_of.(v) completion v arrival;
+  match arrivals with
+  | None -> ()
+  | Some a -> release_preds a (Dag.Graph.preds dgraph.Sched.Disjunctive.graph v) dgraph.data.(v)
 
 (* Per-session memo of arrival sums for dirty-cone replays: one slot of
    three, (C(p), comm, sum), per data edge of the case graph, at
@@ -219,7 +215,7 @@ let update_node ~points ~dgraph ~task_dist ~comm_dist ~sums ~arrivals ~prefixes 
       (* the probe's own operands: [p]'s completion or the seed's
          incoming comm, kept while [p]'s other dirty successors may
          need the same sum *)
-      memo_sum ~points arrivals ~keep:true p c comm
+      memo_sum ~points arrivals p c comm
     else begin
       (* committed operands: [p] outside the cone keeps its committed
          completion, and [v] its processor *)

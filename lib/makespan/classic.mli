@@ -72,7 +72,7 @@ type arrivals
     shared zero for same-processor edges) reuses the sum instead of
     convolving again; a reused sum is the value of the identical
     [Dist.add] call, so results are bit-identical to the uncached sweep.
-    An entry is released when the sweep reaches [p]'s last data
+    An entry is released after the sweep's visit of [p]'s last data
     successor. A dirty-cone replay ({!update_node}) keeps its probe-only
     sums here too ({!with_cone_arrivals}). Not thread-safe: one per
     domain. *)
