@@ -443,7 +443,7 @@ let session_sum_counts () =
    swap of any two tasks, a swap of two tasks on one processor, a
    reorder within one processor, a priority-jitter rebuild (the
    annealer's), or any random schedule of the case. [None] when the
-   draw deadlocks or changes nothing. *)
+   draw deadlocks or picks one task twice. *)
 let mixed_candidate ~rng ~graph ~platform ~priority base =
   let open Sched.Schedule in
   let n = n_tasks base in
@@ -481,8 +481,8 @@ let mixed_candidate ~rng ~graph ~platform ~priority base =
     let s = Sched.Random_sched.generate ~rng ~graph ~n_procs:base.n_procs in
     Some (`Schedule s, s)
 
-(* Probe [probes] mixed candidates off one Classical session on the
-   whole-graph cone, accepting every [accept_every]-th: every probe,
+(* Probe [probes] mixed candidates off one Classical session, the cone
+   cutoff at the whole graph, accepting every [accept_every]-th: every probe,
    the session after every probe, and every accepted evaluation equal a
    fresh [analyze] bit for bit. Returns the engine's stats. *)
 let mixed_walk ~rng ~graph ~platform ~init ~probes ~accept_every =
