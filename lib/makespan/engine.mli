@@ -107,11 +107,13 @@ val analyze :
     of its two operands [C(p)] and [comm(p→v)], so a hit is the value of
     the identical [Dist.add] call and the bits are unchanged. It starts
     empty and is filled lazily by replays, only with committed-state
-    sums ([p] outside the dirty cone, [v] not the moved or swapped
-    task). It lives as long as the session; {!accept} empties the slots
-    the installed probe made stale. Its reuse is counted under
+    sums ([p] outside the dirty cone, [v] not a seed). It lives as long
+    as the session; {!accept} empties the slots the installed probe made
+    stale. A replay's other sums are its own: it keeps them, as a full
+    sweep does, in a sweep-scoped memo until the predecessor's last
+    dirty successor. Both are counted under
     [reeval_sum_hits]/[reeval_sum_misses]. Full sweeps (fallbacks,
-    {!analyze}) keep their own sweep-scoped memo.
+    {!analyze}) keep only their sweep-scoped memo.
 
     It also keeps committed prefix maxima: per node, the running maxima
     [max(a_0 … a_k)] of its committed arrivals, stored by replays below
