@@ -271,9 +271,9 @@ let run_kernels cfg tests =
     tests
 
 (* BENCH files: kernel results are (name, ns/run) pairs, a NaN estimate
-   meaning Bechamel could not fit one. Every file is one Experiments.Json
+   meaning Bechamel could not fit one. Every file is one Obs.Json
    document. *)
-module J = E.Json
+module J = Obs.Json
 
 let ns_of results name =
   match List.assoc_opt name results with

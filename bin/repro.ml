@@ -639,10 +639,6 @@ let check_metrics_cmd =
 
 (* --- robustness-aware search: repro optimize --- *)
 
-let flat_sched sched =
-  String.concat "|"
-    (List.filter (fun l -> l <> "") (String.split_on_char '\n' (Sched.Schedule.to_string sched)))
-
 (* Build the spec string first and parse it like any other anneal:...
    name, so the spec the command reports is — by construction — the one
    that reproduces this exact run through the registry. *)
@@ -674,49 +670,64 @@ let optimize_spec ~objective ~steps ~opt_seed ~restarts ~policy ~t0 ~alpha ~targ
   add "ul=%.17g" ul;
   Search.Anneal.spec_prefix ^ String.concat ";" (List.rev !parts)
 
-let json_str s = "\"" ^ Obs.Span.json_escape s ^ "\""
-
 let optimize_summary_json ~kind ~n ~procs ~ul ~case_seed ~spec ~(config : Search.Anneal.config)
     ~(outcome : Search.Anneal.outcome) ~best_heuristic ~verified =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let open Obs.Json in
+  let num v = Num (float_lit v) and int i = Num (string_of_int i) in
   let stats = outcome.Search.Anneal.stats in
   let best_eval = outcome.Search.Anneal.best_eval in
   let best_name, best_h_obj = best_heuristic in
-  add "{\"case\":{\"kind\":%s,\"n\":%d,\"procs\":%d,\"ul\":%.17g,\"seed\":%Ld},"
-    (json_str (E.Case.kind_name kind)) n procs ul case_seed;
-  add "\"objective\":%s,\"spec\":%s,"
-    (json_str (Search.Objective.name config.Search.Anneal.objective))
-    (json_str spec);
-  add "\"delta\":%.17g,\"gamma\":%.17g,"
-    outcome.Search.Anneal.bounds.Search.Objective.delta
-    outcome.Search.Anneal.bounds.Search.Objective.gamma;
-  add "\"init\":{\"scheduler\":%s,\"objective\":%.17g},"
-    (json_str config.Search.Anneal.init)
-    outcome.Search.Anneal.init_objective;
-  add
-    "\"best\":{\"objective\":%.17g,\"expected_makespan\":%.17g,\"makespan_std\":%.17g,\
-     \"slack_total\":%.17g,\"schedule\":%s},"
-    outcome.Search.Anneal.best_objective
-    (Distribution.Dist.mean best_eval.Makespan.Engine.makespan)
-    (Distribution.Dist.std best_eval.Makespan.Engine.makespan)
-    best_eval.Makespan.Engine.slack.Sched.Slack.total
-    (json_str (flat_sched outcome.Search.Anneal.best));
-  add "\"best_heuristic\":{\"name\":%s,\"objective\":%.17g}," (json_str best_name) best_h_obj;
-  add
-    "\"stats\":{\"steps\":%d,\"probes\":%d,\"accepted\":%d,\"infeasible\":%d,\
-     \"priority_moves\":%d,\"restarts\":%d,\"reevals\":%d,\"reeval_incremental\":%d,\
-     \"reeval_full\":%d,\"full_evals\":%d,\"incremental_fraction\":%.17g},"
-    stats.Search.Anneal.steps_done stats.Search.Anneal.probes stats.Search.Anneal.accepted
-    stats.Search.Anneal.infeasible stats.Search.Anneal.priority_moves
-    stats.Search.Anneal.restarts_done stats.Search.Anneal.reevals
-    stats.Search.Anneal.reeval_incremental stats.Search.Anneal.reeval_full
-    stats.Search.Anneal.full_evals
-    (Search.Anneal.incremental_fraction stats);
-  add "\"verified_bitwise\":%b,\"interrupted\":%b,\"frontier_size\":%d}" verified
-    outcome.Search.Anneal.interrupted
-    (Search.Archive.size outcome.Search.Anneal.frontier);
-  Buffer.contents b
+  to_string
+    (Obj
+       [
+         ( "case",
+           Obj
+             [
+               ("kind", Str (E.Case.kind_name kind));
+               ("n", int n);
+               ("procs", int procs);
+               ("ul", num ul);
+               ("seed", Num (Int64.to_string case_seed));
+             ] );
+         ("objective", Str (Search.Objective.name config.Search.Anneal.objective));
+         ("spec", Str spec);
+         ("delta", num outcome.Search.Anneal.bounds.Search.Objective.delta);
+         ("gamma", num outcome.Search.Anneal.bounds.Search.Objective.gamma);
+         ( "init",
+           Obj
+             [
+               ("scheduler", Str config.Search.Anneal.init);
+               ("objective", num outcome.Search.Anneal.init_objective);
+             ] );
+         ( "best",
+           Obj
+             [
+               ("objective", num outcome.Search.Anneal.best_objective);
+               ("expected_makespan", num (Distribution.Dist.mean best_eval.Makespan.Engine.makespan));
+               ("makespan_std", num (Distribution.Dist.std best_eval.Makespan.Engine.makespan));
+               ("slack_total", num best_eval.Makespan.Engine.slack.Sched.Slack.total);
+               ("schedule", Str (Search.Archive.flat_sched outcome.Search.Anneal.best));
+             ] );
+         ("best_heuristic", Obj [ ("name", Str best_name); ("objective", num best_h_obj) ]);
+         ( "stats",
+           Obj
+             [
+               ("steps", int stats.Search.Anneal.steps_done);
+               ("probes", int stats.Search.Anneal.probes);
+               ("accepted", int stats.Search.Anneal.accepted);
+               ("infeasible", int stats.Search.Anneal.infeasible);
+               ("priority_moves", int stats.Search.Anneal.priority_moves);
+               ("restarts", int stats.Search.Anneal.restarts_done);
+               ("reevals", int stats.Search.Anneal.reevals);
+               ("reeval_incremental", int stats.Search.Anneal.reeval_incremental);
+               ("reeval_full", int stats.Search.Anneal.reeval_full);
+               ("full_evals", int stats.Search.Anneal.full_evals);
+               ("incremental_fraction", num (Search.Anneal.incremental_fraction stats));
+             ] );
+         ("verified_bitwise", Bool verified);
+         ("interrupted", Bool outcome.Search.Anneal.interrupted);
+         ("frontier_size", int (Search.Archive.size outcome.Search.Anneal.frontier));
+       ])
 
 let run_optimize ctx kind n procs ul spec =
   match Search.Anneal.parse_spec spec with
@@ -921,7 +932,9 @@ let write_sink path content =
   Printf.eprintf "[wrote %s]\n%!" path
 
 let finalize ctx =
-  Option.iter (fun path -> write_sink path (Obs.Report.json ())) ctx.metrics;
+  Option.iter
+    (fun path -> write_sink path (Obs.Json.to_string (Obs.Report.json ()) ^ "\n"))
+    ctx.metrics;
   Option.iter (fun path -> write_sink path (Obs.Span.export_chrome ())) ctx.trace
 
 let cmd name doc f =

@@ -26,7 +26,7 @@ let slack_mode_name = function
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let add_escaped = Json.escape_into
+let add_escaped = Obs.Json.escape_into
 
 let to_json t =
   let buf = Buffer.create 1024 in
@@ -60,19 +60,19 @@ let to_json t =
 let save ~dir t = ignore (Export.write_file ~dir ~name:file_name (to_json t))
 
 (* ------------------------------------------------------------------ *)
-(* Reader: {!Json} (the shared bounded parser) plus schema checks.     *)
+(* Reader: {!Obs.Json} (the shared bounded parser) plus schema checks. *)
 (* Any shape mismatch is a [None] — callers treat that as "no          *)
 (* provenance: recompute".                                             *)
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) = Option.bind
 
-let str_field k j = Option.bind (Json.mem k j) Json.str
-let int_field k j = Option.bind (Json.mem k j) Json.to_int
+let str_field k j = Option.bind (Obs.Json.mem k j) Obs.Json.str
+let int_field k j = Option.bind (Obs.Json.mem k j) Obs.Json.to_int
 
 let entry_of_json ej =
   let* id = str_field "id" ej in
-  let* seed = Option.bind (Json.mem "seed" ej) Json.to_int64 in
+  let* seed = Option.bind (Obs.Json.mem "seed" ej) Obs.Json.to_int64 in
   let* schedules = int_field "schedules" ej in
   let* status =
     match str_field "status" ej with
@@ -92,7 +92,7 @@ let of_json j =
   let* v = int_field "version" j in
   if v <> version then None
   else
-    let* cases = Option.bind (Json.mem "cases" j) Json.list_ in
+    let* cases = Option.bind (Obs.Json.mem "cases" j) Obs.Json.list_ in
     let* entries =
       List.fold_right
         (fun ej acc ->
@@ -118,6 +118,6 @@ let load ~dir =
     match read () with
     | exception (Sys_error _ | End_of_file) -> None
     | content -> (
-      match Json.parse content with
+      match Obs.Json.parse content with
       | Error _ -> None
       | Ok j -> of_json j)

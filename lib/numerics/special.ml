@@ -138,12 +138,3 @@ let betainc_inv ~alpha ~beta p =
     done;
     !x
   end
-
-let gamma_pdf ~shape ~scale x =
-  if shape <= 0. || scale <= 0. then invalid_arg "Special.gamma_pdf: bad parameters";
-  if x < 0. then 0.
-  else if x = 0. then begin
-    if shape < 1. then infinity else if shape = 1. then 1. /. scale else 0.
-  end
-  else
-    exp (((shape -. 1.) *. log x) -. (x /. scale) -. log_gamma shape -. (shape *. log scale))

@@ -28,6 +28,3 @@ val betainc : alpha:float -> beta:float -> float -> float
 val betainc_inv : alpha:float -> beta:float -> float -> float
 (** Inverse of {!betainc} in its third argument: the Beta(α, β) quantile
     function, for probabilities in [\[0,1\]]. *)
-
-val gamma_pdf : shape:float -> scale:float -> float -> float
-(** Density of Gamma(shape, scale) at a point ([0] for negative points). *)

@@ -180,43 +180,48 @@ let reset () =
 (* Rendering (/debug/requests)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let esc = Span.json_escape
-
 let cache_name = function Hit -> "hit" | Miss -> "miss" | Unknown -> "unknown"
 
 let sorted_stages r =
   List.sort (fun a b -> Float.compare a.t0_us b.t0_us) (Atomic.get r.stages)
 
-let record_json buf r =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"trace_id\":\"%s\",\"method\":\"%s\",\"path\":\"%s\",\"status\":%d,\"start_unix_s\":%.6f,\"duration_ms\":%.3f,\"bytes_in\":%d,\"bytes_out\":%d,\"engine_cache\":\"%s\",\"stages\":["
-       (esc r.trace_id) (esc r.meth) (esc r.path) r.status r.started_wall_s
-       (duration_ms r) r.bytes_in r.bytes_out (cache_name r.cache));
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"start_us\":%.1f,\"duration_us\":%.1f}"
-           (esc s.stage)
-           (s.t0_us -. r.t_start_us)
-           (s.t1_us -. s.t0_us)))
-    (sorted_stages r);
-  Buffer.add_string buf "]}"
+let num fmt v = Json.Num (Json.float_lit ~fmt v)
+let int n = Json.Num (string_of_int n)
+
+let record_json r =
+  Json.Obj
+    [
+      ("trace_id", Json.Str r.trace_id);
+      ("method", Json.Str r.meth);
+      ("path", Json.Str r.path);
+      ("status", int r.status);
+      ("start_unix_s", num "%.6f" r.started_wall_s);
+      ("duration_ms", num "%.3f" (duration_ms r));
+      ("bytes_in", int r.bytes_in);
+      ("bytes_out", int r.bytes_out);
+      ("engine_cache", Json.Str (cache_name r.cache));
+      ( "stages",
+        Json.Arr
+          (List.map
+             (fun s ->
+               Json.Obj
+                 [
+                   ("name", Json.Str s.stage);
+                   ("start_us", num "%.1f" (s.t0_us -. r.t_start_us));
+                   ("duration_us", num "%.1f" (s.t1_us -. s.t0_us));
+                 ])
+             (sorted_stages r)) );
+    ]
 
 let json ?limit () =
-  let rs = recent ?limit () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"total\":%d,\"capacity\":%d,\"requests\":[" (total ()) capacity);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n';
-      record_json buf r)
-    rs;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("total", int (total ()));
+         ("capacity", int capacity);
+         ("requests", Json.Arr (List.map record_json (recent ?limit ())));
+       ])
+  ^ "\n"
 
 (* Chrome trace_event export: one "X" (complete) event per stage plus
    an enclosing request event, tid = request ordinal so each request is
@@ -233,7 +238,7 @@ let chrome ?limit ?trace_id () =
        (fun r ->
          let tid = r.seq land 0x3fffffff in
          let t_end = if r.t_end_us > 0. then r.t_end_us else Clock.now_us () in
-         let trace_id = ("trace_id", Span.Str r.trace_id) in
+         let trace_id = ("trace_id", Json.Str r.trace_id) in
          let event ~name ~ts ~dur ~args =
            { Span.name; cat = "request"; ph = `X dur; tid; ts; args }
          in
@@ -242,8 +247,8 @@ let chrome ?limit ?trace_id () =
            ~ts:r.t_start_us
            ~dur:(t_end -. r.t_start_us)
            ~args:
-             [ trace_id; ("status", Span.Int r.status);
-               ("engine_cache", Span.Str (cache_name r.cache)) ]
+             [ trace_id; ("status", int r.status);
+               ("engine_cache", Json.Str (cache_name r.cache)) ]
          :: List.map
               (fun s -> event ~name:s.stage ~ts:s.t0_us ~dur:(s.t1_us -. s.t0_us) ~args:[ trace_id ])
               (sorted_stages r))

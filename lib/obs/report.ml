@@ -1,61 +1,49 @@
 (* Combined telemetry report: the metrics registry, span summary and
-   phase/GC reports as one JSON document (for `repro --metrics FILE`)
-   or one human-readable text block. Hand-rolled JSON, as everywhere in
-   this repo — no JSON dependency. *)
+   phase/GC reports as one JSON document (for `repro --metrics FILE`
+   and the service's /metrics). Numbers are written at [%.10g]. *)
 
-let escape = Span.json_escape
-
-let float_json v =
-  if Float.is_finite v then Printf.sprintf "%.10g" v else "null"
+let num v = Json.Num (Json.float_lit ~fmt:"%.10g" v)
+let int n = Json.Num (string_of_int n)
 
 let hist_json (h : Metrics.hist_value) =
-  Printf.sprintf "{\"bounds\":[%s],\"counts\":[%s],\"total\":%d,\"sum\":%s}"
-    (String.concat "," (List.map float_json (Array.to_list h.bounds)))
-    (String.concat "," (List.map string_of_int (Array.to_list h.counts)))
-    h.total (float_json h.sum)
+  Json.Obj
+    [
+      ("bounds", Json.Arr (List.map num (Array.to_list h.bounds)));
+      ("counts", Json.Arr (List.map int (Array.to_list h.counts)));
+      ("total", int h.total);
+      ("sum", num h.sum);
+    ]
 
 let span_json (s : Span.stat) =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"count\":%d,\"total_us\":%s,\"mean_us\":%s,\"p50_us\":%s,\"p99_us\":%s}"
-    (escape s.Span.name) s.Span.count (float_json s.Span.total_us)
-    (float_json s.Span.mean_us) (float_json s.Span.p50_us) (float_json s.Span.p99_us)
+  Json.Obj
+    [
+      ("name", Json.Str s.Span.name);
+      ("count", int s.Span.count);
+      ("total_us", num s.Span.total_us);
+      ("mean_us", num s.Span.mean_us);
+      ("p50_us", num s.Span.p50_us);
+      ("p99_us", num s.Span.p99_us);
+    ]
 
 let phase_json (p : Progress.phase_report) =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"elapsed_s\":%s,\"minor_words\":%s,\"major_words\":%s,\"promoted_words\":%s,\"compactions\":%d}"
-    (escape p.Progress.phase)
-    (float_json p.Progress.elapsed_s)
-    (float_json p.Progress.minor_words)
-    (float_json p.Progress.major_words)
-    (float_json p.Progress.promoted_words)
-    p.Progress.compactions
-
-let fields to_row l =
-  String.concat "," (List.map to_row l)
+  Json.Obj
+    [
+      ("name", Json.Str p.Progress.phase);
+      ("elapsed_s", num p.Progress.elapsed_s);
+      ("minor_words", num p.Progress.minor_words);
+      ("major_words", num p.Progress.major_words);
+      ("promoted_words", num p.Progress.promoted_words);
+      ("compactions", int p.Progress.compactions);
+    ]
 
 let json () =
   let s = Metrics.snapshot () in
-  let counters =
-    fields (fun (name, v) -> Printf.sprintf "\"%s\":%d" (escape name) v) s.Metrics.counters
-  in
-  let gauges =
-    fields
-      (fun (name, v) -> Printf.sprintf "\"%s\":%s" (escape name) (float_json v))
-      s.Metrics.gauges
-  in
-  let histograms =
-    fields
-      (fun (name, h) -> Printf.sprintf "\"%s\":%s" (escape name) (hist_json h))
-      s.Metrics.histograms
-  in
-  let spans = fields span_json (Span.summary ()) in
-  let phases = fields phase_json (Progress.phases ()) in
-  Printf.sprintf
-    "{\n\
-     \"counters\":{%s},\n\
-     \"gauges\":{%s},\n\
-     \"histograms\":{%s},\n\
-     \"spans\":[%s],\n\
-     \"phases\":[%s]\n\
-     }\n"
-    counters gauges histograms spans phases
+  let fields f l = Json.Obj (List.map (fun (name, v) -> (name, f v)) l) in
+  Json.Obj
+    [
+      ("counters", fields int s.Metrics.counters);
+      ("gauges", fields num s.Metrics.gauges);
+      ("histograms", fields hist_json s.Metrics.histograms);
+      ("spans", Json.Arr (List.map span_json (Span.summary ())));
+      ("phases", Json.Arr (List.map phase_json (Progress.phases ())));
+    ]

@@ -1,6 +1,7 @@
 (** Combined telemetry report over all three sinks. *)
 
-val json : unit -> string
+val json : unit -> Json.t
 (** One JSON document: [counters], [gauges], [histograms] (merged
     {!Metrics.snapshot}), [spans] ({!Span.summary}) and [phases]
-    ({!Progress.phases}). This is what [repro --metrics FILE] writes. *)
+    ({!Progress.phases}). [repro --metrics FILE] writes it; the
+    service's [/metrics] nests it under ["obs"]. *)

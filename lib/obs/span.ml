@@ -88,21 +88,6 @@ let reset () =
 (* Chrome trace_event export                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 type event = {
   ts : float;
   is_begin : bool;
@@ -126,52 +111,39 @@ let compare_events a b =
     | false, false -> Float.compare b.span_begin a.span_begin)
   | c -> c
 
-type chrome_arg =
-  | Str of string
-  | Int of int
-
 type chrome_event = {
   name : string;
   cat : string;
   ph : [ `B | `E | `X of float ];
   tid : int;
   ts : float;
-  args : (string * chrome_arg) list;
+  args : (string * Json.t) list;
 }
 
-let add_chrome_event buf e =
-  Printf.bprintf buf "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%.3f"
-    (json_escape e.name) e.cat
-    (match e.ph with `B -> "B" | `E -> "E" | `X _ -> "X")
-    e.tid e.ts;
-  (match e.ph with `X dur -> Printf.bprintf buf ",\"dur\":%.3f" dur | `B | `E -> ());
-  if e.args <> [] then begin
-    Buffer.add_string buf ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        match v with
-        | Str s -> Printf.bprintf buf "\"%s\":\"%s\"" k (json_escape s)
-        | Int n -> Printf.bprintf buf "\"%s\":%d" k n)
-      e.args;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}'
+let us v = Json.Num (Json.float_lit ~fmt:"%.3f" v)
 
-let chrome_document_with dropped events =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",";
-  Option.iter (Printf.bprintf buf "\"dropped\":%d,") dropped;
-  Buffer.add_string buf "\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_chrome_event buf e)
-    events;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+let chrome_event_json e =
+  Json.Obj
+    ([
+       ("name", Json.Str e.name);
+       ("cat", Json.Str e.cat);
+       ("ph", Json.Str (match e.ph with `B -> "B" | `E -> "E" | `X _ -> "X"));
+       ("pid", Json.Num "0");
+       ("tid", Json.Num (string_of_int e.tid));
+       ("ts", us e.ts);
+     ]
+    @ (match e.ph with `X dur -> [ ("dur", us dur) ] | `B | `E -> [])
+    @ if e.args = [] then [] else [ ("args", Json.Obj e.args) ])
 
-let chrome_document events = chrome_document_with None events
+(* [fields] go between the display unit and the events *)
+let chrome_document_with fields events =
+  Json.to_string
+    (Json.Obj
+       ((("displayTimeUnit", Json.Str "ms") :: fields)
+       @ [ ("traceEvents", Json.Arr (List.map chrome_event_json events)) ]))
+  ^ "\n"
+
+let chrome_document events = chrome_document_with [] events
 
 let export_chrome () =
   let events =
@@ -184,7 +156,8 @@ let export_chrome () =
         ])
       (records ())
   in
-  chrome_document_with (Some (dropped ()))
+  chrome_document_with
+    [ ("dropped", Json.Num (string_of_int (dropped ()))) ]
     (List.map
        (fun e ->
          {

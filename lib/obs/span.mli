@@ -26,25 +26,20 @@ val dropped : unit -> int
 
 (** {1 Export} *)
 
-type chrome_arg =
-  | Str of string
-  | Int of int
-
 type chrome_event = {
   name : string;  (** raw; escaped on output *)
   cat : string;
   ph : [ `B | `E | `X of float ];  (** begin, end, or complete with its duration (µs) *)
   tid : int;
   ts : float;  (** µs *)
-  args : (string * chrome_arg) list;  (** omitted from the output when empty *)
+  args : (string * Json.t) list;  (** omitted from the output when empty *)
 }
 
 val chrome_document : chrome_event list -> string
 (** The one Chrome trace-event writer behind {!export_chrome} and
-    [Flight.chrome]: a [traceEvents] document in milliseconds display
-    units, one event per line in the given order, timestamps and
-    durations at [%.3f]. {!export_chrome} adds a top-level [dropped]
-    count. *)
+    [Flight.chrome]: a compact [traceEvents] document in milliseconds
+    display units, events in the given order, timestamps and durations
+    at [%.3f]. {!export_chrome} adds a top-level [dropped] count. *)
 
 val export_chrome : unit -> string
 (** All recorded spans as Chrome trace-event JSON: balanced ["B"]/["E"]
@@ -65,9 +60,6 @@ val summary : unit -> stat list
 (** Per-name aggregates over the retained spans, sorted by name. *)
 
 (**/**)
-
-val json_escape : string -> string
-(** JSON string-body escaping, shared with {!Report}. *)
 
 val reset : unit -> unit
 (** Empty every ring buffer. A test seam: call while no other domain is

@@ -60,18 +60,23 @@ let to_csv t =
   Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"axis\":%S,\"points\":["
-       (match t.axis with `Sigma -> "sigma" | `Slack -> "slack"));
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"step\":%d,\"expected_makespan\":%.17g,\"makespan_std\":%.17g,\
-            \"slack_total\":%.17g,\"objective\":%.17g,\"schedule\":%S}"
-           p.step p.em p.sigma p.slack p.objective (flat_sched p.sched)))
-    t.pts;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let num v = Obs.Json.Num (Obs.Json.float_lit v) in
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       [
+         ("axis", Obs.Json.Str (match t.axis with `Sigma -> "sigma" | `Slack -> "slack"));
+         ( "points",
+           Obs.Json.Arr
+             (List.map
+                (fun p ->
+                  Obs.Json.Obj
+                    [
+                      ("step", Obs.Json.Num (string_of_int p.step));
+                      ("expected_makespan", num p.em);
+                      ("makespan_std", num p.sigma);
+                      ("slack_total", num p.slack);
+                      ("objective", num p.objective);
+                      ("schedule", Obs.Json.Str (flat_sched p.sched));
+                    ])
+                t.pts) );
+       ])

@@ -38,11 +38,15 @@ val csv_header : string
     ["index,step,expected_makespan,makespan_std,slack_total,objective,schedule"]
     — the schema contract tested by the frontier column-order test. *)
 
+val flat_sched : Sched.Schedule.t -> string
+(** {!Sched.Schedule.to_string} on one line: its non-empty lines joined
+    by ['|']. *)
+
 val to_csv : t -> string
 (** One row per frontier point in {!points} order; floats printed with
-    ["%.17g"] (round-trip exact), schedules on one line with newlines
-    rendered as ['|']. *)
+    ["%.17g"] (round-trip exact), schedules through {!flat_sched}. *)
 
 val to_json : t -> string
-(** Same data as {!to_csv} as a JSON object
-    [{"axis": ..., "points": [...]}]. *)
+(** Same data as {!to_csv} as a compact {!Obs.Json} object
+    [{"axis": ..., "points": [...]}], floats at ["%.17g"]; a non-finite
+    one (the entropy objective at UL = 1 is [-inf]) is [null]. *)

@@ -1,4 +1,4 @@
-module Json = Experiments.Json
+module Json = Obs.Json
 
 type t = {
   host : string;

@@ -1,4 +1,4 @@
-module Json = Experiments.Json
+module Json = Obs.Json
 module Case = Experiments.Case
 module Engine = Makespan.Engine
 module Robustness = Metrics.Robustness
@@ -586,42 +586,37 @@ let neighbor_schedule ~base ~task ~to_ ~at (b : Sched.Schedule.t) =
          (Printf.sprintf "schedules[].neighbor: %s deadlocks its base schedule"
             (neighbor_label ~base ~task ~to_ ~at)))
 
-(* Labeled schedules in spec order. Each random spec owns one RNG, so
+(* Labeled schedules in spec order, each neighbor with its base
+   schedule. Each distinct heuristic runs once per job, so a base shared
+   by several rows is one schedule. Each random spec owns one RNG, so
    schedule [i] of a seed is stable whatever else the job asks for. *)
 let expand_schedules job graph platform =
+  let bases = Hashtbl.create 4 in
+  let base name =
+    match Hashtbl.find_opt bases name with
+    | Some b -> b
+    | None ->
+      let b = run_base name graph platform in
+      Hashtbl.add bases name b;
+      b
+  in
   List.concat_map
     (function
-      | Heuristic name -> [ (name, run_base name graph platform) ]
+      | Heuristic name -> [ (name, base name, None) ]
       | Random { count; seed } ->
         let rng = Prng.Xoshiro.create seed in
         let scheds =
           Sched.Random_sched.generate_many ~rng ~graph
             ~n_procs:(Platform.n_procs platform) ~count
         in
-        List.mapi (fun i s -> (Printf.sprintf "random:%Ld:%d" seed i, s)) scheds
-      | Neighbor { base; task; to_; at } ->
-        let b = run_base base graph platform in
-        [ (neighbor_label ~base ~task ~to_ ~at, neighbor_schedule ~base ~task ~to_ ~at b) ])
-    job.schedules
-
-(* Rows coming from Neighbor specs: (row index, base name, move). The
-   worker serves these through one engine session per distinct base
-   instead of a full sweep per row. *)
-let neighbor_rows job =
-  let idx = ref 0 in
-  List.concat_map
-    (fun spec ->
-      match spec with
-      | Heuristic _ ->
-        incr idx;
-        []
-      | Random { count; _ } ->
-        idx := !idx + count;
-        []
-      | Neighbor { base; task; to_; at } ->
-        let i = !idx in
-        incr idx;
-        [ (i, base, Sched.Neighbor.make ?at ~task ~to_ ()) ])
+        List.mapi (fun i s -> (Printf.sprintf "random:%Ld:%d" seed i, s, None)) scheds
+      | Neighbor { base = name; task; to_; at } ->
+        let b = base name in
+        [
+          ( neighbor_label ~base:name ~task ~to_ ~at,
+            neighbor_schedule ~base:name ~task ~to_ ~at b,
+            Some b );
+        ])
     job.schedules
 
 let metrics_to_json (m : Robustness.t) =
@@ -658,35 +653,36 @@ let run_job ?flight ?shard ?pool ~engine job =
         let n = Array.length labeled in
         (* Neighbor rows first, through one incremental session per
            distinct base: the base is evaluated once in full, then every
-           neighbor is an uncommitted [reevaluate_any] against it. Response
-           bytes cannot change — the session path agrees bitwise with a
-           fresh full evaluation of the patched schedule (property-tested
-           in test_engine) — only the repeated full sweeps go away. *)
-        let pre = Array.make n None in
-        (match neighbor_rows job with
-        | [] -> ()
-        | rows ->
-          let sessions = Hashtbl.create 4 in
-          List.iter
-            (fun (i, base, move) ->
-              let session =
-                match Hashtbl.find_opt sessions base with
-                | Some s -> s
-                | None ->
-                  let s =
-                    Engine.start_session ~backend ~slack_mode engine
-                      (run_base base graph platform)
+           neighbor is a probe of the schedule expansion built. Response
+           bytes cannot change — a probe agrees bitwise with a fresh full
+           evaluation of the same schedule (property-tested in
+           test_engine) — only the repeated full sweeps go away. Sessions
+           are not thread-safe, so the probes run here, before the sweep
+           fans out. *)
+        let sessions = ref [] in
+        let pre =
+          Array.map
+            (fun (_, s, base) ->
+              Option.map
+                (fun b ->
+                  let session =
+                    match List.assq_opt b !sessions with
+                    | Some session -> session
+                    | None ->
+                      let session = Engine.start_session ~backend ~slack_mode engine b in
+                      sessions := (b, session) :: !sessions;
+                      session
                   in
-                  Hashtbl.add sessions base s;
-                  s
-              in
-              pre.(i) <-
-                Some (Engine.reevaluate_any ~commit:false session (Sched.Neighbor.Reassign move)))
-            rows);
+                  Engine.reevaluate_schedule session s)
+                base)
+            labeled
+        in
         let eval_row i =
           match pre.(i) with
           | Some e -> e
-          | None -> Engine.analyze ~backend ~slack_mode engine (snd labeled.(i))
+          | None ->
+            let _, s, _ = labeled.(i) in
+            Engine.analyze ~backend ~slack_mode engine s
         in
         (* pilot calibration on this job's own first schedules (≤ 20),
            independent of whatever else shares the engine, so batching can
@@ -695,9 +691,10 @@ let run_job ?flight ?shard ?pool ~engine job =
           Experiments.Runner.calibrated_sweep ?pool ?delta:job.delta ?gamma:job.gamma
             ~pilot:20 ~eval:eval_row
             ~row:(fun i e m ->
+              let label, _, _ = labeled.(i) in
               Json.Obj
                 [
-                  ("source", Json.Str (fst labeled.(i)));
+                  ("source", Json.Str label);
                   ("makespan", makespan_to_json e.Engine.makespan);
                   ("metrics", metrics_to_json m);
                 ])

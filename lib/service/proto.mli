@@ -4,7 +4,7 @@
     A {e job} names an evaluation case — workload (named generator or
     inline DAG + platform), uncertainty level, evaluation backend — plus
     the schedules to evaluate (heuristics by name, seeded random
-    batches). Jobs are decoded by the shared bounded {!Experiments.Json}
+    batches). Jobs are decoded by the shared bounded {!Obs.Json}
     parser, so adversarial bodies produce typed errors, never
     exceptions.
 
@@ -33,13 +33,14 @@ type sched_spec =
       (** one-move variation of heuristic [base]'s schedule: [task]
           reassigned to processor [to_], inserted at slot [at] (appended
           when absent). Wire form
-          [{"neighbor": {"base", "task", "to", "at"?}}]. The worker
-          serves all neighbors of one base through a single incremental
-          engine session ({!Makespan.Engine.start_session}) — the base
-          is evaluated once in full and each neighbor by an uncommitted
-          {!Makespan.Engine.reevaluate_any}, which agrees bitwise with a
-          full evaluation of the patched schedule, so response bytes are
-          unchanged by the fast path. *)
+          [{"neighbor": {"base", "task", "to", "at"?}}]. A job runs
+          each distinct heuristic once and serves all neighbors of one
+          base through a single incremental engine session
+          ({!Makespan.Engine.start_session}) started from that schedule:
+          each neighbor is a probe of the schedule the expansion built
+          ({!Makespan.Engine.reevaluate_schedule}), which agrees bitwise
+          with a full evaluation of it, so response bytes are unchanged
+          by the fast path. *)
 
 type job = {
   workload : workload;

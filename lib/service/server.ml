@@ -1,4 +1,4 @@
-module Json = Experiments.Json
+module Json = Obs.Json
 module Stop = Experiments.Stop
 module Engine = Makespan.Engine
 
@@ -509,9 +509,7 @@ let metrics_body t =
          (stat_rows t (stats t))
       @ [ ("latency_p50_s", q 0.5); ("latency_p99_s", q 0.99) ])
   in
-  (* The Obs report is already a JSON document — splice it verbatim. *)
-  Printf.sprintf "{\"service\":%s,\"obs\":%s}\n" (Json.to_string service)
-    (String.trim (Obs.Report.json ()))
+  Json.to_string (Json.Obj [ ("service", service); ("obs", Obs.Report.json ()) ]) ^ "\n"
 
 let openmetrics_content_type = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 

@@ -5,7 +5,7 @@
    *deltas between polls* (bucket-count differences), so the display
    shows current behavior, not lifetime averages. *)
 
-module Json = Experiments.Json
+module Json = Obs.Json
 
 type config = {
   host : string;
@@ -27,7 +27,6 @@ type sample = {
   jobs_done : int;
   jobs_failed : int;
   queue_depth : int;
-  queue_capacity : int option;
   task_hits : int;
   task_misses : int;
   stages : (string * hist) list; (* stage label -> histogram *)
@@ -109,7 +108,6 @@ let sample_of_metrics body =
         jobs_done = ints_of "jobs_done" service;
         jobs_failed = ints_of "jobs_failed" service;
         queue_depth = ints_of "queue_depth" service;
-        queue_capacity = None;
         task_hits = ints_of "engine.task_hits" counters;
         task_misses = ints_of "engine.task_misses" counters;
         stages;

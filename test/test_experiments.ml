@@ -466,7 +466,7 @@ let render_table_rejects_ragged () =
 
 (* --- Json (bounded parser / writer) --- *)
 
-module Json = Experiments.Json
+module Json = Obs.Json
 
 let json_value_gen =
   let open QCheck2.Gen in

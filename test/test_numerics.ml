@@ -779,10 +779,6 @@ let beta_pdf_integrates_to_one () =
   let f = Numerics.Special.beta_pdf ~alpha:2. ~beta:5. in
   check_close ~eps:1e-6 "mass" 1. (Numerics.Integrate.simpson ~f ~a:0. ~b:1. ~n:512)
 
-let gamma_pdf_integrates_to_one () =
-  let f = Numerics.Special.gamma_pdf ~shape:3. ~scale:2. in
-  check_close ~eps:1e-5 "mass" 1. (Numerics.Integrate.simpson ~f ~a:0. ~b:60. ~n:2048)
-
 let normal_pdf_peak () =
   check_close "peak" (1. /. sqrt (2. *. Float.pi)) (Numerics.Special.normal_pdf 0.)
 
@@ -927,13 +923,13 @@ let () =
           tc "log_gamma values" `Quick log_gamma_known;
           log_gamma_recurrence;
           tc "beta pdf mass" `Quick beta_pdf_integrates_to_one;
-          tc "gamma pdf mass" `Quick gamma_pdf_integrates_to_one;
           tc "normal pdf peak" `Quick normal_pdf_peak;
           betainc_matches_quadrature;
           tc "betainc endpoints" `Quick betainc_endpoints;
           betainc_inv_roundtrip;
-          betainc_symmetry;
+          (* keeps betainc_symmetry at index 11, part of its test id *)
           tc "betainc_inv median" `Quick betainc_inv_median_beta25;
+          betainc_symmetry;
         ] );
       ( "rootfind",
         [

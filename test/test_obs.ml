@@ -323,9 +323,9 @@ let summary_counts_spans () =
         (Float.abs ((s.Obs.Span.total_us /. 7.) -. s.Obs.Span.mean_us) < 1e-6)
 
 let json_escape_roundtrip () =
-  let escaped = Obs.Span.json_escape "a\"b\\c\nd\te\x01f" in
-  check_valid_json "escaped string" (Printf.sprintf "\"%s\"" escaped);
-  Alcotest.(check string) "escapes" {|a\"b\\c\nd\te\u0001f|} escaped
+  let escaped = Obs.Json.to_string (Obs.Json.Str "a\"b\\c\nd\te\x01f") in
+  check_valid_json "escaped string" escaped;
+  Alcotest.(check string) "escapes" {|"a\"b\\c\nd\te\u0001f"|} escaped
 
 (* {1 Report} *)
 
@@ -337,7 +337,7 @@ let report_json_valid () =
   Obs.Metrics.observe h 0.5;
   ignore (nested_work ());
   Obs.Progress.phase "test.phase" (fun () -> ignore (Sys.opaque_identity 0));
-  let json = Obs.Report.json () in
+  let json = Obs.Json.to_string (Obs.Report.json ()) in
   check_valid_json "report" json;
   List.iter
     (fun key ->

@@ -142,6 +142,22 @@ let frontier_csv_schema () =
     2
     (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)))
 
+(* The entropy objective at UL = 1 is -inf (a deterministic makespan
+   has no differential entropy); the frontier must still be JSON. *)
+let frontier_json_non_finite () =
+  let arch = Search.Archive.create ~axis:`Sigma in
+  ignore (Search.Archive.offer arch { (mk_point (3., 2.)) with objective = neg_infinity });
+  match Obs.Json.parse (Search.Archive.to_json arch) with
+  | Error e -> Alcotest.failf "frontier.json does not parse: %s" (Obs.Json.error_to_string e)
+  | Ok doc -> (
+    match Option.bind (Obs.Json.mem "points" doc) Obs.Json.list_ with
+    | Some [ p ] ->
+      Alcotest.(check bool) "objective is null" true
+        (Obs.Json.mem "objective" p = Some Obs.Json.Null);
+      Alcotest.(check (option (float 0.))) "finite fields keep their values" (Some 3.)
+        (Option.bind (Obs.Json.mem "expected_makespan" p) Obs.Json.to_float)
+    | _ -> Alcotest.fail "expected one point")
+
 (* --- swap re-evaluation: the bitwise session contract --- *)
 
 let eval_bits_equal name (a : Makespan.Engine.evaluation) (b : Makespan.Engine.evaluation)
@@ -409,6 +425,8 @@ let () =
         [
           archive_invariants;
           Alcotest.test_case "frontier CSV schema" `Quick frontier_csv_schema;
+          Alcotest.test_case "frontier JSON with a non-finite objective" `Quick
+            frontier_json_non_finite;
         ] );
       ( "swap",
         [
