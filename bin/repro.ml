@@ -676,6 +676,7 @@ let optimize_summary_json ~kind ~n ~procs ~ul ~case_seed ~spec ~(config : Search
   let num v = Num (float_lit v) and int i = Num (string_of_int i) in
   let stats = outcome.Search.Anneal.stats in
   let best_eval = outcome.Search.Anneal.best_eval in
+  let best_makespan = best_eval.Makespan.Engine.makespan in
   let best_name, best_h_obj = best_heuristic in
   to_string
     (Obj
@@ -703,8 +704,8 @@ let optimize_summary_json ~kind ~n ~procs ~ul ~case_seed ~spec ~(config : Search
            Obj
              [
                ("objective", num outcome.Search.Anneal.best_objective);
-               ("expected_makespan", num (Distribution.Dist.mean best_eval.Makespan.Engine.makespan));
-               ("makespan_std", num (Distribution.Dist.std best_eval.Makespan.Engine.makespan));
+               ("expected_makespan", num (Distribution.Dist.mean best_makespan));
+               ("makespan_std", num (Distribution.Dist.std best_makespan));
                ("slack_total", num best_eval.Makespan.Engine.slack.Sched.Slack.total);
                ("schedule", Str (Search.Archive.flat_sched outcome.Search.Anneal.best));
              ] );
