@@ -1,4 +1,4 @@
-let default_domains () = Int.max 1 (Domain.recommended_domain_count () - 1)
+let default_domains () = Int.max 1 (Domain.recommended_domain_count ())
 
 (* Telemetry (active only while Obs sinks are enabled): every chunk gets
    a "pool.chunk" span, and each worker accumulates its busy time and

@@ -12,11 +12,12 @@
     caller that pins a domain count creates its own with {!create}. *)
 
 val default_domains : unit -> int
-(** [max 1 (recommended_domain_count − 1)]: the total number of domains
-    that run a job, the calling domain included (see {!create}). One core
-    is left to other work, not added for the caller, so on a 2-core host
-    the default pool has no helper domain and every job runs inline on
-    the caller. *)
+(** [max 1 recommended_domain_count]: the total number of domains that
+    run a job, the calling domain included (see {!create}). Every core
+    takes part and the caller is one of them, so on a 2-core host the
+    default pool has one helper domain. The chunk decomposition, not the
+    domain count, fixes every result, so this choice changes no output
+    bytes. *)
 
 type t
 (** A persistent worker pool. *)

@@ -677,12 +677,17 @@ let run_job ?flight ?shard ?pool ~engine job =
                 base)
             labeled
         in
+        (* A heuristic row whose schedule is also a neighbor base reads
+           its session's full evaluation instead of running a second
+           one; the two agree bitwise (tested in test_engine). *)
         let eval_row i =
           match pre.(i) with
           | Some e -> e
-          | None ->
+          | None -> (
             let _, s, _ = labeled.(i) in
-            Engine.analyze ~backend ~slack_mode engine s
+            match List.assq_opt s !sessions with
+            | Some session -> Engine.session_evaluation session
+            | None -> Engine.analyze ~backend ~slack_mode engine s)
         in
         (* pilot calibration on this job's own first schedules (≤ 20),
            independent of whatever else shares the engine, so batching can

@@ -38,6 +38,18 @@ type jstate =
   | Expired
   | Cancelled
 
+(* A connection domain's self-pipe, opened when the domain starts and
+   closed when it exits. A sync job carries its handler's pipe, and
+   [settle] writes one byte on it. [closed] is read and set under [pmu],
+   so a [settle] that races the domain's exit never writes to a closed
+   (or reused) descriptor. *)
+type pipe = {
+  rd : Unix.file_descr;
+  wr : Unix.file_descr;
+  pmu : Mutex.t;
+  mutable closed : bool;
+}
+
 type jrec = {
   id : string;
   spec : Proto.job;
@@ -48,6 +60,7 @@ type jrec = {
       (* absolute MONOTONIC seconds (Obs.Clock); queue-admission only.
          Wall clock would let an NTP step mass-expire the queue. *)
   flight : Obs.Flight.record;  (* the request that submitted the job *)
+  waiter : pipe option;  (* the sync handler's pipe; [None] for [/jobs] *)
 }
 
 (* Always-on counters — plain atomics, independent of Obs gating. *)
@@ -186,6 +199,41 @@ let finished t j =
   done;
   Mutex.unlock t.tmu
 
+let open_pipe () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  { rd; wr; pmu = Mutex.create (); closed = false }
+
+let close_pipe p =
+  Mutex.protect p.pmu (fun () ->
+      p.closed <- true;
+      Unix.close p.rd;
+      Unix.close p.wr)
+
+let wake p =
+  Mutex.protect p.pmu (fun () ->
+      if not p.closed then
+        try ignore (Unix.single_write_substring p.wr "!" 0 1) with Unix.Unix_error _ -> ())
+
+(* Every terminal transition a worker or [stop] makes: [from] → [state],
+   counted and recorded as finished, then one byte to the sync waiter.
+   The state is set before the byte, so a woken waiter never reads a
+   stale state, and the count before it, so the waiter's reply never
+   precedes its count. Nothing happens when the job already left
+   [from] (its waiter expired it). Expiry itself is not signalled: a
+   waiter sleeps at most until its job's deadline. *)
+let settle t j ~from state =
+  if Atomic.compare_and_set j.state from state then begin
+    Atomic.incr
+      (match state with
+      | Done _ -> t.c.c_done
+      | Failed _ -> t.c.c_failed
+      | Invalid _ -> t.c.c_rejected_invalid
+      | Cancelled -> t.c.c_cancelled
+      | Queued | Running | Expired -> invalid_arg "Server.settle: not a settled state");
+    finished t j;
+    Option.iter wake j.waiter
+  end
+
 let expire_if_due t j =
   match j.deadline with
   | Some d
@@ -210,7 +258,7 @@ type submit_error =
    the ~50 ms workload/platform build that used to fight the evaluation
    pool for the minor heap — runs on the job's owning worker as its
    "admit" stage. *)
-let submit t fl ~header_traced body : (jrec, submit_error) result =
+let submit ?waiter t fl ~header_traced body : (jrec, submit_error) result =
   let decoded =
     Obs.Flight.timed ~record:fl ~stage:"decode" (fun () -> Proto.job_of_json body)
   in
@@ -232,7 +280,7 @@ let submit t fl ~header_traced body : (jrec, submit_error) result =
     let shard = shard_of_key t key in
     let sh = t.shards.(shard) in
     let j =
-      { id; spec; key; shard; state = Atomic.make Queued; deadline; flight = fl }
+      { id; spec; key; shard; state = Atomic.make Queued; deadline; flight = fl; waiter }
     in
     Mutex.lock sh.mu;
     let verdict =
@@ -326,28 +374,22 @@ let run_batch t sh batch =
               Obs.Flight.timed ~record:fl ~shard ~stage:"admit" (fun () ->
                   engine_for t sh j)
             with
-            | Error msg ->
-              Atomic.set j.state (Invalid msg);
-              Atomic.incr t.c.c_rejected_invalid;
-              finished t j
+            | Error msg -> settle t j ~from:Running (Invalid msg)
             | Ok (engine, cache_hit) ->
               Obs.Flight.set_cache fl
                 (if cache_hit then Obs.Flight.Hit else Obs.Flight.Miss);
               let t0 = Obs.Clock.now_us () in
-              (match Proto.run_job ~flight:fl ~shard ?pool:sh.pool ~engine j.spec with
-              | body ->
-                Atomic.set j.state (Done body);
-                Atomic.incr t.c.c_done;
-                Atomic.incr sh.sc_jobs
-              | exception Proto.Invalid_job msg ->
-                Atomic.set j.state (Invalid msg);
-                Atomic.incr t.c.c_rejected_invalid
-              | exception exn ->
-                Atomic.set j.state (Failed (Printexc.to_string exn));
-                Atomic.incr t.c.c_failed);
+              let state =
+                match Proto.run_job ~flight:fl ~shard ?pool:sh.pool ~engine j.spec with
+                | body ->
+                  Atomic.incr sh.sc_jobs;
+                  Done body
+                | exception Proto.Invalid_job msg -> Invalid msg
+                | exception exn -> Failed (Printexc.to_string exn)
+              in
               Obs.Metrics.observe_ex t.h_latency ~exemplar:fl.Obs.Flight.trace_id
                 ((Obs.Clock.now_us () -. t0) *. 1e-6);
-              finished t j
+              settle t j ~from:Running state
           end)
       batch;
     List.length batch
@@ -567,10 +609,14 @@ let job_envelope j =
   in
   Json.to_string (Json.Obj (base @ extra)) ^ "\n"
 
-(* Wait for a sync job to reach a terminal state. OCaml's [Condition]
-   has no timed wait, so poll the state atomic; 2 ms keeps sync latency
-   negligible next to an evaluation. *)
-let wait_terminal t j =
+(* Wait for a sync job to reach a terminal state, asleep on the
+   handler's pipe [p] until [settle] writes to it. A queued job with a
+   deadline bounds the sleep by the time left, and the waiter expires
+   the job itself; a running job, or one without a deadline, waits for
+   the byte alone. A byte an earlier job left unread costs one more
+   turn of the loop. *)
+let wait_terminal t p j =
+  let buf = Bytes.create 16 in
   let rec go () =
     match Atomic.get j.state with
     | Done body -> `Done body
@@ -578,10 +624,18 @@ let wait_terminal t j =
     | Invalid e -> `Invalid e
     | Expired -> `Expired
     | Cancelled -> `Cancelled
-    | Queued | Running ->
+    | (Queued | Running) as state ->
       if expire_if_due t j then `Expired
       else begin
-        Unix.sleepf 0.002;
+        let timeout =
+          match (state, j.deadline) with
+          | Queued, Some d -> Float.max 0. (d -. Obs.Clock.now_s ())
+          | _ -> -1.
+        in
+        (match Unix.select [ p.rd ] [] [] timeout with
+        | [ _ ], _, _ -> ignore (Unix.read p.rd buf 0 (Bytes.length buf))
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         go ()
       end
   in
@@ -616,7 +670,7 @@ let wants_openmetrics (req : Http.request) =
   | Some a -> contains ~needle:"application/openmetrics-text" a
   | None -> false
 
-let handle t fl ~header_traced (req : Http.request) =
+let handle t p fl ~header_traced (req : Http.request) =
   Atomic.incr t.c.c_requests;
   match (req.Http.meth, req.Http.path) with
   | "GET", "/healthz" -> reply 200 (healthz_body t)
@@ -638,10 +692,10 @@ let handle t fl ~header_traced (req : Http.request) =
       reply 200 (Obs.Flight.chrome ~limit ?trace_id ())
     | _ -> reply 200 (Obs.Flight.json ~limit ()))
   | "POST", "/eval" -> (
-    match submit t fl ~header_traced req.Http.body with
+    match submit ~waiter:p t fl ~header_traced req.Http.body with
     | Error e -> submit_error_reply e
     | Ok j -> (
-      match wait_terminal t j with
+      match wait_terminal t p j with
       | `Done body -> reply 200 body
       | `Failed e -> reply 500 (error_body e)
       | `Invalid e -> reply 422 (error_body e)
@@ -676,7 +730,7 @@ let handle t fl ~header_traced (req : Http.request) =
     reply 405 (error_body "method not allowed")
   | _ -> reply 404 (error_body "not found")
 
-let serve_conn t fd =
+let serve_conn t p fd =
   let r = Http.reader fd in
   let rec loop () =
     (* Wait for the first byte before starting the parse clock: idle
@@ -709,7 +763,7 @@ let serve_conn t fd =
       fl.Obs.Flight.bytes_in <- String.length req.Http.body;
       Obs.Flight.record_stage (Some fl) ~stage:"parse" t_parse0 t_parse1;
       let { status; headers; body } =
-        handle t fl ~header_traced:(header_trace <> None) req
+        handle t p fl ~header_traced:(header_trace <> None) req
       in
       fl.Obs.Flight.bytes_out <- String.length body;
       let keep = Http.keep_alive req && not (Atomic.get t.draining) in
@@ -745,6 +799,7 @@ let serve_conn t fd =
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let conn_worker t =
+  let p = open_pipe () in
   let rec next () =
     Mutex.lock t.cmu;
     let rec wait () =
@@ -760,10 +815,10 @@ let conn_worker t =
     match fd with
     | None -> ()
     | Some fd ->
-      serve_conn t fd;
+      serve_conn t p fd;
       next ()
   in
-  next ()
+  Fun.protect ~finally:(fun () -> close_pipe p) next
 
 let acceptor t =
   let rec loop () =
@@ -876,7 +931,7 @@ let start (config : config) =
 let stop t =
   if Atomic.compare_and_set t.stopped false true then begin
     (* Give queued jobs [drain_grace_s] to finish before draining flips
-       handlers off — sync waiters still poll their job atomics. The
+       handlers off; their sync waiters wake as each one settles. The
        grace timer runs on the monotonic clock, same as deadlines. *)
     let deadline = Obs.Clock.now_s () +. t.config.drain_grace_s in
     let all_empty () =
@@ -896,26 +951,15 @@ let stop t =
     in
     if t.config.auto_worker then wait_empty ();
     Atomic.set t.draining true;
-    (* Cancel whatever is still queued, shard by shard. *)
+    (* Cancel whatever is still queued, shard by shard, waking each
+       job's sync waiter. *)
     Array.iter
       (fun sh ->
         Mutex.lock sh.mu;
-        let cancelled =
-          Queue.fold
-            (fun acc j ->
-              if Atomic.compare_and_set j.state Queued Cancelled then begin
-                Atomic.incr t.c.c_cancelled;
-                j.id :: acc
-              end
-              else acc)
-            [] sh.jobs
-        in
+        Queue.iter (fun j -> settle t j ~from:Queued Cancelled) sh.jobs;
         Queue.clear sh.jobs;
         Condition.broadcast sh.cond;
-        Mutex.unlock sh.mu;
-        Mutex.lock t.tmu;
-        List.iter (fun id -> Queue.push id t.finished) cancelled;
-        Mutex.unlock t.tmu)
+        Mutex.unlock sh.mu)
       t.shards;
     Mutex.lock t.cmu;
     Condition.broadcast t.ccond;

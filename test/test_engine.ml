@@ -822,6 +822,25 @@ let render_engine_golden backend mode (case : Experiments.Case.t) =
       in
       (text, (Makespan.Engine.stats engine).Makespan.Engine.arrival_hits))
 
+(* The service answers a heuristic row that is also a neighbor base
+   from its session's evaluation: on the three perfbench cases it must
+   equal a fresh [analyze] bit for bit, on every backend. *)
+let session_evaluation_matches_analyze () =
+  let open Makespan.Engine in
+  List.iter
+    (fun (cname, case) ->
+      let inst = Experiments.Case.instantiate case in
+      let graph = inst.Experiments.Case.graph and platform = inst.Experiments.Case.platform in
+      let engine = create ~graph ~platform ~model:inst.Experiments.Case.model in
+      let heft = Sched.Heft.schedule graph platform in
+      List.iter
+        (fun backend ->
+          let name = Printf.sprintf "%s %s" cname (backend_name backend) in
+          eval_bits_equal name (analyze ~backend engine heft)
+            (session_evaluation (start_session ~backend engine heft)))
+        [ Classical; Spelde; Dodin; Montecarlo { count = 200; seed = 3L } ])
+    engine_golden_cases
+
 let engine_golden_replay () =
   List.iter
     (fun (bname, backend, cname, mode) ->
@@ -880,6 +899,8 @@ let () =
           Alcotest.test_case "prefix maxima: random30/p8 walk == analyze (bitwise)" `Slow
             prefix_walk_random30;
           Alcotest.test_case "prefix maxima: targeted cases" `Quick prefix_targeted;
+          Alcotest.test_case "session evaluation == analyze on perfbench cases (bitwise)"
+            `Quick session_evaluation_matches_analyze;
           Alcotest.test_case "cone cutoff falls back bitwise" `Quick
             cutoff_forces_full_fallback;
           Alcotest.test_case "1-move reeval allocation bound" `Slow

@@ -83,8 +83,12 @@ let par_array_index0_raises () =
             (Parallel.Par_array.init ~pool ~chunk_size:1 4 (fun i ->
                  if i = 0 then failwith "index 0" else i))))
 
+(* Every core runs a job, the caller included: on 2 cores the shared
+   pool has one helper domain. *)
 let default_domains_positive () =
-  Alcotest.(check bool) "at least 1" true (Parallel.Pool.default_domains () >= 1)
+  Alcotest.(check bool) "at least 1" true (Parallel.Pool.default_domains () >= 1);
+  Alcotest.(check int) "every core" (Int.max 1 (Domain.recommended_domain_count ()))
+    (Parallel.Pool.default_domains ())
 
 (* --- persistent pools --- *)
 

@@ -286,6 +286,89 @@ let proto_neighbor_rows_match_fresh_eval () =
       (Proto.job_to_json back)
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
 
+let on_case kind n procs job =
+  { job with Proto.workload = Proto.Named { kind; n; procs; seed = 1L } }
+
+let perfbench_cases =
+  let module C = Experiments.Case in
+  [ ("random30/p8", C.Random_graph, 30, 8); ("cholesky10/p3", C.Cholesky, 10, 3);
+    ("gauss104/p16", C.Gauss_elim, 104, 16) ]
+
+let engine_of_job job =
+  match Proto.context_of_job job with
+  | Ok ctx ->
+    Makespan.Engine.create ~graph:ctx.Proto.graph ~platform:ctx.Proto.platform
+      ~model:ctx.Proto.model
+  | Error e -> Alcotest.fail e
+
+(* The makespan object of the row labeled [source], as rendered. *)
+let row_makespan ~source body =
+  let needle = Printf.sprintf {|{"source":"%s","makespan":|} source in
+  let rec find i =
+    if i + String.length needle > String.length body then
+      Alcotest.failf "no row %s in %s" source body
+    else if String.sub body i (String.length needle) = needle then i
+    else find (i + 1)
+  in
+  let start = find 0 + String.length needle in
+  String.sub body start (String.index_from body start '}' - start + 1)
+
+(* A heuristic row that is also a neighbor base reads its session's
+   evaluation instead of running a second full one. On a fresh engine,
+   [HEFT; neighbor:HEFT:29:1] on random30/p8 made 3 evaluations (the
+   session's, the neighbor's probe and HEFT's own [analyze]) and 1
+   reevaluation; now it makes 2 and 1. HEFT's row still renders the
+   makespan of a job that asks for HEFT alone. *)
+let proto_base_row_reads_session () =
+  let job =
+    on_case Experiments.Case.Random_graph 30 8
+      (named_job
+         ~schedules:
+           [
+             Proto.Heuristic "HEFT";
+             Proto.Neighbor { base = "HEFT"; task = 29; to_ = 1; at = None };
+           ]
+         ())
+  in
+  let engine = engine_of_job job in
+  let counts () =
+    let s = Makespan.Engine.stats engine in
+    (s.Makespan.Engine.evals, s.Makespan.Engine.reevals)
+  in
+  Alcotest.(check (pair int int)) "fresh engine" (0, 0) (counts ());
+  let body = Proto.run_job ~engine job in
+  Alcotest.(check (pair int int)) "evals and reevals" (2, 1) (counts ());
+  let solo =
+    match Proto.eval { job with Proto.schedules = [ Proto.Heuristic "HEFT" ] } with
+    | Ok b -> b
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check string) "HEFT row = HEFT alone" (row_makespan ~source:"HEFT" solo)
+    (row_makespan ~source:"HEFT" body)
+
+(* The pool fixes no byte: a job's schedules run on one domain or two
+   and render the same document, on each perfbench case. *)
+let proto_run_job_pool_invariant () =
+  List.iter
+    (fun (name, kind, n, procs) ->
+      let job =
+        on_case kind n procs
+          (named_job
+             ~schedules:
+               [
+                 Proto.Heuristic "HEFT";
+                 Proto.Random { count = 3; seed = 7L };
+                 Proto.Heuristic "CPOP";
+               ]
+             ())
+      in
+      let on domains =
+        Tutil.with_pool domains (fun pool ->
+            Proto.run_job ~pool ~engine:(engine_of_job job) job)
+      in
+      Alcotest.(check string) (name ^ ": 1 domain = 2 domains") (on 1) (on 2))
+    perfbench_cases
+
 let proto_inline_key_stable () =
   let j1 = inline_job () and j2 = inline_job () in
   match (Proto.context_of_job j1, Proto.context_of_job j2) with
@@ -649,6 +732,66 @@ let invalid_neighbor_is_client_error () =
           Alcotest.(check int) "counted as invalid" 2 s.Server.rejected_invalid;
           Alcotest.(check int) "not counted as failed" 0 s.Server.jobs_failed))
 
+(* A sync waiter sleeps until its job settles, so every terminal
+   transition must wake it. With no worker running, a blocked /eval
+   answers 200 once [Server.step] runs its job, 422 once [step] finds a
+   deadlocking neighbor move, and 503 once [Server.stop] cancels it,
+   each within 1 s. *)
+let server_settle_wakes_waiter () =
+  let config = { Server.default_config with Server.auto_worker = false } in
+  let deadlock =
+    on_case Experiments.Case.Random_graph 30 8
+      (named_job
+         ~schedules:
+           [
+             Proto.Heuristic "HEFT";
+             Proto.Neighbor { base = "HEFT"; task = 5; to_ = 3; at = None };
+           ]
+         ())
+  in
+  List.iter
+    (fun (what, job, settle, want) ->
+      with_server ~config (fun t ->
+          let client =
+            Domain.spawn (fun () ->
+                with_client t (fun c ->
+                    let r = Client.post c "/eval" (Proto.job_to_json job) in
+                    (r, Obs.Clock.now_s ())))
+          in
+          let rec await_queued n =
+            if (Server.stats t).Server.queue_depth = 0 then
+              if n = 0 then Alcotest.failf "%s: job never queued" what
+              else begin
+                Unix.sleepf 0.005;
+                await_queued (n - 1)
+              end
+          in
+          await_queued 1000;
+          let t0 = Obs.Clock.now_s () in
+          settle t;
+          match Domain.join client with
+          | Ok resp, t1 ->
+            Alcotest.(check int) what want resp.Http.status;
+            if t1 -. t0 > 1. then Alcotest.failf "%s: answered after %.3f s" what (t1 -. t0)
+          | Error e, _ -> Alcotest.failf "%s: %s" what (Http.error_to_string e)))
+    [
+      ("done through step", named_job (), (fun t -> ignore (Server.step t)), 200);
+      ("invalid through step", deadlock, (fun t -> ignore (Server.step t)), 422);
+      ("cancelled by stop", named_job (), Server.stop, 503);
+    ]
+
+(* Each connection domain's pipe closes with the domain: starting and
+   stopping servers leaves this process's descriptor count as it was. *)
+let server_start_stop_keeps_fds () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let before = open_fds () in
+    for _ = 1 to 10 do
+      Server.stop (Server.start Server.default_config)
+    done;
+    Alcotest.(check int) "open descriptors" before (open_fds ())
+  end
+
 let server_drain_cancels_queued () =
   let config = { Server.default_config with Server.auto_worker = false } in
   let t = Server.start config in
@@ -990,6 +1133,8 @@ let () =
           tc "neighbor rows = fresh eval" `Quick proto_neighbor_rows_match_fresh_eval;
           tc "inline key" `Quick proto_inline_key_stable;
           tc "trace field roundtrip" `Quick proto_trace_field_roundtrip;
+          tc "base row reads its session" `Quick proto_base_row_reads_session;
+          tc "run_job pool-invariant" `Quick proto_run_job_pool_invariant;
         ] );
       ( "server",
         [
@@ -1003,6 +1148,8 @@ let () =
           tc "deadline 504" `Quick server_deadline_expires_504;
           tc "invalid requests" `Quick server_rejects_invalid_requests;
           tc "drain cancels queued" `Quick server_drain_cancels_queued;
+          tc "settle wakes sync waiters" `Quick server_settle_wakes_waiter;
+          tc "start-stop keeps descriptors" `Quick server_start_stop_keeps_fds;
           tc "serve-drain-serve" `Quick server_restarts_after_stop;
           tc "trace propagation end to end" `Quick server_propagates_trace;
           tc "openmetrics exposition" `Quick server_exposes_openmetrics;
