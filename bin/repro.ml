@@ -27,8 +27,8 @@ let domains_arg =
     & opt (some int) None
     & info [ "j"; "domains" ] ~docv:"N"
         ~doc:
-          "Domains that run a sweep, the calling one included (default: cores - 1, so a \
-           2-core host sweeps on one domain unless given $(b,-j 2)).")
+          "Domains that run a sweep, the calling one included (default: every core, so a \
+           2-core host sweeps on two domains).")
 
 let seed_arg =
   Arg.(

@@ -21,6 +21,12 @@
     the batch on it. Batching shares engine caches only; response bytes
     are identical to a solo run (see {!Proto}).
 
+    A sync [/eval] sleeps on its handler domain's self-pipe. Every
+    terminal transition the worker or {!stop} makes sets the job's
+    state, then writes one byte to that pipe; while the job is still
+    queued, the waiter's [select] timeout is the time left to its
+    deadline, so expiry needs no timer thread.
+
     {2 Admission}
 
     Connection domains do only the cheap half of admission: bounded
@@ -75,7 +81,7 @@ type config = {
       (** spawn the evaluation worker domains. [false] is for tests:
           jobs only run when {!step} is called, so batching is
           observable deterministically. Sync [/eval] requests then
-          block until some other thread calls {!step}. *)
+          block until some other thread calls {!step} or {!stop}. *)
   drain_grace_s : float;  (** drain: max wait for queued jobs to finish *)
   slow_ms : float option;
       (** log one stderr line for every request slower than this many
