@@ -4,7 +4,8 @@ every workload's parent/change pairs, and the claim the record makes.
     python3 bench/check_records.py [DIR]
 
 reads BENCH_arrival.json, BENCH_sweep.json, BENCH_fft.json,
-BENCH_spline.json, BENCH_anneal.json and BENCH_fold.json from DIR
+BENCH_spline.json, BENCH_anneal.json, BENCH_fold.json and
+BENCH_cores.json from DIR
 (default: the current directory), prints one line per record and exits
 1 if any assertion failed.
 """
@@ -201,8 +202,29 @@ def fold(d):
             <= pw['parent']['arrival_sum_misses_per_probe']), pw
 
 
+def cores(d):
+    """The shared pool on every core and signalled sync completion:
+    serve_mixed pairs on the claim and a held-out seed, the two
+    workloads that use neither (pinned pools), and the traced layers."""
+    has_fields(d, ('commit', 'parent', 'nproc', 'ocaml', 'command', 'run_seconds', 'seeds',
+                   'workloads', 'per_layer'))
+    check_workloads(d, ('failed', 'correct'), ordered=True)
+    claim = d['workloads']['serve_mixed_seed1']
+    assert claim['pairs'] >= 10, claim['pairs']
+    t = claim['metrics']['throughput_per_s']
+    assert t['verdict'] == 'better' and t['pair_wins'] >= 0.9 * claim['pairs'], t
+    assert d['workloads']['serve_mixed_seed2']['pairs'] >= 5
+    held_out_agrees(d, 'serve_mixed_seed2')
+    for name in ('campaign_fig6_seed1', 'anneal_search_seed1'):
+        assert d['workloads'][name]['pairs'] >= 5, name
+    # where the saving comes from: the eval stage and the poll
+    layers = d['per_layer']['serve_mixed']
+    for layer in ('service.stage_eval_p50_ms', 'serve_mixed.unattributed_ms'):
+        assert layers[layer]['change']['median'] < layers[layer]['parent']['median'], layer
+
+
 RECORDS = [('arrival', arrival), ('sweep', sweep), ('fft', fft), ('spline', spline),
-           ('anneal', anneal), ('fold', fold)]
+           ('anneal', anneal), ('fold', fold), ('cores', cores)]
 
 
 def main():
