@@ -121,7 +121,9 @@ val run_job :
     {!Experiments.Runner} does, and evaluation fans out over [pool]
     ({!Parallel.Pool.shared} when absent — sharded workers pass their
     private pool slice so shards never contend on one submit lock).
-    When [flight] is given, the work is split into the ["eval"]
+    A base schedule that neighbor rows share is evaluated in full once,
+    by its incremental session, and a heuristic row naming that base
+    reads the session's evaluation. When [flight] is given, the work is split into the ["eval"]
     (expansion + metric sweep) and ["encode"] (JSON rendering) stages
     of that request's flight record, labeled with [shard] when the
     caller is a sharded worker. *)
