@@ -525,9 +525,10 @@ let serve_cmd =
       value & opt int 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Evaluation worker shards: each owns a private job queue, engine \
-             cache and slice of the evaluation pool; jobs are consistent-hashed \
-             to shards by batch key.")
+            "Evaluation shards: each is a job queue, a locked engine cache and \
+             max(1, cores/N) job runners, which run jobs side by side on the one \
+             shared evaluation pool; jobs are consistent-hashed to shards by \
+             batch key.")
   in
   let grace_arg =
     Arg.(

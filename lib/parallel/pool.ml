@@ -11,18 +11,22 @@ let m_busy_us = Obs.Metrics.counter "pool.busy_us"
 let m_runs = Obs.Metrics.counter "pool.runs"
 let g_imbalance = Obs.Metrics.gauge "pool.imbalance"
 
-(* One submitted fan-out: the chunk function plus the atomic work-stealing
-   counter and slot-private telemetry cells. Chunks are claimed through
-   [next], so results depend only on the chunk decomposition — never on
-   how many domains happened to run. *)
+(* One running fan-out: the chunk function, the atomic work-stealing
+   counter [next], the atomic [completed] count its caller waits on, and
+   slot-private telemetry cells. Chunks are claimed through [next], so
+   results depend only on the chunk decomposition — never on how many
+   domains happened to run, nor on which other fan-outs ran beside it. *)
 type job = {
   f : int -> unit;
   chunks : int;
   next : int Atomic.t;
+  completed : int Atomic.t;
   failure : exn option Atomic.t;
   busy : float array;
   count : int array;
   instrumented : bool;
+  jmu : Mutex.t; (* with [done_], wakes the caller at [completed = chunks] *)
+  done_ : Condition.t;
 }
 
 let make_job ~slots ~chunks f =
@@ -30,16 +34,28 @@ let make_job ~slots ~chunks f =
     f;
     chunks;
     next = Atomic.make 0;
+    completed = Atomic.make 0;
     failure = Atomic.make None;
     busy = Array.make slots 0.;
     count = Array.make slots 0;
     instrumented = Obs.Metrics.enabled () || Obs.Span.enabled ();
+    jmu = Mutex.create ();
+    done_ = Condition.create ();
   }
 
 (* Set while the current domain is draining chunks; a nested [run] from
    inside a chunk executes inline instead of deadlocking on (or
    oversubscribing) the pool. *)
 let in_worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+
+let unclaimed job = Atomic.get job.next < job.chunks
+
+(* Count one finished chunk; whoever finishes the last one wakes the
+   caller. The count is taken before the lock, and the caller tests it
+   under the lock before it sleeps, so the wake-up cannot be lost. *)
+let complete job =
+  if Atomic.fetch_and_add job.completed 1 = job.chunks - 1 then
+    Mutex.protect job.jmu (fun () -> Condition.broadcast job.done_)
 
 let drain job slot =
   let rec loop () =
@@ -48,7 +64,7 @@ let drain job slot =
       (try
          (* fault-injection boundary: an injected chunk failure takes the
             same first-failure path as a real one — remaining chunks
-            drain, workers re-park, the caller gets the exception *)
+            drain, helpers move on, the caller gets the exception *)
          Fault.cut "pool.chunk";
          if job.instrumented then begin
            let t0 = Unix.gettimeofday () in
@@ -59,8 +75,9 @@ let drain job slot =
          else job.f c
        with exn ->
          (* record the first failure; later chunks still drain so that
-            all domains terminate promptly *)
+            the caller's wait ends promptly *)
          ignore (Atomic.compare_and_set job.failure None (Some exn)));
+      complete job;
       loop ()
     end
   in
@@ -72,7 +89,7 @@ let drain_as_worker job slot =
   Domain.DLS.set in_worker_key false
 
 (* Feed telemetry and re-raise the first chunk failure. Called once per
-   job, after every participating domain is known to be done. *)
+   job, by its caller, after every chunk has completed. *)
 let finish job =
   if job.instrumented && job.chunks > 0 then begin
     let total_busy = Array.fold_left ( +. ) 0. job.busy in
@@ -89,42 +106,37 @@ let finish job =
   match Atomic.get job.failure with Some exn -> raise exn | None -> ()
 
 (* Persistent pool: helper domains are spawned once and then parked on a
-   condition variable between jobs, so a sweep of thousands of small
-   fan-outs pays spawn/join once instead of per call. A job is published
-   as (job, generation); a helper that has already served generation g
-   sleeps until [seq] moves past g. [submit] serializes whole jobs, so
-   one job's helpers are all back at the fence before the next job's
-   generation is published. *)
+   condition variable between fan-outs, so a sweep of thousands of small
+   fan-outs pays spawn/join once. Any number of callers may run at once:
+   each publishes its fan-out at the tail of [running] and drains it
+   itself, while a helper claims chunks from the oldest fan-out that
+   still has unclaimed ones and parks when none has. A caller waits only
+   for the chunks it did not run itself, never for a helper that claimed
+   nothing. *)
 type t = {
   helpers : int;
-  mutex : Mutex.t; (* guards [job], [seq], [pending], [stop] *)
-  wake : Condition.t; (* new generation or shutdown *)
-  finished : Condition.t; (* [pending] reached zero *)
-  submit : Mutex.t; (* serializes run_on callers *)
-  mutable job : job option;
-  mutable seq : int;
-  mutable pending : int;
+  mutex : Mutex.t; (* guards [running] and [stop] *)
+  wake : Condition.t; (* a fan-out was published, or shutdown *)
+  mutable running : job list; (* oldest first *)
   mutable stop : bool;
   mutable handles : unit Domain.t list;
 }
 
 let worker_loop t slot () =
   Mutex.lock t.mutex;
-  let seen = ref 0 in
-  let running = ref true in
-  while !running do
-    if t.stop then running := false
-    else if t.seq = !seen then Condition.wait t.wake t.mutex
-    else begin
-      seen := t.seq;
-      let job = match t.job with Some j -> j | None -> assert false in
-      Mutex.unlock t.mutex;
-      drain_as_worker job slot;
-      Mutex.lock t.mutex;
-      t.pending <- t.pending - 1;
-      if t.pending = 0 then Condition.signal t.finished
-    end
-  done;
+  let rec loop () =
+    if not t.stop then
+      match List.find_opt unclaimed t.running with
+      | None ->
+        Condition.wait t.wake t.mutex;
+        loop ()
+      | Some job ->
+        Mutex.unlock t.mutex;
+        drain_as_worker job slot;
+        Mutex.lock t.mutex;
+        loop ()
+  in
+  loop ();
   Mutex.unlock t.mutex
 
 let create ?domains () =
@@ -134,11 +146,7 @@ let create ?domains () =
       helpers = domains - 1;
       mutex = Mutex.create ();
       wake = Condition.create ();
-      finished = Condition.create ();
-      submit = Mutex.create ();
-      job = None;
-      seq = 0;
-      pending = 0;
+      running = [];
       stop = false;
       handles = [];
     }
@@ -148,19 +156,16 @@ let create ?domains () =
 
 let size t = t.helpers + 1
 
+(* Helpers finish the chunks they claimed, then exit; a caller still
+   draining runs what is left of its fan-out on its own domain. *)
 let shutdown t =
-  (* taking [submit] first lets an in-flight job complete *)
-  Mutex.lock t.submit;
   Mutex.lock t.mutex;
   let handles = t.handles in
-  if not t.stop then begin
-    t.stop <- true;
-    Condition.broadcast t.wake
-  end;
+  t.stop <- true;
   t.handles <- [];
+  Condition.broadcast t.wake;
   Mutex.unlock t.mutex;
-  List.iter Domain.join handles;
-  Mutex.unlock t.submit
+  List.iter Domain.join handles
 
 (* Nested fan-out from inside a chunk: drain sequentially on the calling
    domain (same chunk decomposition, same first-failure semantics). *)
@@ -170,31 +175,25 @@ let run_inline ~chunks f =
   finish job
 
 let run_on t ~chunks f =
-  if Domain.DLS.get in_worker_key then run_inline ~chunks f
-  else begin
-    Mutex.lock t.submit;
-    let job = make_job ~slots:(t.helpers + 1) ~chunks f in
-    Mutex.lock t.mutex;
-    if t.stop then begin
-      Mutex.unlock t.mutex;
-      Mutex.unlock t.submit;
-      invalid_arg "Pool.run: pool has been shut down"
-    end;
-    t.job <- Some job;
-    t.pending <- t.helpers;
-    t.seq <- t.seq + 1;
-    Condition.broadcast t.wake;
+  let job = make_job ~slots:(t.helpers + 1) ~chunks f in
+  Mutex.lock t.mutex;
+  if t.stop then begin
     Mutex.unlock t.mutex;
-    drain_as_worker job 0;
-    Mutex.lock t.mutex;
-    while t.pending > 0 do
-      Condition.wait t.finished t.mutex
-    done;
-    t.job <- None;
-    Mutex.unlock t.mutex;
-    Mutex.unlock t.submit;
-    finish job
-  end
+    invalid_arg "Pool.run: pool has been shut down"
+  end;
+  t.running <- t.running @ [ job ];
+  if chunks > 1 then Condition.broadcast t.wake;
+  Mutex.unlock t.mutex;
+  drain_as_worker job 0;
+  Mutex.lock t.mutex;
+  t.running <- List.filter (fun j -> j != job) t.running;
+  Mutex.unlock t.mutex;
+  Mutex.lock job.jmu;
+  while Atomic.get job.completed < chunks do
+    Condition.wait job.done_ job.jmu
+  done;
+  Mutex.unlock job.jmu;
+  finish job
 
 (* Process-wide shared pool, created on first demand and torn down at
    exit. Callers that pass no [?pool] land here, so campaigns reuse one

@@ -6,10 +6,17 @@
     experiment pipeline bit-reproducible whatever the machine size.
 
     Work runs on a {e persistent} pool ({!t}): helper domains are
-    spawned once and parked on a condition variable between jobs, so
-    campaigns running thousands of small fan-outs pay spawn/join once.
-    Callers that pass no pool use the process-wide {!shared} one; a
-    caller that pins a domain count creates its own with {!create}. *)
+    spawned once and parked on a condition variable between fan-outs,
+    so campaigns running thousands of small fan-outs pay spawn/join
+    once. Callers that pass no pool use the process-wide {!shared} one;
+    a caller that pins a domain count creates its own with {!create}.
+
+    A pool takes {e concurrent callers}: several domains may each be
+    inside {!run} on the same pool at once (a server's job runners do).
+    Each caller drains its own fan-out, and the helpers claim chunks
+    from the oldest running fan-out that still has unclaimed ones, so an
+    idle helper lends itself to whichever caller has work. A caller
+    waits only for the chunks of its own fan-out. *)
 
 val default_domains : unit -> int
 (** [max 1 recommended_domain_count]: the total number of domains that
@@ -32,8 +39,10 @@ val size : t -> int
 (** Number of domains that participate in a job (helpers + caller). *)
 
 val shutdown : t -> unit
-(** Wake and join the helper domains. An in-flight job completes first;
-    subsequent {!run} calls on the pool raise [Invalid_argument].
+(** Wake and join the helper domains. Each helper finishes the chunks it
+    has claimed; a caller already inside {!run} drains what is left of
+    its own fan-out on its own domain, so every in-flight run completes.
+    Subsequent {!run} calls on the pool raise [Invalid_argument].
     Idempotent. Must not be called from inside a pool job. *)
 
 val shared : unit -> t
@@ -49,8 +58,9 @@ val run : ?pool:t -> chunks:int -> (int -> unit) -> unit
 (** [run ~chunks f] calls [f c] exactly once for every
     [c ∈ \[0, chunks)], distributing chunks over worker domains (the
     calling domain participates). [f] must only write to chunk-private
-    state. The first exception raised by any chunk is re-raised after
-    all workers have drained.
+    state. The first exception raised by any chunk is re-raised in this
+    caller, after every chunk of its fan-out has run; other callers'
+    fan-outs on the same pool are unaffected.
 
     Runs on [?pool], or on the {!shared} pool when none is given. A
     nested [run] from inside a chunk always drains inline on the calling
@@ -64,5 +74,6 @@ val run : ?pool:t -> chunks:int -> (int -> unit) -> unit
 
     Each chunk also carries the ["pool.chunk"] [Fault] probe: an
     injected exception is indistinguishable from a chunk raising — the
-    first failure is re-raised in the caller after all workers drain,
-    and a persistent pool's parked domains are unaffected. *)
+    first failure is re-raised in its own caller after the fan-out's
+    chunks have run, and a persistent pool's helper domains are
+    unaffected. *)

@@ -158,6 +158,143 @@ let shared_pool_respawns_after_shutdown () =
   Parallel.Pool.run ~chunks:6 (fun _ -> Atomic.incr hits);
   Alcotest.(check int) "default path after two drains" 6 (Atomic.get hits)
 
+(* --- concurrent callers --- *)
+
+(* Spin until [flag] is set, at most 5 s; whether it was set. *)
+let spin_until flag =
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done;
+  Atomic.get flag
+
+(* Three domains each issue 50 fan-outs of varying width on one
+   2-domain pool; every fan-out's result equals its sequential value. *)
+let concurrent_callers_match_sequential () =
+  let pool = Parallel.Pool.create ~domains:2 () in
+  let value d round c = (d * 1_000_003) + (round * 1009) + (c * c) in
+  let caller d =
+    Domain.spawn (fun () ->
+        List.init 50 (fun round ->
+            let chunks = 1 + ((d * 13) + (round * 7)) mod 23 in
+            let out = Array.make chunks (-1) in
+            Parallel.Pool.run ~pool ~chunks (fun c -> out.(c) <- value d round c);
+            out = Array.init chunks (value d round)))
+  in
+  let results = List.map Domain.join (List.init 3 caller) in
+  Parallel.Pool.shutdown pool;
+  List.iteri
+    (fun d rounds ->
+      List.iteri
+        (fun round ok ->
+          if not ok then Alcotest.failf "caller %d round %d: result differs" d round)
+        rounds)
+    results
+
+(* A failing chunk reaches its own caller only: one domain's fan-outs
+   all raise, another's run cleanly on the same pool at the same time. *)
+let concurrent_failure_stays_with_caller () =
+  let pool = Parallel.Pool.create ~domains:2 () in
+  let failing =
+    Domain.spawn (fun () ->
+        List.init 30 (fun _ ->
+            match
+              Parallel.Pool.run ~pool ~chunks:8 (fun c -> if c = 3 then failwith "mine")
+            with
+            | () -> false
+            | exception Failure m -> m = "mine"))
+  in
+  let clean =
+    Domain.spawn (fun () ->
+        List.init 30 (fun _ ->
+            let acc = Atomic.make 0 in
+            match
+              Parallel.Pool.run ~pool ~chunks:8 (fun c -> ignore (Atomic.fetch_and_add acc c))
+            with
+            | () -> Atomic.get acc = 28
+            | exception _ -> false))
+  in
+  let f = Domain.join failing and c = Domain.join clean in
+  Parallel.Pool.shutdown pool;
+  Alcotest.(check bool) "every failing run raised its own failure" true (List.for_all Fun.id f);
+  Alcotest.(check bool) "every clean run completed" true (List.for_all Fun.id c)
+
+(* A caller does not wait for another caller's fan-out: while a long
+   fan-out holds both domains of a 2-domain pool, a second caller runs
+   all of its own chunks and returns. *)
+let callers_do_not_wait_for_each_other () =
+  let pool = Parallel.Pool.create ~domains:2 () in
+  let release = Atomic.make false and released = Atomic.make true in
+  let started = Atomic.make 0 in
+  let long =
+    Domain.spawn (fun () ->
+        Parallel.Pool.run ~pool ~chunks:2 (fun _ ->
+            Atomic.incr started;
+            if not (spin_until release) then Atomic.set released false))
+  in
+  while Atomic.get started < 2 do
+    Domain.cpu_relax ()
+  done;
+  let hits = Atomic.make 0 in
+  Parallel.Pool.run ~pool ~chunks:5 (fun _ -> Atomic.incr hits);
+  Atomic.set release true;
+  Domain.join long;
+  Parallel.Pool.shutdown pool;
+  Alcotest.(check int) "short fan-out ran every chunk" 5 (Atomic.get hits);
+  Alcotest.(check bool) "short fan-out returned while the long one ran" true
+    (Atomic.get released)
+
+(* [shutdown] while a caller is mid-run: the run completes with every
+   chunk, and the next run raises. *)
+let shutdown_lets_inflight_run_finish () =
+  let pool = Parallel.Pool.create ~domains:2 () in
+  let release = Atomic.make false and started = Atomic.make false in
+  let hits = Array.init 6 (fun _ -> Atomic.make 0) in
+  let caller =
+    Domain.spawn (fun () ->
+        Parallel.Pool.run ~pool ~chunks:6 (fun c ->
+            Atomic.set started true;
+            ignore (spin_until release);
+            Atomic.incr hits.(c)))
+  in
+  ignore (spin_until started);
+  let stopper = Domain.spawn (fun () -> Parallel.Pool.shutdown pool) in
+  Unix.sleepf 0.05;
+  Atomic.set release true;
+  Domain.join caller;
+  Domain.join stopper;
+  Array.iteri
+    (fun c h -> Alcotest.(check int) (Printf.sprintf "chunk %d once" c) 1 (Atomic.get h))
+    hits;
+  Alcotest.check_raises "run after shutdown"
+    (Invalid_argument "Pool.run: pool has been shut down") (fun () ->
+      Parallel.Pool.run ~pool ~chunks:2 (fun _ -> ()))
+
+(* With two callers on one pool, a run nested inside a chunk still
+   drains inline on the domain that runs the outer chunk. *)
+let concurrent_nested_runs_inline () =
+  let pool = Parallel.Pool.create ~domains:2 () in
+  let caller () =
+    Domain.spawn (fun () ->
+        let inline = Atomic.make true and total = Atomic.make 0 in
+        for _ = 1 to 20 do
+          Parallel.Pool.run ~pool ~chunks:4 (fun _ ->
+              let outer = Domain.self () in
+              Parallel.Pool.run ~pool ~chunks:3 (fun c ->
+                  if Domain.self () <> outer then Atomic.set inline false;
+                  ignore (Atomic.fetch_and_add total c)))
+        done;
+        (Atomic.get inline, Atomic.get total))
+  in
+  let a = caller () and b = caller () in
+  let ra = Domain.join a and rb = Domain.join b in
+  Parallel.Pool.shutdown pool;
+  List.iter
+    (fun (inline, total) ->
+      Alcotest.(check bool) "nested chunks ran on the outer chunk's domain" true inline;
+      Alcotest.(check int) "nested chunks all ran" (20 * 4 * 3) total)
+    [ ra; rb ]
+
 let par_array_explicit_pool () =
   let pool = Parallel.Pool.create ~domains:3 () in
   let f i = (i * 31) mod 97 in
@@ -185,6 +322,14 @@ let () =
           tc "shutdown" `Quick persistent_pool_shutdown_semantics;
           tc "nested runs inline" `Quick persistent_pool_nested_runs_inline;
           tc "shared respawns after shutdown" `Quick shared_pool_respawns_after_shutdown;
+        ] );
+      ( "concurrent",
+        [
+          tc "callers match sequential" `Quick concurrent_callers_match_sequential;
+          tc "failure stays with its caller" `Quick concurrent_failure_stays_with_caller;
+          tc "callers do not wait for each other" `Quick callers_do_not_wait_for_each_other;
+          tc "shutdown lets an in-flight run finish" `Quick shutdown_lets_inflight_run_finish;
+          tc "nested runs inline" `Quick concurrent_nested_runs_inline;
         ] );
       ( "par_array",
         [

@@ -819,6 +819,80 @@ let server_restarts_after_stop () =
   let b = run_once () in
   Alcotest.(check string) "second server, same bytes" a b
 
+(* A shard runs several jobs at once: on one shard, a slow sync job
+   (random30/p8, 16 random schedules) is posted first and, once a runner
+   has taken it, a fast one (cholesky10/p3, HEFT). With two or more pool
+   domains the shard has a second runner, so the fast reply overtakes
+   the slow one. Both bodies equal the offline bytes either way. *)
+let server_runners_overlap_jobs () =
+  let slow =
+    on_case Experiments.Case.Random_graph 30 8
+      (named_job ~schedules:[ Proto.Random { count = 16; seed = 3L } ] ())
+  in
+  let fast = named_job () in
+  let local job = match Proto.eval job with Ok b -> b | Error e -> Alcotest.fail e in
+  let slow_local = local slow and fast_local = local fast in
+  let arrivals = Atomic.make 0 in
+  with_server (fun t ->
+      let post job =
+        Domain.spawn (fun () ->
+            let r = with_client t (fun c -> Client.eval c job) in
+            (r, Atomic.fetch_and_add arrivals 1))
+      in
+      let slow_d = post slow in
+      let rec until_taken n =
+        let s = Server.stats t in
+        if n > 0 && not (s.Server.jobs_submitted = 1 && s.Server.queue_depth = 0) then begin
+          Unix.sleepf 0.001;
+          until_taken (n - 1)
+        end
+      in
+      until_taken 5000;
+      let fast_d = post fast in
+      let body what want (r, _) =
+        match r with
+        | Ok b -> Alcotest.(check string) (what ^ ": served = local bytes") want b
+        | Error e -> Alcotest.failf "%s: %s" what e
+      in
+      let fast_r = Domain.join fast_d and slow_r = Domain.join slow_d in
+      body "slow" slow_local slow_r;
+      body "fast" fast_local fast_r;
+      if Parallel.Pool.default_domains () < 2 then
+        print_endline
+          "runners overlap jobs: one pool domain, so one runner per shard; the \
+           reply-order check is skipped"
+      else
+        Alcotest.(check int) "the fast reply arrives first" 0 (snd fast_r))
+
+(* Four clients post one cold key at once; however the shard's runners
+   split them into batches, the LRU lock lets exactly one build its
+   engine. *)
+let server_cold_key_builds_once () =
+  let job = named_job ~seed:7L ~schedules:[ Proto.Random { count = 2; seed = 4L } ] () in
+  let local = match Proto.eval job with Ok b -> b | Error e -> Alcotest.fail e in
+  with_server (fun t ->
+      let ready = Atomic.make 0 in
+      let clients =
+        List.init 4 (fun _ ->
+            Domain.spawn (fun () ->
+                with_client t (fun c ->
+                    ignore (Client.healthz c);
+                    Atomic.incr ready;
+                    while Atomic.get ready < 4 do
+                      Domain.cpu_relax ()
+                    done;
+                    Client.eval c job)))
+      in
+      List.iteri
+        (fun i d ->
+          match Domain.join d with
+          | Ok body ->
+            Alcotest.(check string) (Printf.sprintf "client %d: served = local bytes" i)
+              local body
+          | Error e -> Alcotest.failf "client %d: %s" i e)
+        clients;
+      Alcotest.(check int) "one engine for the key" 1 (Server.stats t).Server.engines_created)
+
 let server_propagates_trace () =
   with_server (fun t ->
       with_client t (fun c ->
@@ -1156,6 +1230,8 @@ let () =
           tc "neighbor jobs count reevals" `Quick server_counts_neighbor_reevals;
           tc "invalid neighbor is a client error" `Quick invalid_neighbor_is_client_error;
           tc "totals survive eviction" `Quick server_totals_survive_eviction;
+          tc "runners overlap jobs" `Quick server_runners_overlap_jobs;
+          tc "cold key builds once" `Quick server_cold_key_builds_once;
         ] );
       ( "stop",
         [
