@@ -4,8 +4,8 @@ every workload's parent/change pairs, and the claim the record makes.
     python3 bench/check_records.py [DIR]
 
 reads BENCH_arrival.json, BENCH_sweep.json, BENCH_fft.json,
-BENCH_spline.json, BENCH_anneal.json, BENCH_fold.json and
-BENCH_cores.json from DIR
+BENCH_spline.json, BENCH_anneal.json, BENCH_fold.json, BENCH_cores.json
+and BENCH_runners.json from DIR
 (default: the current directory), prints one line per record and exits
 1 if any assertion failed.
 """
@@ -223,8 +223,45 @@ def cores(d):
         assert layers[layer]['change']['median'] < layers[layer]['parent']['median'], layer
 
 
+def runners(d):
+    """A shard's jobs run concurrently on a pool that takes concurrent
+    callers: serve_mixed pairs on the claim, batch by batch, and a
+    held-out seed, the two workloads that use neither, the threads per
+    side and the traced queue stage."""
+    has_fields(d, ('commit', 'parent', 'nproc', 'ocaml', 'command', 'run_seconds', 'seeds',
+                   'warmup_runs', 'process_threads', 'claim', 'workloads', 'per_layer'))
+    check_workloads(d, ('failed', 'correct'), ordered=True)
+    # the claim is recorded with every batch of 10 pairs; it is met only
+    # if each batch, and all pairs together, read better
+    claim = d['claim']
+    w = d['workloads'][claim['workload_key']]
+    assert w['workload'] == 'serve_mixed' and w['seed'] == 1, claim
+    t = w['metrics'][claim['metric']]
+    assert sum(b['pairs'] for b in claim['batches']) == w['pairs'] >= 10, claim
+    for b in claim['batches']:
+        assert b['pairs'] >= 10 and 0 <= b['pair_wins'] <= b['pairs'], b
+        assert b['verdict'] != 'worse', b
+    assert sum(b['pair_wins'] for b in claim['batches']) == t['pair_wins'], claim
+    assert claim['pooled']['verdict'] == t['verdict'], claim
+    assert claim['met'] == (t['verdict'] == 'better' and t['pair_wins'] >= 0.9 * w['pairs']
+                            and all(b['verdict'] == 'better' for b in claim['batches'])), claim
+    assert t['change']['median'] > t['parent']['median'], t
+    assert d['workloads']['serve_mixed_seed2']['pairs'] >= 5
+    held_out_agrees(d, 'serve_mixed_seed2')
+    for name in ('campaign_fig6_seed1', 'anneal_search_seed1'):
+        assert d['workloads'][name]['pairs'] >= 5, name
+    for side in ('parent', 'change'):
+        for name in ('campaign_fig6', 'serve_mixed', 'anneal_search'):
+            assert d['process_threads'][side][name] >= 1, (side, name)
+    # where the saving comes from: a woken client's job no longer waits
+    # behind the other connection's job
+    q = d['per_layer']['serve_mixed']['service.stage_queue_p50_ms']
+    assert len(q['parent_runs']) == len(q['change_runs']) >= 4, q
+    assert q['change']['median'] < q['parent']['median'], q
+
+
 RECORDS = [('arrival', arrival), ('sweep', sweep), ('fft', fft), ('spline', spline),
-           ('anneal', anneal), ('fold', fold), ('cores', cores)]
+           ('anneal', anneal), ('fold', fold), ('cores', cores), ('runners', runners)]
 
 
 def main():
