@@ -224,28 +224,17 @@ def cores(d):
 
 
 def runners(d):
-    """A shard's jobs run concurrently on a pool that takes concurrent
-    callers: serve_mixed pairs on the claim, batch by batch, and a
-    held-out seed, the two workloads that use neither, the threads per
-    side and the traced queue stage."""
+    """A server's jobs run side by side on one pool of default_domains
+    domains: serve_mixed pairs on the claim and a held-out seed, the two
+    workloads that use neither concurrent callers nor the server, the
+    threads per side and the traced queue stage."""
     has_fields(d, ('commit', 'parent', 'nproc', 'ocaml', 'command', 'run_seconds', 'seeds',
-                   'warmup_runs', 'process_threads', 'claim', 'workloads', 'per_layer'))
+                   'warmup_runs', 'process_threads', 'workloads', 'per_layer'))
     check_workloads(d, ('failed', 'correct'), ordered=True)
-    # the claim is recorded with every batch of 10 pairs; it is met only
-    # if each batch, and all pairs together, read better
-    claim = d['claim']
-    w = d['workloads'][claim['workload_key']]
-    assert w['workload'] == 'serve_mixed' and w['seed'] == 1, claim
-    t = w['metrics'][claim['metric']]
-    assert sum(b['pairs'] for b in claim['batches']) == w['pairs'] >= 10, claim
-    for b in claim['batches']:
-        assert b['pairs'] >= 10 and 0 <= b['pair_wins'] <= b['pairs'], b
-        assert b['verdict'] != 'worse', b
-    assert sum(b['pair_wins'] for b in claim['batches']) == t['pair_wins'], claim
-    assert claim['pooled']['verdict'] == t['verdict'], claim
-    assert claim['met'] == (t['verdict'] == 'better' and t['pair_wins'] >= 0.9 * w['pairs']
-                            and all(b['verdict'] == 'better' for b in claim['batches'])), claim
-    assert t['change']['median'] > t['parent']['median'], t
+    claim = d['workloads']['serve_mixed_seed1']
+    assert claim['pairs'] >= 10, claim['pairs']
+    t = claim['metrics']['throughput_per_s']
+    assert t['verdict'] == 'better' and t['pair_wins'] >= 0.9 * claim['pairs'], t
     assert d['workloads']['serve_mixed_seed2']['pairs'] >= 5
     held_out_agrees(d, 'serve_mixed_seed2')
     for name in ('campaign_fig6_seed1', 'anneal_search_seed1'):
@@ -255,9 +244,11 @@ def runners(d):
             assert d['process_threads'][side][name] >= 1, (side, name)
     # where the saving comes from: a woken client's job no longer waits
     # behind the other connection's job
-    q = d['per_layer']['serve_mixed']['service.stage_queue_p50_ms']
-    assert len(q['parent_runs']) == len(q['change_runs']) >= 4, q
-    assert q['change']['median'] < q['parent']['median'], q
+    layers = d['per_layer']['serve_mixed']
+    for layer in ('service.stage_queue_p50_ms', 'service.stage_queue_p99_ms'):
+        q = layers[layer]
+        assert len(q['parent_runs']) == len(q['change_runs']) >= 4, layer
+        assert q['change']['median'] < q['parent']['median'], layer
 
 
 RECORDS = [('arrival', arrival), ('sweep', sweep), ('fft', fft), ('spline', spline),

@@ -525,10 +525,10 @@ let serve_cmd =
       value & opt int 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Evaluation shards: each is a job queue, a locked engine cache and \
-             max(1, cores/N) job runners, which run jobs side by side on the one \
-             shared evaluation pool; jobs are consistent-hashed to shards by \
-             batch key.")
+            "Evaluation shards: each is a job queue and a locked engine cache; \
+             jobs are consistent-hashed to shards by batch key. One pool of one \
+             domain per core runs every shard's jobs side by side and helps \
+             their schedule fan-outs.")
   in
   let grace_arg =
     Arg.(

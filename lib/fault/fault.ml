@@ -3,6 +3,7 @@ exception Injected of string
 type action =
   | Fail
   | Delay of float (* seconds *)
+  | Hold
 
 type clause = {
   point : string;
@@ -23,11 +24,24 @@ let lock = Mutex.create ()
 let clauses : clause list ref = ref []
 let hit_counts : (string, int ref) Hashtbl.t = Hashtbl.create 8
 
+(* Points released since the last configure or reset; held probes wait
+   on [released_cond] under [lock]. *)
+let released : (string, unit) Hashtbl.t = Hashtbl.create 4
+let released_cond = Condition.create ()
+
+let release point =
+  Mutex.protect lock (fun () ->
+      Hashtbl.replace released point ();
+      Condition.broadcast released_cond)
+
 let reset () =
   Atomic.set enabled_flag false;
   Mutex.protect lock (fun () ->
       clauses := [];
-      Hashtbl.reset hit_counts)
+      Hashtbl.reset hit_counts;
+      (* reset releases every hold: no probe outlives its spec *)
+      Hashtbl.reset released;
+      Condition.broadcast released_cond)
 
 let bad fmt = Printf.ksprintf (fun m -> invalid_arg ("Fault.configure: " ^ m)) fmt
 
@@ -74,7 +88,8 @@ let parse_clause str =
       match action_name with
       | "fail" -> Fail
       | "delay" -> Delay (!ms /. 1000.)
-      | other -> bad "unknown action %S (fail|delay)" other
+      | "hold" -> Hold
+      | other -> bad "unknown action %S (fail|delay|hold)" other
     in
     {
       point;
@@ -96,7 +111,9 @@ let configure ~spec =
   (match cs with [] -> bad "empty spec" | _ -> ());
   Mutex.protect lock (fun () ->
       clauses := cs;
-      Hashtbl.reset hit_counts);
+      Hashtbl.reset hit_counts;
+      Hashtbl.reset released;
+      Condition.broadcast released_cond);
   Atomic.set enabled_flag true
 
 let cut point =
@@ -131,6 +148,12 @@ let cut point =
     | None -> ()
     | Some Fail -> raise (Injected point)
     | Some (Delay s) -> if s > 0. then Unix.sleepf s
+    | Some Hold ->
+      let generation = !clauses in
+      Mutex.protect lock (fun () ->
+          while !clauses == generation && not (Hashtbl.mem released point) do
+            Condition.wait released_cond lock
+          done)
   end
 
 let hits point =

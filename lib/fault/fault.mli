@@ -1,9 +1,10 @@
 (** Deterministic fault injection for crash-safety testing.
 
     Probe points ([{!cut} "campaign.write"], ["runner.eval"],
-    ["pool.chunk"], …) are compiled into the production paths at the
-    boundaries where a crash, an I/O error or a stall would hurt:
-    checkpoint writes, per-case evaluation, pool chunk execution. With
+    ["pool.chunk"], ["service.job"], …) are compiled into the production
+    paths at the boundaries where a crash, an I/O error or a stall would
+    hurt: checkpoint writes, per-case evaluation, pool chunk execution,
+    a served job's evaluation. With
     no spec configured a probe is a single atomic load and a branch —
     the same zero-cost-off discipline as [Obs] — so bit-reproducibility
     and performance of normal runs are unaffected.
@@ -14,7 +15,7 @@
     {v
     spec    ::= clause (';' clause)*
     clause  ::= point ':' action ('@' N)? (':' key '=' value)*
-    action  ::= 'fail' | 'delay'
+    action  ::= 'fail' | 'delay' | 'hold'
     v}
 
     where [point] names a probe, [@N] makes hit [N] (1-based, default 1)
@@ -25,6 +26,11 @@
       function of the spec;
     - [seed=S] — seed of that stream (default 0);
     - [ms=M] — delay duration in milliseconds (default 10; [delay] only).
+
+    A [hold] stalls the probing domain until {!release} names its point
+    (or {!configure} or {!reset} replaces the spec), so a test can keep
+    one domain at a known point while it checks what the others do.
+    Armed from the CLI it stalls for the life of the process.
 
     Examples: ["runner.eval:fail@1"] fails the first case evaluation
     once; ["campaign.write:fail:count=3"] fails the first three
@@ -49,10 +55,14 @@ val reset : unit -> unit
 val cut : string -> unit
 (** [cut point] is a probe. Disabled: a no-op. Enabled: counts the hit
     and fires the first matching eligible clause — [fail] raises
-    {!Injected}, [delay] sleeps. Hit accounting is process-wide and
+    {!Injected}, [delay] sleeps, [hold] waits for {!release}. Hit accounting is process-wide and
     mutex-protected, so probes may sit on concurrent paths (pool
     chunks); eligibility is deterministic given the spec and the total
     hit order. *)
+
+val release : string -> unit
+(** Let every current and later [hold] of [point] go on, until the next
+    {!configure} or {!reset}. *)
 
 val hits : string -> int
 (** Observed hit count for [point] since the last {!configure}/{!reset}

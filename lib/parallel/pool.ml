@@ -110,40 +110,61 @@ let finish job =
    fan-outs pays spawn/join once. Any number of callers may run at once:
    each publishes its fan-out at the tail of [running] and drains it
    itself, while a helper claims chunks from the oldest fan-out that
-   still has unclaimed ones and parks when none has. A caller waits only
-   for the chunks it did not run itself, never for a helper that claimed
-   nothing. *)
+   still has unclaimed ones. A helper that finds no chunk asks [idle]
+   for a task and runs it, or parks when there is none. A caller waits
+   only for the chunks it did not run itself, never for a helper that
+   claimed nothing. *)
 type t = {
   helpers : int;
+  size : int;  (* domains that run a fan-out: the helpers, plus the caller without [idle] *)
+  idle : unit -> (unit -> unit) option;  (* called under [mutex] *)
   mutex : Mutex.t; (* guards [running] and [stop] *)
-  wake : Condition.t; (* a fan-out was published, or shutdown *)
+  wake : Condition.t; (* a fan-out was published, a task is ready, or shutdown *)
   mutable running : job list; (* oldest first *)
   mutable stop : bool;
   mutable handles : unit Domain.t list;
 }
 
+(* The pool whose helper this domain is. A run that names no pool goes
+   to it, so a task's nested fan-outs stay on its own pool's domains. *)
+let helper_of : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
 let worker_loop t slot () =
+  Domain.DLS.set helper_of (Some t);
   Mutex.lock t.mutex;
   let rec loop () =
     if not t.stop then
       match List.find_opt unclaimed t.running with
-      | None ->
-        Condition.wait t.wake t.mutex;
-        loop ()
       | Some job ->
         Mutex.unlock t.mutex;
         drain_as_worker job slot;
         Mutex.lock t.mutex;
         loop ()
+      | None -> (
+        match t.idle () with
+        | Some task ->
+          Mutex.unlock t.mutex;
+          task ();
+          Mutex.lock t.mutex;
+          loop ()
+        | None ->
+          Condition.wait t.wake t.mutex;
+          loop ())
   in
   loop ();
   Mutex.unlock t.mutex
 
-let create ?domains () =
+let no_task () = None
+
+let create ?domains ?idle () =
   let domains = match domains with Some d -> Int.max 1 d | None -> default_domains () in
+  (* with [idle] every fan-out's caller is a helper running a task *)
+  let helpers = if Option.is_some idle then domains else domains - 1 in
   let t =
     {
-      helpers = domains - 1;
+      helpers;
+      size = domains;
+      idle = Option.value idle ~default:no_task;
       mutex = Mutex.create ();
       wake = Condition.create ();
       running = [];
@@ -151,13 +172,16 @@ let create ?domains () =
       handles = [];
     }
   in
-  t.handles <- List.init t.helpers (fun i -> Domain.spawn (worker_loop t (i + 1)));
+  t.handles <- List.init helpers (fun i -> Domain.spawn (worker_loop t (i + 1)));
   t
 
-let size t = t.helpers + 1
+let size t = t.size
 
-(* Helpers finish the chunks they claimed, then exit; a caller still
-   draining runs what is left of its fan-out on its own domain. *)
+let wake t = Mutex.protect t.mutex (fun () -> Condition.signal t.wake)
+
+(* Helpers finish the chunks they claimed and the task they run, then
+   exit; a caller still draining runs what is left of its fan-out on its
+   own domain. *)
 let shutdown t =
   Mutex.lock t.mutex;
   let handles = t.handles in
@@ -174,10 +198,13 @@ let run_inline ~chunks f =
   drain job 0;
   finish job
 
+let is_helper t = match Domain.DLS.get helper_of with Some p -> p == t | None -> false
+
 let run_on t ~chunks f =
   let job = make_job ~slots:(t.helpers + 1) ~chunks f in
   Mutex.lock t.mutex;
-  if t.stop then begin
+  (* a task that was running when shutdown began still fans out *)
+  if t.stop && not (is_helper t) then begin
     Mutex.unlock t.mutex;
     invalid_arg "Pool.run: pool has been shut down"
   end;
@@ -240,4 +267,7 @@ let shared () =
 let run ?pool ~chunks f =
   if chunks < 0 then invalid_arg "Pool.run: negative chunk count";
   if Domain.DLS.get in_worker_key then run_inline ~chunks f
-  else run_on (match pool with Some t -> t | None -> shared ()) ~chunks f
+  else
+    match (pool, Domain.DLS.get helper_of) with
+    | Some t, _ | None, Some t -> run_on t ~chunks f
+    | None, None -> run_on (shared ()) ~chunks f

@@ -12,11 +12,18 @@
     a caller that pins a domain count creates its own with {!create}.
 
     A pool takes {e concurrent callers}: several domains may each be
-    inside {!run} on the same pool at once (a server's job runners do).
-    Each caller drains its own fan-out, and the helpers claim chunks
-    from the oldest running fan-out that still has unclaimed ones, so an
-    idle helper lends itself to whichever caller has work. A caller
-    waits only for the chunks of its own fan-out. *)
+    inside {!run} on the same pool at once. Each caller drains its own
+    fan-out, and the helpers claim chunks from the oldest running
+    fan-out that still has unclaimed ones, so an idle helper lends
+    itself to whichever caller has work. A caller waits only for the
+    chunks of its own fan-out.
+
+    A pool may also have a task source ([?idle] on {!create}): a helper
+    that finds no chunk to claim runs the next task instead, and a task
+    that fans out is one more concurrent caller. A server's evaluation
+    domains are such a pool's helpers: each runs a job as a task and
+    helps the other jobs' fan-outs between its own, so the jobs and
+    their fan-outs share one fixed set of domains. *)
 
 val default_domains : unit -> int
 (** [max 1 recommended_domain_count]: the total number of domains that
@@ -29,14 +36,27 @@ val default_domains : unit -> int
 type t
 (** A persistent worker pool. *)
 
-val create : ?domains:int -> unit -> t
+val create : ?domains:int -> ?idle:(unit -> (unit -> unit) option) -> unit -> t
 (** [create ()] spawns [domains − 1] helper domains (default
     {!default_domains}) that park between jobs. The calling domain
     participates in every job and counts as one of the [domains], so a
-    pool of [domains:1] runs inline. *)
+    pool of [domains:1] runs inline.
+
+    With [~idle], a helper that finds no unclaimed chunk calls [idle ()]
+    and runs the task it returns on its own domain, or parks on [None];
+    chunks always come before tasks. The callers are then the helpers
+    themselves, so all [domains] are helpers. [idle] is called under the
+    pool's lock: it must be quick and must not call into the pool. A
+    task must not raise. After making a task ready, call {!wake}. A
+    {!run} from inside a task fans out on this pool even when it names
+    no pool. *)
 
 val size : t -> int
-(** Number of domains that participate in a job (helpers + caller). *)
+(** Number of domains that run a job: the helpers plus the caller, or
+    the helpers alone for a pool with [~idle]. *)
+
+val wake : t -> unit
+(** Wake one parked helper so that it asks [idle] again. *)
 
 val shutdown : t -> unit
 (** Wake and join the helper domains. Each helper finishes the chunks it
@@ -62,9 +82,9 @@ val run : ?pool:t -> chunks:int -> (int -> unit) -> unit
     caller, after every chunk of its fan-out has run; other callers'
     fan-outs on the same pool are unaffected.
 
-    Runs on [?pool], or on the {!shared} pool when none is given. A
-    nested [run] from inside a chunk always drains inline on the calling
-    domain.
+    Runs on [?pool]; when none is given, on the pool whose task the
+    calling domain runs, else on the {!shared} pool. A nested [run] from
+    inside a chunk always drains inline on the calling domain.
 
     While any {!Obs} sink is enabled, each chunk is recorded as a
     ["pool.chunk"] span and the run feeds the [pool.chunks],

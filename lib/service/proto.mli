@@ -119,8 +119,8 @@ val run_job :
     schedules are generated from the spec seed, δ/γ are calibrated on
     the job's own first schedules (capped at 20) exactly as
     {!Experiments.Runner} does, and evaluation fans out over [pool]
-    ({!Parallel.Pool.shared} when absent, as in the server, whose job
-    runners all share it).
+    (the default of {!Parallel.Pool.run} when absent; the server passes
+    its own pool, on whose domains its jobs run).
     A base schedule that neighbor rows share is evaluated in full once,
     by its incremental session, and a heuristic row naming that base
     reads the session's evaluation. When [flight] is given, the work is split into the ["eval"]

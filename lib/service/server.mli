@@ -9,24 +9,25 @@
     mutex/condition queue. Handlers parse requests with the bounded
     {!Http} reader and either answer immediately ([/healthz],
     [/metrics], job status) or submit a job to one of [workers]
-    {e evaluation shards}. A shard is a bounded job queue, an engine
-    LRU under its own lock, and [max 1 (Parallel.Pool.default_domains
-    () / workers)] {e runner} domains that share both; jobs are
-    consistent-hashed to shards by their (graph × platform × UL) batch
-    key, so same-key batching and per-base reeval sessions keep their
-    engine affinity with no engine shared across shards. Each runner
-    drains the queue in batches: it pops the oldest job plus every
-    queued job sharing its key, obtains the one {!Makespan.Engine} for
-    that key from the shard's LRU (a miss builds it under the LRU lock,
-    so a key has one engine per shard), and evaluates the batch on it.
-    A shard thus runs as many jobs at once as it has runners, and every
-    runner fans its job's schedules out over the one shared
-    {!Parallel.Pool}, whose idle domains help whichever job has work
-    left. Batching and concurrency share engine caches only; response
-    bytes are identical to a solo run (see {!Proto}).
+    {e evaluation shards}. A shard is a bounded job queue and an engine
+    LRU under its own lock; jobs are consistent-hashed to shards by
+    their (graph × platform × UL) batch key, so same-key batching and
+    per-base reeval sessions keep their engine affinity with no engine
+    shared across shards. The jobs run on the server's one
+    {!Parallel.Pool} of [Parallel.Pool.default_domains ()] domains,
+    whatever the number of shards: a pool domain with nothing else to do
+    pops the oldest job of a shard plus every queued job sharing its
+    key, obtains the one {!Makespan.Engine} for that key from the
+    shard's LRU (a miss builds it under the LRU lock, so a key has one
+    engine per shard), and evaluates the batch on it, fanning each job's
+    schedules out over the same pool. A domain helps the other jobs'
+    fan-outs before it takes a new batch, so the server runs as many
+    jobs at once as it has cores and never more evaluation domains.
+    Batching and concurrency share engine caches only; response bytes
+    are identical to a solo run (see {!Proto}).
 
     A sync [/eval] sleeps on its handler domain's self-pipe. Every
-    terminal transition a runner or {!stop} makes sets the job's
+    terminal transition a pool domain or {!stop} makes sets the job's
     state, then writes one byte to that pipe; while the job is still
     queued, the waiter's [select] timeout is the time left to its
     deadline, so expiry needs no timer thread.
@@ -38,11 +39,12 @@
     The expensive half — {!Proto.context_of_job}, the workload/platform
     generation that used to fight the evaluation pool for the minor
     heap when it ran on connection domains — executes on the job's
-    owning shard's runner as the ["admit"] stage of its flight record.
+    owning shard, on a pool domain, as the ["admit"] stage of its flight
+    record.
     Verdicts:
 
     - shard queue full → [503] with [Retry-After] (never admitted);
-    - context build fails on the runner → [422] for sync waiters,
+    - context build fails on the pool domain → [422] for sync waiters,
       ["invalid"] in async status;
     - [deadline_ms] elapsed while still queued → the job expires
       ([504] for sync waiters, ["expired"] in async status). Deadlines
@@ -58,8 +60,8 @@
     from the client's [traceparent] header (or the job body's [trace]
     field, or is minted), and the request is decomposed into the
     [parse → decode → queue → batch → admit → eval → encode → write]
-    stages across the connection → runner domain hop; stages executed
-    on a runner carry a [shard] label in the
+    stages across the connection → pool domain hop; stages executed
+    on a pool domain carry a [shard] label in the
     [service_stage_seconds] histogram family, alongside the per-shard
     [service_queue_depth], [service_shard_jobs], [service_shard_engines]
     and [service_shard_depth] families. [GET /metrics] serves JSON by
@@ -77,13 +79,13 @@ type config = {
       (** per-shard job-queue bound; beyond it submissions get 503 *)
   conn_domains : int;  (** connection-handler domains *)
   workers : int;
-      (** evaluation shards, each with [max 1 (default_domains /
-          workers)] runner domains when [auto_worker]; values < 1 are
-          clamped to 1 *)
+      (** evaluation shards (queue and engine LRU), all served by the
+          one pool of [default_domains] domains; values < 1 are clamped
+          to 1 *)
   limits : Http.limits;
   engine_cache : int;  (** max engines kept warm per shard (LRU by case key) *)
   auto_worker : bool;
-      (** spawn the shards' runner domains. [false] is for tests:
+      (** let the pool domains run queued jobs. [false] is for tests:
           jobs only run when {!step} is called, so batching is
           observable deterministically. Sync [/eval] requests then
           block until some other thread calls {!step} or {!stop}. *)
@@ -102,7 +104,7 @@ val default_config : config
 type t
 
 val start : config -> t
-(** Bind, listen and spawn the acceptor, handler and runner domains.
+(** Bind, listen and spawn the acceptor, handler and pool domains.
     Also turns on {!Obs.Metrics} so [/metrics] has live
     histograms, and ignores [SIGPIPE] (a dying client must not kill the
     daemon). Raises [Unix.Unix_error] if the address cannot be bound. *)
@@ -117,15 +119,19 @@ val shard_of_key : t -> string -> int
 val stop : t -> unit
 (** Graceful drain: stop accepting, let queued jobs finish (up to
     [drain_grace_s] on the monotonic clock), cancel the rest, join
-    every domain and close the socket. Idempotent; the shared pool is
-    left running (its [at_exit]
-    teardown owns it), so start/stop/start cycles in one process work. *)
+    every domain (the pool's once their running jobs finish) and close
+    the socket. Idempotent; start/stop/start cycles in one process
+    work. *)
+
+val eval_domains : t -> int
+(** The domains that evaluate jobs: the size of the server's pool,
+    [Parallel.Pool.default_domains ()] whatever [workers] is. With
+    [auto_worker = false] the caller of {!step} is one of them. *)
 
 val step : t -> int
 (** Manually run one batch off every shard's queue (for
     [auto_worker = false] tests); returns the number of jobs processed
-    (0 if all queues were empty). Must not be called while runners
-    are running. *)
+    (0 if all queues were empty). Only for [auto_worker = false]. *)
 
 type stats = {
   requests : int;  (** HTTP requests parsed (any route) *)

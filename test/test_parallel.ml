@@ -295,6 +295,101 @@ let concurrent_nested_runs_inline () =
       Alcotest.(check int) "nested chunks all ran" (20 * 4 * 3) total)
     [ ra; rb ]
 
+(* A pool with a task source: [tasks] is a locked queue of thunks that
+   [idle] pops, so the helpers run the tasks and every task's fan-out
+   (naming no pool) runs on the same helpers. *)
+let task_pool ~domains =
+  let mu = Mutex.create () and tasks = Queue.create () in
+  let idle () = Mutex.protect mu (fun () -> Queue.take_opt tasks) in
+  let pool = Parallel.Pool.create ~domains ~idle () in
+  let post f =
+    Mutex.protect mu (fun () -> Queue.push f tasks);
+    Parallel.Pool.wake pool
+  in
+  (pool, post)
+
+let wait_for n counter =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Atomic.get counter < n && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Atomic.get counter
+
+(* 40 tasks, each fanning out over 1–9 chunks with no pool named: every
+   result equals its sequential value, and only the pool's own domains
+   ran tasks or chunks. *)
+let tasks_run_on_helpers () =
+  let pool, post = task_pool ~domains:2 in
+  Alcotest.(check int) "size counts the helpers" 2 (Parallel.Pool.size pool);
+  let me = Domain.self () in
+  let foreign = Atomic.make false and finished = Atomic.make 0 in
+  let results = Array.make 40 (-1) in
+  for i = 0 to 39 do
+    post (fun () ->
+        if Domain.self () = me then Atomic.set foreign true;
+        let chunks = 1 + (i mod 9) in
+        let parts = Array.make chunks 0 in
+        Parallel.Pool.run ~chunks (fun c ->
+            if Domain.self () = me then Atomic.set foreign true;
+            parts.(c) <- (c + 1) * i);
+        results.(i) <- Array.fold_left ( + ) 0 parts;
+        Atomic.incr finished)
+  done;
+  let n = wait_for 40 finished in
+  Parallel.Pool.shutdown pool;
+  Alcotest.(check int) "every task ran" 40 n;
+  Array.iteri
+    (fun i r ->
+      let chunks = 1 + (i mod 9) in
+      Alcotest.(check int) (Printf.sprintf "task %d" i) (i * chunks * (chunks + 1) / 2) r)
+    results;
+  Alcotest.(check bool) "nothing ran on the posting domain" false (Atomic.get foreign)
+
+(* An idle helper helps a running task's fan-out: chunk 0 waits until
+   chunk 1 has run on another domain, which only the second helper can
+   do while the first runs the task. *)
+let idle_helper_helps_a_task () =
+  let pool, post = task_pool ~domains:2 in
+  let other_ran = Atomic.make false and helped = Atomic.make false in
+  let finished = Atomic.make 0 in
+  post (fun () ->
+      let task_domain = Domain.self () in
+      Parallel.Pool.run ~chunks:2 (fun _ ->
+          if Domain.self () = task_domain then Atomic.set helped (spin_until other_ran)
+          else Atomic.set other_ran true);
+      Atomic.incr finished);
+  let n = wait_for 1 finished in
+  Parallel.Pool.shutdown pool;
+  Alcotest.(check int) "the task finished" 1 n;
+  Alcotest.(check bool) "the other helper ran a chunk of the task's fan-out" true
+    (Atomic.get helped)
+
+(* [shutdown] while a task runs: the task still fans out (over its own
+   domain, as the other helper has gone) and completes, a task posted
+   afterwards never runs, and a run from outside raises. *)
+let shutdown_lets_a_task_finish () =
+  let pool, post = task_pool ~domains:2 in
+  let release = Atomic.make false and started = Atomic.make false in
+  let finished = Atomic.make 0 and late = Atomic.make false in
+  let hits = Atomic.make 0 in
+  post (fun () ->
+      Atomic.set started true;
+      ignore (spin_until release);
+      Parallel.Pool.run ~chunks:4 (fun _ -> Atomic.incr hits);
+      Atomic.incr finished);
+  ignore (spin_until started);
+  let stopper = Domain.spawn (fun () -> Parallel.Pool.shutdown pool) in
+  Unix.sleepf 0.05;
+  post (fun () -> Atomic.set late true);
+  Atomic.set release true;
+  Domain.join stopper;
+  Alcotest.(check int) "the running task finished" 1 (Atomic.get finished);
+  Alcotest.(check int) "its fan-out ran every chunk" 4 (Atomic.get hits);
+  Alcotest.(check bool) "no task started after shutdown" false (Atomic.get late);
+  Alcotest.check_raises "run after shutdown"
+    (Invalid_argument "Pool.run: pool has been shut down") (fun () ->
+      Parallel.Pool.run ~pool ~chunks:2 (fun _ -> ()))
+
 let par_array_explicit_pool () =
   let pool = Parallel.Pool.create ~domains:3 () in
   let f i = (i * 31) mod 97 in
@@ -330,6 +425,12 @@ let () =
           tc "callers do not wait for each other" `Quick callers_do_not_wait_for_each_other;
           tc "shutdown lets an in-flight run finish" `Quick shutdown_lets_inflight_run_finish;
           tc "nested runs inline" `Quick concurrent_nested_runs_inline;
+        ] );
+      ( "tasks",
+        [
+          tc "tasks run on the helpers" `Quick tasks_run_on_helpers;
+          tc "an idle helper helps a task" `Quick idle_helper_helps_a_task;
+          tc "shutdown lets a running task finish" `Quick shutdown_lets_a_task_finish;
         ] );
       ( "par_array",
         [

@@ -819,11 +819,12 @@ let server_restarts_after_stop () =
   let b = run_once () in
   Alcotest.(check string) "second server, same bytes" a b
 
-(* A shard runs several jobs at once: on one shard, a slow sync job
-   (random30/p8, 16 random schedules) is posted first and, once a runner
-   has taken it, a fast one (cholesky10/p3, HEFT). With two or more pool
-   domains the shard has a second runner, so the fast reply overtakes
-   the slow one. Both bodies equal the offline bytes either way. *)
+(* A shard runs several jobs at once: on one shard, a sync job
+   (random30/p8, 16 random schedules) is posted first and held at the
+   "service.job" probe on the pool domain that took it; then a fast one
+   (cholesky10/p3, HEFT) is posted. With two or more pool domains the
+   fast reply arrives while the first job is still held, and the hold is
+   released only then. Both bodies equal the offline bytes either way. *)
 let server_runners_overlap_jobs () =
   let slow =
     on_case Experiments.Case.Random_graph 30 8
@@ -832,39 +833,78 @@ let server_runners_overlap_jobs () =
   let fast = named_job () in
   let local job = match Proto.eval job with Ok b -> b | Error e -> Alcotest.fail e in
   let slow_local = local slow and fast_local = local fast in
-  let arrivals = Atomic.make 0 in
+  let body what want = function
+    | Ok b -> Alcotest.(check string) (what ^ ": served = local bytes") want b
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  Fault.configure ~spec:"service.job:hold@1";
+  Fun.protect ~finally:Fault.reset @@ fun () ->
   with_server (fun t ->
-      let post job =
-        Domain.spawn (fun () ->
-            let r = with_client t (fun c -> Client.eval c job) in
-            (r, Atomic.fetch_and_add arrivals 1))
-      in
+      let post job = Domain.spawn (fun () -> with_client t (fun c -> Client.eval c job)) in
       let slow_d = post slow in
-      let rec until_taken n =
-        let s = Server.stats t in
-        if n > 0 && not (s.Server.jobs_submitted = 1 && s.Server.queue_depth = 0) then begin
-          Unix.sleepf 0.001;
-          until_taken (n - 1)
-        end
+      let rec until_held n =
+        if Fault.hits "service.job" < 1 then
+          if n = 0 then Alcotest.fail "the first job never reached its evaluation"
+          else begin
+            Unix.sleepf 0.001;
+            until_held (n - 1)
+          end
       in
-      until_taken 5000;
-      let fast_d = post fast in
-      let body what want (r, _) =
-        match r with
-        | Ok b -> Alcotest.(check string) (what ^ ": served = local bytes") want b
-        | Error e -> Alcotest.failf "%s: %s" what e
-      in
-      let fast_r = Domain.join fast_d and slow_r = Domain.join slow_d in
-      body "slow" slow_local slow_r;
-      body "fast" fast_local fast_r;
-      if Parallel.Pool.default_domains () < 2 then
+      until_held 10_000;
+      if Parallel.Pool.default_domains () < 2 then begin
         print_endline
-          "runners overlap jobs: one pool domain, so one runner per shard; the \
-           reply-order check is skipped"
-      else
-        Alcotest.(check int) "the fast reply arrives first" 0 (snd fast_r))
+          "runners overlap jobs: one pool domain runs one job at a time; the \
+           reply-order check is skipped";
+        Fault.release "service.job";
+        body "slow" slow_local (Domain.join slow_d);
+        body "fast" fast_local (Domain.join (post fast))
+      end
+      else begin
+        (* release on any failure too, or [stop] would wait on the hold *)
+        Fun.protect
+          ~finally:(fun () -> Fault.release "service.job")
+          (fun () ->
+            body "fast, while the first job is held" fast_local (Domain.join (post fast));
+            Alcotest.(check int) "only the fast job is done" 1
+              (Server.stats t).Server.jobs_done);
+        body "slow" slow_local (Domain.join slow_d)
+      end)
 
-(* Four clients post one cold key at once; however the shard's runners
+(* The server's evaluation domains are one pool of [default_domains]
+   whatever the shard count, with no runner domains beside it: a started
+   server adds the threads of its acceptor, its connection domains and
+   its pool and no more. *)
+let server_domain_budget () =
+  let threads () =
+    match Sys.readdir "/proc/self/task" with
+    | a -> Some (Array.length a)
+    | exception Sys_error _ -> None
+  in
+  (* the first spawn also starts this domain's backup thread *)
+  Domain.join (Domain.spawn ignore);
+  List.iter
+    (fun workers ->
+      let config = { Server.default_config with Server.workers; conn_domains = 2 } in
+      let before = threads () in
+      let t = Server.start config in
+      let during = threads () in
+      Fun.protect ~finally:(fun () -> Server.stop t) @@ fun () ->
+      Alcotest.(check int)
+        (Printf.sprintf "workers=%d: eval domains" workers)
+        (Parallel.Pool.default_domains ()) (Server.eval_domains t);
+      match (before, during) with
+      | Some b, Some d ->
+        (* a domain is one thread, plus a backup thread the runtime may
+           start later *)
+        let domains = 1 + config.Server.conn_domains + Parallel.Pool.default_domains () in
+        let started = d - b in
+        if started < domains || started > 2 * domains then
+          Alcotest.failf "workers=%d: %d threads started for %d domains" workers started
+            domains
+      | _ -> print_endline "server domain budget: no /proc/self/task, thread count skipped")
+    [ 1; 2; 3 ]
+
+(* Four clients post one cold key at once; however the pool domains
    split them into batches, the LRU lock lets exactly one build its
    engine. *)
 let server_cold_key_builds_once () =
@@ -1232,6 +1272,7 @@ let () =
           tc "totals survive eviction" `Quick server_totals_survive_eviction;
           tc "runners overlap jobs" `Quick server_runners_overlap_jobs;
           tc "cold key builds once" `Quick server_cold_key_builds_once;
+          tc "domain budget" `Quick server_domain_budget;
         ] );
       ( "stop",
         [
