@@ -88,7 +88,7 @@ val key_of_job : job -> string
     parameters), inline ones on a digest of their canonical JSON. This
     is what lets a connection domain route a job to its owning shard
     cheaply — the expensive graph/platform generation is deferred to
-    {!context_of_job} on the worker. Agrees with [context.key]. *)
+    {!context_of_job} on the evaluating domain. Agrees with [context.key]. *)
 
 val context_of_job : job -> (context, string) result
 (** Materialize the case. Jobs with equal [key] are guaranteed to
@@ -96,8 +96,8 @@ val context_of_job : job -> (context, string) result
     so one {!Makespan.Engine} may serve them all — named workloads key
     on the case id, inline ones on a digest of their canonical JSON.
     This is the expensive half of admission (workload/platform
-    generation); the sharded server runs it on the job's owning worker
-    domain (the ["admit"] stage), never on a connection domain. *)
+    generation); the sharded server runs it on the pool domain that
+    takes the job (the ["admit"] stage), never on a connection domain. *)
 
 exception Invalid_job of string
 (** Raised by {!run_job} when a neighbor spec names a move its base
@@ -126,7 +126,7 @@ val run_job :
     reads the session's evaluation. When [flight] is given, the work is split into the ["eval"]
     (expansion + metric sweep) and ["encode"] (JSON rendering) stages
     of that request's flight record, labeled with [shard] when the
-    caller is a sharded worker. *)
+    caller is a sharded server. *)
 
 val eval : job -> (string, string) result
 (** One-shot local evaluation: context + fresh engine + {!run_job}.

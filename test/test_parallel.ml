@@ -316,21 +316,28 @@ let wait_for n counter =
   Atomic.get counter
 
 (* 40 tasks, each fanning out over 1–9 chunks with no pool named: every
-   result equals its sequential value, and only the pool's own domains
-   ran tasks or chunks. *)
+   result equals its sequential value, and only the pool's own two
+   domains ran tasks or chunks (not the posting domain, nor a helper of
+   the shared pool). *)
 let tasks_run_on_helpers () =
   let pool, post = task_pool ~domains:2 in
   Alcotest.(check int) "size counts the helpers" 2 (Parallel.Pool.size pool);
   let me = Domain.self () in
-  let foreign = Atomic.make false and finished = Atomic.make 0 in
+  let seen_mu = Mutex.create () and seen = ref [] in
+  let saw () =
+    let d = Domain.self () in
+    Mutex.protect seen_mu (fun () -> if not (List.mem d !seen) then seen := d :: !seen)
+  in
+  let finished = Atomic.make 0 in
   let results = Array.make 40 (-1) in
+  ignore (Parallel.Pool.shared ());
   for i = 0 to 39 do
     post (fun () ->
-        if Domain.self () = me then Atomic.set foreign true;
+        saw ();
         let chunks = 1 + (i mod 9) in
         let parts = Array.make chunks 0 in
         Parallel.Pool.run ~chunks (fun c ->
-            if Domain.self () = me then Atomic.set foreign true;
+            saw ();
             parts.(c) <- (c + 1) * i);
         results.(i) <- Array.fold_left ( + ) 0 parts;
         Atomic.incr finished)
@@ -343,7 +350,8 @@ let tasks_run_on_helpers () =
       let chunks = 1 + (i mod 9) in
       Alcotest.(check int) (Printf.sprintf "task %d" i) (i * chunks * (chunks + 1) / 2) r)
     results;
-  Alcotest.(check bool) "nothing ran on the posting domain" false (Atomic.get foreign)
+  Alcotest.(check bool) "nothing ran on the posting domain" false (List.mem me !seen);
+  Alcotest.(check bool) "only the pool's two domains ran" true (List.length !seen <= 2)
 
 (* An idle helper helps a running task's fan-out: chunk 0 waits until
    chunk 1 has run on another domain, which only the second helper can
