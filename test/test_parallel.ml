@@ -338,6 +338,8 @@ let tasks_run_on_helpers () =
         let parts = Array.make chunks 0 in
         Parallel.Pool.run ~chunks (fun c ->
             saw ();
+            (* long enough for an idle domain to claim a chunk *)
+            Unix.sleepf 0.0002;
             parts.(c) <- (c + 1) * i);
         results.(i) <- Array.fold_left ( + ) 0 parts;
         Atomic.incr finished)

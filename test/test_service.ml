@@ -864,7 +864,20 @@ let server_runners_overlap_jobs () =
         Fun.protect
           ~finally:(fun () -> Fault.release "service.job")
           (fun () ->
-            body "fast, while the first job is held" fast_local (Domain.join (post fast));
+            let answered = Atomic.make false in
+            let fast_d =
+              Domain.spawn (fun () ->
+                  let r = with_client t (fun c -> Client.eval c fast) in
+                  Atomic.set answered true;
+                  r)
+            in
+            let deadline = Unix.gettimeofday () +. 10. in
+            while (not (Atomic.get answered)) && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.001
+            done;
+            if not (Atomic.get answered) then
+              Alcotest.fail "the fast job did not finish while the first was held";
+            body "fast, while the first job is held" fast_local (Domain.join fast_d);
             Alcotest.(check int) "only the fast job is done" 1
               (Server.stats t).Server.jobs_done);
         body "slow" slow_local (Domain.join slow_d)
